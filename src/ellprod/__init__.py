@@ -3,7 +3,8 @@ of elliptic curves, with transversality certificates, degree and height
 bookkeeping, and a finite-field oracle."""
 
 from .polynomials import (ExactDivisionError, MultiPoly, ParseError,
-                          exact_divide, integer_primitive, parse_poly,
+                          exact_divide, exact_divide_univariate,
+                          integer_primitive, parse_poly,
                           reduce_weierstrass, substitute, univariate_gcd)
 from .curves import (CurvePoint, KernelPointError, MultiplicationMaps,
                      SingularCurveError, WeierstrassCurve, add_points,

@@ -12,6 +12,15 @@ with t = (x^3 + A*x + B)*t~ and r = (x^3 + A*x + B)*r~ in the even case.
 Division polynomials are stored with y^2 eliminated: psi_m = y^(m+1 mod 2)
 * P_m(x, A, B), and this module works with the x-parts P_m throughout.
 
+One psi recurrence serves two rings.  Symbolic maps run it on MultiPoly
+in (x, A, B); the maps of a given curve run it on dense integer
+coefficient lists in x, seeded with the curve's own P_0..P_4 and cubic,
+and are never built symbolically and then specialized.  Neither path
+divides: s = P_2alpha / (2 P_alpha) is taken from the bracket
+(P_{alpha+2} P_{alpha-1}^2 - P_{alpha-2} P_{alpha+1}^2) / 4 of the
+recurrence, for either parity of alpha (Washington, Elliptic Curves:
+Number Theory and Cryptography, section 3.2).
+
 The coordinate formulas are undefined exactly on the affine kernel of
 [alpha]; evaluation there raises KernelPointError, and the public
 evaluator falls back to the group law, which is total.
@@ -19,7 +28,7 @@ evaluator falls back to the group law, which is total.
 
 from fractions import Fraction
 
-from .polynomials import MultiPoly, exact_divide
+from .polynomials import MultiPoly
 
 RING_XAB = ("x", "A", "B")
 
@@ -150,7 +159,7 @@ _A = MultiPoly.var(RING_XAB, "A")
 _B = MultiPoly.var(RING_XAB, "B")
 _C3 = _X ** 3 + _A * _X + _B  # the curve cubic, i.e. y^2
 
-_DIVPOLY_CACHE = {
+_SEEDS = {
     0: MultiPoly.zero(RING_XAB),
     1: MultiPoly.const(RING_XAB, 1),
     2: MultiPoly.const(RING_XAB, 2),
@@ -159,6 +168,106 @@ _DIVPOLY_CACHE = {
             - 5 * _A ** 2 * _X ** 2 - 4 * _A * _B * _X
             - 8 * _B ** 2 - _A ** 3),
 }
+_DIVPOLY_CACHE = dict(_SEEDS)
+
+
+class _XPoly:
+    """Dense polynomial in x with integer coefficients, lowest degree
+    first: the ring operations the psi recurrence needs, for one curve."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        # takes ownership of the list c
+        while c and not c[-1]:
+            c.pop()
+        self.c = c
+
+    @classmethod
+    def of(cls, p):
+        """From a MultiPoly in (x, A, B) with integer coefficients in
+        which only x occurs."""
+        c = [0] * (p.degree_in("x") + 1)
+        for e, v in p.terms.items():
+            c[e[0]] = int(v)
+        return cls(c)
+
+    def __mul__(self, other):
+        a = self.c
+        if isinstance(other, int):
+            return _XPoly([other * v for v in a])
+        b = other.c
+        if not a or not b:
+            return _XPoly([])
+        out = [0] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            if u:
+                for j, v in enumerate(b, i):
+                    out[j] += u * v
+        return _XPoly(out)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        out = self.c + [0] * (len(other.c) - len(self.c))
+        for i, v in enumerate(other.c):
+            out[i] -= v
+        return _XPoly(out)
+
+    def __pow__(self, n):
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
+
+    def halved(self):
+        # every P_m lies in Z[x, A, B], so the halving in its recurrence is exact
+        return _XPoly([v >> 1 for v in self.c])
+
+    def to_poly(self, den=1):
+        """The MultiPoly (1/den) * self in the ring (x, A, B)."""
+        return MultiPoly(RING_XAB, {
+            (k, 0, 0): Fraction(v, den) for k, v in enumerate(self.c) if v})
+
+
+def _psi_x(m, memo, c3_sq, half):
+    """x-part P_m by the psi recurrence, over the ring of the seeds P_0..P_4
+    in memo (which caches every P_m computed); c3_sq is the squared curve
+    cubic and half(p) returns p/2."""
+    if m in memo:
+        return memo[m]
+    k, odd = divmod(m, 2)
+
+    def P(i):
+        return _psi_x(i, memo, c3_sq, half)
+
+    if odd:
+        # psi_{2k+1} = psi_{k+2} psi_k^3 - psi_{k-1} psi_{k+1}^3, with the
+        # even-index entries each contributing a factor y; y^4 = c3^2.
+        if k % 2 == 1:
+            p = P(k + 2) * P(k) ** 3 - c3_sq * P(k - 1) * P(k + 1) ** 3
+        else:
+            p = c3_sq * P(k + 2) * P(k) ** 3 - P(k - 1) * P(k + 1) ** 3
+    else:
+        # psi_{2k} = psi_k (psi_{k+2} psi_{k-1}^2 - psi_{k-2} psi_{k+1}^2) / (2y);
+        # the y factors cancel identically for either parity of k.
+        p = half(P(k) * (P(k + 2) * P(k - 1) ** 2 - P(k - 2) * P(k + 1) ** 2))
+    memo[m] = p
+    return p
+
+
+def _divpoly(m):
+    return _psi_x(m, _DIVPOLY_CACHE, _C3 ** 2, lambda p: Fraction(1, 2) * p)
+
+
+def _curve_divpolys(curve):
+    """The psi recurrence on one curve's integer coefficients: returns
+    (P, x, c3) as dense polynomials in x, with P(m) the x-part P_m."""
+    coeffs = {"A": curve.A, "B": curve.B}
+    memo = {m: _XPoly.of(p.specialize(coeffs)) for m, p in _SEEDS.items()}
+    c3 = _XPoly.of(_C3.specialize(coeffs))
+    c3_sq = c3 * c3
+    return (lambda m: _psi_x(m, memo, c3_sq, _XPoly.halved)), _XPoly([0, 1]), c3
 
 
 def division_polynomial(m, curve=None):
@@ -166,39 +275,16 @@ def division_polynomial(m, curve=None):
 
     psi_m = y * P_m for even m and psi_m = P_m for odd m; callers track
     the parity (the implicit factor y) themselves.  With a curve given,
-    A and B are specialized to its coefficients (same ring, the symbols
-    simply no longer occur).
+    the recurrence runs on the curve's own integer coefficients and the
+    result lies in the same ring with A and B absent.
     """
     m = int(m)
     if m < 0:
         raise ValueError("m must be nonnegative")
-    p = _divpoly(m)
-    if curve is not None:
-        p = p.specialize({"A": curve.A, "B": curve.B})
-    return p
-
-
-def _divpoly(m):
-    if m in _DIVPOLY_CACHE:
-        return _DIVPOLY_CACHE[m]
-    k, odd = divmod(m, 2)
-    if odd:
-        # psi_{2k+1} = psi_{k+2} psi_k^3 - psi_{k-1} psi_{k+1}^3, with the
-        # even-index entries each contributing a factor y; y^4 = c3^2.
-        if k % 2 == 1:
-            p = _divpoly(k + 2) * _divpoly(k) ** 3 \
-                - _C3 ** 2 * _divpoly(k - 1) * _divpoly(k + 1) ** 3
-        else:
-            p = _C3 ** 2 * _divpoly(k + 2) * _divpoly(k) ** 3 \
-                - _divpoly(k - 1) * _divpoly(k + 1) ** 3
-    else:
-        # psi_{2k} = psi_k (psi_{k+2} psi_{k-1}^2 - psi_{k-2} psi_{k+1}^2) / (2y);
-        # the y factors cancel identically for either parity of k.
-        p = Fraction(1, 2) * _divpoly(k) * (
-            _divpoly(k + 2) * _divpoly(k - 1) ** 2
-            - _divpoly(k - 2) * _divpoly(k + 1) ** 2)
-    _DIVPOLY_CACHE[m] = p
-    return p
+    if curve is None:
+        return _divpoly(m)
+    P = _curve_divpolys(curve)[0]
+    return P(m).to_poly()
 
 
 # -- scalar multiplication in coordinates --------------------------------
@@ -209,8 +295,8 @@ class MultiplicationMaps:
 
     Fields r, s, t (and r_tilde, t_tilde when alpha is even) are
     MultiPoly in the ring (x, A, B); when built for a concrete curve the
-    symbols A, B are already specialized.  x-map: r/t^2 (odd) or
-    r~/(t~*t) (even); y-map: s*y/t^3 (odd) or s/(t~*t^2*y) (even).
+    symbols A, B do not occur.  x-map: r/t^2 (odd) or r~/(t~*t) (even);
+    y-map: s*y/t^3 (odd) or s/(t~*t^2*y) (even).
     """
 
     __slots__ = ("alpha", "r", "s", "t", "r_tilde", "t_tilde")
@@ -230,11 +316,27 @@ class MultiplicationMaps:
         return {"r": self.r.degree(), "s": self.s.degree(), "t": self.t.degree()}
 
 
+def _map_fields(a, P, x, c3):
+    """(r, 4*s, t, r~, t~) of [a] for a >= 2, over the ring of P, x, c3.
+
+    s = P_2a / (2 P_a) is taken from the bracket of the psi recurrence,
+    (P_{a+2} P_{a-1}^2 - P_{a-2} P_{a+1}^2) / 4, so no division occurs.
+    """
+    s4 = P(a + 2) * P(a - 1) ** 2 - P(a - 2) * P(a + 1) ** 2
+    if a % 2 == 1:
+        return x * P(a) ** 2 - c3 * P(a - 1) * P(a + 1), s4, P(a), None, None
+    r_t = x * c3 * P(a) ** 2 - P(a - 1) * P(a + 1)
+    return c3 * r_t, c3 * s4, c3 * P(a), r_t, P(a)
+
+
 def multiplication_maps(alpha, curve=None):
     """Build the (r, s, t) data for [alpha], symbolic or curve-specific.
 
-    alpha = 0 has no coordinate description (constant infinity) and is
-    rejected.  Negative alpha flips the sign of s only.
+    Symbolic maps come from the division polynomials in Z[x, A, B]; a
+    curve's maps are built on its own integer coefficients, and equal the
+    symbolic ones with A and B specialized.  alpha = 0 has no coordinate
+    description (constant infinity) and is rejected.  Negative alpha
+    flips the sign of s only.
     """
     alpha = int(alpha)
     if alpha == 0:
@@ -243,36 +345,17 @@ def multiplication_maps(alpha, curve=None):
     if a == 1:
         r, s, t = _X, MultiPoly.const(RING_XAB, 1), MultiPoly.const(RING_XAB, 1)
         r_t = t_t = None
+    elif curve is None:
+        r, s4, t, r_t, t_t = _map_fields(a, _divpoly, _X, _C3)
+        s = Fraction(1, 4) * s4
     else:
-        Pa = _divpoly(a)
-        Pm = _divpoly(a - 1)
-        Pp = _divpoly(a + 1)
-        s_core = exact_divide(_divpoly(2 * a), 2 * Pa)
-        if a % 2 == 1:
-            t = Pa
-            r = _X * Pa ** 2 - _C3 * Pm * Pp
-            s = s_core
-            r_t = t_t = None
-        else:
-            t_t = Pa
-            t = _C3 * Pa
-            r_t = _X * _C3 * Pa ** 2 - Pm * Pp
-            r = _C3 * r_t
-            s = _C3 * s_core
+        r, s4, t, r_t, t_t = _map_fields(a, *_curve_divpolys(curve))
+        r, s, t = r.to_poly(), s4.to_poly(4), t.to_poly()
+        if r_t is not None:
+            r_t, t_t = r_t.to_poly(), t_t.to_poly()
     if alpha < 0:
         s = -s
-    maps = MultiplicationMaps(alpha, r, s, t, r_t, t_t)
-    if curve is not None:
-        coeffs = {"A": curve.A, "B": curve.B}
-        maps = MultiplicationMaps(
-            alpha,
-            maps.r.specialize(coeffs),
-            maps.s.specialize(coeffs),
-            maps.t.specialize(coeffs),
-            None if r_t is None else r_t.specialize(coeffs),
-            None if t_t is None else t_t.specialize(coeffs),
-        )
-    return maps
+    return MultiplicationMaps(alpha, r, s, t, r_t, t_t)
 
 
 _MAPS_CACHE = {}

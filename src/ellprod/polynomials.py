@@ -20,6 +20,7 @@ literals.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class ParseError(ValueError):
@@ -59,6 +60,16 @@ class MultiPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    @classmethod
+    def _trusted(cls, ring, terms):
+        """Constructor for arithmetic results, skipping the validation of
+        __init__: ring is a tuple and terms maps exponent tuples of its
+        length to nonzero Fractions."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -151,12 +162,12 @@ class MultiPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return MultiPoly(self.ring, out)
+        return MultiPoly._trusted(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -183,7 +194,7 @@ class MultiPoly:
                     out[e] = s
                 else:
                     del out[e]
-        return MultiPoly(self.ring, out)
+        return MultiPoly._trusted(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -249,7 +260,7 @@ class MultiPoly:
                 out[e2] = s
             else:
                 del out[e2]
-        return MultiPoly(self.ring, out)
+        return MultiPoly._trusted(self.ring, out)
 
     def embed(self, new_ring, rename=None):
         """Reinterpret in another ring, optionally renaming variables.
@@ -270,7 +281,8 @@ class MultiPoly:
                             "variable %r has no image in ring %r" % (self.ring[i], new_ring))
                     e2[pos[i]] += k
             out[tuple(e2)] = out.get(tuple(e2), Fraction(0)) + c
-        return MultiPoly(new_ring, out)
+        # two variables renamed to one can merge terms that cancel
+        return MultiPoly._trusted(new_ring, {e: c for e, c in out.items() if c})
 
     # -- printing -------------------------------------------------------
 
@@ -462,8 +474,61 @@ def exact_divide(a, b):
             raise ExactDivisionError("not exactly divisible")
         coeff = lr_c / lb_c
         q[diff] = q.get(diff, Fraction(0)) + coeff
-        r = r - MultiPoly(a.ring, {diff: coeff}) * b
-    return MultiPoly(a.ring, q)
+        r = r - MultiPoly._trusted(a.ring, {diff: coeff}) * b
+    return MultiPoly._trusted(a.ring, q)
+
+
+def exact_divide_univariate(a, b):
+    """Return q with a = q*b for b univariate, or raise ExactDivisionError.
+
+    a and b must have integer coefficients and b must be primitive and
+    non-constant in a single variable v.  The terms of a are grouped into
+    slices that agree outside v, and each slice is divided by b with dense
+    integer long division.  By Gauss's lemma b divides a slice over Q
+    exactly when it does over Z, so the first quotient coefficient that
+    is not an integer, or the first nonzero remainder, shows that b does
+    not divide a.  The quotient is the one exact_divide returns.
+    """
+    a._check_ring(b)
+    used = b.variables()
+    if len(used) != 1:
+        raise ValueError("divisor must involve exactly one variable, got %s"
+                         % sorted(used))
+    i = a.ring.index(used.pop())
+    fb = [0] * (b.degree() + 1)
+    for e, c in b.terms.items():
+        if c.denominator != 1:
+            raise ValueError("divisor must have integer coefficients")
+        fb[e[i]] = c.numerator
+    if gcd(*fb) != 1:
+        raise ValueError("divisor must be primitive")
+    slices = {}
+    for e, c in a.terms.items():
+        if c.denominator != 1:
+            raise ValueError("dividend must have integer coefficients")
+        slices.setdefault(e[:i] + (0,) + e[i + 1:], {})[e[i]] = c.numerator
+    n, lead = len(fb) - 1, fb[-1]
+    q = {}
+    for rest, piece in slices.items():
+        top = max(piece)
+        if top < n:
+            raise ExactDivisionError("not exactly divisible")
+        r = [0] * (top + 1)
+        for k, c in piece.items():
+            r[k] = c
+        for k in range(top - n, -1, -1):
+            c = r[k + n]
+            if not c:
+                continue
+            qk, rem = divmod(c, lead)
+            if rem:
+                raise ExactDivisionError("not exactly divisible")
+            for j in range(n):
+                r[k + j] -= qk * fb[j]
+            q[rest[:i] + (k,) + rest[i + 1:]] = Fraction(qk)
+        if any(r[:n]):
+            raise ExactDivisionError("not exactly divisible")
+    return MultiPoly._trusted(a.ring, q)
 
 
 def _dense_coeffs(p, name):
@@ -566,7 +631,7 @@ def substitute(p, bindings):
             else:
                 rest[i] = k
         if any(rest):
-            piece = piece * MultiPoly(ring, {tuple(rest): Fraction(1)})
+            piece = piece * MultiPoly._trusted(ring, {tuple(rest): Fraction(1)})
         acc = acc + piece
     d = MultiPoly.const(ring, 1)
     for name in sorted(bindings):
@@ -600,7 +665,7 @@ def reduce_weierstrass(p, relations):
                 cache[half] = rhs ** half
             base = list(e)
             base[yi] = parity
-            out = out + MultiPoly(p.ring, {tuple(base): c}) * cache[half]
+            out = out + MultiPoly._trusted(p.ring, {tuple(base): c}) * cache[half]
         p = out
     return p
 
@@ -610,7 +675,6 @@ def integer_primitive(p):
     positive graded-lex leading coefficient.  Returns (scale, q)."""
     if not p:
         return Fraction(1), p
-    from math import gcd, lcm
     den = 1
     for c in p.terms.values():
         den = lcm(den, c.denominator)
@@ -621,5 +685,5 @@ def integer_primitive(p):
     _, lead_c = p.leading()
     if lead_c < 0:
         scale = -scale
-    q = MultiPoly(p.ring, {e: c / scale for e, c in p.terms.items()})
+    q = MultiPoly._trusted(p.ring, {e: c / scale for e, c in p.terms.items()})
     return scale, q

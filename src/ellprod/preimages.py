@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .curves import evaluate_multiplication_map, multiplication_maps
 from .isogenies import DiagonalIsogeny
-from .polynomials import (ExactDivisionError, MultiPoly, exact_divide,
+from .polynomials import (ExactDivisionError, MultiPoly, exact_divide_univariate,
                           integer_primitive, reduce_weierstrass, substitute)
 from .products import (SubvarietyPresentation, preimage_multidegrees)
 
@@ -146,7 +146,7 @@ def generate_preimage(V, isogeny):
             changed = False
             for cand in strip_candidates:
                 try:
-                    q = exact_divide(num, cand)
+                    q = exact_divide_univariate(num, cand)
                 except ExactDivisionError:
                     continue
                 if q:

@@ -236,6 +236,53 @@ def test_x_map_degrees():
 
 
 # ---------------------------------------------------------------------------
+# curve-built maps against the symbolic ones
+# ---------------------------------------------------------------------------
+
+MAP_FIELDS = ("r", "s", "t", "r_tilde", "t_tilde")
+_SYMBOLIC_MAPS = {}
+
+
+def _symbolic_maps(alpha):
+    if alpha not in _SYMBOLIC_MAPS:
+        _SYMBOLIC_MAPS[alpha] = multiplication_maps(alpha)
+    return _SYMBOLIC_MAPS[alpha]
+
+
+nonsingular_curves = st.tuples(
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=-60, max_value=60),
+).filter(lambda ab: 4 * ab[0] ** 3 + 27 * ab[1] ** 2 != 0).map(
+    lambda ab: WeierstrassCurve(*ab))
+
+
+@settings(max_examples=25, deadline=None)
+@given(nonsingular_curves, st.sampled_from([a for k in range(2, 8) for a in (k, -k)]))
+def test_curve_maps_equal_specialized_symbolic_maps(E, alpha):
+    coeffs = {"A": E.A, "B": E.B}
+    got = multiplication_maps(alpha, E)
+    for f in MAP_FIELDS:
+        want = getattr(_symbolic_maps(alpha), f)
+        want = None if want is None else want.specialize(coeffs)
+        assert getattr(got, f) == want, f
+    # s by the division the bracket formula replaces: P_2a / (2 P_a),
+    # times the cubic for even a
+    a = abs(alpha)
+    core = exact_divide(division_polynomial(2 * a, E), 2 * division_polynomial(a, E))
+    if a % 2 == 0:
+        core = core * C3.specialize(coeffs)
+    assert got.s == (core if alpha > 0 else -core)
+
+
+@settings(max_examples=25, deadline=None)
+@given(nonsingular_curves)
+def test_curve_divpolys_equal_specialized_symbolic_ones(E):
+    coeffs = {"A": E.A, "B": E.B}
+    for m in range(15):
+        assert division_polynomial(m, E) == division_polynomial(m).specialize(coeffs), m
+
+
+# ---------------------------------------------------------------------------
 # multiplication maps: agreement with the group law over Q
 # ---------------------------------------------------------------------------
 

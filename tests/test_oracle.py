@@ -128,6 +128,15 @@ def test_maps_vs_group_law():
         verify_maps_vs_group_law(PrimeFieldCtx(5, SYS), 0, 5)
 
 
+def test_maps_vs_group_law_large_alpha():
+    for p in (13, 101):
+        ctx = PrimeFieldCtx(p, SYS)
+        for alpha in (8, 9, 11):
+            rep = verify_maps_vs_group_law(ctx, 0, alpha)
+            assert rep["ok"], rep
+            assert rep["checked"] > 0
+
+
 def test_maps_exceptional_counts():
     # over F_7 the affine kernel of [2] on y^2 = x^3 + 1 is the full
     # 2-torsion (x^3 + 1 splits), so 3 points are exceptional of the 11

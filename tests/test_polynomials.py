@@ -11,6 +11,7 @@ from ellprod.polynomials import (
     MultiPoly,
     ParseError,
     exact_divide,
+    exact_divide_univariate,
     integer_primitive,
     parse_poly,
     reduce_weierstrass,
@@ -259,6 +260,55 @@ def test_exact_divide_inverts_mul(p, q):
     if not q:
         return
     assert exact_divide(p * q, q) == p
+
+
+def _primitive(p):
+    return integer_primitive(p)[1]
+
+
+@st.composite
+def x_divisors(draw):
+    """Primitive integer polynomials in x of degree 1 to 3."""
+    lead = draw(st.integers(min_value=1, max_value=6))
+    rest = draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=3))
+    return _primitive(sum((c * X ** k for k, c in enumerate(rest + [lead])), ZERO))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), x_divisors(), st.integers(min_value=1, max_value=3))
+def test_exact_divide_univariate_matches_exact_divide(f, c, k):
+    p = _primitive(f) * c ** k
+    assert exact_divide_univariate(p, c) == exact_divide(p, c)
+    # a nonzero term free of x cannot be absorbed by a divisor in x
+    off = p + Y ** (1 + p.degree_in("y"))
+    with pytest.raises(ExactDivisionError):
+        exact_divide_univariate(off, c)
+    with pytest.raises(ExactDivisionError):
+        exact_divide(off, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), x_divisors())
+def test_exact_divide_univariate_fails_exactly_when_exact_divide_does(f, c):
+    p = _primitive(f)
+    try:
+        want = exact_divide(p, c)
+    except ExactDivisionError:
+        with pytest.raises(ExactDivisionError):
+            exact_divide_univariate(p, c)
+    else:
+        assert exact_divide_univariate(p, c) == want
+
+
+def test_exact_divide_univariate_rejects_unsuitable_input():
+    with pytest.raises(ValueError):
+        exact_divide_univariate(X * Y, 2 * X + 2)  # not primitive
+    with pytest.raises(ValueError):
+        exact_divide_univariate(X * Y, X + Y)  # not univariate
+    with pytest.raises(ValueError):
+        exact_divide_univariate(Fraction(1, 2) * X, X)  # not integral
+    with pytest.raises(ValueError):
+        exact_divide_univariate(X * Y, ONE)  # constant
 
 
 # ---------------------------------------------------------------------------
