@@ -193,10 +193,7 @@ class _XPoly:
         return cls(c)
 
     def __mul__(self, other):
-        a = self.c
-        if isinstance(other, int):
-            return _XPoly([other * v for v in a])
-        b = other.c
+        a, b = self.c, other.c
         if not a or not b:
             return _XPoly([])
         out = [0] * (len(a) + len(b) - 1)
@@ -205,8 +202,6 @@ class _XPoly:
                 for j, v in enumerate(b, i):
                     out[j] += u * v
         return _XPoly(out)
-
-    __rmul__ = __mul__
 
     def __sub__(self, other):
         out = self.c + [0] * (len(other.c) - len(self.c))
