@@ -27,9 +27,8 @@ from .preimages import (ExcludedLocusError, PreimageDegenerateError,
 from .heights import (BoundReport, bezout_intersection_bounds, c0, c1_c2_curve,
                       curve_c3, essential_minimum_image_bounds, galateau_lambda,
                       weil_height_rational, zhang_special_bound)
-from .oracle import (BadReductionError, PrimeFieldCtx, degree_spot_check,
-                     enumerate_points, verify_maps_vs_group_law,
-                     verify_preimage_membership)
+from .oracle import (BadReductionError, PrimeFieldCtx, enumerate_points,
+                     verify_maps_vs_group_law, verify_preimage_membership)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,6 +1,7 @@
 """Tests for the ellprod command-line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -190,8 +191,21 @@ def test_oracle_command(capsys, c3_file, tmp_path):
     assert [r["p"] for r in per_p] == [7, 11]
     assert per_p[0]["membership"]["mode"] == "exhaustive"
     assert len(per_p[0]["maps"]) == 2
+    assert set(per_p[0]) == {"p", "maps", "membership"}
     # --out mirrors stdout
     assert json.loads(out.read_text()) == rep
+
+
+def test_oracle_refuses_huge_prime_quickly(capsys, c3_file):
+    t0 = time.perf_counter()
+    code = main(["oracle", "--variety", c3_file, "--isogeny", "[2,1]",
+                 "--primes", "[1000000000000000003]"])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+    assert elapsed < 1.0
 
 
 def test_determinism(capsys, c3_file):

@@ -1,18 +1,19 @@
 """Tests for the finite-field brute-force oracle."""
 
 import random
+import time
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
 from ellprod import oracle
-from ellprod.curves import WeierstrassCurve
+from ellprod.curves import WeierstrassCurve, multiplication_maps
 from ellprod.isogenies import DiagonalIsogeny
 from ellprod.oracle import (
     BadReductionError,
     PrimeFieldCtx,
     add_points_mod,
-    degree_spot_check,
     enumerate_points,
     eval_mod,
     poly_mod,
@@ -21,7 +22,7 @@ from ellprod.oracle import (
     verify_preimage_membership,
 )
 from ellprod.polynomials import parse_poly
-from ellprod.preimages import generate_preimage
+from ellprod.preimages import PreimagePresentation, generate_preimage
 from ellprod.products import (
     MultiDegreeTable,
     ProductSystem,
@@ -187,12 +188,223 @@ def test_membership_system_mismatch():
         verify_preimage_membership(PrimeFieldCtx(7, other), pre)
 
 
-def test_degree_spot_check():
+def test_ctx_rejects_primes_above_max_p():
+    # 2^17 - 1 is prime and the largest prime the oracle accepts
+    assert oracle.MAX_P == 1 << 17
+    assert PrimeFieldCtx(oracle.MAX_P - 1, SYS).p == oracle.MAX_P - 1
+    t0 = time.perf_counter()
+    with pytest.raises(BadReductionError):
+        PrimeFieldCtx(10 ** 18 + 3, SYS)
+    assert time.perf_counter() - t0 < 1.0
+
+
+# -- differential tests against a plain per-tuple reference -----------------
+
+
+def reference_maps(ctx, curve_index, alpha):
+    """verify_maps_vs_group_law as a plain loop: eval_mod per formula and
+    scalar_mul_mod per point."""
+    alpha = int(alpha)
+    ctx.require_separable([alpha])
+    p = ctx.p
+    A, _ = ctx.curves_mod[curve_index]
+    maps = multiplication_maps(alpha, ctx.system.curves[curve_index])
+    r, s, t = (poly_mod(f, p, ("x",)) for f in (maps.r, maps.s, maps.t))
+    even = maps.is_even()
+    if even:
+        rt = poly_mod(maps.r_tilde, p, ("x",))
+        tt = poly_mod(maps.t_tilde, p, ("x",))
+    mismatches, exceptional, kernel = [], [], []
+    checked = 0
+    for P in enumerate_points(ctx, curve_index)[1:]:
+        x, y = P
+        expected = scalar_mul_mod(p, A, alpha, P)
+        if expected is None:
+            kernel.append(P)
+        tv = eval_mod(t, (x,), p)
+        if even:
+            ttv = eval_mod(tt, (x,), p)
+            defined = ttv != 0 and y != 0
+        else:
+            defined = tv != 0
+        if not defined:
+            exceptional.append(P)
+            continue
+        checked += 1
+        if even:
+            got = (eval_mod(rt, (x,), p) * pow(ttv * tv % p, -1, p) % p,
+                   eval_mod(s, (x,), p) * pow(ttv * tv * tv % p * y % p, -1, p) % p)
+        else:
+            got = (eval_mod(r, (x,), p) * pow(tv * tv % p, -1, p) % p,
+                   eval_mod(s, (x,), p) * y % p * pow(tv * tv * tv % p, -1, p) % p)
+        if got != expected:
+            mismatches.append({"point": P, "formula": got, "group_law": expected})
+    same = sorted(exceptional) == sorted(kernel)
+    return {"p": p, "curve_index": curve_index, "alpha": alpha,
+            "checked": checked, "exceptional": exceptional,
+            "exceptional_equals_kernel": same, "mismatches": mismatches,
+            "ok": not mismatches and same}
+
+
+def reference_membership(ctx, pre):
+    """verify_preimage_membership as a plain loop over point tuples:
+    eval_mod per equation and scalar_mul_mod per factor and tuple."""
+    p = ctx.p
+    alphas = pre.isogeny.alphas
+    ctx.require_separable(alphas)
+    ring = pre.system.ring
+    n = pre.system.n_factors
+    eqs = [poly_mod(eq, p, ring) for eq in pre.equations]
+    base_eqs = [poly_mod(eq, p, ring) for eq in pre.base.equations]
+    excl = [(row["j"], poly_mod(row["t"], p, ("x%d" % row["j"],)))
+            for row in pre.excluded_locus]
+    affine = [enumerate_points(ctx, idx)[1:] for idx in range(n)]
+    total = 1
+    for pts in affine:
+        total *= len(pts)
+    exhaustive = p <= oracle.EXHAUSTIVE_MAX_P and n == 2
+    if exhaustive:
+        tuples = iter_product(*affine)
+    else:
+        rng = random.Random(oracle.SAMPLE_SEED)
+        tuples = [tuple(rng.choice(pts) for pts in affine)
+                  for _ in range(min(oracle.SAMPLE_COUNT, total))]
+    iterated = excluded = members = vanishing = 0
+    mismatches = []
+    for tup in tuples:
+        iterated += 1
+        if any(eval_mod(t, (tup[j - 1][0],), p) == 0 for j, t in excl):
+            excluded += 1
+            continue
+        values = [v for P in tup for v in P]
+        lhs = all(eval_mod(eq, values, p) == 0 for eq in eqs)
+        images = [scalar_mul_mod(p, ctx.curves_mod[idx][0], alphas[idx], P)
+                  for idx, P in enumerate(tup)]
+        if None in images:
+            mismatches.append({"tuple": tup, "problem": "image at infinity"})
+            continue
+        image_values = [v for Q in images for v in Q]
+        rhs = all(eval_mod(eq, image_values, p) == 0 for eq in base_eqs)
+        vanishing += lhs
+        members += rhs
+        if lhs != rhs:
+            mismatches.append({"tuple": tup, "equations_vanish": lhs,
+                               "image_on_subvariety": rhs})
+    return {"p": p, "mode": "exhaustive" if exhaustive else "sampled",
+            "affine_counts": [len(pts) for pts in affine],
+            "iterated": iterated, "excluded": excluded,
+            "equations_vanish": vanishing, "image_on_subvariety": members,
+            "mismatches": mismatches, "ok": not mismatches}
+
+
+def _good_primes(system, alphas, candidates):
+    out = []
+    for p in candidates:
+        try:
+            PrimeFieldCtx(p, system).require_separable(alphas)
+        except BadReductionError:
+            continue
+        out.append(p)
+    return out
+
+
+def _assert_scans_match(pre, primes):
+    for p in primes:
+        ctx = PrimeFieldCtx(p, pre.system)
+        for idx, alpha in enumerate(pre.isogeny.alphas):
+            assert verify_maps_vs_group_law(ctx, idx, alpha) == \
+                reference_maps(PrimeFieldCtx(p, pre.system), idx, alpha)
+        got = verify_preimage_membership(ctx, pre)
+        assert got == reference_membership(PrimeFieldCtx(p, pre.system), pre)
+
+
+def test_scan_matches_reference_on_c3():
+    primes = [13, 17, 19, 23, 29, 31, 101, 1009]
+    for alphas in ([2, 1], [1, -3], [3, 2], [-2, 2]):
+        pre = generate_preimage(C3, DiagonalIsogeny(alphas))
+        _assert_scans_match(pre, _good_primes(C3.system, alphas, primes))
+
+
+def test_scan_matches_reference_on_random_pairs():
+    rng = random.Random(4)
+    pairs = 0
+    while pairs < 3:
+        E1, E2 = (WeierstrassCurve(rng.randint(-9, 9), rng.randint(-9, 9))
+                  for _ in range(2))
+        if E1.discriminant() == 0 or E2.discriminant() == 0:
+            continue
+        pairs += 1
+        V = make_cn_curve(E1, E2, rng.choice((1, 2)))
+        alphas = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(2)]
+        pre = generate_preimage(V, DiagonalIsogeny(alphas))
+        exhaustive = _good_primes(V.system, alphas, range(13, 32))
+        sampled = (_good_primes(V.system, alphas, range(101, 150))[:1]
+                   + _good_primes(V.system, alphas, range(1009, 1110))[:1])
+        _assert_scans_match(pre, [exhaustive[0], exhaustive[-1]] + sampled)
+
+
+def test_scan_matches_reference_on_three_factors():
+    sys3 = ProductSystem([E01, WeierstrassCurve(-1, 0), E01])
+    table = MultiDegreeTable(1, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+    eqs = [parse_poly("y1 - y3", sys3.ring), parse_poly("x2 - x3", sys3.ring)]
+    V = SubvarietyPresentation(sys3, eqs, 1, table, False)
+    pre = generate_preimage(V, DiagonalIsogeny([2, 1, -1]))
+    _assert_scans_match(pre, [7, 13, 101])
+    rep = verify_preimage_membership(PrimeFieldCtx(101, sys3), pre)
+    assert rep["mode"] == "sampled" and rep["iterated"] == oracle.SAMPLE_COUNT
+
+
+def test_scan_matches_reference_on_wrong_presentations():
     pre = generate_preimage(C3, DiagonalIsogeny([2, 1]))
-    rep = degree_spot_check(PrimeFieldCtx(7, SYS), pre, "x1")
-    assert rep["informational"] is True
-    assert rep["fiber_coordinate"] == "x1"
-    assert rep["max_fiber_size"] >= 1
-    assert rep["equation_degrees"] == [{"x1": 12, "y2": 1}]
-    rep2 = degree_spot_check(PrimeFieldCtx(7, SYS), pre, "x2")
-    assert rep2["fiber_count"] >= 1
+    other = generate_preimage(C3, DiagonalIsogeny([1, 2]))
+    # the equations of another isogeny, and the right ones with the
+    # excluded locus dropped (kernel tuples then map to infinity)
+    wrong_eqs = PreimagePresentation(pre.base, pre.isogeny, other.equations,
+                                     pre.excluded_locus, pre.degrees)
+    no_locus = PreimagePresentation(pre.base, pre.isogeny, pre.equations,
+                                    [], pre.degrees)
+    for bad in (wrong_eqs, no_locus):
+        for p in (7, 17, 101):
+            got = verify_preimage_membership(PrimeFieldCtx(p, SYS), bad)
+            assert got == reference_membership(PrimeFieldCtx(p, SYS), bad)
+            assert got["mismatches"] and not got["ok"]
+    problems = {m.get("problem") for m in verify_preimage_membership(
+        PrimeFieldCtx(13, SYS), no_locus)["mismatches"]}
+    assert problems == {"image at infinity"}
+
+
+# -- tables shared on one context ------------------------------------------
+
+
+def test_shared_context_maps_match_fresh_contexts():
+    for p in (13, 101):
+        shared = PrimeFieldCtx(p, SYS)
+        for alpha in (3, -3, 2, -2, 4, 3):
+            assert verify_maps_vs_group_law(shared, 1, alpha) == \
+                verify_maps_vs_group_law(PrimeFieldCtx(p, SYS), 1, alpha)
+
+
+def test_maps_check_first_leaves_membership_unchanged():
+    for alphas in ([2, 1], [-3, 2]):
+        pre = generate_preimage(C3, DiagonalIsogeny(alphas))
+        for p in (13, 101):
+            shared = PrimeFieldCtx(p, SYS)
+            for idx, alpha in enumerate(alphas):
+                verify_maps_vs_group_law(shared, idx, alpha)
+                verify_maps_vs_group_law(shared, idx, -alpha)
+            assert verify_preimage_membership(shared, pre) == \
+                verify_preimage_membership(PrimeFieldCtx(p, SYS), pre)
+
+
+def test_separability_checked_before_any_table(monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(oracle, "enumerate_points", no_tables)
+    monkeypatch.setattr(oracle, "scalar_mul_mod", no_tables)
+    pre = generate_preimage(C3, DiagonalIsogeny([2, 5]))
+    ctx = PrimeFieldCtx(5, SYS)
+    with pytest.raises(BadReductionError):
+        verify_maps_vs_group_law(ctx, 1, 5)
+    with pytest.raises(BadReductionError):
+        verify_preimage_membership(ctx, pre)
