@@ -30,9 +30,10 @@ be checked at a desk without trusting this module's checkers.
 """
 
 from itertools import combinations
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
-from .products import SubvarietyPresentation
+from .arith import is_prime, prime_factors
+from .products import SubvarietyPresentation, _table_of
 
 CERTIFIED = "CertifiedTransverse"
 INCONCLUSIVE = "Inconclusive"
@@ -70,38 +71,25 @@ class TransversalityCertificate:
         return "TransversalityCertificate(%s, %s)" % (self.criterion, self.verdict)
 
 
-def _table_of(V):
-    return V.degrees if isinstance(V, SubvarietyPresentation) else V
-
-
 def _inputs_echo(V, extra):
     table = _table_of(V)
-    echo = {
-        "n_factors": table.n_factors,
-        "dim": table.dim,
-        "multidegrees": [{"I": list(I), "deg": table.get(I)}
-                         for I in table.index_order()],
-    }
-    echo.update(extra)
-    return echo
+    return {"n_factors": table.n_factors, "dim": table.dim,
+            "multidegrees": table.rows(), **extra}
 
 
 def _hypotheses(V):
+    """The hypotheses block, and the reasons list it starts with: an input
+    not flagged transverse is never certified."""
     flag = V.transverse if isinstance(V, SubvarietyPresentation) else True
-    return {"transverse_input": bool(flag)}, flag
+    reasons = [] if flag else ["input subvariety is not flagged transverse"]
+    return {"transverse_input": bool(flag)}, reasons
 
 
-def is_prime(n):
-    """Deterministic trial-division primality on |n|."""
-    n = abs(int(n))
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def _conclude(criterion, hypotheses, inputs, witness, reasons):
+    """Certified exactly when no reason stands against it."""
+    verdict = INCONCLUSIVE if reasons else CERTIFIED
+    return TransversalityCertificate(criterion, verdict, hypotheses, inputs,
+                                     witness, reasons)
 
 
 def _check_arity(table, count, what):
@@ -117,13 +105,10 @@ def check_theorem_a(C, primes):
         raise ValueError("TheoremA applies to curves (dim 1), got dim %d" % table.dim)
     primes = [int(p) for p in primes]
     _check_arity(table, len(primes), "prime vector")
-    hypotheses, flag = _hypotheses(C)
+    hypotheses, reasons = _hypotheses(C)
     n = table.n_factors
     threshold = table.total_degree() * n * 3 ** (n - 1)
     witness = []
-    reasons = []
-    if not flag:
-        reasons.append("input subvariety is not flagged transverse")
     for j, p in enumerate(primes, start=1):
         prime_ok = is_prime(p)
         size_ok = abs(p) >= threshold
@@ -133,10 +118,8 @@ def check_theorem_a(C, primes):
             reasons.append("component %d: %d is not prime" % (j, p))
         elif not size_ok:
             reasons.append("component %d: |%d| < threshold %d" % (j, p, threshold))
-    verdict = CERTIFIED if not reasons else INCONCLUSIVE
-    return TransversalityCertificate(
-        "TheoremA", verdict, hypotheses,
-        _inputs_echo(C, {"primes": primes}), witness, reasons)
+    return _conclude("TheoremA", hypotheses,
+                     _inputs_echo(C, {"primes": primes}), witness, reasons)
 
 
 def check_theorem_main(V, phi):
@@ -144,13 +127,10 @@ def check_theorem_main(V, phi):
     multidegree entry is coprime to alpha_j^2 after the dim! factor."""
     table = _table_of(V)
     _check_arity(table, phi.n_factors, "isogeny")
-    hypotheses, flag = _hypotheses(V)
+    hypotheses, reasons = _hypotheses(V)
     n = table.n_factors
     bang = factorial(table.dim)
     witness = []
-    reasons = []
-    if not flag:
-        reasons.append("input subvariety is not flagged transverse")
     for j in range(1, n + 1):
         deg_a = phi.alphas[j - 1] ** 2
         found = None
@@ -169,31 +149,24 @@ def check_theorem_main(V, phi):
                 "gcd(alpha_j^2 = %d, %d * deg_I) = 1" % (j, table.dim, deg_a, bang))
         else:
             witness.append(found)
-    verdict = CERTIFIED if not reasons else INCONCLUSIVE
-    return TransversalityCertificate(
-        "TheoremMain", verdict, hypotheses,
-        _inputs_echo(V, {"alphas": list(phi.alphas)}), witness, reasons)
+    return _conclude("TheoremMain", hypotheses,
+                     _inputs_echo(V, {"alphas": list(phi.alphas)}), witness, reasons)
 
 
 def check_theorem_weak(V, phi):
     """Every prime dividing deg(phi) exceeds dim! * deg(V)."""
     table = _table_of(V)
     _check_arity(table, phi.n_factors, "isogeny")
-    hypotheses, flag = _hypotheses(V)
+    hypotheses, reasons = _hypotheses(V)
     bound = factorial(table.dim) * table.total_degree()
     primes = phi.factor_degree_primes()
     witness = {"degree_primes": primes, "bound": bound,
                "comparisons": [{"p": p, "satisfied": p > bound} for p in primes]}
-    reasons = []
-    if not flag:
-        reasons.append("input subvariety is not flagged transverse")
     for p in primes:
         if p <= bound:
             reasons.append("prime %d dividing deg(phi) is <= bound %d" % (p, bound))
-    verdict = CERTIFIED if not reasons else INCONCLUSIVE
-    return TransversalityCertificate(
-        "TheoremWeak", verdict, hypotheses,
-        _inputs_echo(V, {"alphas": list(phi.alphas)}), witness, reasons)
+    return _conclude("TheoremWeak", hypotheses,
+                     _inputs_echo(V, {"alphas": list(phi.alphas)}), witness, reasons)
 
 
 def check_corollary_identity(V, n=None, p=None):
@@ -206,12 +179,9 @@ def check_corollary_identity(V, n=None, p=None):
     if (n is None) == (p is None):
         raise ValueError("give exactly one of n (integer mode) or p (prime mode)")
     table = _table_of(V)
-    hypotheses, flag = _hypotheses(V)
+    hypotheses, reasons = _hypotheses(V)
     nf = table.n_factors
     bang = factorial(table.dim)
-    reasons = []
-    if not flag:
-        reasons.append("input subvariety is not flagged transverse")
     if n is not None:
         n = int(n)
         if n == 0:
@@ -232,10 +202,8 @@ def check_corollary_identity(V, n=None, p=None):
                                "gcd(%d, %d * deg_I) = 1" % (j, n, bang))
             else:
                 witness.append(found)
-        verdict = CERTIFIED if not reasons else INCONCLUSIVE
-        return TransversalityCertificate(
-            "CorollaryIdentity", verdict, hypotheses,
-            _inputs_echo(V, {"mode": "integer", "n": n}), witness, reasons)
+        return _conclude("CorollaryIdentity", hypotheses,
+                         _inputs_echo(V, {"mode": "integer", "n": n}), witness, reasons)
     p = int(p)
     if not is_prime(p):
         raise ValueError("prime mode needs a prime, got %d" % p)
@@ -252,11 +220,9 @@ def check_corollary_identity(V, n=None, p=None):
         if divides:
             reasons.append("component %d: p = %d divides every deg_I with i_j = 1"
                            % (j, p))
-    verdict = CERTIFIED if not reasons else INCONCLUSIVE
-    return TransversalityCertificate(
-        "CorollaryIdentity", verdict, hypotheses,
-        _inputs_echo(V, {"mode": "prime", "p": p}),
-        {"dim_factorial": bang, "components": rows}, reasons)
+    return _conclude("CorollaryIdentity", hypotheses,
+                     _inputs_echo(V, {"mode": "prime", "p": p}),
+                     {"dim_factorial": bang, "components": rows}, reasons)
 
 
 def check_corollary_curves(C, phi):
@@ -266,12 +232,9 @@ def check_corollary_curves(C, phi):
         raise ValueError("CorollaryCurves applies to curves (dim 1), got dim %d"
                          % table.dim)
     _check_arity(table, phi.n_factors, "isogeny")
-    hypotheses, flag = _hypotheses(C)
+    hypotheses, reasons = _hypotheses(C)
     n = table.n_factors
     witness = []
-    reasons = []
-    if not flag:
-        reasons.append("input subvariety is not flagged transverse")
     for j in range(1, n + 1):
         I = tuple(1 if k == j - 1 else 0 for k in range(n))
         d_j = table.get(I)
@@ -281,10 +244,8 @@ def check_corollary_curves(C, phi):
         if g != 1:
             reasons.append("component %d: gcd(alpha_j^2 = %d, d_j = %d) = %d != 1"
                            % (j, deg_a, d_j, g))
-    verdict = CERTIFIED if not reasons else INCONCLUSIVE
-    return TransversalityCertificate(
-        "CorollaryCurves", verdict, hypotheses,
-        _inputs_echo(C, {"alphas": list(phi.alphas)}), witness, reasons)
+    return _conclude("CorollaryCurves", hypotheses,
+                     _inputs_echo(C, {"alphas": list(phi.alphas)}), witness, reasons)
 
 
 AUTO_ORDER = ("CorollaryCurves", "TheoremMain", "TheoremWeak", "TheoremA")
@@ -332,7 +293,7 @@ def _read_table(inputs):
         if I in entries:
             raise ValueError("duplicate multidegree index %r" % (I,))
         entries[I] = int(row["deg"])
-    if len(entries) != len(list(combinations(range(nf), dim))):
+    if not entries or len(entries) != comb(nf, dim):
         raise ValueError("incomplete multidegree table")
     return nf, dim, entries
 
@@ -341,23 +302,29 @@ def verify_certificate(cert):
     """Re-derive a certificate's claim from its echoed inputs.
 
     Accepts the dict form (TransversalityCertificate.to_dict or parsed
-    JSON).  Returns (ok, problems).  Uses only integer arithmetic —
-    primality by trial division, gcds, factorials — independently of the
-    checkers above.  An Inconclusive certificate asserts nothing and is
-    accepted as long as it is well-formed.
+    JSON).  Returns (ok, problems); a malformed payload, including a
+    number beyond the proven range of ellprod.arith, gives (False,
+    ["malformed certificate: ..."]) instead of an exception.  Uses only
+    integer arithmetic — primality and factoring from ellprod.arith,
+    gcds, factorials — independently of the checkers above.  An
+    Inconclusive certificate asserts nothing and is accepted as long as
+    it is well-formed.
     """
     if isinstance(cert, TransversalityCertificate):
         cert = cert.to_dict()
-    problems = []
     try:
-        criterion = cert["criterion"]
-        verdict = cert["verdict"]
-        hypotheses = cert["hypotheses"]
-        inputs = cert["inputs"]
-        witness = cert["witness"]
-        nf, dim, entries = _read_table(inputs)
-    except (KeyError, TypeError, ValueError) as exc:
+        return _reverify(cert)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         return False, ["malformed certificate: %s" % exc]
+
+
+def _reverify(cert):
+    criterion = cert["criterion"]
+    verdict = cert["verdict"]
+    hypotheses = cert["hypotheses"]
+    inputs = cert["inputs"]
+    witness = cert["witness"]
+    nf, dim, entries = _read_table(inputs)
     if verdict not in (CERTIFIED, INCONCLUSIVE):
         return False, ["unknown verdict %r" % verdict]
     if verdict == INCONCLUSIVE:
@@ -367,16 +334,20 @@ def verify_certificate(cert):
     bang = factorial(dim)
     total = bang * sum(entries.values())
 
-    def fail(msg):
-        problems.append(msg)
+    problems = []
+    fail = problems.append
+
+    def vector(key, what):
+        values = [int(v) for v in inputs[key]]
+        if len(values) != nf:
+            fail("%s vector length %d != %d factors" % (what, len(values), nf))
+        return values
 
     if criterion == "TheoremA":
         if dim != 1:
             fail("TheoremA needs dim 1, certificate has dim %d" % dim)
-        primes = [int(p) for p in inputs["primes"]]
+        primes = vector("primes", "prime")
         threshold = total * nf * 3 ** (nf - 1)
-        if len(primes) != nf:
-            fail("prime vector length %d != %d factors" % (len(primes), nf))
         seen = set()
         for row in witness:
             j = int(row["j"])
@@ -395,9 +366,7 @@ def verify_certificate(cert):
         if seen != set(range(1, nf + 1)):
             fail("witness does not cover every component exactly once")
     elif criterion == "TheoremMain":
-        alphas = [int(a) for a in inputs["alphas"]]
-        if len(alphas) != nf:
-            fail("alpha vector length %d != %d factors" % (len(alphas), nf))
+        alphas = vector("alphas", "alpha")
         seen = set()
         for row in witness:
             j = int(row["j"])
@@ -419,29 +388,15 @@ def verify_certificate(cert):
         if seen != set(range(1, nf + 1)):
             fail("witness does not cover every component exactly once")
     elif criterion == "TheoremWeak":
-        alphas = [int(a) for a in inputs["alphas"]]
-        if len(alphas) != nf:
-            fail("alpha vector length %d != %d factors" % (len(alphas), nf))
-        primes = set()
-        for a in alphas:
-            a = abs(a)
-            d = 2
-            while d * d <= a:
-                if a % d == 0:
-                    primes.add(d)
-                    while a % d == 0:
-                        a //= d
-                d += 1
-            if a > 1:
-                primes.add(a)
-        for p in sorted(primes):
+        alphas = vector("alphas", "alpha")
+        primes = sorted({p for a in alphas for p in prime_factors(a)})
+        for p in primes:
             if p <= bang * total:
                 fail("prime %d dividing deg(phi) is <= dim! * deg(V) = %d"
                      % (p, bang * total))
         echoed = [int(p) for p in witness.get("degree_primes", [])]
-        if echoed != sorted(primes):
-            fail("echoed degree_primes %r != recomputed %r"
-                 % (echoed, sorted(primes)))
+        if echoed != primes:
+            fail("echoed degree_primes %r != recomputed %r" % (echoed, primes))
     elif criterion == "CorollaryIdentity":
         mode = inputs["mode"]
         if mode == "integer":
@@ -464,7 +419,7 @@ def verify_certificate(cert):
         elif mode == "prime":
             p = int(inputs["p"])
             if not is_prime(p):
-                fail("p = %d is not prime" % p)
+                return False, ["p = %d is not prime" % p]
             if bang % abs(p) == 0:
                 fail("p divides dim!")
             for j in range(1, nf + 1):
@@ -479,9 +434,7 @@ def verify_certificate(cert):
     elif criterion == "CorollaryCurves":
         if dim != 1:
             fail("CorollaryCurves needs dim 1, certificate has dim %d" % dim)
-        alphas = [int(a) for a in inputs["alphas"]]
-        if len(alphas) != nf:
-            fail("alpha vector length %d != %d factors" % (len(alphas), nf))
+        alphas = vector("alphas", "alpha")
         seen = set()
         for row in witness:
             j = int(row["j"])

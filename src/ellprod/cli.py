@@ -84,10 +84,6 @@ def _emit(report, out_path=None):
             fh.write(text + "\n")
 
 
-def _table_rows(table):
-    return [{"I": list(I), "deg": table.get(I)} for I in table.index_order()]
-
-
 def cmd_certify(args):
     V = _load_variety(args.variety)
     inputs = {"variety": subvariety_to_dict(V)}
@@ -133,7 +129,7 @@ def cmd_preimage(args):
         "equations": [str(eq) for eq in pre.equations],
         "excluded_locus": [{"j": row["j"], "alpha": row["alpha"],
                             "t": str(row["t"])} for row in pre.excluded_locus],
-        "multidegrees": _table_rows(pre.degrees),
+        "multidegrees": pre.degrees.rows(),
         "total_degree": pre.total_degree(),
     }
     _emit(_report("preimage", inputs, result))
@@ -146,9 +142,9 @@ def cmd_degree(args):
     table = preimage_multidegrees(V, phi)
     inputs = {"variety": subvariety_to_dict(V), "isogeny": list(phi.alphas)}
     result = {
-        "variety_multidegrees": _table_rows(V.degrees),
+        "variety_multidegrees": V.degrees.rows(),
         "variety_total_degree": V.total_degree(),
-        "preimage_multidegrees": _table_rows(table),
+        "preimage_multidegrees": table.rows(),
         "preimage_total_degree": table.total_degree(),
         "isogeny_degree": phi.degree(),
     }

@@ -5,6 +5,8 @@ degree is prod alpha_j^2.  Composition is componentwise multiplication of
 the integer vectors.
 """
 
+from .arith import prime_factors
+
 
 class DiagonalIsogeny:
     """Componentwise scalar multiplication with nonzero integer multipliers."""
@@ -48,20 +50,9 @@ class DiagonalIsogeny:
         return out
 
     def factor_degree_primes(self):
-        """Sorted primes dividing the degree, by trial division of the |alpha_j|."""
-        primes = set()
-        for a in self.alphas:
-            a = abs(a)
-            d = 2
-            while d * d <= a:
-                if a % d == 0:
-                    primes.add(d)
-                    while a % d == 0:
-                        a //= d
-                d += 1
-            if a > 1:
-                primes.add(a)
-        return sorted(primes)
+        """Sorted primes dividing the degree (arith.prime_factors of the
+        alpha_j; ValueError where that cannot factor)."""
+        return sorted({p for a in self.alphas for p in prime_factors(a)})
 
     def __eq__(self, other):
         return isinstance(other, DiagonalIsogeny) and self.alphas == other.alphas

@@ -29,28 +29,18 @@ from array import array
 from itertools import product as iter_product
 from operator import getitem, mul
 
+from .arith import is_prime
+
 EXHAUSTIVE_MAX_P = 31
 SAMPLE_SEED = 20260815
 SAMPLE_COUNT = 2000
 # Bound on the primes a context accepts: point enumeration and the
-# tables cost O(p), and the primality test is trial division, so a much
-# larger p would not finish in bounded time.
+# tables cost O(p), so a much larger p would not finish in bounded time.
 MAX_P = 1 << 17
 
 
 class BadReductionError(ValueError):
     """p is not a good prime for the given data."""
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class PrimeFieldCtx:
@@ -66,7 +56,7 @@ class PrimeFieldCtx:
         if p > MAX_P:
             raise BadReductionError("p = %d exceeds the oracle's limit %d"
                                     % (p, MAX_P))
-        if not _is_prime(p):
+        if p < 2 or not is_prime(p):  # is_prime reads |p|
             raise BadReductionError("%d is not prime" % p)
         if p in (2, 3):
             raise BadReductionError("p must avoid 2 and 3")
@@ -208,12 +198,12 @@ def verify_maps_vs_group_law(ctx, curve_index, alpha):
     the affine kernel of [alpha], which for the stored normalization is
     the zero locus of t_alpha (odd) resp. of t~ and y (even).
     """
-    from .curves import multiplication_maps
+    from .curves import _maps_for
 
     alpha = int(alpha)
     ctx.require_separable([alpha])
     p = ctx.p
-    maps = multiplication_maps(alpha, ctx.system.curves[curve_index])
+    maps = _maps_for(ctx.system.curves[curve_index], alpha)
     r = _dense_mod(maps.r, p, "x")
     s = _dense_mod(maps.s, p, "x")
     t = _dense_mod(maps.t, p, "x")

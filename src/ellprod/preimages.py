@@ -140,19 +140,15 @@ def generate_preimage(V, isogeny):
                 "equation %s lies in the Weierstrass ideal after "
                 "substitution" % (f,))
         num = integer_primitive(num)[1]
-        # strip stray factors supported on the cleared denominators
-        changed = True
-        while changed and not num.is_constant():
-            changed = False
-            for cand in strip_candidates:
+        # strip stray factors supported on the cleared denominators; a
+        # candidate that fails once divides no later quotient either
+        for cand in strip_candidates:
+            while not num.is_constant():
                 try:
                     q = exact_divide_univariate(num, cand)
                 except ExactDivisionError:
-                    continue
-                if q:
-                    num = integer_primitive(q)[1]
-                    changed = True
                     break
+                num = integer_primitive(q)[1]
         equations.append(num)
     table = preimage_multidegrees(V.degrees, isogeny)
     return PreimagePresentation(V, isogeny, equations, excluded, table)

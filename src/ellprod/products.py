@@ -104,6 +104,10 @@ class MultiDegreeTable:
     def get(self, I):
         return self.entries[tuple(I)]
 
+    def rows(self):
+        """JSON form: [{"I": [...], "deg": d}, ...] in index_order."""
+        return [{"I": list(I), "deg": self.entries[I]} for I in self.index_order()]
+
     def total_degree(self):
         return factorial(self.dim) * sum(self.entries.values())
 
@@ -173,15 +177,19 @@ def make_cn_curve(E1, E2, n):
     return SubvarietyPresentation(system, [eq], 1, table, True)
 
 
+def _table_of(V):
+    """V's multidegree table; a bare MultiDegreeTable stands for itself."""
+    return V.degrees if isinstance(V, SubvarietyPresentation) else V
+
+
 def total_degree(V):
     """dim! times the sum of the multidegree table."""
-    table = V.degrees if isinstance(V, SubvarietyPresentation) else V
-    return table.total_degree()
+    return _table_of(V).total_degree()
 
 
 def preimage_multidegrees(V, isogeny):
     """Multidegree table of the preimage under a diagonal isogeny."""
-    table = V.degrees if isinstance(V, SubvarietyPresentation) else V
+    table = _table_of(V)
     alphas = isogeny.alphas
     if len(alphas) != table.n_factors:
         raise ValueError("isogeny has %d components, table has %d factors"
@@ -221,8 +229,7 @@ def subvariety_to_dict(V):
         "curves": [{"A": E.A, "B": E.B} for E in V.system.curves],
         "equations": [str(eq) for eq in V.equations],
         "dim": V.dim,
-        "multidegrees": [{"I": list(I), "deg": V.degrees.get(I)}
-                         for I in V.degrees.index_order()],
+        "multidegrees": V.degrees.rows(),
         "transverse": V.transverse,
     }
 

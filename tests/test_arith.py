@@ -1,0 +1,82 @@
+"""Tests for the shared number theory: Miller-Rabin is_prime and
+prime_factors."""
+
+import time
+from math import prod
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ellprod.arith import MR_LIMIT, TRIAL_LIMIT, is_prime, prime_factors
+
+
+def trial_division_is_prime(n):
+    n = abs(n)
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert all(is_prime(n) == trial_division_is_prime(n)
+               for n in range(-10 ** 5 + 1, 10 ** 5))
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,                  # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,         # strong pseudoprime to bases 2..23
+    318665857834031151167461,    # strong pseudoprime to bases 2..37
+])
+def test_strong_pseudoprimes_are_composite(n):
+    assert not is_prime(n)
+    assert not is_prime(-n)
+
+
+def test_is_prime_refuses_beyond_the_proven_range():
+    assert MR_LIMIT == 3317044064679887385961981
+    with pytest.raises(ValueError):
+        is_prime(MR_LIMIT)
+    with pytest.raises(ValueError):
+        is_prime(-MR_LIMIT)
+    assert not is_prime(MR_LIMIT - 1)
+
+
+def test_large_prime_is_fast():
+    t0 = time.perf_counter()
+    assert is_prime(10 ** 18 + 3)
+    assert not is_prime(10 ** 18 + 1)
+    assert time.perf_counter() - t0 < 0.1
+
+
+_SMALL_PRIMES = [p for p in range(2, 2000) if trial_division_is_prime(p)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(_SMALL_PRIMES), st.integers(1, 3),
+                       max_size=4),
+       st.sampled_from([1, 1000003, 10 ** 9 + 7, 10 ** 18 + 3]),
+       st.sampled_from([1, -1]))
+def test_prime_factors_round_trip(exponents, large, sign):
+    # at most one prime factor above the trial limit, as documented
+    n = sign * large * prod(p ** e for p, e in exponents.items())
+    assert prime_factors(n) == sorted(exponents) + ([large] if large > 1 else [])
+
+
+def test_prime_factors_edge_cases():
+    assert prime_factors(1) == [] and prime_factors(-1) == []
+    assert prime_factors(-12) == [2, 3]
+    assert prime_factors(10 ** 18 + 3) == [10 ** 18 + 3]
+    with pytest.raises(ValueError):
+        prime_factors(0)
+
+
+def test_prime_factors_refuses_a_composite_cofactor():
+    # both factors exceed the trial limit, so the cofactor stays composite
+    assert TRIAL_LIMIT == 10 ** 6
+    with pytest.raises(ValueError):
+        prime_factors(1000036000099)  # 1000003 * 1000033

@@ -1,5 +1,6 @@
 """Tests for transversality certificates and their independent verifier."""
 
+import copy
 import random
 
 import pytest
@@ -360,6 +361,70 @@ def test_verify_rejects_malformed():
     cert["criterion"] = "TheoremZ"
     ok, problems = verify_certificate(cert)
     assert not ok
+
+
+def _tampered(cert, edit):
+    cert = copy.deepcopy(cert.to_dict())
+    edit(cert)
+    return cert
+
+
+def test_verify_reports_malformed_payloads_instead_of_raising():
+    curves = check_corollary_curves(C3, DiagonalIsogeny([2, 1]))
+    main = check_theorem_main(C3, DiagonalIsogeny([2, 1]))
+    theorem_a = check_theorem_a(C3, [167, 167])
+    payloads = [
+        _tampered(curves, lambda c: c["witness"][0].pop("d_j")),
+        _tampered(curves, lambda c: c["inputs"].update(alphas=[2])),
+        _tampered(main, lambda c: c["inputs"].update(alphas=[2])),
+        _tampered(theorem_a, lambda c: c["inputs"].update(primes=[167])),
+        _tampered(theorem_a, lambda c: c["witness"][0].update(j="x")),
+        _tampered(curves, lambda c: c.update(witness=5)),
+        _tampered(curves, lambda c: c.update(hypotheses=[])),
+        # a degree prime beyond the proven primality range
+        _tampered(check_theorem_weak(C3, DiagonalIsogeny([29, 31])),
+                  lambda c: c["inputs"].update(alphas=[29, 3317044064679887385961981])),
+        # no rows and a huge factor count: refused without enumerating
+        _tampered(curves, lambda c: c["inputs"].update(n_factors=10 ** 9,
+                                                        multidegrees=[])),
+    ]
+    for cert in payloads:
+        ok, problems = verify_certificate(cert)
+        assert not ok
+        assert problems[0].startswith("malformed certificate"), problems
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def test_verify_never_raises_on_single_leaf_type_mutations():
+    genuine = [cert.to_dict() for cert in _all_certified_examples()]
+    assert {c["criterion"] for c in genuine} == set(AUTO_ORDER) | {"CorollaryIdentity"}
+    replacements = (None, "x", [], {}, [0], 0.5, False, True)
+    mutated = 0
+    for cert in genuine:
+        for path in _leaf_paths(cert):
+            for value in replacements:
+                bad = copy.deepcopy(cert)
+                node = bad
+                for key in path[:-1]:
+                    node = node[key]
+                if type(node[path[-1]]) is type(value):
+                    continue
+                node[path[-1]] = value
+                ok, problems = verify_certificate(bad)
+                assert isinstance(ok, bool)
+                assert all(isinstance(p, str) for p in problems)
+                mutated += 1
+    assert mutated > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,22 @@ def test_oracle_refuses_huge_prime_quickly(capsys, c3_file):
     assert elapsed < 1.0
 
 
+def test_theorem_a_with_huge_primes_is_bounded(capsys, c3_file):
+    t0 = time.perf_counter()
+    code, rep = run(capsys, ["certify", "--variety", c3_file,
+                             "--criterion", "theorem-a", "--primes",
+                             "[1000000000000000003,1000000000000000009]"])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0
+    assert rep["result"]["certificate"]["verdict"] == "CertifiedTransverse"
+    # beyond the proven Miller-Rabin range: an input error, not a guess
+    code = main(["certify", "--variety", c3_file, "--criterion", "theorem-a",
+                 "--primes", "[3317044064679887385961981,167]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_determinism(capsys, c3_file):
     argv = ["bounds", "--kind", "bezout", "--deg-pre", "243", "--h2-pre", "1",
             "--deg-b", "3", "--h2-b", "1", "--dim-b", "1", "--n-factors", "2",

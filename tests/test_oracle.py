@@ -48,6 +48,8 @@ def test_ctx_validation():
         PrimeFieldCtx(2, SYS)
     with pytest.raises(BadReductionError):
         PrimeFieldCtx(3, SYS)
+    with pytest.raises(BadReductionError):
+        PrimeFieldCtx(-7, SYS)  # |-7| is prime, but a field needs p >= 2
     # disc(y^2 = x^3 + 5) = -16*27*25 is divisible by 5
     bad = ProductSystem([WeierstrassCurve(0, 5)])
     with pytest.raises(BadReductionError):
