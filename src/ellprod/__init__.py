@@ -5,7 +5,7 @@ bookkeeping, and a finite-field oracle."""
 from .polynomials import (ExactDivisionError, MultiPoly, ParseError,
                           exact_divide, exact_divide_univariate,
                           integer_primitive, parse_poly,
-                          reduce_weierstrass, substitute, univariate_gcd)
+                          reduce_weierstrass, substitute)
 from .curves import (CurvePoint, KernelPointError, MultiplicationMaps,
                      SingularCurveError, WeierstrassCurve, add_points,
                      division_polynomial, evaluate_multiplication_map,

@@ -282,17 +282,25 @@ def certify_auto(V, phi):
 # -- independent verification --------------------------------------------
 
 
+def _int(v):
+    """An exact integer leaf of a certificate.  bool, float, str and every
+    other type are malformed, never truncated or parsed."""
+    if type(v) is not int:
+        raise ValueError("expected an integer, got %r" % (v,))
+    return v
+
+
 def _read_table(inputs):
-    dim = int(inputs["dim"])
-    nf = int(inputs["n_factors"])
+    dim = _int(inputs["dim"])
+    nf = _int(inputs["n_factors"])
     entries = {}
     for row in inputs["multidegrees"]:
-        I = tuple(int(i) for i in row["I"])
+        I = tuple(_int(i) for i in row["I"])
         if len(I) != nf or any(i not in (0, 1) for i in I) or sum(I) != dim:
             raise ValueError("bad multidegree index %r" % (I,))
         if I in entries:
             raise ValueError("duplicate multidegree index %r" % (I,))
-        entries[I] = int(row["deg"])
+        entries[I] = _int(row["deg"])
     if not entries or len(entries) != comb(nf, dim):
         raise ValueError("incomplete multidegree table")
     return nf, dim, entries
@@ -303,7 +311,8 @@ def verify_certificate(cert):
 
     Accepts the dict form (TransversalityCertificate.to_dict or parsed
     JSON).  Returns (ok, problems); a malformed payload, including a
-    number beyond the proven range of ellprod.arith, gives (False,
+    number that is not an exact int (bool, float and str are refused) or
+    one beyond the proven range of ellprod.arith, gives (False,
     ["malformed certificate: ..."]) instead of an exception.  Uses only
     integer arithmetic — primality and factoring from ellprod.arith,
     gcds, factorials — independently of the checkers above.  An
@@ -338,7 +347,7 @@ def _reverify(cert):
     fail = problems.append
 
     def vector(key, what):
-        values = [int(v) for v in inputs[key]]
+        values = [_int(v) for v in inputs[key]]
         if len(values) != nf:
             fail("%s vector length %d != %d factors" % (what, len(values), nf))
         return values
@@ -350,9 +359,9 @@ def _reverify(cert):
         threshold = total * nf * 3 ** (nf - 1)
         seen = set()
         for row in witness:
-            j = int(row["j"])
+            j = _int(row["j"])
             seen.add(j)
-            p = int(row["p"])
+            p = _int(row["p"])
             if not 1 <= j <= nf or p != primes[j - 1]:
                 fail("witness row for j=%d does not match inputs" % j)
                 continue
@@ -360,7 +369,7 @@ def _reverify(cert):
                 fail("component %d: %d is not prime" % (j, p))
             if abs(p) < threshold:
                 fail("component %d: |%d| < threshold %d" % (j, p, threshold))
-            if int(row.get("threshold", threshold)) != threshold:
+            if _int(row.get("threshold", threshold)) != threshold:
                 fail("component %d: echoed threshold disagrees (%s != %d)"
                      % (j, row.get("threshold"), threshold))
         if seen != set(range(1, nf + 1)):
@@ -369,10 +378,10 @@ def _reverify(cert):
         alphas = vector("alphas", "alpha")
         seen = set()
         for row in witness:
-            j = int(row["j"])
+            j = _int(row["j"])
             seen.add(j)
-            J = [int(k) for k in row["J"]]
-            I = tuple(int(i) for i in row["I"])
+            J = [_int(k) for k in row["J"]]
+            I = tuple(_int(i) for i in row["I"])
             if len(J) != dim or j not in J:
                 fail("component %d: J=%r is not a size-%d set containing j"
                      % (j, J, dim))
@@ -380,7 +389,7 @@ def _reverify(cert):
             if I != tuple(1 if k + 1 in J else 0 for k in range(nf)):
                 fail("component %d: I does not match J" % j)
                 continue
-            if I not in entries or int(row["deg_I"]) != entries[I]:
+            if I not in entries or _int(row["deg_I"]) != entries[I]:
                 fail("component %d: deg_I does not match the table" % j)
                 continue
             if gcd(alphas[j - 1] ** 2, bang * entries[I]) != 1:
@@ -394,22 +403,22 @@ def _reverify(cert):
             if p <= bang * total:
                 fail("prime %d dividing deg(phi) is <= dim! * deg(V) = %d"
                      % (p, bang * total))
-        echoed = [int(p) for p in witness.get("degree_primes", [])]
+        echoed = [_int(p) for p in witness.get("degree_primes", [])]
         if echoed != primes:
             fail("echoed degree_primes %r != recomputed %r" % (echoed, primes))
     elif criterion == "CorollaryIdentity":
         mode = inputs["mode"]
         if mode == "integer":
-            n = int(inputs["n"])
+            n = _int(inputs["n"])
             seen = set()
             for row in witness:
-                j = int(row["j"])
+                j = _int(row["j"])
                 seen.add(j)
-                I = tuple(int(i) for i in row["I"])
+                I = tuple(_int(i) for i in row["I"])
                 if not 1 <= j <= nf or I not in entries or I[j - 1] != 1:
                     fail("component %d: bad index %r" % (j, I))
                     continue
-                if int(row["deg_I"]) != entries[I]:
+                if _int(row["deg_I"]) != entries[I]:
                     fail("component %d: deg_I does not match the table" % j)
                     continue
                 if gcd(n, bang * entries[I]) != 1:
@@ -417,7 +426,7 @@ def _reverify(cert):
             if seen != set(range(1, nf + 1)):
                 fail("witness does not cover every component exactly once")
         elif mode == "prime":
-            p = int(inputs["p"])
+            p = _int(inputs["p"])
             if not is_prime(p):
                 return False, ["p = %d is not prime" % p]
             if bang % abs(p) == 0:
@@ -437,17 +446,17 @@ def _reverify(cert):
         alphas = vector("alphas", "alpha")
         seen = set()
         for row in witness:
-            j = int(row["j"])
+            j = _int(row["j"])
             seen.add(j)
             if not 1 <= j <= nf:
                 fail("witness names component %d outside 1..%d" % (j, nf))
                 continue
             I = tuple(1 if k == j - 1 else 0 for k in range(nf))
             d_j = entries[I]
-            if int(row["d_j"]) != d_j:
+            if _int(row["d_j"]) != d_j:
                 fail("component %d: echoed d_j %s != table %d"
                      % (j, row["d_j"], d_j))
-            if int(row["deg_alpha"]) != alphas[j - 1] ** 2:
+            if _int(row["deg_alpha"]) != alphas[j - 1] ** 2:
                 fail("component %d: echoed deg_alpha disagrees" % j)
             if gcd(alphas[j - 1] ** 2, d_j) != 1:
                 fail("component %d: gcd(alpha_j^2, d_j) != 1" % j)

@@ -12,14 +12,15 @@ with t = (x^3 + A*x + B)*t~ and r = (x^3 + A*x + B)*r~ in the even case.
 Division polynomials are stored with y^2 eliminated: psi_m = y^(m+1 mod 2)
 * P_m(x, A, B), and this module works with the x-parts P_m throughout.
 
-One psi recurrence serves two rings.  Symbolic maps run it on MultiPoly
-in (x, A, B); the maps of a given curve run it on dense integer
-coefficient lists in x, seeded with the curve's own P_0..P_4 and cubic,
-and are never built symbolically and then specialized.  Neither path
-divides: s = P_2alpha / (2 P_alpha) is taken from the bracket
-(P_{alpha+2} P_{alpha-1}^2 - P_{alpha-2} P_{alpha+1}^2) / 4 of the
-recurrence, for either parity of alpha (Washington, Elliptic Curves:
-Number Theory and Cryptography, section 3.2).
+One psi recurrence on MultiPoly in (x, A, B) serves both kinds of maps.
+Symbolic maps seed it with P_0..P_4 and the cubic in Z[x, A, B]; the
+maps of a given curve seed it with the same polynomials with A and B
+specialized to the curve's integers, so they are never built
+symbolically and then specialized.  Neither path divides: s = P_2alpha /
+(2 P_alpha) is taken from the bracket (P_{alpha+2} P_{alpha-1}^2 -
+P_{alpha-2} P_{alpha+1}^2) / 4 of the recurrence, for either parity of
+alpha (Washington, Elliptic Curves: Number Theory and Cryptography,
+section 3.2).
 
 The coordinate formulas are undefined exactly on the affine kernel of
 [alpha]; evaluation there raises KernelPointError, and the public
@@ -171,70 +172,15 @@ _SEEDS = {
 _DIVPOLY_CACHE = dict(_SEEDS)
 
 
-class _XPoly:
-    """Dense polynomial in x with integer coefficients, lowest degree
-    first: the ring operations the psi recurrence needs, for one curve."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c):
-        # takes ownership of the list c
-        while c and not c[-1]:
-            c.pop()
-        self.c = c
-
-    @classmethod
-    def of(cls, p):
-        """From a MultiPoly in (x, A, B) with integer coefficients in
-        which only x occurs."""
-        c = [0] * (p.degree_in("x") + 1)
-        for e, v in p.terms.items():
-            c[e[0]] = int(v)
-        return cls(c)
-
-    def __mul__(self, other):
-        a, b = self.c, other.c
-        if not a or not b:
-            return _XPoly([])
-        out = [0] * (len(a) + len(b) - 1)
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b, i):
-                    out[j] += u * v
-        return _XPoly(out)
-
-    def __sub__(self, other):
-        out = self.c + [0] * (len(other.c) - len(self.c))
-        for i, v in enumerate(other.c):
-            out[i] -= v
-        return _XPoly(out)
-
-    def __pow__(self, n):
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
-    def halved(self):
-        # every P_m lies in Z[x, A, B], so the halving in its recurrence is exact
-        return _XPoly([v >> 1 for v in self.c])
-
-    def to_poly(self, den=1):
-        """The MultiPoly (1/den) * self in the ring (x, A, B)."""
-        return MultiPoly(RING_XAB, {
-            (k, 0, 0): Fraction(v, den) for k, v in enumerate(self.c) if v})
-
-
-def _psi_x(m, memo, c3_sq, half):
-    """x-part P_m by the psi recurrence, over the ring of the seeds P_0..P_4
-    in memo (which caches every P_m computed); c3_sq is the squared curve
-    cubic and half(p) returns p/2."""
+def _psi_x(m, memo, c3_sq):
+    """x-part P_m by the psi recurrence from the seeds P_0..P_4 in memo
+    (which caches every P_m computed); c3_sq is the squared curve cubic."""
     if m in memo:
         return memo[m]
     k, odd = divmod(m, 2)
 
     def P(i):
-        return _psi_x(i, memo, c3_sq, half)
+        return _psi_x(i, memo, c3_sq)
 
     if odd:
         # psi_{2k+1} = psi_{k+2} psi_k^3 - psi_{k-1} psi_{k+1}^3, with the
@@ -245,24 +191,25 @@ def _psi_x(m, memo, c3_sq, half):
             p = c3_sq * P(k + 2) * P(k) ** 3 - P(k - 1) * P(k + 1) ** 3
     else:
         # psi_{2k} = psi_k (psi_{k+2} psi_{k-1}^2 - psi_{k-2} psi_{k+1}^2) / (2y);
-        # the y factors cancel identically for either parity of k.
-        p = half(P(k) * (P(k + 2) * P(k - 1) ** 2 - P(k - 2) * P(k + 1) ** 2))
+        # the y factors cancel identically for either parity of k, and the
+        # halving is exact because every P_m lies in Z[x, A, B].
+        p = Fraction(1, 2) * (P(k) * (P(k + 2) * P(k - 1) ** 2 - P(k - 2) * P(k + 1) ** 2))
     memo[m] = p
     return p
 
 
-def _divpoly(m):
-    return _psi_x(m, _DIVPOLY_CACHE, _C3 ** 2, lambda p: Fraction(1, 2) * p)
-
-
-def _curve_divpolys(curve):
-    """The psi recurrence on one curve's integer coefficients: returns
-    (P, x, c3) as dense polynomials in x, with P(m) the x-part P_m."""
-    coeffs = {"A": curve.A, "B": curve.B}
-    memo = {m: _XPoly.of(p.specialize(coeffs)) for m, p in _SEEDS.items()}
-    c3 = _XPoly.of(_C3.specialize(coeffs))
+def _divpolys(curve):
+    """(P, c3) with P(m) the x-part P_m and c3 the curve cubic: symbolic
+    in Z[x, A, B] (memoised for the process) when curve is None, else by
+    the recurrence seeded with that curve's integer coefficients."""
+    if curve is None:
+        memo, c3 = _DIVPOLY_CACHE, _C3
+    else:
+        coeffs = {"A": curve.A, "B": curve.B}
+        memo = {m: p.specialize(coeffs) for m, p in _SEEDS.items()}
+        c3 = _C3.specialize(coeffs)
     c3_sq = c3 * c3
-    return (lambda m: _psi_x(m, memo, c3_sq, _XPoly.halved)), _XPoly([0, 1]), c3
+    return (lambda m: _psi_x(m, memo, c3_sq)), c3
 
 
 def division_polynomial(m, curve=None):
@@ -276,10 +223,7 @@ def division_polynomial(m, curve=None):
     m = int(m)
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if curve is None:
-        return _divpoly(m)
-    P = _curve_divpolys(curve)[0]
-    return P(m).to_poly()
+    return _divpolys(curve)[0](m)
 
 
 # -- scalar multiplication in coordinates --------------------------------
@@ -311,16 +255,17 @@ class MultiplicationMaps:
         return {"r": self.r.degree(), "s": self.s.degree(), "t": self.t.degree()}
 
 
-def _map_fields(a, P, x, c3):
-    """(r, 4*s, t, r~, t~) of [a] for a >= 2, over the ring of P, x, c3.
+def _map_fields(a, P, c3):
+    """(r, 4*s, t, r~, t~) of [a] for a >= 2, from the x-parts P and the
+    curve cubic c3.
 
     s = P_2a / (2 P_a) is taken from the bracket of the psi recurrence,
     (P_{a+2} P_{a-1}^2 - P_{a-2} P_{a+1}^2) / 4, so no division occurs.
     """
     s4 = P(a + 2) * P(a - 1) ** 2 - P(a - 2) * P(a + 1) ** 2
     if a % 2 == 1:
-        return x * P(a) ** 2 - c3 * P(a - 1) * P(a + 1), s4, P(a), None, None
-    r_t = x * c3 * P(a) ** 2 - P(a - 1) * P(a + 1)
+        return _X * P(a) ** 2 - c3 * P(a - 1) * P(a + 1), s4, P(a), None, None
+    r_t = _X * c3 * P(a) ** 2 - P(a - 1) * P(a + 1)
     return c3 * r_t, c3 * s4, c3 * P(a), r_t, P(a)
 
 
@@ -340,14 +285,9 @@ def multiplication_maps(alpha, curve=None):
     if a == 1:
         r, s, t = _X, MultiPoly.const(RING_XAB, 1), MultiPoly.const(RING_XAB, 1)
         r_t = t_t = None
-    elif curve is None:
-        r, s4, t, r_t, t_t = _map_fields(a, _divpoly, _X, _C3)
-        s = Fraction(1, 4) * s4
     else:
-        r, s4, t, r_t, t_t = _map_fields(a, *_curve_divpolys(curve))
-        r, s, t = r.to_poly(), s4.to_poly(4), t.to_poly()
-        if r_t is not None:
-            r_t, t_t = r_t.to_poly(), t_t.to_poly()
+        r, s4, t, r_t, t_t = _map_fields(a, *_divpolys(curve))
+        s = Fraction(1, 4) * s4
     if alpha < 0:
         s = -s
     return MultiplicationMaps(alpha, r, s, t, r_t, t_t)

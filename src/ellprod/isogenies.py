@@ -37,18 +37,6 @@ class DiagonalIsogeny:
             raise ValueError("component count mismatch")
         return DiagonalIsogeny([a * b for a, b in zip(self.alphas, other.alphas)])
 
-    def canonical_factorization(self):
-        """One single-slot factor [1, .., alpha_j, .., 1] per component with
-        alpha_j != 1, in slot order; composing them recovers self."""
-        out = []
-        for j, a in enumerate(self.alphas):
-            if a == 1:
-                continue
-            alphas = [1] * self.n_factors
-            alphas[j] = a
-            out.append(DiagonalIsogeny(alphas))
-        return out
-
     def factor_degree_primes(self):
         """Sorted primes dividing the degree (arith.prime_factors of the
         alpha_j; ValueError where that cannot factor)."""

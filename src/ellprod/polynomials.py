@@ -1,10 +1,13 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-Polynomials are stored as a map from exponent tuples to nonzero Fraction
+Polynomials are stored as a map from exponent tuples to nonzero
 coefficients, relative to a fixed ordered tuple of variable names (the
-"ring").  The canonical term order everywhere is graded lexicographic:
-compare total degree first, then the exponent tuple lexicographically
-(both descending when printing).
+"ring").  A coefficient is an int when it is integral and a Fraction
+otherwise, so integral arithmetic never pays for Fraction normalisation;
+since 3 == Fraction(3) and the two hash alike, printing, equality and
+hashing do not depend on the representation.  The canonical term order
+everywhere is graded lexicographic: compare total degree first, then the
+exponent tuple lexicographically (both descending when printing).
 
 The string form produced by str() is canonical and is accepted back by
 parse_poly, so text round-trips exactly.  Grammar:
@@ -36,6 +39,11 @@ def _gl_key(expts):
     return (sum(expts), expts)
 
 
+def _norm(c):
+    # the coefficient domain: an int when integral, else a Fraction
+    return c.numerator if c.denominator == 1 else c
+
+
 class MultiPoly:
     """Immutable sparse polynomial over Q in a fixed ordered variable ring."""
 
@@ -47,13 +55,13 @@ class MultiPoly:
         if terms:
             n = len(self.ring)
             for e, c in terms.items():
-                c = Fraction(c)
+                c = _norm(Fraction(c))
                 if c == 0:
                     continue
                 e = tuple(int(k) for k in e)
                 if len(e) != n or any(k < 0 for k in e):
                     raise ValueError("bad exponent tuple %r for ring %r" % (e, self.ring))
-                clean[e] = clean.get(e, Fraction(0)) + c
+                clean[e] = _norm(clean.get(e, 0) + c)
                 if clean[e] == 0:
                     del clean[e]
         object.__setattr__(self, "terms", clean)
@@ -65,7 +73,8 @@ class MultiPoly:
     def _trusted(cls, ring, terms):
         """Constructor for arithmetic results, skipping the validation of
         __init__: ring is a tuple and terms maps exponent tuples of its
-        length to nonzero Fractions."""
+        length to nonzero coefficients, each an int when integral and a
+        Fraction otherwise."""
         p = object.__new__(cls)
         object.__setattr__(p, "ring", ring)
         object.__setattr__(p, "terms", terms)
@@ -104,7 +113,7 @@ class MultiPoly:
             raise ValueError("polynomial is not constant")
         if not self.terms:
             return Fraction(0)
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
@@ -132,10 +141,10 @@ class MultiPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=_gl_key)
-        return e, self.terms[e]
+        return e, Fraction(self.terms[e])
 
     def coefficient(self, expts):
-        return self.terms.get(tuple(expts), Fraction(0))
+        return Fraction(self.terms.get(tuple(expts), 0))
 
     # -- ring operations ----------------------------------------------
 
@@ -157,7 +166,7 @@ class MultiPoly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = _norm(out.get(e, 0) + c)
             if s:
                 out[e] = s
             else:
@@ -185,16 +194,26 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # Pack each exponent tuple into one int, with a field per variable
+        # wide enough for the product's total degree, so that multiplying
+        # two monomials is a single integer addition.
+        w = (self.degree() + other.degree()).bit_length()
+        shifts = [w * i for i in range(len(self.ring))]
+
+        def packed(terms):
+            return [(sum(k << s for k, s in zip(e, shifts)), c) for e, c in terms.items()]
+
+        right = packed(other.terms)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return MultiPoly._trusted(self.ring, out)
+        get = out.get
+        for k1, c1 in packed(self.terms):
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        mask = (1 << w) - 1
+        # normalise each sum once, not each partial sum
+        return MultiPoly._trusted(self.ring, {
+            tuple(k >> s & mask for s in shifts): _norm(c) for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -246,7 +265,7 @@ class MultiPoly:
     def specialize(self, values):
         """Plug in constants for a subset of variables; result stays in
         the same ring (the specialized variables simply no longer occur)."""
-        idx = {self.ring.index(n): Fraction(v) for n, v in values.items()}
+        idx = {self.ring.index(n): _norm(Fraction(v)) for n, v in values.items()}
         out = {}
         for e, c in self.terms.items():
             for i, v in idx.items():
@@ -255,7 +274,7 @@ class MultiPoly:
             if c == 0:
                 continue
             e2 = tuple(0 if i in idx else k for i, k in enumerate(e))
-            s = out.get(e2, Fraction(0)) + c
+            s = _norm(out.get(e2, 0) + c)
             if s:
                 out[e2] = s
             else:
@@ -280,7 +299,7 @@ class MultiPoly:
                         raise ValueError(
                             "variable %r has no image in ring %r" % (self.ring[i], new_ring))
                     e2[pos[i]] += k
-            out[tuple(e2)] = out.get(tuple(e2), Fraction(0)) + c
+            out[tuple(e2)] = _norm(out.get(tuple(e2), 0) + c)
         # two variables renamed to one can merge terms that cancel
         return MultiPoly._trusted(new_ring, {e: c for e, c in out.items() if c})
 
@@ -446,7 +465,7 @@ def parse_poly(text, ring):
     return p
 
 
-# -- division, gcd, substitution ----------------------------------------
+# -- division and substitution ------------------------------------------
 
 
 def exact_divide(a, b):
@@ -472,8 +491,8 @@ def exact_divide(a, b):
         diff = tuple(i - j for i, j in zip(lr_e, lb_e))
         if any(k < 0 for k in diff):
             raise ExactDivisionError("not exactly divisible")
-        coeff = lr_c / lb_c
-        q[diff] = q.get(diff, Fraction(0)) + coeff
+        coeff = _norm(lr_c / lb_c)
+        q[diff] = _norm(q.get(diff, 0) + coeff)
         r = r - MultiPoly._trusted(a.ring, {diff: coeff}) * b
     return MultiPoly._trusted(a.ring, q)
 
@@ -525,68 +544,10 @@ def exact_divide_univariate(a, b):
                 raise ExactDivisionError("not exactly divisible")
             for j in range(n):
                 r[k + j] -= qk * fb[j]
-            q[rest[:i] + (k,) + rest[i + 1:]] = Fraction(qk)
+            q[rest[:i] + (k,) + rest[i + 1:]] = qk
         if any(r[:n]):
             raise ExactDivisionError("not exactly divisible")
     return MultiPoly._trusted(a.ring, q)
-
-
-def _dense_coeffs(p, name):
-    n = p.degree_in(name)
-    i = p.ring.index(name)
-    out = [Fraction(0)] * (n + 1)
-    for e, c in p.terms.items():
-        out[e[i]] += c
-    return out
-
-
-def _dense_mod(fa, fb):
-    # remainder of dense Fraction coefficient lists, fb nonzero
-    fa = list(fa)
-    db, lb = len(fb) - 1, fb[-1]
-    while len(fa) - 1 >= db and any(fa):
-        while fa and fa[-1] == 0:
-            fa.pop()
-        if len(fa) - 1 < db:
-            break
-        shift = len(fa) - 1 - db
-        factor = fa[-1] / lb
-        for k in range(db + 1):
-            fa[shift + k] -= factor * fb[k]
-        fa.pop()
-    while fa and fa[-1] == 0:
-        fa.pop()
-    return fa
-
-
-def univariate_gcd(a, b):
-    """Monic gcd of two polynomials that involve (at most) one common
-    variable.  gcd(p, 0) is the monic normalization of p; gcd(0, 0) = 0."""
-    a._check_ring(b)
-    used = a.variables() | b.variables()
-    if len(used) > 1:
-        raise ValueError("univariate_gcd needs univariate input, got variables %s"
-                         % sorted(used))
-    if not used:
-        if not a and not b:
-            return MultiPoly.zero(a.ring)
-        return MultiPoly.const(a.ring, 1)
-    name = used.pop()
-    fa = _dense_coeffs(a, name) if a else []
-    fb = _dense_coeffs(b, name) if b else []
-    while fb:
-        fa, fb = fb, _dense_mod(fa, fb)
-    if not fa:
-        return MultiPoly.zero(a.ring)
-    lead = fa[-1]
-    i = a.ring.index(name)
-    out = {}
-    for k, c in enumerate(fa):
-        if c:
-            e = [0] * len(a.ring)
-            e[i] = k
-            out[tuple(e)] = c / lead
-    return MultiPoly(a.ring, out)
 
 
 def substitute(p, bindings):
@@ -631,7 +592,7 @@ def substitute(p, bindings):
             else:
                 rest[i] = k
         if any(rest):
-            piece = piece * MultiPoly._trusted(ring, {tuple(rest): Fraction(1)})
+            piece = piece * MultiPoly._trusted(ring, {tuple(rest): 1})
         acc = acc + piece
     d = MultiPoly.const(ring, 1)
     for name in sorted(bindings):
@@ -685,5 +646,5 @@ def integer_primitive(p):
     _, lead_c = p.leading()
     if lead_c < 0:
         scale = -scale
-    q = MultiPoly._trusted(p.ring, {e: c / scale for e, c in p.terms.items()})
+    q = MultiPoly._trusted(p.ring, {e: _norm(c / scale) for e, c in p.terms.items()})
     return scale, q

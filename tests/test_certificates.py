@@ -394,6 +394,27 @@ def test_verify_reports_malformed_payloads_instead_of_raising():
         assert problems[0].startswith("malformed certificate"), problems
 
 
+def test_verify_refuses_numbers_that_are_not_exact_ints():
+    genuine = check_theorem_a(C3, [163, 167])
+    assert genuine.certified()
+    assert verify_certificate(genuine) == (True, [])
+    assert genuine.inputs["multidegrees"][1]["deg"] == 18
+
+    def deg(value):
+        return lambda c: c["inputs"]["multidegrees"][1].update(deg=value)
+
+    payloads = [
+        _tampered(genuine, deg(18.9)),
+        _tampered(genuine, deg("18")),
+        _tampered(genuine, lambda c: c["inputs"].update(dim=True)),
+        _tampered(genuine, lambda c: c["inputs"]["primes"].__setitem__(0, 163.7)),
+    ]
+    for cert in payloads:
+        ok, problems = verify_certificate(cert)
+        assert not ok
+        assert problems[0].startswith("malformed certificate"), problems
+
+
 def _leaf_paths(node, path=()):
     if isinstance(node, dict):
         for key, value in node.items():

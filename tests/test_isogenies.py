@@ -1,7 +1,5 @@
 """Tests for diagonal isogenies."""
 
-import random
-
 import pytest
 
 from ellprod.isogenies import DiagonalIsogeny
@@ -34,36 +32,6 @@ def test_compose():
         f.compose(DiagonalIsogeny([1]))
     with pytest.raises(TypeError):
         f.compose([1, 1])
-
-
-def test_canonical_factorization():
-    phi = DiagonalIsogeny([2, 1, -3])
-    factors = phi.canonical_factorization()
-    assert [f.alphas for f in factors] == [(2, 1, 1), (1, 1, -3)]
-    acc = DiagonalIsogeny([1, 1, 1])
-    for f in factors:
-        acc = acc.compose(f)
-    assert acc == phi
-    # identity components are skipped, so the identity factors to nothing
-    assert DiagonalIsogeny([1, 1]).canonical_factorization() == []
-    # but -1 is a genuine factor
-    assert [f.alphas for f in DiagonalIsogeny([-1, 1]).canonical_factorization()] \
-        == [(-1, 1)]
-
-
-def test_canonical_factorization_random_recomposition():
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        alphas = [rng.choice([-6, -5, -2, -1, 1, 2, 3, 7, 12]) for _ in range(n)]
-        phi = DiagonalIsogeny(alphas)
-        acc = DiagonalIsogeny([1] * n)
-        for f in phi.canonical_factorization():
-            # each factor moves exactly one slot
-            moved = [j for j, a in enumerate(f.alphas) if a != 1]
-            assert len(moved) == 1
-            acc = acc.compose(f)
-        assert acc == phi
 
 
 def test_factor_degree_primes():

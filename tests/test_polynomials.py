@@ -16,7 +16,6 @@ from ellprod.polynomials import (
     parse_poly,
     reduce_weierstrass,
     substitute,
-    univariate_gcd,
 )
 
 RING = ("x", "y")
@@ -47,6 +46,15 @@ def polys(draw, ring=RING, max_terms=5, max_exp=4):
         )
         p = p + MultiPoly(ring, {exps: c})
     return p
+
+
+def assert_domain(*ps):
+    """Every coefficient is an int when integral and a Fraction otherwise
+    (never a float or a bool)."""
+    for p in ps:
+        for c in p.terms.values():
+            if type(c) is not int:
+                assert type(c) is Fraction and c.denominator != 1, repr(c)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +104,33 @@ def test_eq_and_hash():
     assert X != MultiPoly.var(("x",), "x")  # different rings never compare equal
 
 
+def test_integral_coefficients_are_ints():
+    p = parse_poly("1/2*x + 1/2", RING) * 2
+    assert p.terms == {(1, 0): 1, (0, 0): 1}
+    assert all(type(c) is int for c in p.terms.values())
+    built = MultiPoly(RING, {(1, 0): Fraction(1), (0, 0): Fraction(2, 2)})
+    assert p == built and hash(p) == hash(built)
+    # equality and hashing do not depend on the coefficient representation
+    raw = MultiPoly._trusted(RING, {(1, 0): Fraction(1), (0, 0): Fraction(1)})
+    assert p == raw and hash(p) == hash(raw)
+    assert str(p) == str(raw) == "x + 1"
+
+
+def test_exact_divide_keeps_a_proper_fraction():
+    q = exact_divide(3 * X, 2)
+    assert q.terms == {(1, 0): Fraction(3, 2)}
+    assert type(q.terms[(1, 0)]) is Fraction
+
+
+def test_coefficient_queries_return_fractions():
+    p = 3 * X ** 2 - Y
+    assert type(p.leading()[1]) is Fraction
+    assert type(p.coefficient((2, 0))) is Fraction
+    assert type(p.coefficient((5, 5))) is Fraction
+    assert type((7 * ONE).constant_value()) is Fraction
+    assert type(ZERO.constant_value()) is Fraction
+
+
 def test_cross_ring_arithmetic_rejected():
     other = MultiPoly.var(("x", "z"), "x")
     with pytest.raises(ValueError):
@@ -109,6 +144,7 @@ def test_cross_ring_arithmetic_rejected():
 @settings(max_examples=200)
 @given(polys(), polys(), polys())
 def test_add_mul_laws(p, q, r):
+    assert_domain(p + q, p - q, p * q, p * q * r, -p, p ** 2)
     assert p + q == q + p
     assert p * q == q * p
     assert (p + q) + r == p + (q + r)
@@ -169,6 +205,20 @@ def test_specialize_keeps_ring():
     s = p.specialize({"y": 5})
     assert s.ring == RING
     assert s == X ** 2 + 5 * ONE
+
+
+@settings(max_examples=150)
+@given(polys(), st.fractions(min_value=-9, max_value=9, max_denominator=5),
+       st.fractions(min_value=-9, max_value=9, max_denominator=5))
+def test_specialize_and_embed_keep_the_domain(p, a, b):
+    s = p.specialize({"y": b})
+    assert_domain(s)
+    assert s.degree_in("y") <= 0
+    assert s.evaluate({"x": a}) == p.evaluate({"x": a, "y": b})
+    # renaming both variables to one merges terms, which may cancel
+    merged = p.embed(("t",), {"x": "t", "y": "t"})
+    assert_domain(merged)
+    assert merged.evaluate({"t": a}) == p.evaluate({"x": a, "y": a})
 
 
 def test_embed_rename():
@@ -259,7 +309,9 @@ def test_exact_divide_zero_numerator():
 def test_exact_divide_inverts_mul(p, q):
     if not q:
         return
-    assert exact_divide(p * q, q) == p
+    quotient = exact_divide(p * q, q)
+    assert_domain(quotient)
+    assert quotient == p
 
 
 def _primitive(p):
@@ -309,58 +361,6 @@ def test_exact_divide_univariate_rejects_unsuitable_input():
         exact_divide_univariate(Fraction(1, 2) * X, X)  # not integral
     with pytest.raises(ValueError):
         exact_divide_univariate(X * Y, ONE)  # constant
-
-
-# ---------------------------------------------------------------------------
-# univariate gcd
-# ---------------------------------------------------------------------------
-
-U = ("t",)
-T = MultiPoly.var(U, "t")
-
-
-def test_gcd_basic():
-    p = (T - 1) * (T + 2)
-    q = (T - 1) * (T + 3)
-    assert univariate_gcd(p, q) == T - 1
-
-
-def test_gcd_monic_normalization():
-    p = 4 * (T + 1) * (T + 1)
-    q = 6 * (T + 1)
-    assert univariate_gcd(p, q) == T + 1
-
-
-def test_gcd_with_zero():
-    p = 3 * T ** 2 + 3 * MultiPoly.const(U, 1)
-    g = univariate_gcd(p, MultiPoly.zero(U))
-    assert g == T ** 2 + MultiPoly.const(U, 1)  # monic copy of p
-    assert not univariate_gcd(MultiPoly.zero(U), MultiPoly.zero(U))
-
-
-def test_gcd_coprime():
-    assert univariate_gcd(T + 1, T + 2) == MultiPoly.const(U, 1)
-
-
-def test_gcd_rejects_multivariate():
-    with pytest.raises(ValueError):
-        univariate_gcd(X + Y, X)
-
-
-@settings(max_examples=100)
-@given(polys(ring=U, max_terms=3, max_exp=4),
-       polys(ring=U, max_terms=3, max_exp=4),
-       polys(ring=U, max_terms=2, max_exp=2))
-def test_gcd_divides_both(p, q, m):
-    g = univariate_gcd(p * m, q * m)
-    if not g:
-        assert not (p * m) and not (q * m)
-        return
-    # g divides both arguments and is divisible by any common factor m
-    assert exact_divide(p * m, g) is not None
-    assert exact_divide(q * m, g) is not None
-    if m:
-        assert exact_divide(g, m) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +481,13 @@ def test_integer_primitive_zero():
 @given(polys())
 def test_integer_primitive_properties(p):
     scale, prim = integer_primitive(p)
+    assert_domain(prim)
     assert scale * prim == p
     if not p:
         return
     assert scale != 0
     cs = list(prim.terms.values())
-    assert all(c.denominator == 1 for c in cs)
+    assert all(type(c) is int for c in cs)
     from math import gcd
     g = 0
     for c in cs:
