@@ -4,26 +4,27 @@ Subcommands: certify, preimage, degree, constants, bounds, oracle.
 Every report is JSON on stdout with schema_version "1" and a canonical
 echo of the parsed inputs; no timestamps, so identical invocations give
 byte-identical output.  Exit codes: 0 success (or CertifiedTransverse),
-1 Inconclusive verdict or oracle failure, 2 input error.
+1 Inconclusive verdict or oracle failure, 2 input error (any ValueError,
+argparse's usage errors included), 3 internal fault (traceback on
+stderr), 141 stdout closed before the report was written (no message).
 
 Varieties are read from JSON files (they carry polynomial text that goes
 through the parser); isogenies are inline JSON arrays like '[2,1]'.
+
+Each process runs one subcommand, so the module top imports only what
+parsing and loading need; each cmd_* imports the modules it runs, and
+mpmath is loaded by constants and bounds alone.
 """
 
 import argparse
 import json
+import os
 import sys
 
-from mpmath import iv, nstr
-
-from . import certificates, heights
 from .curves import WeierstrassCurve
 from .isogenies import DiagonalIsogeny
-from .oracle import (PrimeFieldCtx, verify_maps_vs_group_law,
-                     verify_preimage_membership)
-from .preimages import generate_preimage
-from .products import (ProductSystem, preimage_multidegrees,
-                       subvariety_from_dict, subvariety_to_dict)
+from .products import (preimage_multidegrees, subvariety_from_dict,
+                       subvariety_to_dict)
 
 SCHEMA_VERSION = "1"
 
@@ -85,6 +86,7 @@ def _emit(report, out_path=None):
 
 
 def cmd_certify(args):
+    from . import certificates
     V = _load_variety(args.variety)
     inputs = {"variety": subvariety_to_dict(V)}
     crit = args.criterion
@@ -121,6 +123,7 @@ def cmd_certify(args):
 
 
 def cmd_preimage(args):
+    from .preimages import generate_preimage
     V = _load_variety(args.variety)
     phi = _load_isogeny(args.isogeny)
     pre = generate_preimage(V, phi)
@@ -165,7 +168,17 @@ def _load_curves(text):
         raise InputError("bad curve list: %s" % exc)
 
 
+def _working_prec(args):
+    """--prec, or the working precision heights uses by default."""
+    from .heights import DEFAULT_PREC
+    return DEFAULT_PREC if args.prec is None else args.prec
+
+
 def cmd_constants(args):
+    from mpmath import iv, nstr
+
+    from . import heights
+    prec = _working_prec(args)
     if args.curves:
         curves = _load_curves(args.curves)
         inputs = {"curves": [{"A": E.A, "B": E.B} for E in curves]}
@@ -176,13 +189,13 @@ def cmd_constants(args):
     else:
         raise InputError("constants needs --curves or --variety")
     inputs["better"] = bool(args.better)
-    inputs["precision_bits"] = args.prec
+    inputs["precision_bits"] = prec
     rows = []
-    with heights._prec(args.prec):
+    with heights._prec(prec):
         tot1 = iv.mpf(0)
         tot2 = iv.mpf(0)
         for E in curves:
-            c1, c2 = heights.c1_c2_curve(E, use_better=args.better, prec=args.prec)
+            c1, c2 = heights.c1_c2_curve(E, use_better=args.better, prec=prec)
             tot1 += iv.mpf(c1)
             tot2 += iv.mpf(c2)
             rows.append({"A": E.A, "B": E.B,
@@ -200,8 +213,11 @@ def cmd_constants(args):
 
 
 def cmd_bounds(args):
+    from mpmath import nstr
+
+    from . import heights
     kind = args.kind
-    prec = args.prec
+    prec = _working_prec(args)
     if kind == "c0":
         val = heights.c0(args.d1, args.d2, args.m, method=args.method, prec=prec)
         inputs = {"kind": kind, "d1": args.d1, "d2": args.d2, "m": args.m,
@@ -241,6 +257,9 @@ def cmd_bounds(args):
 
 
 def cmd_oracle(args):
+    from .oracle import (PrimeFieldCtx, verify_maps_vs_group_law,
+                         verify_preimage_membership)
+    from .preimages import generate_preimage
     V = _load_variety(args.variety)
     phi = _load_isogeny(args.isogeny)
     primes = _load_int_list(args.primes, "--primes")
@@ -298,14 +317,14 @@ def build_parser():
     p.add_argument("--curves", help="inline JSON, e.g. '[{\"A\":0,\"B\":1}]'")
     p.add_argument("--variety", help="subvariety JSON file (its curves)")
     p.add_argument("--better", action="store_true")
-    p.add_argument("--prec", type=int, default=heights.DEFAULT_PREC)
+    p.add_argument("--prec", type=int)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("bounds", help="explicit height/degree bound values")
     p.add_argument("--kind", required=True,
                    choices=["c0", "zhang", "bezout", "galateau-lambda",
                             "essential-minimum"])
-    p.add_argument("--prec", type=int, default=heights.DEFAULT_PREC)
+    p.add_argument("--prec", type=int)
     p.add_argument("--d1", type=int, default=0)
     p.add_argument("--d2", type=int, default=0)
     p.add_argument("--m", type=int, default=0)
@@ -346,13 +365,20 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     try:
-        return args.func(args)
-    except InputError as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # nobody reads the report; keep the exit-time flush quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except ValueError as exc:  # InputError and the library's input errors
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except Exception as exc:  # parse/validation errors from the library
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    except Exception:  # a fault of ellprod itself, not of the input
+        import traceback
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":
