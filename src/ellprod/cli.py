@@ -18,8 +18,11 @@ mpmath is loaded by constants and bounds alone.
 
 import argparse
 import json
+import math
 import os
 import sys
+from decimal import Decimal, InvalidOperation
+from fractions import Fraction
 
 from .curves import WeierstrassCurve
 from .isogenies import DiagonalIsogeny
@@ -70,6 +73,20 @@ def _load_int_list(text, what):
     if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
         raise InputError("%s must be a JSON array of integers" % what)
     return data
+
+
+def _decimal(text):
+    """A real option as the exact Fraction of its decimal text, so that a
+    bound encloses the number given and not its nearest float.  Its float
+    (the echoed value) must be finite, and nonzero unless the text is 0."""
+    try:
+        echo, exact = float(text), Decimal(text)
+    except (ValueError, InvalidOperation):
+        echo = exact = None
+    if exact is None or not math.isfinite(echo) or (echo == 0) != (exact == 0):
+        raise argparse.ArgumentTypeError(
+            "%r is not a finite decimal in the range of a float" % text)
+    return Fraction(exact)
 
 
 def _report(command, inputs, result):
@@ -174,8 +191,14 @@ def _working_prec(args):
     return DEFAULT_PREC if args.prec is None else args.prec
 
 
+def _up(x):
+    """A reported upper bound as decimal text that is never below it."""
+    from .heights import directed_str
+    return directed_str(x, "up")
+
+
 def cmd_constants(args):
-    from mpmath import iv, nstr
+    from mpmath import iv
 
     from . import heights
     prec = _working_prec(args)
@@ -199,13 +222,13 @@ def cmd_constants(args):
             tot1 += iv.mpf(c1)
             tot2 += iv.mpf(c2)
             rows.append({"A": E.A, "B": E.B,
-                         "c1": nstr(c1, 20), "c2": nstr(c2, 20),
-                         "c3": nstr(heights.upper_endpoint(iv.mpf(c1) + iv.mpf(c2)), 20)})
+                         "c1": _up(c1), "c2": _up(c2),
+                         "c3": _up(heights.upper_endpoint(iv.mpf(c1) + iv.mpf(c2)))})
         result = {
             "per_curve": rows,
-            "c1_sum": nstr(heights.upper_endpoint(tot1), 20),
-            "c2_sum": nstr(heights.upper_endpoint(tot2), 20),
-            "c3_sum": nstr(heights.upper_endpoint(tot1 + tot2), 20),
+            "c1_sum": _up(heights.upper_endpoint(tot1)),
+            "c2_sum": _up(heights.upper_endpoint(tot2)),
+            "c3_sum": _up(heights.upper_endpoint(tot1 + tot2)),
             "rounding": "up",
         }
     _emit(_report("constants", inputs, result))
@@ -213,8 +236,6 @@ def cmd_constants(args):
 
 
 def cmd_bounds(args):
-    from mpmath import nstr
-
     from . import heights
     kind = args.kind
     prec = _working_prec(args)
@@ -222,22 +243,23 @@ def cmd_bounds(args):
         val = heights.c0(args.d1, args.d2, args.m, method=args.method, prec=prec)
         inputs = {"kind": kind, "d1": args.d1, "d2": args.d2, "m": args.m,
                   "method": args.method, "precision_bits": prec}
-        result = {"value": nstr(val, 20), "rounding": "up"}
+        result = {"value": _up(val), "rounding": "up"}
     elif kind == "zhang":
         val = heights.zhang_special_bound(args.n_factors, args.h2q, args.c3,
                                           prec=prec)
-        inputs = {"kind": kind, "N": args.n_factors, "h2_Q": args.h2q,
-                  "c3_product": args.c3, "precision_bits": prec}
-        result = {"value": nstr(val, 20), "rounding": "up"}
+        inputs = {"kind": kind, "N": args.n_factors, "h2_Q": float(args.h2q),
+                  "c3_product": float(args.c3), "precision_bits": prec}
+        result = {"value": _up(val), "rounding": "up"}
     elif kind == "bezout":
         trivial, improved = heights.bezout_intersection_bounds(
             args.deg_pre, args.h2_pre, args.deg_b, args.h2_b, args.dim_b,
             args.n_factors, args.deg_phi, prec=prec)
-        inputs = {"kind": kind, "deg_pre": args.deg_pre, "h2_pre": args.h2_pre,
-                  "deg_B": args.deg_b, "h2_B": args.h2_b, "dim_B": args.dim_b,
+        inputs = {"kind": kind, "deg_pre": args.deg_pre,
+                  "h2_pre": float(args.h2_pre), "deg_B": args.deg_b,
+                  "h2_B": float(args.h2_b), "dim_B": args.dim_b,
                   "N": args.n_factors, "deg_phi": args.deg_phi,
                   "precision_bits": prec}
-        result = {"trivial": nstr(trivial, 20), "improved": nstr(improved, 20),
+        result = {"trivial": _up(trivial), "improved": _up(improved),
                   "rounding": "up"}
     elif kind == "galateau-lambda":
         val = heights.galateau_lambda(args.n_factors, args.k)
@@ -331,12 +353,12 @@ def build_parser():
     p.add_argument("--method", default="double_sum",
                    choices=["double_sum", "harmonic"])
     p.add_argument("--n-factors", type=int, default=2)
-    p.add_argument("--h2q", type=float, default=0.0)
-    p.add_argument("--c3", type=float, default=0.0)
+    p.add_argument("--h2q", type=_decimal, default="0")
+    p.add_argument("--c3", type=_decimal, default="0")
     p.add_argument("--deg-pre", type=int, default=1)
-    p.add_argument("--h2-pre", type=float, default=0.0)
+    p.add_argument("--h2-pre", type=_decimal, default="0")
     p.add_argument("--deg-b", type=int, default=1)
-    p.add_argument("--h2-b", type=float, default=0.0)
+    p.add_argument("--h2-b", type=_decimal, default="0")
     p.add_argument("--dim-b", type=int, default=1)
     p.add_argument("--deg-phi", type=int, default=1)
     p.add_argument("--k", type=int, default=1)

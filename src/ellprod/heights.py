@@ -55,6 +55,38 @@ def _ivq(q):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
+def _ivr(x):
+    """Enclosing interval of a caller-supplied real.  A Fraction (such as
+    an exact decimal read from the command line) is enclosed as itself,
+    not as its nearest float; anything else goes through iv.mpf."""
+    return _ivq(x) if isinstance(x, Fraction) else iv.mpf(x)
+
+
+def _exact(x):
+    """An mpf as the exact Fraction it stands for."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def directed_str(x, rounding, digits=20):
+    """nstr(x, digits), moved one unit in the last digit when nstr's
+    round-to-nearest went the wrong way for a reported bound: the text is
+    >= x for rounding "up" and <= x for "down"."""
+    text = nstr(x, digits)
+    q, exact = Fraction(text), _exact(x)
+    if q == exact or (q > exact) == (rounding == "up"):
+        return text
+    # the unit in the last place of the digits-digit grid that holds x
+    mag = abs(exact)
+    e = len(str(mag.numerator)) - len(str(mag.denominator))
+    if Fraction(10) ** e > mag:
+        e -= 1
+    step = Fraction(10) ** (e - digits + 1)
+    q = q + step if rounding == "up" else q - step
+    with mp.workprec(4 * digits + 64):
+        return nstr(mp.mpf(q.numerator) / q.denominator, digits)
+
+
 def _log_max1(q):
     """Interval for log max(|q|, 1); exact zero when |q| <= 1."""
     q = abs(Fraction(q))
@@ -174,11 +206,11 @@ def zhang_special_bound(n_factors, h2_q, c3_product, prec=DEFAULT_PREC):
     if n_factors < 1:
         raise ValueError("need at least one factor")
     with _prec(prec):
-        h2 = iv.mpf(h2_q)
+        h2 = _ivr(h2_q)
         if h2 < 0:
             raise ValueError("h2_q must be nonnegative")
         coeff = iv.mpf(n_factors) * iv.mpf(3) ** (n_factors - 1)
-        return upper_endpoint(coeff * (h2 + iv.mpf(c3_product)))
+        return upper_endpoint(coeff * (h2 + _ivr(c3_product)))
 
 
 def bezout_intersection_bounds(deg_pre, h2_pre, deg_b, h2_b, dim_b, n_factors,
@@ -196,8 +228,8 @@ def bezout_intersection_bounds(deg_pre, h2_pre, deg_b, h2_b, dim_b, n_factors,
         raise ValueError("deg_phi must be >= 1")
     c = c0(1, dim_b, 3 ** n_factors - 1, prec=prec)
     with _prec(prec):
-        trivial = upper_endpoint(iv.mpf(deg_pre) * iv.mpf(h2_b)
-                                 + iv.mpf(deg_b) * iv.mpf(h2_pre)
+        trivial = upper_endpoint(iv.mpf(deg_pre) * _ivr(h2_b)
+                                 + iv.mpf(deg_b) * _ivr(h2_pre)
                                  + iv.mpf(c) * iv.mpf(deg_pre) * iv.mpf(deg_b))
         improved = upper_endpoint(iv.mpf(trivial) / iv.mpf(deg_phi))
         return trivial, improved
@@ -234,7 +266,7 @@ class BoundReport:
         for row in self.entries:
             out = {"label": row["label"],
                    "value": row["value"] if isinstance(row["value"], int)
-                   else nstr(row["value"], 20),
+                   else directed_str(row["value"], row["rounding"]),
                    "rounding": row["rounding"]}
             if row.get("symbolic_constant"):
                 out["symbolic_constant"] = row["symbolic_constant"]

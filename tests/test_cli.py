@@ -1,10 +1,15 @@
 """Tests for the ellprod command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
+from ellprod import heights
 from ellprod.cli import main
 from ellprod.curves import WeierstrassCurve
 from ellprod.products import make_cn_curve, subvariety_to_dict
@@ -238,3 +243,75 @@ def test_determinism(capsys, c3_file):
     first = capsys.readouterr().out
     main(argv)
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("text", ["0.1", "0.3", "1e-30"])
+def test_decimal_inputs_are_bounded_from_above(capsys, text):
+    """Upper bounds hold for the exact decimal given, not only for its
+    nearest float, and the echo stays the float JSON number."""
+    q = Fraction(text)
+    for n, c3 in ((1, "0"), (3, "1"), (2, text)):
+        code, rep = run(capsys, ["bounds", "--kind", "zhang", "--n-factors",
+                                 str(n), "--h2q", text, "--c3", c3])
+        assert code == 0
+        ref = heights.zhang_special_bound(n, q, Fraction(c3), prec=300)
+        assert Fraction(rep["result"]["value"]) >= heights._exact(ref)
+        assert rep["inputs"]["h2_Q"] == float(text)
+        assert rep["inputs"]["c3_product"] == float(c3)
+    for h2_pre, h2_b, dims in ((text, "0", (1, 1, 1)), ("0", text, (1, 1, 1)),
+                               (text, text, (2, 2, 7))):
+        dim_b, n, deg_phi = dims
+        code, rep = run(capsys, ["bounds", "--kind", "bezout", "--deg-pre", "1",
+                                 "--h2-pre", h2_pre, "--deg-b", "1",
+                                 "--h2-b", h2_b, "--dim-b", str(dim_b),
+                                 "--n-factors", str(n), "--deg-phi", str(deg_phi)])
+        assert code == 0
+        trivial, improved = heights.bezout_intersection_bounds(
+            1, Fraction(h2_pre), 1, Fraction(h2_b), dim_b, n, deg_phi, prec=300)
+        assert Fraction(rep["result"]["trivial"]) >= heights._exact(trivial)
+        assert Fraction(rep["result"]["improved"]) >= heights._exact(improved)
+        assert rep["inputs"]["h2_pre"] == float(h2_pre)
+        assert rep["inputs"]["h2_B"] == float(h2_b)
+    # the float route the options used to take falls below the bound
+    low = heights.bezout_intersection_bounds(1, float("0.3"), 1, 0, 1, 1, 1)[0]
+    exact = heights.bezout_intersection_bounds(1, Fraction("0.3"), 1, 0, 1, 1, 1,
+                                               prec=300)[0]
+    assert heights._exact(low) < heights._exact(exact)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "1e-400",
+                                  "0.3x", "1/3", ""])
+def test_bad_decimal_inputs_are_usage_errors(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--kind", "zhang", "--h2q", text])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--h2q" in captured.err
+
+
+def test_internal_fault_exits_3_with_traceback(capsys, c3_file, monkeypatch):
+    def broken(V, phi):
+        raise RuntimeError("broken invariant")
+    monkeypatch.setattr("ellprod.preimages.generate_preimage", broken)
+    code = main(["preimage", "--variety", c3_file, "--isogeny", "[2,1]"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback")
+    assert "RuntimeError: broken invariant" in captured.err
+
+
+def test_closed_stdout_exits_quietly(c3_file):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will read the report
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ellprod.cli", "degree", "--variety",
+             c3_file, "--isogeny", "[2,1]"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -355,3 +355,26 @@ def test_directed_rounding_cross_evaluation():
                           - iv.log(iv.mpf(d_l))) / (n - 1))
             hi2 = upper_endpoint(num / logterm)
         assert down <= hi2
+
+
+def test_printed_values_round_the_reported_way():
+    """A printed bound is on its rounding side of the value it prints,
+    within one unit in the 20th digit, and exact values print as nstr."""
+    rng = random.Random(7)
+    with mp.workprec(80):
+        values = [mp.mpf(1) / 3, -mp.mpf(2) / 3, 10 - mp.mpf(2) ** -70,
+                  1 + mp.mpf(2) ** -70, mp.mpf("1e-30") * 27]
+        values += [mp.mpf(rng.getrandbits(80)) * mp.mpf(2) ** rng.randint(-150, 50)
+                   for _ in range(300)]
+    for x in values:
+        exact = heights._exact(x)
+        up = Fraction(heights.directed_str(x, "up"))
+        down = Fraction(heights.directed_str(x, "down"))
+        assert down <= exact <= up
+        assert up - down <= abs(exact) * Fraction(2, 10 ** 19)
+    assert heights.directed_str(mp.mpf(27), "up") == "27.0"
+    assert heights.directed_str(mp.mpf(27), "down") == "27.0"
+    rep = essential_minimum_image_bounds(2, 2, 1, 5, 27, mode="smart")
+    for row in rep.to_dict()["entries"]:
+        if row["rounding"] == "down":
+            assert Fraction(row["value"]) <= heights._exact(rep.value(row["label"]))
