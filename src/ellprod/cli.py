@@ -191,12 +191,6 @@ def _working_prec(args):
     return DEFAULT_PREC if args.prec is None else args.prec
 
 
-def _up(x):
-    """A reported upper bound as decimal text that is never below it."""
-    from .heights import directed_str
-    return directed_str(x, "up")
-
-
 def cmd_constants(args):
     from mpmath import iv
 
@@ -221,14 +215,16 @@ def cmd_constants(args):
             c1, c2 = heights.c1_c2_curve(E, use_better=args.better, prec=prec)
             tot1 += iv.mpf(c1)
             tot2 += iv.mpf(c2)
+            c3 = heights.upper_endpoint(iv.mpf(c1) + iv.mpf(c2))
             rows.append({"A": E.A, "B": E.B,
-                         "c1": _up(c1), "c2": _up(c2),
-                         "c3": _up(heights.upper_endpoint(iv.mpf(c1) + iv.mpf(c2)))})
+                         "c1": heights.directed_str(c1, "up"),
+                         "c2": heights.directed_str(c2, "up"),
+                         "c3": heights.directed_str(c3, "up")})
         result = {
             "per_curve": rows,
-            "c1_sum": _up(heights.upper_endpoint(tot1)),
-            "c2_sum": _up(heights.upper_endpoint(tot2)),
-            "c3_sum": _up(heights.upper_endpoint(tot1 + tot2)),
+            "c1_sum": heights.directed_str(heights.upper_endpoint(tot1), "up"),
+            "c2_sum": heights.directed_str(heights.upper_endpoint(tot2), "up"),
+            "c3_sum": heights.directed_str(heights.upper_endpoint(tot1 + tot2), "up"),
             "rounding": "up",
         }
     _emit(_report("constants", inputs, result))
@@ -243,13 +239,13 @@ def cmd_bounds(args):
         val = heights.c0(args.d1, args.d2, args.m, method=args.method, prec=prec)
         inputs = {"kind": kind, "d1": args.d1, "d2": args.d2, "m": args.m,
                   "method": args.method, "precision_bits": prec}
-        result = {"value": _up(val), "rounding": "up"}
+        result = {"value": heights.directed_str(val, "up"), "rounding": "up"}
     elif kind == "zhang":
         val = heights.zhang_special_bound(args.n_factors, args.h2q, args.c3,
                                           prec=prec)
         inputs = {"kind": kind, "N": args.n_factors, "h2_Q": float(args.h2q),
                   "c3_product": float(args.c3), "precision_bits": prec}
-        result = {"value": _up(val), "rounding": "up"}
+        result = {"value": heights.directed_str(val, "up"), "rounding": "up"}
     elif kind == "bezout":
         trivial, improved = heights.bezout_intersection_bounds(
             args.deg_pre, args.h2_pre, args.deg_b, args.h2_b, args.dim_b,
@@ -259,7 +255,8 @@ def cmd_bounds(args):
                   "h2_B": float(args.h2_b), "dim_B": args.dim_b,
                   "N": args.n_factors, "deg_phi": args.deg_phi,
                   "precision_bits": prec}
-        result = {"trivial": _up(trivial), "improved": _up(improved),
+        result = {"trivial": heights.directed_str(trivial, "up"),
+                  "improved": heights.directed_str(improved, "up"),
                   "rounding": "up"}
     elif kind == "galateau-lambda":
         val = heights.galateau_lambda(args.n_factors, args.k)
