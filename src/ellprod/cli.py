@@ -78,7 +78,9 @@ def _load_int_list(text, what):
 def _decimal(text):
     """A real option as the exact Fraction of its decimal text, so that a
     bound encloses the number given and not its nearest float.  Its float
-    (the echoed value) must be finite, and nonzero unless the text is 0."""
+    (the echoed value) must be finite, and nonzero unless the text is 0:
+    that bounds the exponent, so '1e-999999999' cannot make a huge
+    Fraction."""
     try:
         echo, exact = float(text), Decimal(text)
     except (ValueError, InvalidOperation):
@@ -98,8 +100,11 @@ def _emit(report, out_path=None):
     text = json.dumps(report, indent=2)
     print(text)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError("cannot write report file: %s" % exc)
 
 
 def cmd_certify(args):

@@ -6,7 +6,9 @@ above the 64-bit floor the bounds require).  Quantities that sit on the
 upper-bound side of an inequality are reported as the upper interval
 endpoint ("up"); multipliers on the lower-bound side are reported as the
 lower endpoint ("down"); integer degree bounds are exact.  Every report
-names its rounding direction.
+names its rounding direction, and directed_str prints each value as
+decimal text rounded the same way.  A caller-supplied real may be a
+Fraction (the CLI reads decimal options so), which is enclosed exactly.
 
 Rational bookkeeping (harmonic sums, the c0 rational part) is done in
 exact Fractions and only converted to intervals at the very end, so the
@@ -50,16 +52,10 @@ def lower_endpoint(x):
 
 
 def _ivq(q):
-    """Enclosing interval of a Fraction or int."""
+    """Enclosing interval of an int, float or Fraction, exact for the first
+    two; a Fraction is enclosed as itself, not as its nearest float."""
     q = Fraction(q)
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
-
-
-def _ivr(x):
-    """Enclosing interval of a caller-supplied real.  A Fraction (such as
-    an exact decimal read from the command line) is enclosed as itself,
-    not as its nearest float; anything else goes through iv.mpf."""
-    return _ivq(x) if isinstance(x, Fraction) else iv.mpf(x)
 
 
 def _exact(x):
@@ -68,10 +64,11 @@ def _exact(x):
     return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
 
 
-def directed_str(x, rounding, digits=20):
-    """nstr(x, digits), moved one unit in the last digit when nstr's
+def directed_str(x, rounding):
+    """nstr(x, 20), moved one unit in the last digit when nstr's
     round-to-nearest went the wrong way for a reported bound: the text is
     >= x for rounding "up" and <= x for "down"."""
+    digits = 20
     text = nstr(x, digits)
     q, exact = Fraction(text), _exact(x)
     if q == exact or (q > exact) == (rounding == "up"):
@@ -201,16 +198,17 @@ def curve_c3(E, use_better=False, prec=DEFAULT_PREC):
 
 def zhang_special_bound(n_factors, h2_q, c3_product, prec=DEFAULT_PREC):
     """N * 3^(N-1) * (h2(Q) + c3), rounded up.  h2_q and c3_product are
-    caller-supplied reals (no algorithm for them at this scale)."""
+    caller-supplied reals (no algorithm for them at this scale); a
+    Fraction is enclosed exactly, not as its nearest float."""
     n_factors = int(n_factors)
     if n_factors < 1:
         raise ValueError("need at least one factor")
     with _prec(prec):
-        h2 = _ivr(h2_q)
+        h2 = _ivq(h2_q)
         if h2 < 0:
             raise ValueError("h2_q must be nonnegative")
         coeff = iv.mpf(n_factors) * iv.mpf(3) ** (n_factors - 1)
-        return upper_endpoint(coeff * (h2 + _ivr(c3_product)))
+        return upper_endpoint(coeff * (h2 + _ivq(c3_product)))
 
 
 def bezout_intersection_bounds(deg_pre, h2_pre, deg_b, h2_b, dim_b, n_factors,
@@ -228,8 +226,8 @@ def bezout_intersection_bounds(deg_pre, h2_pre, deg_b, h2_b, dim_b, n_factors,
         raise ValueError("deg_phi must be >= 1")
     c = c0(1, dim_b, 3 ** n_factors - 1, prec=prec)
     with _prec(prec):
-        trivial = upper_endpoint(iv.mpf(deg_pre) * _ivr(h2_b)
-                                 + iv.mpf(deg_b) * _ivr(h2_pre)
+        trivial = upper_endpoint(iv.mpf(deg_pre) * _ivq(h2_b)
+                                 + iv.mpf(deg_b) * _ivq(h2_pre)
                                  + iv.mpf(c) * iv.mpf(deg_pre) * iv.mpf(deg_b))
         improved = upper_endpoint(iv.mpf(trivial) / iv.mpf(deg_phi))
         return trivial, improved

@@ -117,6 +117,8 @@ def test_input_error_paths(capsys, c3_file, tmp_path):
         ["bounds", "--kind", "essential-minimum", "--alpha", "1", "--dl", "4"],
         ["oracle", "--variety", c3_file, "--isogeny", "[2,1]",
          "--primes", "[6]"],
+        ["oracle", "--variety", c3_file, "--isogeny", "[2,1]",
+         "--primes", "[7]", "--out", str(tmp_path)],              # a directory
     ]
     for argv in cases:
         code = main(argv)
