@@ -392,9 +392,7 @@ def main(argv=None):
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows up here, not at exit
         return code
-    except BrokenPipeError:
-        # nobody reads the report; keep the exit-time flush quiet too
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # nobody reads the report
         return 141
     except ValueError as exc:  # InputError and the library's input errors
         print("error: %s" % exc, file=sys.stderr)
@@ -405,5 +403,18 @@ def main(argv=None):
         return 3
 
 
+def run():
+    """Program entry (python -m ellprod.cli and the ellprod script): main,
+    then exit with its code.  After a closed stdout, fd 1 is pointed at
+    devnull so the interpreter's exit-time flush stays quiet too; main
+    itself leaves the streams of its caller alone."""
+    code = main()
+    if code == 141:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -8,7 +8,8 @@ endpoint ("up"); multipliers on the lower-bound side are reported as the
 lower endpoint ("down"); integer degree bounds are exact.  Every report
 names its rounding direction, and directed_str prints each value as
 decimal text rounded the same way.  A caller-supplied real may be a
-Fraction (the CLI reads decimal options so), which is enclosed exactly.
+Fraction (the CLI reads decimal options so), which is enclosed exactly,
+or an mpmath number, which is taken as it is.
 
 Rational bookkeeping (harmonic sums, the c0 rational part) is done in
 exact Fractions and only converted to intervals at the very end, so the
@@ -20,6 +21,7 @@ reports carry the computed cofactor that multiplies them.
 """
 
 from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
 
 from mpmath import iv, mp, nstr
@@ -52,14 +54,18 @@ def lower_endpoint(x):
 
 
 def _ivq(q):
-    """Enclosing interval of an int, float or Fraction, exact for the first
-    two; a Fraction is enclosed as itself, not as its nearest float."""
+    """Enclosing interval of a real.  An int, float or Fraction is enclosed
+    as the exact rational it stands for (a Fraction not as its nearest
+    float); anything else, an mpf or an interval, goes through iv.mpf."""
+    if not isinstance(q, (int, float, Fraction)):
+        return iv.mpf(q)
     q = Fraction(q)
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
 def _exact(x):
-    """An mpf as the exact Fraction it stands for."""
+    """An mpf as the exact Fraction it stands for (its size grows with the
+    exponent of x)."""
     sign, man, exp, _ = x._mpf_
     return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
 
@@ -67,21 +73,44 @@ def _exact(x):
 def directed_str(x, rounding):
     """nstr(x, 20), moved one unit in the last digit when nstr's
     round-to-nearest went the wrong way for a reported bound: the text is
-    >= x for rounding "up" and <= x for "down"."""
+    >= x for rounding "up" and <= x for "down".
+
+    The text d * 10^k is compared with x through an interval enclosure of
+    |x| / 10^k, not through exact rationals, so the cost stays small for
+    any exponent of x."""
     digits = 20
     text = nstr(x, digits)
-    q, exact = Fraction(text), _exact(x)
-    if q == exact or (q > exact) == (rounding == "up"):
+    sign, man, exp, bc = x._mpf_
+    if not man:  # zero, inf and nan print as they are
         return text
-    # the unit in the last place of the digits-digit grid that holds x
-    mag = abs(exact)
-    e = len(str(mag.numerator)) - len(str(mag.denominator))
-    if Fraction(10) ** e > mag:
-        e -= 1
-    step = Fraction(10) ** (e - digits + 1)
-    q = q + step if rounding == "up" else q - step
+    _, ds, k = Decimal(text).as_tuple()
+    # d: exactly `digits` digits; an integer text "...6.0" carries one more
+    shift = digits - len(ds)
+    d = int("".join(map(str, ds)))
+    d = d * 10 ** shift if shift >= 0 else d // 10 ** -shift
+    k -= shift
+    away = (rounding == "up") != bool(sign)  # |text| must be >= |x|
+    # |x| = d * 10^k needs 5^k | man for k >= 0 and 5^-k <= d for k < 0,
+    # so at bc + 200 bits the enclosure of an exact text is a point
+    with _prec(bc + 200):
+        ax = iv.mpf(mp.make_mpf((0, man, exp, bc)))
+        ten = iv.mpf(10) ** abs(k)
+        y = ax / ten if k >= 0 else ax * ten
+        if (d >= upper_endpoint(y)) if away else (d <= lower_endpoint(y)):
+            return text
+    # a step on the 20-digit grid of x's decade; nstr rounded to nearest,
+    # so one unit is enough (also where the enclosure left it undecided)
+    if away:
+        d += 1
+        if d == 10 ** digits:
+            d, k = 10 ** (digits - 1), k + 1
+    else:
+        d -= 1
+        if d < 10 ** (digits - 1):
+            d, k = 10 ** digits - 1, k - 1
     with mp.workprec(4 * digits + 64):
-        return nstr(mp.mpf(q.numerator) / q.denominator, digits)
+        y = mp.mpf(d) * mp.mpf(10) ** k
+        return nstr(-y if sign else y, digits)
 
 
 def _log_max1(q):
@@ -198,8 +227,8 @@ def curve_c3(E, use_better=False, prec=DEFAULT_PREC):
 
 def zhang_special_bound(n_factors, h2_q, c3_product, prec=DEFAULT_PREC):
     """N * 3^(N-1) * (h2(Q) + c3), rounded up.  h2_q and c3_product are
-    caller-supplied reals (no algorithm for them at this scale); a
-    Fraction is enclosed exactly, not as its nearest float."""
+    caller-supplied reals (no algorithm for them at this scale), enclosed
+    by _ivq: a Fraction exactly, not as its nearest float."""
     n_factors = int(n_factors)
     if n_factors < 1:
         raise ValueError("need at least one factor")

@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from mpmath import nstr
 
 from ellprod import heights
 from ellprod.cli import main
@@ -317,3 +319,71 @@ def test_closed_stdout_exits_quietly(c3_file):
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+def test_closed_stdout_in_process_leaves_the_streams_alone(capsys, c3_file,
+                                                          monkeypatch):
+    class ClosedPipe:  # like a capture object: no file descriptor
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    fake = ClosedPipe()
+    before = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", fake)
+    code = main(["degree", "--variety", c3_file, "--isogeny", "[2,1]"])
+    assert code == 141
+    assert sys.stdout is fake
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+    monkeypatch.undo()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("mode", ["smart", "naive"])
+@pytest.mark.parametrize("alpha", ["2", "5"])
+def test_essential_minimum_with_three_factors(capsys, alpha, mode):
+    """lambda = 45^3, so the multipliers have exponents far past Python's
+    4300-digit int-to-str limit; they still print, rounded down."""
+    argv = ["bounds", "--kind", "essential-minimum", "--n-factors", "3",
+            "--r", "2", "--dl", "1", "--alpha", alpha, "--mode", mode]
+    code, rep = run(capsys, argv)
+    assert code == 0
+    assert rep["inputs"]["lambda"] == 45 ** 3
+    ref = heights.essential_minimum_image_bounds(3, 2, 1, int(alpha), 1, mode=mode)
+    rows = [row for row in rep["result"]["entries"] if row["rounding"] == "down"]
+    assert len(rows) == (2 if mode == "smart" else 1)
+    for row in rows:
+        exact = heights._exact(ref.value(row["label"]))
+        printed = Fraction(row["value"])
+        assert printed <= exact
+        assert exact - printed <= exact * Fraction(2, 10 ** 19)
+
+
+def _small_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_essential_minimum_with_five_factors_is_prompt():
+    """lambda = 125^5: the exponent of the multiplier has ten digits, so
+    printing it must not go through exact rationals (a child process with
+    1 GiB of address space and a time limit keeps a regression contained)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellprod.cli", "bounds", "--kind",
+         "essential-minimum", "--n-factors", "5", "--r", "2", "--dl", "1",
+         "--alpha", "5"],
+        capture_output=True, env=env, timeout=60,
+        preexec_fn=_small_address_space)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    ref = heights.essential_minimum_image_bounds(5, 2, 1, 5, 1)
+    for row in rep["result"]["entries"][:2]:
+        nearest = nstr(ref.value(row["label"]), 20)
+        assert row["value"].endswith("e-6307196884")
+        assert row["value"].split("e")[1] == nearest.split("e")[1]
+        assert Decimal(row["value"]) <= Decimal(nearest)

@@ -147,6 +147,15 @@ def test_zhang_exact_cases():
     assert zhang_special_bound(1, 0.5, 0.25) == 0.75
 
 
+def test_real_inputs_may_be_mpf():
+    """An mpf real, as curve_c3 returns it, is enclosed as it is."""
+    c3 = curve_c3(E01)
+    assert zhang_special_bound(2, 0, c3) == zhang_special_bound(2, 0, heights._exact(c3))
+    assert zhang_special_bound(2, mp.mpf(0.5), 1) == zhang_special_bound(2, 0.5, 1)
+    assert (bezout_intersection_bounds(3, c3, 2, mp.mpf(1), 1, 2, 5)
+            == bezout_intersection_bounds(3, heights._exact(c3), 2, 1, 1, 2, 5))
+
+
 def test_zhang_validation():
     with pytest.raises(ValueError):
         zhang_special_bound(0, 1, 1)
@@ -366,6 +375,15 @@ def test_printed_values_round_the_reported_way():
                   1 + mp.mpf(2) ** -70, mp.mpf("1e-30") * 27]
         values += [mp.mpf(rng.getrandbits(80)) * mp.mpf(2) ** rng.randint(-150, 50)
                    for _ in range(300)]
+    for x in values:
+        exact = heights._exact(x)
+        up = Fraction(heights.directed_str(x, "up"))
+        down = Fraction(heights.directed_str(x, "down"))
+        assert down <= exact <= up
+        assert up - down <= abs(exact) * Fraction(2, 10 ** 19)
+    with mp.workprec(80):  # exponents far past 4300 decimal digits
+        values = [mp.mpf(rng.getrandbits(80)) * mp.mpf(2) ** rng.randint(-70000, 70000)
+                  for _ in range(20)]
     for x in values:
         exact = heights._exact(x)
         up = Fraction(heights.directed_str(x, "up"))
