@@ -97,7 +97,17 @@ def _report(command, inputs, result):
 
 
 def _emit(report, out_path=None):
-    text = json.dumps(report, indent=2)
+    # Exact integers of any length are valid output, so the interpreter's
+    # int->str digit limit (Python 3.10.7 on) is lifted for this
+    # conversion only; parsing the command line stays limited.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(report, indent=2)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     print(text)
     if out_path:
         try:

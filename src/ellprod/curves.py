@@ -148,8 +148,9 @@ def scalar_mul_point(curve, n, P):
     while n:
         if n & 1:
             acc = add_points(curve, acc, addend)
-        addend = add_points(curve, addend, addend)
         n >>= 1
+        if n:  # no doubling past the top bit
+            addend = add_points(curve, addend, addend)
     return acc
 
 

@@ -137,10 +137,11 @@ def _harmonic(k):
 
 def _c0_rational(d1, d2, method):
     if method == "double_sum":
+        # group the terms by s = i + j: 1/(2(s+1)) occurs once for each
+        # i in [max(0, s-d2), min(s, d1)], so the sum takes O(d1+d2) steps
         acc = Fraction(0)
-        for i in range(d1 + 1):
-            for j in range(d2 + 1):
-                acc += Fraction(1, 2 * (i + j + 1))
+        for s in range(d1 + d2 + 1):
+            acc += Fraction(min(s, d1) - max(0, s - d2) + 1, 2 * (s + 1))
         return acc
     if method == "harmonic":
         # Double-sum identity:

@@ -143,8 +143,9 @@ def scalar_mul_mod(p, A, n, P):
     while n:
         if n & 1:
             acc = add_points_mod(p, A, acc, P)
-        P = add_points_mod(p, A, P, P)
         n >>= 1
+        if n:  # no doubling past the top bit
+            P = add_points_mod(p, A, P, P)
     return acc
 
 

@@ -24,6 +24,7 @@ literals.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 class ParseError(ValueError):
@@ -89,7 +90,8 @@ class MultiPoly:
     @classmethod
     def const(cls, ring, c):
         ring = tuple(ring)
-        return cls(ring, {(0,) * len(ring): Fraction(c)})
+        c = _norm(Fraction(c))
+        return cls._trusted(ring, {(0,) * len(ring): c} if c else {})
 
     @classmethod
     def var(cls, ring, name, power=1):
@@ -119,7 +121,7 @@ class MultiPoly:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms))
 
     def degree_in(self, name):
         if not self.terms:
@@ -190,18 +192,44 @@ class MultiPoly:
             return NotImplemented
         return other + (-self)
 
+    def _scalar(self):
+        # the value of a constant polynomial (0 for zero), else None
+        terms = self.terms
+        if not terms:
+            return 0
+        if len(terms) == 1:
+            (e, c), = terms.items()
+            if not any(e):
+                return c
+        return None
+
+    def _scaled(self, k):
+        # k * self for an int or Fraction k, in one pass over the terms
+        if not k:
+            return MultiPoly._trusted(self.ring, {})
+        return MultiPoly._trusted(self.ring, {e: _norm(c * k) for e, c in self.terms.items()})
+
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        if not isinstance(other, MultiPoly):
             return NotImplemented
+        self._check_ring(other)
+        k = other._scalar()
+        if k is not None:
+            return self._scaled(k)
+        k = self._scalar()
+        if k is not None:
+            return other._scaled(k)
         # Pack each exponent tuple into one int, with a field per variable
         # wide enough for the product's total degree, so that multiplying
         # two monomials is a single integer addition.
         w = (self.degree() + other.degree()).bit_length()
         shifts = [w * i for i in range(len(self.ring))]
+        weights = [1 << s for s in shifts]
 
         def packed(terms):
-            return [(sum(k << s for k, s in zip(e, shifts)), c) for e, c in terms.items()]
+            return [(sum(map(mul, e, weights)), c) for e, c in terms.items()]
 
         right = packed(other.terms)
         out = {}
@@ -213,7 +241,7 @@ class MultiPoly:
         mask = (1 << w) - 1
         # normalise each sum once, not each partial sum
         return MultiPoly._trusted(self.ring, {
-            tuple(k >> s & mask for s in shifts): _norm(c) for k, c in out.items() if c})
+            tuple([k >> s & mask for s in shifts]): _norm(c) for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -221,14 +249,10 @@ class MultiPoly:
         n = int(n)
         if n < 0:
             raise ValueError("negative exponent")
-        result = MultiPoly.const(self.ring, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n <= 1:
+            return self if n else MultiPoly.const(self.ring, 1)
+        half = self ** (n >> 1)
+        return half * half * self if n & 1 else half * half
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -587,8 +611,12 @@ def substitute(p, bindings):
         rest = [0] * len(ring)
         for i, k in enumerate(e):
             if i in bound_idx:
+                # the 0th powers are the constant 1: skip them
                 name = bound_idx[i]
-                piece = piece * pow_num[name][k] * pow_den[name][maxdeg[name] - k]
+                if k:
+                    piece = piece * pow_num[name][k]
+                if maxdeg[name] - k:
+                    piece = piece * pow_den[name][maxdeg[name] - k]
             else:
                 rest[i] = k
         if any(rest):
@@ -639,6 +667,14 @@ def integer_primitive(p):
     den = 1
     for c in p.terms.values():
         den = lcm(den, c.denominator)
+    if den == 1:
+        # integral: divide by the content, signed like the leading term
+        g = gcd(*p.terms.values())
+        if p.leading()[1] < 0:
+            g = -g
+        if g == 1:
+            return Fraction(1), p
+        return Fraction(g), MultiPoly._trusted(p.ring, {e: c // g for e, c in p.terms.items()})
     g = 0
     for c in p.terms.values():
         g = gcd(g, c.numerator * (den // c.denominator))

@@ -189,6 +189,24 @@ def test_bounds_kinds(capsys):
     assert rep["inputs"]["lambda"] == 400
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int->str digit limit in this Python")
+def test_exact_integers_of_any_length_are_printed(capsys):
+    limit = sys.get_int_max_str_digits()
+    code = main(["bounds", "--kind", "galateau-lambda", "--n-factors", "2", "--k", "2000"])
+    out = capsys.readouterr().out
+    assert code == 0
+    # the limit is lifted for the output only
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        value = json.loads(out)["result"]["value"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert value == heights.galateau_lambda(2, 2000)
+    assert value.bit_length() > 4300 * 4
+
+
 def test_oracle_command(capsys, c3_file, tmp_path):
     out = tmp_path / "oracle.json"
     code, rep = run(capsys, ["oracle", "--variety", c3_file,

@@ -115,6 +115,19 @@ def test_scalar_mul_matches_repeated_addition():
         assert scalar_mul_point(E01, n, P6) == expected
 
 
+@pytest.mark.parametrize("curve, P", [
+    (WeierstrassCurve(0, -2), CurvePoint(3, 5)),
+    (WeierstrassCurve(0, 17), CurvePoint(-2, 3)),
+])
+def test_scalar_mul_of_infinite_order_points_matches_repeated_addition(curve, P):
+    for step in (P, negate_point(P)):
+        sign = 1 if step is P else -1
+        expected = CurvePoint.infinity()
+        for n in range(41):
+            assert scalar_mul_point(curve, sign * n, P) == expected
+            expected = add_points(curve, expected, step)
+
+
 def test_points_stay_on_curve():
     E = WeierstrassCurve(-2, 1)
     P = CurvePoint(1, 0)  # 1 - 2 + 1 = 0

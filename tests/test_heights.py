@@ -1,6 +1,7 @@
 """Tests for the explicit height-bound constants and their rounding."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,15 @@ def test_c0_methods_agree_exactly():
             heights._c0_rational(d1, d2, "harmonic")
         assert c0(d1, d2, m, method="double_sum") == \
             c0(d1, d2, m, method="harmonic")
+
+
+def test_c0_double_sum_is_prompt_at_large_degrees():
+    t0 = time.perf_counter()
+    v = c0(3000, 3000, 1)
+    assert time.perf_counter() - t0 < 2.0
+    assert v == c0(3000, 3000, 1, method="harmonic")
+    assert heights._c0_rational(3000, 3000, "double_sum") == \
+        heights._c0_rational(3000, 3000, "harmonic")
 
 
 def test_c0_validation():

@@ -88,6 +88,21 @@ def test_group_law_mod_matches_rational():
     assert scalar_mul_mod(p, A, -2, (2, 3)) == (0, 6)
 
 
+@pytest.mark.parametrize("p", [13, 101])
+def test_scalar_mul_mod_matches_repeated_addition(p):
+    A, B = 2, 3
+    points = [(x, y) for x in range(p) for y in range(p)
+              if (y * y - x ** 3 - A * x - B) % p == 0]
+    assert points
+    for P in points:
+        for step in (P, (P[0], -P[1] % p)):
+            sign = 1 if step is P else -1
+            expected = None
+            for n in range(41):
+                assert scalar_mul_mod(p, A, sign * n, P) == expected
+                expected = add_points_mod(p, A, expected, step)
+
+
 def test_group_axioms_sampled():
     ctx = PrimeFieldCtx(11, SYS)
     pts = enumerate_points(ctx, 0)

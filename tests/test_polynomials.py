@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ellprod.polynomials import (
     ExactDivisionError,
@@ -55,6 +56,17 @@ def assert_domain(*ps):
         for c in p.terms.values():
             if type(c) is not int:
                 assert type(c) is Fraction and c.denominator != 1, repr(c)
+
+
+def convolve(a, b):
+    """The product of two term dicts by plain convolution, the reference
+    for MultiPoly products."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, 0) + Fraction(c1) * Fraction(c2)
+    return {e: c for e, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +173,13 @@ def test_add_mul_laws(p, q, r):
 @given(polys(), st.integers(min_value=0, max_value=5))
 def test_pow_matches_repeated_mul(p, k):
     expected = ONE
+    reference = {(0, 0): 1}
     for _ in range(k):
         expected = expected * p
+        reference = convolve(reference, p.terms)
     assert p ** k == expected
+    assert_domain(p ** k)
+    assert (p ** k).terms == reference
 
 
 @settings(max_examples=100)
@@ -172,6 +188,44 @@ def test_degree_of_product(p):
     q = X ** 2 + ONE
     if p:
         assert (p * q).degree() == p.degree() + 2
+
+
+# ---------------------------------------------------------------------------
+# scalar products against a plain dict convolution
+# ---------------------------------------------------------------------------
+
+scalars = st.one_of(st.just(0), st.integers(min_value=-30, max_value=30), coeffs)
+FRACTIONAL = MultiPoly(RING, {(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 4)})
+
+
+@settings(max_examples=200)
+@given(polys(), scalars)
+@example(FRACTIONAL, 4)
+@example(FRACTIONAL, Fraction(4, 3))
+def test_scalar_products_match_convolution(p, k):
+    const = MultiPoly(RING, {(0, 0): k})
+    expected = convolve(p.terms, const.terms)
+    for r in (p * k, k * p, p * MultiPoly.const(RING, k), MultiPoly.const(RING, k) * p,
+              p * const):
+        assert_domain(r)
+        assert r.terms == expected
+        assert r.ring == RING
+
+
+@settings(max_examples=100)
+@given(scalars, scalars)
+def test_constant_times_constant(a, b):
+    r = MultiPoly.const(RING, a) * MultiPoly.const(RING, b)
+    assert_domain(r)
+    assert r.terms == convolve({(0, 0): a}, {(0, 0): b})
+    assert r == MultiPoly.const(RING, a * b)
+
+
+def test_const_rejects_non_numbers():
+    with pytest.raises(ValueError):
+        MultiPoly.const(RING, "x")
+    assert MultiPoly.const(RING, 0).terms == {}
+    assert MultiPoly.const(RING, Fraction(6, 3)).terms == {(0, 0): 2}
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +531,31 @@ def test_integer_primitive_zero():
     assert scale == 1
 
 
+@st.composite
+def primitive_polys(draw):
+    """Nonzero integer polynomials with content 1 and a positive leading
+    coefficient, built without integer_primitive."""
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4)),
+        st.integers(min_value=-30, max_value=30).filter(bool), min_size=1, max_size=5))
+    g = gcd(*terms.values())
+    q = MultiPoly(RING, {e: c // g for e, c in terms.items()})
+    return -q if q.leading()[1] < 0 else q
+
+
+@settings(max_examples=200)
+@given(primitive_polys(), st.integers(min_value=-12, max_value=12).filter(bool),
+       st.integers(min_value=1, max_value=12))
+def test_integer_primitive_on_integral_and_fractional_input(q, m, d):
+    cases = [(1, q), (-1, -q), (m, m * q), (Fraction(m, d), Fraction(m, d) * q)]
+    for scale, p in cases:
+        got_scale, prim = integer_primitive(p)
+        assert_domain(prim)
+        assert type(got_scale) is Fraction
+        assert got_scale == scale
+        assert prim.terms == q.terms
+
+
 @settings(max_examples=200)
 @given(polys())
 def test_integer_primitive_properties(p):
@@ -488,7 +567,6 @@ def test_integer_primitive_properties(p):
     assert scale != 0
     cs = list(prim.terms.values())
     assert all(type(c) is int for c in cs)
-    from math import gcd
     g = 0
     for c in cs:
         g = gcd(g, abs(c.numerator))
