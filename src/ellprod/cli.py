@@ -96,10 +96,30 @@ def _report(command, inputs, result):
             "inputs": inputs, "result": result}
 
 
+# Exact integers are printed in full, and CPython's int->str takes time
+# quadratic in the length (0.2 s at 10^5 digits, 19 s at 10^6 on a
+# 2-core Xeon), so a request whose exact result would be longer than this
+# is refused before anything is computed.
+MAX_EXACT_DIGITS = 100_000
+
+
+def _check_exact_size(what, base, exponent, factor=1):
+    """Refuse a request whose exact result factor * base**exponent (base
+    and factor nonzero) would have more than MAX_EXACT_DIGITS digits."""
+    try:
+        digits = exponent * math.log10(abs(base)) + math.log10(abs(factor))
+    except OverflowError:  # an exponent beyond the range of a float
+        digits = math.inf
+    if digits > MAX_EXACT_DIGITS:
+        raise InputError("%s would have about %.3g decimal digits; reports "
+                         "print at most %d" % (what, digits, MAX_EXACT_DIGITS))
+
+
 def _emit(report, out_path=None):
-    # Exact integers of any length are valid output, so the interpreter's
-    # int->str digit limit (Python 3.10.7 on) is lifted for this
-    # conversion only; parsing the command line stays limited.
+    # Exact integers longer than the interpreter's int->str digit limit
+    # (Python 3.10.7 on) are valid output, so the limit is lifted for this
+    # conversion only; parsing the command line stays limited, and
+    # MAX_EXACT_DIGITS bounds the length.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
@@ -274,10 +294,19 @@ def cmd_bounds(args):
                   "improved": heights.directed_str(improved, "up"),
                   "rounding": "up"}
     elif kind == "galateau-lambda":
-        val = heights.galateau_lambda(args.n_factors, args.k)
+        n, k = args.n_factors, args.k
+        if n >= 1 and k >= 0:  # else galateau_lambda raises
+            _check_exact_size("lambda(N, k)", 5 * n * (k + 1), k + 1)
+        val = heights.galateau_lambda(n, k)
         inputs = {"kind": kind, "N": args.n_factors, "k": args.k}
         result = {"value": val, "rounding": "exact"}
     elif kind == "essential-minimum":
+        n, r, alpha = args.n_factors, args.r, args.alpha
+        if n >= 2 and 2 <= r <= n and alpha and args.degc:
+            # else the library raises; the final degree bound is the largest
+            _check_exact_size("lambda(N, N-1)", 5 * n * n, n)
+            _check_exact_size("the image degree bound", alpha,
+                              2 * (n + 1 - r), 3 * n ** 3 * args.degc)
         rep = heights.essential_minimum_image_bounds(
             args.n_factors, args.r, args.dl, args.alpha, args.degc,
             mode=args.mode, prec=prec)

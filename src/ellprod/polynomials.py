@@ -667,20 +667,12 @@ def integer_primitive(p):
     den = 1
     for c in p.terms.values():
         den = lcm(den, c.denominator)
-    if den == 1:
-        # integral: divide by the content, signed like the leading term
-        g = gcd(*p.terms.values())
-        if p.leading()[1] < 0:
-            g = -g
-        if g == 1:
-            return Fraction(1), p
-        return Fraction(g), MultiPoly._trusted(p.ring, {e: c // g for e, c in p.terms.items()})
-    g = 0
-    for c in p.terms.values():
-        g = gcd(g, c.numerator * (den // c.denominator))
-    scale = Fraction(g, den)
-    _, lead_c = p.leading()
-    if lead_c < 0:
-        scale = -scale
-    q = MultiPoly._trusted(p.ring, {e: _norm(c / scale) for e, c in p.terms.items()})
-    return scale, q
+    # integer numerators over the common denominator, divided by their
+    # content signed like the leading term
+    nums = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    g = gcd(*nums.values())
+    if p.leading()[1] < 0:
+        g = -g
+    if den == g == 1:
+        return Fraction(1), p
+    return Fraction(g, den), MultiPoly._trusted(p.ring, {e: c // g for e, c in nums.items()})

@@ -405,3 +405,26 @@ def test_essential_minimum_with_five_factors_is_prompt():
         assert row["value"].endswith("e-6307196884")
         assert row["value"].split("e")[1] == nearest.split("e")[1]
         assert Decimal(row["value"]) <= Decimal(nearest)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "galateau-lambda", "--n-factors", "2", "--k", "1000000"],
+    ["--kind", "galateau-lambda", "--n-factors", "2", "--k", "9" * 400],
+    ["--kind", "essential-minimum", "--n-factors", "100", "--r", "2",
+     "--alpha", "1" + "0" * 3000],
+])
+def test_overlong_exact_integers_are_refused_at_once(argv):
+    """An exact result of more than MAX_EXACT_DIGITS digits is an input
+    error before it is computed, not minutes of int->str (a child process
+    with 1 GiB of address space and a time limit keeps a regression
+    contained)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellprod.cli", "bounds"] + argv,
+        capture_output=True, env=env, timeout=60,
+        preexec_fn=_small_address_space)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b"" and b"decimal digits" in proc.stderr

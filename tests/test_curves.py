@@ -107,25 +107,17 @@ def test_group_law_properties():
 
 
 def test_scalar_mul_matches_repeated_addition():
-    for n in range(-10, 11):
-        expected = CurvePoint.infinity()
-        step = P6 if n >= 0 else negate_point(P6)
-        for _ in range(abs(n)):
-            expected = add_points(E01, expected, step)
-        assert scalar_mul_point(E01, n, P6) == expected
-
-
-@pytest.mark.parametrize("curve, P", [
-    (WeierstrassCurve(0, -2), CurvePoint(3, 5)),
-    (WeierstrassCurve(0, 17), CurvePoint(-2, 3)),
-])
-def test_scalar_mul_of_infinite_order_points_matches_repeated_addition(curve, P):
-    for step in (P, negate_point(P)):
-        sign = 1 if step is P else -1
-        expected = CurvePoint.infinity()
-        for n in range(41):
-            assert scalar_mul_point(curve, sign * n, P) == expected
-            expected = add_points(curve, expected, step)
+    cases = [(E01, P6),
+             # rational points of infinite order
+             (WeierstrassCurve(0, -2), CurvePoint(3, 5)),
+             (WeierstrassCurve(0, 17), CurvePoint(-2, 3))]
+    for curve, P in cases:
+        for step in (P, negate_point(P)):
+            sign = 1 if step is P else -1
+            expected = CurvePoint.infinity()
+            for n in range(41):
+                assert scalar_mul_point(curve, sign * n, P) == expected
+                expected = add_points(curve, expected, step)
 
 
 def test_points_stay_on_curve():
