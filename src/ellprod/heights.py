@@ -20,11 +20,13 @@ not numerically specified; they stay symbolic with multiplier 1 and the
 reports carry the computed cofactor that multiplies them.
 """
 
+import sys
 from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 
 from mpmath import iv, mp, nstr
+from mpmath.libmp import to_int
 
 from .curves import WeierstrassCurve
 
@@ -70,6 +72,14 @@ def _exact(x):
     return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
 
 
+# Past this many bits of binary exponent, nstr raises 10 to the decimal
+# exponent at a precision of four times its bit length (seconds at a
+# 5600-bit exponent, minutes at 76 000), and Decimal refuses exponents
+# of more than 18 digits; directed_str then finds the decimal grid point
+# through log10|x| and prints it itself.
+NSTR_EXP_BITS = 3500
+
+
 def directed_str(x, rounding):
     """nstr(x, 20), moved one unit in the last digit when nstr's
     round-to-nearest went the wrong way for a reported bound: the text is
@@ -77,40 +87,79 @@ def directed_str(x, rounding):
 
     The text d * 10^k is compared with x through an interval enclosure of
     |x| / 10^k, not through exact rationals, so the cost stays small for
-    any exponent of x."""
+    any exponent of x.  Beyond NSTR_EXP_BITS the enclosure comes from
+    log10|x| and the text is written in nstr's scientific notation."""
     digits = 20
-    text = nstr(x, digits)
     sign, man, exp, bc = x._mpf_
     if not man:  # zero, inf and nan print as they are
-        return text
-    _, ds, k = Decimal(text).as_tuple()
-    # d: exactly `digits` digits; an integer text "...6.0" carries one more
-    shift = digits - len(ds)
-    d = int("".join(map(str, ds)))
-    d = d * 10 ** shift if shift >= 0 else d // 10 ** -shift
-    k -= shift
+        return nstr(x, digits)
     away = (rounding == "up") != bool(sign)  # |text| must be >= |x|
-    # |x| = d * 10^k needs 5^k | man for k >= 0 and 5^-k <= d for k < 0,
-    # so at bc + 200 bits the enclosure of an exact text is a point
-    with _prec(bc + 200):
-        ax = iv.mpf(mp.make_mpf((0, man, exp, bc)))
-        ten = iv.mpf(10) ** abs(k)
-        y = ax / ten if k >= 0 else ax * ten
-        if (d >= upper_endpoint(y)) if away else (d <= lower_endpoint(y)):
-            return text
-    # a step on the 20-digit grid of x's decade; nstr rounded to nearest,
-    # so one unit is enough (also where the enclosure left it undecided)
-    if away:
-        d += 1
-        if d == 10 ** digits:
-            d, k = 10 ** (digits - 1), k + 1
+    huge = abs(exp + bc) > NSTR_EXP_BITS
+    if huge:
+        # log10|x| = exp * log10(2) + log10(man): only the first term
+        # needs as many bits as exp has
+        with _prec(exp.bit_length() + 100):
+            t = exp * (iv.ln2 / iv.ln10)
+            k = to_int(t._mpi_[0], "f")
+            t -= k
+        with _prec(bc + 200):
+            lx = t + iv.log(iv.mpf(man)) / iv.log(10)  # log10|x| - k
+            j = to_int(lx._mpi_[0], "f") - digits + 1  # floor, exactly
+            k += j
+            y = iv.mpf(10) ** (lx - j)  # |x| / 10^k, in [10^19, 10^20] up to rounding
+            d = to_int(y._mpi_[0], "n")
+            if d == 10 ** digits:
+                d, k, y = d // 10, k + 1, y / 10
     else:
-        d -= 1
-        if d < 10 ** (digits - 1):
-            d, k = 10 ** digits - 1, k - 1
+        text = nstr(x, digits)
+        _, ds, k = Decimal(text).as_tuple()
+        # d: exactly `digits` digits; an integer text "...6.0" carries one more
+        shift = digits - len(ds)
+        d = int("".join(map(str, ds)))
+        d = d * 10 ** shift if shift >= 0 else d // 10 ** -shift
+        k -= shift
+        # |x| = d * 10^k needs 5^k | man for k >= 0 and 5^-k <= d for k < 0,
+        # so at bc + 200 bits the enclosure of an exact text is a point
+        with _prec(bc + 200):
+            ax = iv.mpf(mp.make_mpf((0, man, exp, bc)))
+            ten = iv.mpf(10) ** abs(k)
+            y = ax / ten if k >= 0 else ax * ten
+    if not ((d >= upper_endpoint(y)) if away else (d <= lower_endpoint(y))):
+        # a step on the 20-digit grid of x's decade; the text was rounded
+        # to nearest, so one unit is enough (also where the enclosure left
+        # it undecided)
+        if away:
+            d += 1
+            if d == 10 ** digits:
+                d, k = 10 ** (digits - 1), k + 1
+        else:
+            d -= 1
+            if d < 10 ** (digits - 1):
+                d, k = 10 ** digits - 1, k - 1
+    elif not huge:
+        return text
+    if huge:
+        return _sci_str(sign, d, k + digits - 1)
     with mp.workprec(4 * digits + 64):
         y = mp.mpf(d) * mp.mpf(10) ** k
         return nstr(-y if sign else y, digits)
+
+
+def _sci_str(sign, d, e):
+    """The digits of d with the point after the first and decimal exponent
+    e, as nstr writes a number in scientific notation."""
+    ds = str(d).rstrip("0")
+    # the exponent may be longer than the interpreter's int->str digit limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        es = str(e)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    return "%s%s.%se%s%s" % ("-" if sign else "", ds[0], ds[1:] or "0",
+                             "" if e < 0 else "+", es)
 
 
 def _log_max1(q):

@@ -16,17 +16,21 @@ Cost model: a PrimeFieldCtx keeps, for the life of the context, each
 factor's affine point list and, per multiplier alpha, the table of
 [alpha]P over those points, so each factor costs O(#E_j) group-law
 scalar multiplications per prime and multiplier, shared by the maps
-check and the membership scan.  The maps check evaluates its formulas
-by Horner's rule.  The membership scan groups each equation by its
-factor-1 monomials x1^a*y1^b; it builds the monomial row of a point on
-first use and the inner sums over the other factors once per tuple of
-their points, so a tuple costs one dot product per equation, as long
-as its number of distinct factor-1 monomials.
+check and the membership scan.  Both checks evaluate over whole point
+lists: the maps check runs Horner's rule over the list of x values, and
+the membership scan first fixes its tuples (every tuple when exhaustive,
+the SAMPLE_COUNT draws when sampled), then groups each equation by its
+factor-1 monomials x1^a*y1^b and builds two tables over those tuples
+only: the monomial row of each distinct factor-1 point and the inner
+sums over the other factors of each distinct tuple of their points.  A
+tuple then costs two lookups and one dot product per equation, as long
+as its number of distinct factor-1 monomials; a sampled scan never
+builds a table entry for a point it did not draw.
 """
 
 import random
-from array import array
 from itertools import product as iter_product
+from math import prod
 from operator import getitem, mul
 
 from .arith import is_prime
@@ -183,10 +187,11 @@ def _dense_mod(poly, p, name):
     return coeffs[::-1]
 
 
-def _horner(coeffs, x, p):
-    acc = 0
+def _horner(coeffs, xs, p):
+    """A _dense_mod polynomial at every x of the list xs."""
+    acc = [0] * len(xs)
     for c in coeffs:
-        acc = (acc * x + c) % p
+        acc = [(a * x + c) % p for a, x in zip(acc, xs)]
     return acc
 
 
@@ -205,25 +210,32 @@ def verify_maps_vs_group_law(ctx, curve_index, alpha):
     ctx.require_separable([alpha])
     p = ctx.p
     maps = _maps_for(ctx.system.curves[curve_index], alpha)
-    r = _dense_mod(maps.r, p, "x")
-    s = _dense_mod(maps.s, p, "x")
-    t = _dense_mod(maps.t, p, "x")
+    points = ctx.affine_points(curve_index)
+    xs = [x for x, _ in points]
     even = maps.is_even()
+
+    def values(f):
+        return _horner(_dense_mod(f, p, "x"), xs, p)
+
+    t = values(maps.t)
+    s = values(maps.s)
     if even:
-        rt = _dense_mod(maps.r_tilde, p, "x")
-        tt = _dense_mod(maps.t_tilde, p, "x")
+        r = values(maps.r_tilde)
+        tt = values(maps.t_tilde)
+    else:
+        r = values(maps.r)
     mismatches = []
     exceptional = []
     kernel = []
     checked = 0
     images = ctx.image_table(curve_index, alpha)
-    for P, expected in zip(ctx.affine_points(curve_index), images):
-        x, y = P
+    for k, (P, expected) in enumerate(zip(points, images)):
+        y = P[1]
         if expected is None:
             kernel.append(P)
-        tv = _horner(t, x, p)
+        tv = t[k]
         if even:
-            ttv = _horner(tt, x, p)
+            ttv = tt[k]
             defined = ttv != 0 and y != 0
         else:
             defined = tv != 0
@@ -232,11 +244,11 @@ def verify_maps_vs_group_law(ctx, curve_index, alpha):
             continue
         checked += 1
         if even:
-            got = (_horner(rt, x, p) * pow(ttv * tv % p, -1, p) % p,
-                   _horner(s, x, p) * pow(ttv * tv * tv % p * y % p, -1, p) % p)
+            got = (r[k] * pow(ttv * tv % p, -1, p) % p,
+                   s[k] * pow(ttv * tv * tv % p * y % p, -1, p) % p)
         else:
-            got = (_horner(r, x, p) * pow(tv * tv % p, -1, p) % p,
-                   _horner(s, x, p) * y % p * pow(tv * tv * tv % p, -1, p) % p)
+            got = (r[k] * pow(tv * tv % p, -1, p) % p,
+                   s[k] * y % p * pow(tv * tv * tv % p, -1, p) % p)
         if got != expected:
             mismatches.append({"point": P, "formula": got, "group_law": expected})
     report = {
@@ -253,92 +265,85 @@ def verify_maps_vs_group_law(ctx, curve_index, alpha):
 
 
 class _GroupedEquations:
-    """Reduced equations on E_1 x ... x E_N, evaluated at tuples of point
-    indices.
+    """Reduced equations on E_1 x ... x E_N, evaluated over a list of
+    tuples of point indices, each given as its first index (a 1-tuple)
+    and the rest.
 
     Each equation is written as sum_m m(P_1) * R_m(P_2, ..., P_N) over its
-    distinct factor-1 monomials m = x1^a*y1^b.  The monomial row of a
-    factor-1 point and the inner sums R_m of a tuple of the other points
-    are built on first use and kept for the life of the scan, so a tuple
-    costs one short dot product per equation.  Rows and sums hold all
-    equations side by side in one flat array each, which keeps a scan
-    that touches many points small.  coords[j] maps a point index of
+    distinct factor-1 monomials m = x1^a*y1^b.  The tables are built list
+    by list over the given tuples only: per equation, the values of its
+    monomials m at each distinct first index (rows) and of its inner sums
+    R_m at each distinct rest (sums).  A tuple then costs two lookups and
+    one short dot product per equation.  coords[j] maps a point index of
     factor j to its (x, y).
     """
 
-    def __init__(self, reduced, coords, p):
+    def __init__(self, reduced, coords, p, firsts, rests):
         self.p = p
-        self.coords = coords
-        degs = [0] * (2 * len(coords))
-        for eq in reduced:
-            for _, e in eq:
-                degs = [max(d, k) for d, k in zip(degs, e)]
-        self.degs = degs
-        columns = {}     # exponents in the other factors -> column
-        self.heads = []  # factor-1 exponents (a, b), equation after equation
-        self.tails = []  # per head: (columns, coefficients)
-        self.spans = []  # per equation: its slice of heads
-        for eq in reduced:
-            groups = {}
+        self.firsts = firsts
+        self.rests = rests
+        heads = {}   # factor-1 exponents -> column
+        tails = {}   # exponents in the other factors -> column
+        groups = []  # per equation: head column -> (tail columns, coefficients)
+        for eq in filter(None, reduced):  # an empty equation vanishes everywhere
+            group = {}
             for c, e in eq:
-                cols, coeffs = groups.setdefault(e[:2], ([], []))
-                cols.append(columns.setdefault(e[2:], len(columns)))
+                cols, coeffs = group.setdefault(heads.setdefault(e[:2], len(heads)),
+                                                ([], []))
+                cols.append(tails.setdefault(e[2:], len(tails)))
                 coeffs.append(c)
-            self.spans.append(slice(len(self.heads), len(self.heads) + len(groups)))
-            self.heads.extend(groups)
-            self.tails.extend(groups.values())
-        # a column's monomial as ((position among the other coordinates, k), ...)
-        self.columns = [tuple((pos, k) for pos, k in enumerate(e) if k)
-                        for e in columns]
-        self.rows = [None] * len(coords[0])
-        self.sums = {}
+            groups.append(group)
+        keys = list(dict.fromkeys(firsts))
+        at = self._monomials(coords[:1], keys, heads).__getitem__
+        self.rows = [dict(zip(keys, zip(*map(at, group)))) for group in groups]
+        keys = list(dict.fromkeys(rests))
+        at = self._monomials(coords[1:], keys, tails).__getitem__
+        self.sums = [dict(zip(keys, zip(*[[sum(map(mul, coeffs, values)) % p
+                                           for values in zip(*map(at, cols))]
+                                          for cols, coeffs in group.values()])))
+                     for group in groups]
 
-    def _powers(self, j, i):
-        """[x^0, x^1, ...] and [y^0, y^1, ...] at point i of factor j, up
-        to the equations' degrees in x_j and y_j."""
+    def _monomials(self, coords, keys, exps):
+        """Each monomial of exps (exponents of x_1, y_1, x_2, ... over the
+        factors of coords) as a column over keys (tuples of point indices)."""
         p = self.p
-        out = []
-        for v, d in zip(self.coords[j][i], self.degs[2 * j:2 * j + 2]):
-            vp = [1]
+        powers = []  # per coordinate: [v^0, v^1, ...] as columns
+        for pos, d in enumerate(max(col) for col in zip(*exps)):
+            v = [coords[pos // 2][key[pos // 2]][pos % 2] for key in keys]
+            powers.append([[1] * len(keys)])
             for _ in range(d):
-                vp.append(vp[-1] * v % p)
-            out.append(vp)
+                powers[-1].append([a * b % p for a, b in zip(powers[-1][-1], v)])
+        out = []
+        for e in exps:
+            factors = [powers[pos][k] for pos, k in enumerate(e) if k] or [[1] * len(keys)]
+            col = factors.pop()
+            for f in factors:
+                col = [a * b % p for a, b in zip(col, f)]
+            out.append(col)
         return out
 
-    def _row(self, i):
+    def vanish(self):
+        """For each of the tuples: do all equations vanish there?"""
         p = self.p
-        xp, yp = self._powers(0, i)
-        return array("l", [xp[a] * yp[b] % p for a, b in self.heads])
+        out = [True] * len(self.firsts)
+        for rows, sums in zip(self.rows, self.sums):
+            out = [ok and not sum(map(mul, a, b)) % p for ok, a, b in
+                   zip(out, map(rows.__getitem__, self.firsts),
+                       map(sums.__getitem__, self.rests))]
+        return out
 
-    def _sums(self, rest):
-        p = self.p
-        pw = []
-        for j, i in enumerate(rest, 1):
-            pw.extend(self._powers(j, i))
-        values = []
-        for factors in self.columns:
-            v = 1
-            for pos, k in factors:
-                v *= pw[pos][k]
-            values.append(v % p)
-        at = values.__getitem__
-        return array("l", [sum(map(mul, coeffs, map(at, cols))) % p
-                           for cols, coeffs in self.tails])
 
-    def vanish(self, idx):
-        """Do all equations vanish at the tuple of point indices idx?"""
-        row = self.rows[idx[0]]
-        if row is None:
-            row = self.rows[idx[0]] = self._row(idx[0])
-        rest = idx[1:]
-        sums = self.sums.get(rest)
-        if sums is None:
-            sums = self.sums[rest] = self._sums(rest)
-        p = self.p
-        for span in self.spans:
-            if sum(map(mul, row[span], sums[span])) % p:
-                return False
-        return True
+def _draw(rng, sizes, count):
+    """count tuples of indices below sizes, from the stream that
+    tuple(map(rng.choice, map(range, sizes))) would draw."""
+    bits = rng.getrandbits
+    flat = []
+    for size, k in [(size, size.bit_length()) for size in sizes] * count:
+        r = bits(k)
+        while r >= size:
+            r = bits(k)
+        flat.append(r)
+    return list(zip(*[iter(flat)] * len(sizes)))
 
 
 def verify_preimage_membership(ctx, pre):
@@ -359,63 +364,45 @@ def verify_preimage_membership(ctx, pre):
             for row in pre.excluded_locus]
     affine = [ctx.affine_points(idx) for idx in range(n)]
     images = [ctx.image_table(idx, alphas[idx]) for idx in range(n)]
-    # per factor and point index: on the excluded locus; image at infinity
-    off = [[False] * len(pts) for pts in affine]
+    # per factor and point index: 2 on the excluded locus, else 1 if the
+    # image is at infinity, else 0; a tuple's kind is the largest of these
+    kind = [[int(Q is None) for Q in table] for table in images]
     for j, t in excl:
-        off[j] = [flag or _horner(t, x, p) == 0
-                  for flag, (x, _) in zip(off[j], affine[j])]
-    at_infinity = [[Q is None for Q in table] for table in images]
-    total = 1
-    for pts in affine:
-        total *= len(pts)
-    ranges = [range(len(pts)) for pts in affine]
+        kind[j] = [2 if v == 0 else k for k, v in
+                   zip(kind[j], _horner(t, [x for x, _ in affine[j]], p))]
+    sizes = [len(pts) for pts in affine]
     exhaustive = (p <= EXHAUSTIVE_MAX_P and n == 2)
     if exhaustive:
-        tuples = iter_product(*ranges)
-        planned = total
+        tuples = list(iter_product(*map(range, sizes)))
     else:
-        rng = random.Random(SAMPLE_SEED)
-        planned = min(SAMPLE_COUNT, total)
-        # choice over an index range draws the same stream as over the points
-        tuples = (tuple(map(rng.choice, ranges)) for _ in range(planned))
-    on_preimage = _GroupedEquations(eqs, affine, p)
-    on_base = _GroupedEquations(base_eqs, images, p)
-    iterated = 0
-    excluded = 0
-    members = 0
-    vanishing = 0
+        tuples = _draw(random.Random(SAMPLE_SEED), sizes, min(SAMPLE_COUNT, prod(sizes)))
+    kinds = [max(map(getitem, kind, idx)) for idx in tuples]
+    live = [idx for idx, k in zip(tuples, kinds) if not k]
+    firsts = [idx[:1] for idx in live]
+    rests = [idx[1:] for idx in live]
+    lhs = _GroupedEquations(eqs, affine, p, firsts, rests).vanish()
+    rhs = _GroupedEquations(base_eqs, images, p, firsts, rests).vanish()
+    results = zip(lhs, rhs)
     mismatches = []
-    for idx in tuples:
-        iterated += 1
-        if any(map(getitem, off, idx)):
-            excluded += 1
-            continue
-        if any(map(getitem, at_infinity, idx)):
+    for idx, k in zip(tuples, kinds):
+        if k == 1:
             # outside the excluded locus the image must be affine
             tup = tuple(pts[i] for pts, i in zip(affine, idx))
             mismatches.append({"tuple": tup, "problem": "image at infinity"})
-            continue
-        lhs = on_preimage.vanish(idx)
-        rhs = on_base.vanish(idx)
-        if lhs:
-            vanishing += 1
-        if rhs:
-            members += 1
-        if lhs != rhs:
-            tup = tuple(pts[i] for pts, i in zip(affine, idx))
-            mismatches.append({"tuple": tup, "equations_vanish": lhs,
-                               "image_on_subvariety": rhs})
-    if exhaustive and iterated != total:
-        raise AssertionError("exhaustive scan iterated %d of %d tuples"
-                             % (iterated, total))
+        elif not k:
+            vanish, member = next(results)
+            if vanish != member:
+                tup = tuple(pts[i] for pts, i in zip(affine, idx))
+                mismatches.append({"tuple": tup, "equations_vanish": vanish,
+                                   "image_on_subvariety": member})
     return {
         "p": p,
         "mode": "exhaustive" if exhaustive else "sampled",
-        "affine_counts": [len(pts) for pts in affine],
-        "iterated": iterated,
-        "excluded": excluded,
-        "equations_vanish": vanishing,
-        "image_on_subvariety": members,
+        "affine_counts": sizes,
+        "iterated": len(tuples),
+        "excluded": kinds.count(2),
+        "equations_vanish": lhs.count(True),
+        "image_on_subvariety": rhs.count(True),
         "mismatches": mismatches,
         "ok": not mismatches,
     }

@@ -24,7 +24,7 @@ literals.
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 
 class ParseError(ValueError):
@@ -192,35 +192,40 @@ class MultiPoly:
             return NotImplemented
         return other + (-self)
 
-    def _scalar(self):
-        # the value of a constant polynomial (0 for zero), else None
+    def _term(self):
+        # (c, e) for a polynomial c*x^e of at most one term (zero gives
+        # c = 0), else None
         terms = self.terms
         if not terms:
-            return 0
+            return 0, None
         if len(terms) == 1:
             (e, c), = terms.items()
-            if not any(e):
-                return c
+            return c, e
         return None
 
-    def _scaled(self, k):
-        # k * self for an int or Fraction k, in one pass over the terms
-        if not k:
+    def _times(self, c, e=None):
+        # c * x^e * self for an int or Fraction c, in one pass over the
+        # terms: scale each coefficient and shift each exponent by e
+        if not c:
             return MultiPoly._trusted(self.ring, {})
-        return MultiPoly._trusted(self.ring, {e: _norm(c * k) for e, c in self.terms.items()})
+        if e is None or not any(e):
+            return MultiPoly._trusted(self.ring, {f: _norm(d * c)
+                                                  for f, d in self.terms.items()})
+        return MultiPoly._trusted(self.ring, {tuple(map(add, f, e)): _norm(d * c)
+                                              for f, d in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+            return self._times(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ring(other)
-        k = other._scalar()
-        if k is not None:
-            return self._scaled(k)
-        k = self._scalar()
-        if k is not None:
-            return other._scaled(k)
+        term = other._term()
+        if term is not None:
+            return self._times(*term)
+        term = self._term()
+        if term is not None:
+            return other._times(*term)
         # Pack each exponent tuple into one int, with a field per variable
         # wide enough for the product's total degree, so that multiplying
         # two monomials is a single integer addition.

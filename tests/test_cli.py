@@ -407,6 +407,39 @@ def test_essential_minimum_with_five_factors_is_prompt():
         assert Decimal(row["value"]) <= Decimal(nearest)
 
 
+@pytest.mark.parametrize("n", [300, 3000])
+def test_essential_minimum_with_hundreds_of_factors(n):
+    """lambda = (5N^2)^N has thousands of digits, and so has the decimal
+    exponent of each multiplier: they still print, rounded down, in a
+    child process with 1 GiB of address space and a time limit."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellprod.cli", "bounds", "--kind",
+         "essential-minimum", "--n-factors", str(n), "--r", "2", "--dl", "1",
+         "--alpha", "5"],
+        capture_output=True, env=env, timeout=60,
+        preexec_fn=_small_address_space)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # lambda is an exact integer in the report
+    try:
+        rows = json.loads(proc.stdout)["result"]["entries"][:2]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [row["rounding"] for row in rows] == ["down", "down"]
+    if n == 300:  # mpmath's own printing still finishes in seconds here
+        ref = heights.essential_minimum_image_bounds(n, 2, 1, 5, 1)
+        for row in rows:
+            mant, exp = row["value"].split("e")
+            near_mant, near_exp = nstr(ref.value(row["label"]), 20).split("e")
+            assert exp == near_exp and len(exp) > 1600
+            step = Decimal(near_mant) - Decimal(mant)
+            assert step in (0, Decimal("1e-19"))
+    else:
+        assert all(len(row["value"].split("e")[1]) > 22900 for row in rows)
+
+
 @pytest.mark.parametrize("argv", [
     ["--kind", "galateau-lambda", "--n-factors", "2", "--k", "1000000"],
     ["--kind", "galateau-lambda", "--n-factors", "2", "--k", "9" * 400],

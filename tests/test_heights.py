@@ -376,6 +376,24 @@ def test_directed_rounding_cross_evaluation():
         assert down <= hi2
 
 
+def test_large_exponents_print_as_through_nstr(monkeypatch):
+    """Past NSTR_EXP_BITS the decimal grid point comes from log10|x|; on a
+    band where nstr is still quick, the texts equal those of the nstr
+    route, in both directions and for both signs."""
+    rng = random.Random(11)
+    with mp.workprec(80):
+        values = [(-1) ** k * mp.mpf(rng.getrandbits(rng.randint(1, 80)))
+                  * mp.mpf(2) ** (rng.choice((-1, 1)) * rng.randint(3500, 40000))
+                  for k in range(200)]
+    values = [x for x in values if abs(x._mpf_[2] + x._mpf_[3]) > heights.NSTR_EXP_BITS]
+    assert len(values) > 150
+    texts = [(heights.directed_str(x, "up"), heights.directed_str(x, "down"))
+             for x in values]
+    monkeypatch.setattr(heights, "NSTR_EXP_BITS", 10 ** 9)
+    assert texts == [(heights.directed_str(x, "up"), heights.directed_str(x, "down"))
+                     for x in values]
+
+
 def test_printed_values_round_the_reported_way():
     """A printed bound is on its rounding side of the value it prints,
     within one unit in the 20th digit, and exact values print as nstr."""

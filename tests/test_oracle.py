@@ -390,6 +390,47 @@ def test_scan_matches_reference_on_wrong_presentations():
     assert problems == {"image at infinity"}
 
 
+def test_scan_matches_reference_with_powers_of_y():
+    # equations of degree 2 and 3 in y_j, not reduced by the Weierstrass
+    # equations, so the tables need powers of y_j above the first: a base
+    # curve x1^3 = x2^3 written with y2^2, and a preimage times y1^2*y2^3
+    ring = SYS.ring
+    V = SubvarietyPresentation(SYS, [parse_poly("y2^2 - x1^3 - 1", ring)], 1,
+                               MultiDegreeTable(1, {(1, 0): 18, (0, 1): 18}), False)
+    pre = generate_preimage(V, DiagonalIsogeny([2, 1]))
+    factor = parse_poly("y1^2*y2^3 + y2^2", ring)
+    unreduced = PreimagePresentation(pre.base, pre.isogeny,
+                                     [eq * factor for eq in pre.equations],
+                                     pre.excluded_locus, pre.degrees)
+    for presentation in (pre, unreduced):
+        _assert_scans_match(presentation, [13, 17, 101, 1009])
+    rep = verify_preimage_membership(PrimeFieldCtx(17, SYS), pre)
+    assert rep["ok"] and rep["equations_vanish"] > 0
+
+
+def test_sampled_scan_builds_tables_over_drawn_points_only(monkeypatch):
+    # at the largest prime the oracle accepts, the rows and sums of a
+    # sampled scan cover at most the SAMPLE_COUNT drawn tuples, not the
+    # 131 000 points of a factor
+    built = []
+
+    class Recorded(oracle._GroupedEquations):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(oracle, "_GroupedEquations", Recorded)
+    pre = generate_preimage(C3, DiagonalIsogeny([2, 1]))
+    rep = verify_preimage_membership(PrimeFieldCtx(oracle.MAX_P - 1, SYS), pre)
+    assert rep["mode"] == "sampled" and rep["iterated"] == oracle.SAMPLE_COUNT
+    assert min(rep["affine_counts"]) > 60 * oracle.SAMPLE_COUNT
+    assert len(built) == 2  # the preimage and the base equations
+    for grouped in built:
+        assert grouped.rows and grouped.sums
+        for table in grouped.rows + grouped.sums:
+            assert 0 < len(table) <= oracle.SAMPLE_COUNT
+
+
 # -- tables shared on one context ------------------------------------------
 
 

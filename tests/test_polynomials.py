@@ -212,6 +212,25 @@ def test_scalar_products_match_convolution(p, k):
         assert r.ring == RING
 
 
+@st.composite
+def one_term(draw):
+    exps = tuple(draw(st.integers(min_value=0, max_value=4)) for _ in RING)
+    return MultiPoly(RING, {exps: draw(scalars)})
+
+
+@settings(max_examples=200)
+@given(polys(), one_term())
+@example(FRACTIONAL, MultiPoly(RING, {(2, 1): 4}))
+@example(FRACTIONAL, MultiPoly(RING, {(0, 3): Fraction(4, 3)}))
+@example(X + Y, MultiPoly(RING, {(1, 0): 1}))
+def test_one_term_products_match_convolution(p, m):
+    expected = convolve(p.terms, m.terms)
+    for r in (p * m, m * p):
+        assert_domain(r)
+        assert r.terms == expected
+        assert r.ring == RING
+
+
 @settings(max_examples=100)
 @given(scalars, scalars)
 def test_constant_times_constant(a, b):
