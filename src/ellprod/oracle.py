@@ -19,13 +19,14 @@ scalar multiplications per prime and multiplier, shared by the maps
 check and the membership scan.  Both checks evaluate over whole point
 lists: the maps check runs Horner's rule over the list of x values, and
 the membership scan first fixes its tuples (every tuple when exhaustive,
-the SAMPLE_COUNT draws when sampled), then groups each equation by its
-factor-1 monomials x1^a*y1^b and builds two tables over those tuples
-only: the monomial row of each distinct factor-1 point and the inner
-sums over the other factors of each distinct tuple of their points.  A
-tuple then costs two lookups and one dot product per equation, as long
-as its number of distinct factor-1 monomials; a sampled scan never
-builds a table entry for a point it did not draw.
+the SAMPLE_COUNT draws when sampled), then flags their points on the
+excluded locus or with image at infinity, groups each equation by its
+factor-1 monomials x1^a*y1^b and builds two tables over the unflagged
+tuples only: the monomial row of each distinct factor-1 point and the
+inner sums over the other factors of each distinct tuple of their
+points.  A tuple then costs two lookups and one dot product per
+equation, as long as its number of distinct factor-1 monomials; a
+sampled scan evaluates nothing at a point it did not draw.
 """
 
 import random
@@ -364,18 +365,24 @@ def verify_preimage_membership(ctx, pre):
             for row in pre.excluded_locus]
     affine = [ctx.affine_points(idx) for idx in range(n)]
     images = [ctx.image_table(idx, alphas[idx]) for idx in range(n)]
-    # per factor and point index: 2 on the excluded locus, else 1 if the
-    # image is at infinity, else 0; a tuple's kind is the largest of these
-    kind = [[int(Q is None) for Q in table] for table in images]
-    for j, t in excl:
-        kind[j] = [2 if v == 0 else k for k, v in
-                   zip(kind[j], _horner(t, [x for x, _ in affine[j]], p))]
     sizes = [len(pts) for pts in affine]
     exhaustive = (p <= EXHAUSTIVE_MAX_P and n == 2)
     if exhaustive:
         tuples = list(iter_product(*map(range, sizes)))
     else:
         tuples = _draw(random.Random(SAMPLE_SEED), sizes, min(SAMPLE_COUNT, prod(sizes)))
+    # per factor and point index in the tuples: 2 on the excluded locus,
+    # else 1 if the image is at infinity, else 0; a tuple's kind is the
+    # largest of these
+    kind = []
+    for j, table in enumerate(images):
+        ids = sorted({idx[j] for idx in tuples})
+        kind.append(dict(zip(ids, [int(table[i] is None) for i in ids])))
+    for j, t in excl:
+        ids = list(kind[j])
+        for i, v in zip(ids, _horner(t, [affine[j][i][0] for i in ids], p)):
+            if v == 0:
+                kind[j][i] = 2
     kinds = [max(map(getitem, kind, idx)) for idx in tuples]
     live = [idx for idx, k in zip(tuples, kinds) if not k]
     firsts = [idx[:1] for idx in live]
