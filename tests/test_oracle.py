@@ -391,9 +391,9 @@ def test_scan_matches_reference_on_wrong_presentations():
 
 
 def test_scan_matches_reference_with_powers_of_y():
-    # equations of degree 2 and 3 in y_j, not reduced by the Weierstrass
-    # equations, so the tables need powers of y_j above the first: a base
-    # curve x1^3 = x2^3 written with y2^2, and a preimage times y1^2*y2^3
+    # equations not reduced by the Weierstrass equations, so the tables
+    # need powers of y_j above the first: a base curve x1^3 = x2^3 written
+    # with y2^2, and its preimage times y1^2*y2^3 + y2^2
     ring = SYS.ring
     V = SubvarietyPresentation(SYS, [parse_poly("y2^2 - x1^3 - 1", ring)], 1,
                                MultiDegreeTable(1, {(1, 0): 18, (0, 1): 18}), False)
