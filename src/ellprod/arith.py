@@ -1,6 +1,11 @@
 """Integer number theory for the certificates, the isogenies and the
 finite-field oracle: each answer is exact, and an input out of range
-raises ValueError instead of getting a guess."""
+raises ValueError instead of getting a guess.  Also the one place that
+lifts the interpreter's int->str digit limit, for printing exact
+integers in full."""
+
+import sys
+from contextlib import contextmanager
 
 # Miller-Rabin with the 13 prime bases 2..41 proves primality below
 # MR_LIMIT, the least strong pseudoprime to all of them (Sorenson and
@@ -63,3 +68,17 @@ def prime_factors(n):
                              "composite" % (n, TRIAL_LIMIT))
         primes.append(n)
     return primes
+
+
+@contextmanager
+def unlimited_int_str():
+    """Lift the interpreter's int->str digit limit (Python 3.10.7 on) inside
+    the block and restore it after; callers bound the lengths themselves."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)

@@ -29,11 +29,10 @@ echoed inputs using nothing but integer arithmetic, so a certificate can
 be checked at a desk without trusting this module's checkers.
 """
 
-from itertools import combinations
 from math import comb, factorial, gcd
 
 from .arith import is_prime, prime_factors
-from .products import SubvarietyPresentation, _table_of
+from .products import SubvarietyPresentation, _table_of, exact_int
 
 CERTIFIED = "CertifiedTransverse"
 INCONCLUSIVE = "Inconclusive"
@@ -122,33 +121,34 @@ def check_theorem_a(C, primes):
                      _inputs_echo(C, {"primes": primes}), witness, reasons)
 
 
+def _coprime_index(table, j, m, bang):
+    """The first I in index_order with i_j = 1 and gcd(m, bang * deg_I) = 1,
+    or None."""
+    for I in table.index_order():
+        if I[j - 1] == 1 and gcd(m, bang * table.get(I)) == 1:
+            return I
+    return None
+
+
 def check_theorem_main(V, phi):
     """Per component j, a size-dim position set J containing j whose
     multidegree entry is coprime to alpha_j^2 after the dim! factor."""
     table = _table_of(V)
     _check_arity(table, phi.n_factors, "isogeny")
     hypotheses, reasons = _hypotheses(V)
-    n = table.n_factors
     bang = factorial(table.dim)
     witness = []
-    for j in range(1, n + 1):
+    for j in range(1, table.n_factors + 1):
         deg_a = phi.alphas[j - 1] ** 2
-        found = None
-        for J in combinations(range(1, n + 1), table.dim):
-            if j not in J:
-                continue
-            I = tuple(1 if k + 1 in J else 0 for k in range(n))
-            d = table.get(I)
-            if gcd(deg_a, bang * d) == 1:
-                found = {"j": j, "J": list(J), "I": list(I), "deg_I": d,
-                         "dim_factorial": bang, "deg_alpha_j": deg_a, "gcd": 1}
-                break
-        if found is None:
+        I = _coprime_index(table, j, deg_a, bang)
+        if I is None:
             reasons.append(
                 "component %d: no position set J of size %d containing it has "
                 "gcd(alpha_j^2 = %d, %d * deg_I) = 1" % (j, table.dim, deg_a, bang))
         else:
-            witness.append(found)
+            J = [k for k, i in enumerate(I, start=1) if i]
+            witness.append({"j": j, "J": J, "I": list(I), "deg_I": table.get(I),
+                            "dim_factorial": bang, "deg_alpha_j": deg_a, "gcd": 1})
     return _conclude("TheoremMain", hypotheses,
                      _inputs_echo(V, {"alphas": list(phi.alphas)}), witness, reasons)
 
@@ -188,20 +188,13 @@ def check_corollary_identity(V, n=None, p=None):
             raise ValueError("multiplication by 0 is not an isogeny")
         witness = []
         for j in range(1, nf + 1):
-            found = None
-            for I in table.index_order():
-                if I[j - 1] != 1:
-                    continue
-                d = table.get(I)
-                if gcd(n, bang * d) == 1:
-                    found = {"j": j, "I": list(I), "deg_I": d,
-                             "dim_factorial": bang, "gcd": 1}
-                    break
-            if found is None:
+            I = _coprime_index(table, j, n, bang)
+            if I is None:
                 reasons.append("component %d: no index I with i_j = 1 and "
                                "gcd(%d, %d * deg_I) = 1" % (j, n, bang))
             else:
-                witness.append(found)
+                witness.append({"j": j, "I": list(I), "deg_I": table.get(I),
+                                "dim_factorial": bang, "gcd": 1})
         return _conclude("CorollaryIdentity", hypotheses,
                          _inputs_echo(V, {"mode": "integer", "n": n}), witness, reasons)
     p = int(p)
@@ -211,10 +204,7 @@ def check_corollary_identity(V, n=None, p=None):
     if bang % abs(p) == 0:
         reasons.append("p = %d divides dim! = %d" % (p, bang))
     for j in range(1, nf + 1):
-        degs = [table.get(I) for I in table.index_order() if I[j - 1] == 1]
-        g = 0
-        for d in degs:
-            g = gcd(g, d)
+        g = gcd(*(table.get(I) for I in table.index_order() if I[j - 1] == 1))
         divides = (g % abs(p) == 0)  # p | gcd, noting gcd 0 means all entries 0
         rows.append({"j": j, "gcd_of_degrees": g, "p_divides": divides})
         if divides:
@@ -248,7 +238,16 @@ def check_corollary_curves(C, phi):
                      _inputs_echo(C, {"alphas": list(phi.alphas)}), witness, reasons)
 
 
-AUTO_ORDER = ("CorollaryCurves", "TheoremMain", "TheoremWeak", "TheoremA")
+# The criteria certify_auto tries, in order; the multipliers are
+# TheoremA's prime vector.
+AUTO_CHECKS = {
+    "CorollaryCurves": check_corollary_curves,
+    "TheoremMain": check_theorem_main,
+    "TheoremWeak": check_theorem_weak,
+    "TheoremA": lambda V, phi: check_theorem_a(V, list(phi.alphas)),
+}
+AUTO_ORDER = tuple(AUTO_CHECKS)
+CURVES_ONLY = ("CorollaryCurves", "TheoremA")
 
 
 def certify_auto(V, phi):
@@ -259,17 +258,10 @@ def certify_auto(V, phi):
     table = _table_of(V)
     attempts = []
     cert = None
-    for name in AUTO_ORDER:
-        if name in ("CorollaryCurves", "TheoremA") and table.dim != 1:
+    for name, check in AUTO_CHECKS.items():
+        if name in CURVES_ONLY and table.dim != 1:
             continue
-        if name == "CorollaryCurves":
-            cert = check_corollary_curves(V, phi)
-        elif name == "TheoremMain":
-            cert = check_theorem_main(V, phi)
-        elif name == "TheoremWeak":
-            cert = check_theorem_weak(V, phi)
-        else:
-            cert = check_theorem_a(V, list(phi.alphas))
+        cert = check(V, phi)
         attempts.append({"criterion": name, "verdict": cert.verdict,
                          "reasons": cert.reasons})
         if cert.certified():
@@ -282,25 +274,17 @@ def certify_auto(V, phi):
 # -- independent verification --------------------------------------------
 
 
-def _int(v):
-    """An exact integer leaf of a certificate.  bool, float, str and every
-    other type are malformed, never truncated or parsed."""
-    if type(v) is not int:
-        raise ValueError("expected an integer, got %r" % (v,))
-    return v
-
-
 def _read_table(inputs):
-    dim = _int(inputs["dim"])
-    nf = _int(inputs["n_factors"])
+    dim = exact_int(inputs["dim"])
+    nf = exact_int(inputs["n_factors"])
     entries = {}
     for row in inputs["multidegrees"]:
-        I = tuple(_int(i) for i in row["I"])
+        I = tuple(exact_int(i) for i in row["I"])
         if len(I) != nf or any(i not in (0, 1) for i in I) or sum(I) != dim:
             raise ValueError("bad multidegree index %r" % (I,))
         if I in entries:
             raise ValueError("duplicate multidegree index %r" % (I,))
-        entries[I] = _int(row["deg"])
+        entries[I] = exact_int(row["deg"])
     if not entries or len(entries) != comb(nf, dim):
         raise ValueError("incomplete multidegree table")
     return nf, dim, entries
@@ -347,7 +331,7 @@ def _reverify(cert):
     fail = problems.append
 
     def vector(key, what):
-        values = [_int(v) for v in inputs[key]]
+        values = [exact_int(v) for v in inputs[key]]
         if len(values) != nf:
             fail("%s vector length %d != %d factors" % (what, len(values), nf))
         return values
@@ -359,9 +343,9 @@ def _reverify(cert):
         threshold = total * nf * 3 ** (nf - 1)
         seen = set()
         for row in witness:
-            j = _int(row["j"])
+            j = exact_int(row["j"])
             seen.add(j)
-            p = _int(row["p"])
+            p = exact_int(row["p"])
             if not 1 <= j <= nf or p != primes[j - 1]:
                 fail("witness row for j=%d does not match inputs" % j)
                 continue
@@ -369,7 +353,7 @@ def _reverify(cert):
                 fail("component %d: %d is not prime" % (j, p))
             if abs(p) < threshold:
                 fail("component %d: |%d| < threshold %d" % (j, p, threshold))
-            if _int(row.get("threshold", threshold)) != threshold:
+            if exact_int(row.get("threshold", threshold)) != threshold:
                 fail("component %d: echoed threshold disagrees (%s != %d)"
                      % (j, row.get("threshold"), threshold))
         if seen != set(range(1, nf + 1)):
@@ -378,10 +362,10 @@ def _reverify(cert):
         alphas = vector("alphas", "alpha")
         seen = set()
         for row in witness:
-            j = _int(row["j"])
+            j = exact_int(row["j"])
             seen.add(j)
-            J = [_int(k) for k in row["J"]]
-            I = tuple(_int(i) for i in row["I"])
+            J = [exact_int(k) for k in row["J"]]
+            I = tuple(exact_int(i) for i in row["I"])
             if len(J) != dim or j not in J:
                 fail("component %d: J=%r is not a size-%d set containing j"
                      % (j, J, dim))
@@ -389,7 +373,7 @@ def _reverify(cert):
             if I != tuple(1 if k + 1 in J else 0 for k in range(nf)):
                 fail("component %d: I does not match J" % j)
                 continue
-            if I not in entries or _int(row["deg_I"]) != entries[I]:
+            if I not in entries or exact_int(row["deg_I"]) != entries[I]:
                 fail("component %d: deg_I does not match the table" % j)
                 continue
             if gcd(alphas[j - 1] ** 2, bang * entries[I]) != 1:
@@ -403,22 +387,22 @@ def _reverify(cert):
             if p <= bang * total:
                 fail("prime %d dividing deg(phi) is <= dim! * deg(V) = %d"
                      % (p, bang * total))
-        echoed = [_int(p) for p in witness.get("degree_primes", [])]
+        echoed = [exact_int(p) for p in witness.get("degree_primes", [])]
         if echoed != primes:
             fail("echoed degree_primes %r != recomputed %r" % (echoed, primes))
     elif criterion == "CorollaryIdentity":
         mode = inputs["mode"]
         if mode == "integer":
-            n = _int(inputs["n"])
+            n = exact_int(inputs["n"])
             seen = set()
             for row in witness:
-                j = _int(row["j"])
+                j = exact_int(row["j"])
                 seen.add(j)
-                I = tuple(_int(i) for i in row["I"])
+                I = tuple(exact_int(i) for i in row["I"])
                 if not 1 <= j <= nf or I not in entries or I[j - 1] != 1:
                     fail("component %d: bad index %r" % (j, I))
                     continue
-                if _int(row["deg_I"]) != entries[I]:
+                if exact_int(row["deg_I"]) != entries[I]:
                     fail("component %d: deg_I does not match the table" % j)
                     continue
                 if gcd(n, bang * entries[I]) != 1:
@@ -426,7 +410,7 @@ def _reverify(cert):
             if seen != set(range(1, nf + 1)):
                 fail("witness does not cover every component exactly once")
         elif mode == "prime":
-            p = _int(inputs["p"])
+            p = exact_int(inputs["p"])
             if not is_prime(p):
                 return False, ["p = %d is not prime" % p]
             if bang % abs(p) == 0:
@@ -446,17 +430,17 @@ def _reverify(cert):
         alphas = vector("alphas", "alpha")
         seen = set()
         for row in witness:
-            j = _int(row["j"])
+            j = exact_int(row["j"])
             seen.add(j)
             if not 1 <= j <= nf:
                 fail("witness names component %d outside 1..%d" % (j, nf))
                 continue
             I = tuple(1 if k == j - 1 else 0 for k in range(nf))
             d_j = entries[I]
-            if _int(row["d_j"]) != d_j:
+            if exact_int(row["d_j"]) != d_j:
                 fail("component %d: echoed d_j %s != table %d"
                      % (j, row["d_j"], d_j))
-            if _int(row["deg_alpha"]) != alphas[j - 1] ** 2:
+            if exact_int(row["deg_alpha"]) != alphas[j - 1] ** 2:
                 fail("component %d: echoed deg_alpha disagrees" % j)
             if gcd(alphas[j - 1] ** 2, d_j) != 1:
                 fail("component %d: gcd(alpha_j^2, d_j) != 1" % j)

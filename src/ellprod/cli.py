@@ -24,9 +24,10 @@ import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
+from .arith import unlimited_int_str
 from .curves import WeierstrassCurve
 from .isogenies import DiagonalIsogeny
-from .products import (preimage_multidegrees, subvariety_from_dict,
+from .products import (exact_int, preimage_multidegrees, subvariety_from_dict,
                        subvariety_to_dict)
 
 SCHEMA_VERSION = "1"
@@ -60,7 +61,7 @@ def _load_isogeny(text):
     if not isinstance(data, list):
         raise InputError("isogeny must be a JSON array of integers")
     try:
-        return DiagonalIsogeny(data)
+        return DiagonalIsogeny([exact_int(a) for a in data])
     except (TypeError, ValueError) as exc:
         raise InputError("bad isogeny: %s" % exc)
 
@@ -70,9 +71,12 @@ def _load_int_list(text, what):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError("%s must be a JSON array: %s" % (what, exc))
-    if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
-        raise InputError("%s must be a JSON array of integers" % what)
-    return data
+    if isinstance(data, list):
+        try:
+            return [exact_int(v) for v in data]
+        except ValueError:
+            pass
+    raise InputError("%s must be a JSON array of integers" % what)
 
 
 def _decimal(text):
@@ -116,18 +120,11 @@ def _check_exact_size(what, base, exponent, factor=1):
 
 
 def _emit(report, out_path=None):
-    # Exact integers longer than the interpreter's int->str digit limit
-    # (Python 3.10.7 on) are valid output, so the limit is lifted for this
-    # conversion only; parsing the command line stays limited, and
-    # MAX_EXACT_DIGITS bounds the length.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
+    # Exact integers longer than the interpreter's int->str digit limit are
+    # valid output, so the limit is lifted for this conversion only; parsing
+    # the command line stays limited, and MAX_EXACT_DIGITS bounds the length.
+    with unlimited_int_str():
         text = json.dumps(report, indent=2)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
     print(text)
     if out_path:
         try:
@@ -215,7 +212,7 @@ def _load_curves(text):
     if isinstance(data, dict):
         data = [data]
     try:
-        return [WeierstrassCurve(c["A"], c["B"]) for c in data]
+        return [WeierstrassCurve(exact_int(c["A"]), exact_int(c["B"])) for c in data]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad curve list: %s" % exc)
 

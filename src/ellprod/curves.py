@@ -3,12 +3,14 @@
 Provides the exact chord-and-tangent group law, the x-parts of the
 division polynomials, and the rational functions (r, s, t) — plus the
 cofactor-free pair (r~, t~) for even multipliers — that express scalar
-multiplication in coordinates:
+multiplication in coordinates by one formula for every alpha:
 
-    odd  alpha:  [alpha](x, y) = ( r(x)/t(x)^2 , s(x)*y / t(x)^3 )
-    even alpha:  [alpha](x, y) = ( r~(x)/(t~(x)*t(x)) , s(x) / (t~(x)*t(x)^2*y) )
+    [alpha](x, y) = ( n(x) / (u(x)*t(x)) , s(x)*y / t(x)^3 )
 
-with t = (x^3 + A*x + B)*t~ and r = (x^3 + A*x + B)*r~ in the even case.
+with (n, u) = (r, t) for odd alpha and (r~, t~) for even alpha, where
+t = (x^3 + A*x + B)*t~ and r = (x^3 + A*x + B)*r~ (on the curve the even
+y-map also reads s/(t~*t^2*y)).  MultiplicationMaps.x_parts() makes this
+parity choice for this module and its callers alike.
 Division polynomials are stored with y^2 eliminated: psi_m = y^(m+1 mod 2)
 * P_m(x, A, B), and this module works with the x-parts P_m throughout.
 
@@ -22,9 +24,9 @@ P_{alpha-2} P_{alpha+1}^2) / 4 of the recurrence, for either parity of
 alpha (Washington, Elliptic Curves: Number Theory and Cryptography,
 section 3.2).
 
-The coordinate formulas are undefined exactly on the affine kernel of
-[alpha]; evaluation there raises KernelPointError, and the public
-evaluator falls back to the group law, which is total.
+The coordinate formulas are undefined exactly where t(x) = 0, on the
+affine kernel of [alpha]; evaluation there raises KernelPointError, and
+the public evaluator falls back to the group law, which is total.
 """
 
 from fractions import Fraction
@@ -235,8 +237,8 @@ class MultiplicationMaps:
 
     Fields r, s, t (and r_tilde, t_tilde when alpha is even) are
     MultiPoly in the ring (x, A, B); when built for a concrete curve the
-    symbols A, B do not occur.  x-map: r/t^2 (odd) or r~/(t~*t) (even);
-    y-map: s*y/t^3 (odd) or s/(t~*t^2*y) (even).
+    symbols A, B do not occur.  With (n, u) = x_parts(), the x-map is
+    n/(u*t) and the y-map s*y/t^3 for either parity of alpha.
     """
 
     __slots__ = ("alpha", "r", "s", "t", "r_tilde", "t_tilde")
@@ -251,6 +253,13 @@ class MultiplicationMaps:
 
     def is_even(self):
         return self.alpha % 2 == 0
+
+    def x_parts(self):
+        """(n, u) with x-map n/(u*t): (r, t) for odd alpha, so that u is
+        the field t itself, and (r~, t~) for even alpha."""
+        if self.is_even():
+            return self.r_tilde, self.t_tilde
+        return self.r, self.t
 
     def degrees(self):
         return {"r": self.r.degree(), "s": self.s.degree(), "t": self.t.degree()}
@@ -307,28 +316,19 @@ def _maps_for(curve, alpha):
 def evaluate_via_formula(curve, alpha, P):
     """Apply the coordinate formulas of [alpha] at an affine point.
 
-    Raises KernelPointError on the affine kernel (t(x) = 0 for odd
-    alpha; t~(x) = 0 or y = 0 for even alpha), where the formulas are
-    undefined.
+    Raises KernelPointError on the affine kernel, where t(x) = 0 and the
+    formulas are undefined.
     """
     if P.is_infinity():
         return CurvePoint.infinity()
     maps = _maps_for(curve, alpha)
+    n, u = maps.x_parts()
     at = {"x": P.x}
-    if not maps.is_even():
-        tv = maps.t.evaluate(at)
-        if tv == 0:
-            raise KernelPointError("t_%d vanishes at x = %s" % (alpha, P.x))
-        rv = maps.r.evaluate(at)
-        sv = maps.s.evaluate(at)
-        return CurvePoint(rv / tv ** 2, sv * P.y / tv ** 3)
-    ttv = maps.t_tilde.evaluate(at)
-    if ttv == 0 or P.y == 0:
-        raise KernelPointError("even formula undefined at (%s, %s)" % (P.x, P.y))
     tv = maps.t.evaluate(at)
-    rv = maps.r_tilde.evaluate(at)
-    sv = maps.s.evaluate(at)
-    return CurvePoint(rv / (ttv * tv), sv / (ttv * tv ** 2 * P.y))
+    if tv == 0:
+        raise KernelPointError("t_%d vanishes at x = %s" % (alpha, P.x))
+    uv = tv if u is maps.t else u.evaluate(at)
+    return CurvePoint(n.evaluate(at) / (uv * tv), maps.s.evaluate(at) * P.y / tv ** 3)
 
 
 def evaluate_multiplication_map(curve, alpha, P):

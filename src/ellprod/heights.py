@@ -20,7 +20,6 @@ not numerically specified; they stay symbolic with multiplier 1 and the
 reports carry the computed cofactor that multiplies them.
 """
 
-import sys
 from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
@@ -28,6 +27,7 @@ from fractions import Fraction
 from mpmath import iv, mp, nstr
 from mpmath.libmp import to_int
 
+from .arith import unlimited_int_str
 from .curves import WeierstrassCurve
 
 DEFAULT_PREC = 80
@@ -150,14 +150,8 @@ def _sci_str(sign, d, e):
     e, as nstr writes a number in scientific notation."""
     ds = str(d).rstrip("0")
     # the exponent may be longer than the interpreter's int->str digit limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
+    with unlimited_int_str():
         es = str(e)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
     return "%s%s.%se%s%s" % ("-" if sign else "", ds[0], ds[1:] or "0",
                              "" if e < 0 else "+", es)
 

@@ -200,10 +200,10 @@ def verify_maps_vs_group_law(ctx, curve_index, alpha):
     """Exhaustively compare the coordinate formulas of [alpha] with
     double-and-add over F_p.
 
-    The formulas are evaluated wherever they are defined; the exceptional
-    (undefined) points are reported and checked to coincide exactly with
-    the affine kernel of [alpha], which for the stored normalization is
-    the zero locus of t_alpha (odd) resp. of t~ and y (even).
+    The formulas x = n/(u*t), y = s*y/t^3 (curves.MultiplicationMaps, the
+    pairs generate_preimage substitutes) are evaluated wherever t does
+    not vanish; the exceptional points, where it does, are reported and
+    checked to coincide exactly with the affine kernel of [alpha].
     """
     from .curves import _maps_for
 
@@ -213,43 +213,30 @@ def verify_maps_vs_group_law(ctx, curve_index, alpha):
     maps = _maps_for(ctx.system.curves[curve_index], alpha)
     points = ctx.affine_points(curve_index)
     xs = [x for x, _ in points]
-    even = maps.is_even()
 
     def values(f):
         return _horner(_dense_mod(f, p, "x"), xs, p)
 
+    n, u = maps.x_parts()
     t = values(maps.t)
+    u = t if u is maps.t else values(u)
+    n = values(n)
     s = values(maps.s)
-    if even:
-        r = values(maps.r_tilde)
-        tt = values(maps.t_tilde)
-    else:
-        r = values(maps.r)
     mismatches = []
     exceptional = []
     kernel = []
     checked = 0
     images = ctx.image_table(curve_index, alpha)
     for k, (P, expected) in enumerate(zip(points, images)):
-        y = P[1]
         if expected is None:
             kernel.append(P)
         tv = t[k]
-        if even:
-            ttv = tt[k]
-            defined = ttv != 0 and y != 0
-        else:
-            defined = tv != 0
-        if not defined:
+        if tv == 0:
             exceptional.append(P)
             continue
         checked += 1
-        if even:
-            got = (r[k] * pow(ttv * tv % p, -1, p) % p,
-                   s[k] * pow(ttv * tv * tv % p * y % p, -1, p) % p)
-        else:
-            got = (r[k] * pow(tv * tv % p, -1, p) % p,
-                   s[k] * y % p * pow(tv * tv * tv % p, -1, p) % p)
+        got = (n[k] * pow(u[k] * tv % p, -1, p) % p,
+               s[k] * P[1] % p * pow(tv * tv * tv % p, -1, p) % p)
         if got != expected:
             mismatches.append({"point": P, "formula": got, "group_law": expected})
     report = {

@@ -3,25 +3,23 @@
 Given V inside E_1 x ... x E_N cut out by polynomial equations and a
 diagonal isogeny phi = [alpha_1, ..., alpha_N], the preimage phi^(-1)(V)
 satisfies the equations obtained by substituting the coordinate form of
-scalar multiplication,
+scalar multiplication, one form for either parity of alpha_j,
 
-    x_j -> r_j(x_j)/t_j(x_j)^2        (odd alpha_j)
-    x_j -> r~_j(x_j)/(t~_j t_j)(x_j)  (even alpha_j)
-    y_j -> s_j(x_j)*y_j / t_j(x_j)^3  (either parity)
+    x_j -> n_j(x_j) / (u_j t_j)(x_j)
+    y_j -> s_j(x_j)*y_j / t_j(x_j)^3
 
-then clearing denominators, rewriting y_j^2 via the Weierstrass
-relations, and stripping content plus any stray factors supported on the
-cleared denominators (powers of t_j, t~_j, or the curve cubic), ending
-with primitive integer coefficients and a positive graded-lex leading
-coefficient.
+with (n_j, u_j) = (r_j, t_j) for odd alpha_j and (r~_j, t~_j) for even
+alpha_j (curves.MultiplicationMaps.x_parts), then clearing denominators,
+rewriting y_j^2 via the Weierstrass relations, and stripping content plus
+any stray factors supported on the cleared denominators (powers of u_j or
+the curve cubic, which between them make up t_j), ending with primitive
+integer coefficients and a positive graded-lex leading coefficient.
 
 The equations present the preimage away from the excluded locus
 {t_j(x_j) = 0 for some j} — the x-coordinates of the kernel of [alpha_j]
 on the j-th factor, where the substituted rational maps degenerate.
 membership_test refuses points on that locus rather than answer wrongly.
 """
-
-from fractions import Fraction
 
 from .curves import evaluate_multiplication_map, multiplication_maps
 from .isogenies import DiagonalIsogeny
@@ -69,27 +67,6 @@ class PreimagePresentation:
                 % (list(self.isogeny.alphas), len(self.equations)))
 
 
-def _embedded_maps(system, isogeny):
-    """Per-factor multiplication maps specialized to the curves and
-    renamed into the product coordinate ring."""
-    ring = system.ring
-    out = []
-    for j in range(1, system.n_factors + 1):
-        a = isogeny.alphas[j - 1]
-        maps = multiplication_maps(a, system.curves[j - 1])
-        rn = {"x": "x%d" % j}
-        emb = {
-            "alpha": a,
-            "r": maps.r.embed(ring, rn),
-            "s": maps.s.embed(ring, rn),
-            "t": maps.t.embed(ring, rn),
-            "r_tilde": None if maps.r_tilde is None else maps.r_tilde.embed(ring, rn),
-            "t_tilde": None if maps.t_tilde is None else maps.t_tilde.embed(ring, rn),
-        }
-        out.append(emb)
-    return out
-
-
 def generate_preimage(V, isogeny):
     """Equations, excluded locus, and multidegrees of phi^(-1)(V)."""
     if not isinstance(V, SubvarietyPresentation):
@@ -101,27 +78,21 @@ def generate_preimage(V, isogeny):
         raise ValueError("isogeny has %d components, product has %d factors"
                          % (isogeny.n_factors, system.n_factors))
     ring = system.ring
-    emb = _embedded_maps(system, isogeny)
-    one = MultiPoly.const(ring, 1)
-
     bindings = {}
     strip_candidates = []
     excluded = []
-    for j in range(1, system.n_factors + 1):
-        e = emb[j - 1]
+    for j, (alpha, curve) in enumerate(zip(isogeny.alphas, system.curves), start=1):
+        maps = multiplication_maps(alpha, curve)
         xj, yj = "x%d" % j, "y%d" % j
-        y = MultiPoly.var(ring, yj)
-        if e["t_tilde"] is None:
-            bindings[xj] = (e["r"], e["t"] ** 2)
-        else:
-            bindings[xj] = (e["r_tilde"], e["t_tilde"] * e["t"])
-        bindings[yj] = (e["s"] * y, e["t"] ** 3)
-        if abs(e["alpha"]) != 1:
-            t_prim = integer_primitive(e["t"])[1]
-            excluded.append({"j": j, "alpha": e["alpha"], "t": t_prim})
-            for cand in (e["t"], e["t_tilde"], system.coordinate_cubic(j)):
-                if cand is None:
-                    continue
+        n, u, s, t = (f.embed(ring, {"x": xj})
+                      for f in maps.x_parts() + (maps.s, maps.t))
+        bindings[xj] = (n, u * t)
+        bindings[yj] = (s * MultiPoly.var(ring, yj), t ** 3)
+        if abs(alpha) != 1:
+            excluded.append({"j": j, "alpha": alpha, "t": integer_primitive(t)[1]})
+            # t is u (odd alpha) or the cubic times u (even alpha, where
+            # the two are coprime), so u and the cubic strip what t would
+            for cand in (u, system.coordinate_cubic(j)):
                 cand = integer_primitive(cand)[1]
                 if not cand.is_constant() and cand not in strip_candidates:
                     strip_candidates.append(cand)

@@ -224,6 +224,14 @@ def preimage_degree_curve(d, j, alpha):
 # -- JSON-facing dict forms ----------------------------------------------
 
 
+def exact_int(v):
+    """An exact integer read from JSON.  bool, float, str and every other
+    type are malformed, never truncated or parsed."""
+    if type(v) is not int:
+        raise ValueError("expected an integer, got %r" % (v,))
+    return v
+
+
 def subvariety_to_dict(V):
     return {
         "curves": [{"A": E.A, "B": E.B} for E in V.system.curves],
@@ -235,11 +243,17 @@ def subvariety_to_dict(V):
 
 
 def subvariety_from_dict(data):
-    curves = [WeierstrassCurve(c["A"], c["B"]) for c in data["curves"]]
+    """The inverse of subvariety_to_dict.  Integers must be JSON integers
+    and the flag a JSON bool: ValueError for anything else."""
+    curves = [WeierstrassCurve(exact_int(c["A"]), exact_int(c["B"]))
+              for c in data["curves"]]
     system = ProductSystem(curves)
     equations = [parse_poly(s, system.ring) for s in data["equations"]]
-    dim = int(data["dim"])
-    entries = {tuple(row["I"]): int(row["deg"]) for row in data["multidegrees"]}
+    dim = exact_int(data["dim"])
+    entries = {tuple(map(exact_int, row["I"])): exact_int(row["deg"])
+               for row in data["multidegrees"]}
     table = MultiDegreeTable(dim, entries)
-    return SubvarietyPresentation(system, equations, dim, table,
-                                  bool(data["transverse"]))
+    transverse = data["transverse"]
+    if type(transverse) is not bool:
+        raise ValueError("transverse must be true or false, got %r" % (transverse,))
+    return SubvarietyPresentation(system, equations, dim, table, transverse)

@@ -1,13 +1,15 @@
 """Tests for the shared number theory: Miller-Rabin is_prime and
-prime_factors."""
+prime_factors, and the int->str digit-limit lift."""
 
+import sys
 import time
 from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellprod.arith import MR_LIMIT, TRIAL_LIMIT, is_prime, prime_factors
+from ellprod.arith import (MR_LIMIT, TRIAL_LIMIT, is_prime, prime_factors,
+                           unlimited_int_str)
 
 
 def trial_division_is_prime(n):
@@ -80,3 +82,17 @@ def test_prime_factors_refuses_a_composite_cofactor():
     assert TRIAL_LIMIT == 10 ** 6
     with pytest.raises(ValueError):
         prime_factors(1000036000099)  # 1000003 * 1000033
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int->str digit limit in this interpreter")
+def test_unlimited_int_str_lifts_the_limit_inside_the_block_only():
+    before = sys.get_int_max_str_digits()
+    big = 10 ** (before + 10) if before else 10 ** 5000
+    with unlimited_int_str():
+        assert len(str(big)) > before
+    assert sys.get_int_max_str_digits() == before
+    with pytest.raises(KeyError):
+        with unlimited_int_str():
+            raise KeyError("restored on the way out")
+    assert sys.get_int_max_str_digits() == before

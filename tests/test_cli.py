@@ -121,6 +121,18 @@ def test_input_error_paths(capsys, c3_file, tmp_path):
          "--primes", "[6]"],
         ["oracle", "--variety", c3_file, "--isogeny", "[2,1]",
          "--primes", "[7]", "--out", str(tmp_path)],              # a directory
+        # numbers are JSON integers, never truncated or coerced
+        ["certify", "--variety", c3_file, "--isogeny", "[2.5,1]"],
+        ["certify", "--variety", c3_file, "--isogeny", "[true,1]"],
+        ["degree", "--variety", c3_file, "--isogeny", "[\"2\",1]"],
+        ["preimage", "--variety", c3_file, "--isogeny", "{\"alphas\": [2.0, 1]}"],
+        ["certify", "--variety", c3_file, "--criterion", "theorem-a",
+         "--primes", "[true,167]"],
+        ["certify", "--variety", c3_file, "--criterion", "theorem-a",
+         "--primes", "{}"],
+        ["constants", "--curves", "[{\"A\": 0.9, \"B\": 1}]"],
+        ["constants", "--curves", "[{\"A\": 0, \"B\": \"1\"}]"],
+        ["constants", "--curves", "{\"A\": false, \"B\": 1}"],
     ]
     for argv in cases:
         code = main(argv)
@@ -132,6 +144,35 @@ def test_input_error_paths(capsys, c3_file, tmp_path):
     assert main(["degree", "--variety", str(notjson),
                  "--isogeny", "[1,1]"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("transverse", "false"),     # a string, not a JSON bool
+    ("transverse", 0),
+    ("dim", True),
+    ("dim", 1.0),
+    ("A", 0.9),
+    ("deg", 9.9),
+    ("I", [True, False]),
+])
+def test_variety_values_are_read_exactly(capsys, c3_file, tmp_path, field, value):
+    # a value of the wrong JSON type is an input error, never coerced: the
+    # string "false" is not a true flag and 9.9 is not the degree 9
+    with open(c3_file) as fh:
+        data = json.load(fh)
+    if field == "A":
+        data["curves"][0]["A"] = value
+    elif field in ("deg", "I"):
+        data["multidegrees"][0][field] = value
+    else:
+        data[field] = value
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps(data))
+    for argv in (["certify", "--isogeny", "[2,1]"], ["degree", "--isogeny", "[2,1]"]):
+        code = main(argv[:1] + ["--variety", str(path)] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.err.startswith("error:") and not captured.out
 
 
 def test_constants_command(capsys):

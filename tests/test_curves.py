@@ -238,6 +238,17 @@ def test_x_map_degrees():
             num, den = maps.r, maps.t ** 2
         assert num.degree_in("x") == a * a
         assert den.degree_in("x") == a * a - 1
+    # x_parts() gives the same x-map, (n, u) with denominator u*t, for
+    # either sign and parity; for odd alpha u is the field t itself
+    for a in [a for k in range(1, 8) for a in (k, -k)]:
+        maps = multiplication_maps(a)
+        n, u = maps.x_parts()
+        if maps.is_even():
+            assert (n, u) == (maps.r_tilde, maps.t_tilde)
+        else:
+            assert n is maps.r and u is maps.t
+        assert n.degree_in("x") == a * a
+        assert (u * maps.t).degree_in("x") == a * a - 1
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +357,7 @@ def test_kernel_points_raise_and_fall_back():
 def test_kernel_of_formula_is_exactly_affine_kernel():
     # over the 6-torsion of y^2 = x^3 + 1 the formula is undefined exactly
     # on the affine kernel of [alpha]
-    for alpha in (2, 3, 4, 5, 6):
+    for alpha in (2, 3, 4, 5, 6, -2, -3, -4, -5, -6):
         for P in SUBGROUP[1:]:
             in_kernel = scalar_mul_point(E01, alpha, P).is_infinity()
             try:
