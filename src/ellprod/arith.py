@@ -1,8 +1,8 @@
 """Integer number theory for the certificates, the isogenies and the
 finite-field oracle: each answer is exact, and an input out of range
-raises ValueError instead of getting a guess.  Also the one place that
-lifts the interpreter's int->str digit limit, for printing exact
-integers in full."""
+raises ValueError instead of getting a guess.  Also the constructors'
+strict int reader and the one place that lifts the interpreter's
+int->str digit limit, for printing exact integers in full."""
 
 import sys
 from contextlib import contextmanager
@@ -14,6 +14,13 @@ from contextlib import contextmanager
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_LIMIT = 3317044064679887385961981
 TRIAL_LIMIT = 10 ** 6
+
+
+def require_int(v, name):
+    """v if it is an int, not a bool; TypeError, never a truncation."""
+    if type(v) is not int:
+        raise TypeError("%s must be an int, got %r" % (name, v))
+    return v
 
 
 def is_prime(n):

@@ -31,7 +31,7 @@ be checked at a desk without trusting this module's checkers.
 
 from math import comb, factorial, gcd
 
-from .arith import is_prime, prime_factors
+from .arith import is_prime, prime_factors, require_int
 from .products import SubvarietyPresentation, _table_of, exact_int
 
 CERTIFIED = "CertifiedTransverse"
@@ -183,7 +183,7 @@ def check_corollary_identity(V, n=None, p=None):
     nf = table.n_factors
     bang = factorial(table.dim)
     if n is not None:
-        n = int(n)
+        n = require_int(n, "n")
         if n == 0:
             raise ValueError("multiplication by 0 is not an isogeny")
         witness = []
@@ -197,7 +197,7 @@ def check_corollary_identity(V, n=None, p=None):
                                 "dim_factorial": bang, "gcd": 1})
         return _conclude("CorollaryIdentity", hypotheses,
                          _inputs_echo(V, {"mode": "integer", "n": n}), witness, reasons)
-    p = int(p)
+    p = require_int(p, "p")
     if not is_prime(p):
         raise ValueError("prime mode needs a prime, got %d" % p)
     rows = []

@@ -31,6 +31,7 @@ the public evaluator falls back to the group law, which is total.
 
 from fractions import Fraction
 
+from .arith import require_int
 from .polynomials import MultiPoly
 
 RING_XAB = ("x", "A", "B")
@@ -50,7 +51,7 @@ class WeierstrassCurve:
     __slots__ = ("A", "B")
 
     def __init__(self, A, B):
-        A, B = int(A), int(B)
+        A, B = require_int(A, "A"), require_int(B, "B")
         if -16 * (4 * A ** 3 + 27 * B ** 2) == 0:
             raise SingularCurveError("singular curve: A=%d, B=%d" % (A, B))
         object.__setattr__(self, "A", A)

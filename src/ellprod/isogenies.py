@@ -5,14 +5,14 @@ degree is prod alpha_j^2.  Composition is componentwise multiplication of
 the integer vectors.
 """
 
-from .arith import prime_factors
+from .arith import prime_factors, require_int
 
 
 class DiagonalIsogeny:
     """Componentwise scalar multiplication with nonzero integer multipliers."""
 
     def __init__(self, alphas):
-        alphas = tuple(int(a) for a in alphas)
+        alphas = tuple(require_int(a, "multiplier") for a in alphas)
         if not alphas:
             raise ValueError("need at least one component")
         if any(a == 0 for a in alphas):

@@ -12,29 +12,36 @@ tuples).  Primes above MAX_P are refused, since enumeration is O(p).
 Good primes avoid 2, 3, the curve discriminants, and the isogeny
 multipliers, so reductions stay nonsingular and separable.
 
-Cost model: a PrimeFieldCtx keeps, for the life of the context, each
-factor's affine point list and, per multiplier alpha, the table of
-[alpha]P over those points, so each factor costs O(#E_j) group-law
-scalar multiplications per prime and multiplier, shared by the maps
-check and the membership scan.  Both checks evaluate over whole point
-lists: the maps check runs Horner's rule over the list of x values, and
-the membership scan first fixes its tuples (every tuple when exhaustive,
+Cost model: a PrimeFieldCtx keeps, for the life of the context, one
+square-root table, each factor's affine point list (-P next to P) and,
+per multiplier alpha, the table of [alpha]P over those points, made with
+one double-and-add per pair +-P ([alpha](-P) = -[alpha]P) and shared by
+both checks.  Both evaluate over whole point lists.  The maps check runs
+Horner's rule once per distinct x and compares cross-multiplied, n =
+X*u*t and s*y = Y*t^3 mod p, so it inverts only to report a mismatch.
+The membership scan first fixes its tuples (every tuple when exhaustive,
 the SAMPLE_COUNT draws when sampled), then flags their points on the
 excluded locus or with image at infinity, groups each equation by its
 factor-1 monomials x1^a*y1^b and builds two tables over the unflagged
 tuples only: the monomial row of each distinct factor-1 point and the
-inner sums over the other factors of each distinct tuple of their
-points.  A tuple then costs two lookups and one dot product per
-equation, as long as its number of distinct factor-1 monomials; a
-sampled scan evaluates nothing at a point it did not draw.
+inner sums R_m over the other factors at each distinct tuple of their
+points.  Those are packed (Kronecker substitution): a monomial column
+over the rests is one integer with a 64-bit slot per rest, and R_m is
+one big-integer combination of columns, exact (and checked) while the
+equation's terms times (p-1)^2 stay below 2^64.  A tuple then costs two
+lookups and one dot product per equation, as long as its number of
+distinct factor-1 monomials; a sampled scan evaluates nothing at a
+point it did not draw.
 """
 
 import random
+import sys
+from array import array
 from itertools import product as iter_product
 from math import prod
 from operator import getitem, mul
 
-from .arith import is_prime
+from .arith import is_prime, require_int
 
 EXHAUSTIVE_MAX_P = 31
 SAMPLE_SEED = 20260815
@@ -57,7 +64,7 @@ class PrimeFieldCtx:
     """
 
     def __init__(self, p, system):
-        p = int(p)
+        p = require_int(p, "p")
         if p > MAX_P:
             raise BadReductionError("p = %d exceeds the oracle's limit %d"
                                     % (p, MAX_P))
@@ -72,6 +79,7 @@ class PrimeFieldCtx:
         self.p = p
         self.system = system
         self.curves_mod = [(E.A % p, E.B % p) for E in system.curves]
+        self._roots = None
         self._points = {}
         self._images = {}
 
@@ -90,15 +98,20 @@ class PrimeFieldCtx:
         return pts
 
     def image_table(self, curve_index, alpha):
-        """[alpha]P for every affine point P of one factor, by index;
-        None where P lies in the kernel."""
-        alpha = int(alpha)
-        key = (curve_index, alpha)
+        """[alpha]P for every affine point P of one factor, by index (None
+        on the kernel); -P follows P in the list and gets -[alpha]P."""
+        key = (curve_index, require_int(alpha, "alpha"))
         table = self._images.get(key)
         if table is None:
             A, _ = self.curves_mod[curve_index]
-            table = [scalar_mul_mod(self.p, A, alpha, P)
-                     for P in self.affine_points(curve_index)]
+            points = self.affine_points(curve_index)
+            table = []
+            for k, P in enumerate(points):
+                if k and points[k - 1][0] == P[0]:  # P = -points[k - 1]
+                    Q = table[-1]
+                    table.append(None if Q is None else (Q[0], -Q[1] % self.p))
+                else:
+                    table.append(scalar_mul_mod(self.p, A, alpha, P))
             self._images[key] = table
         return table
 
@@ -106,14 +119,15 @@ class PrimeFieldCtx:
 def enumerate_points(ctx, curve_index):
     """All F_p points of the reduced curve, None (infinity) first.
 
-    Enumerates by x-scan against a square table and asserts the Hasse
-    window |#E - (p+1)| <= 2*sqrt(p) as a cheap correctness guard.
+    Enumerates by x-scan against the context's square-root table (y < p-y)
+    and asserts the Hasse window |#E - (p+1)| <= 2*sqrt(p) as a guard.
     """
     p = ctx.p
     A, B = ctx.curves_mod[curve_index]
-    roots = {}
-    for y in range(p):
-        roots.setdefault(y * y % p, []).append(y)
+    roots = ctx._roots
+    if roots is None:
+        roots = ctx._roots = {y * y % p: (y, p - y) for y in range(1, p // 2 + 1)}
+        roots[0] = (0,)
     pts = [None]
     for x in range(p):
         for y in roots.get((x * x * x + A * x + B) % p, ()):
@@ -207,12 +221,12 @@ def verify_maps_vs_group_law(ctx, curve_index, alpha):
     """
     from .curves import _maps_for
 
-    alpha = int(alpha)
+    require_int(alpha, "alpha")
     ctx.require_separable([alpha])
     p = ctx.p
     maps = _maps_for(ctx.system.curves[curve_index], alpha)
     points = ctx.affine_points(curve_index)
-    xs = [x for x, _ in points]
+    xs = list(dict.fromkeys(x for x, _ in points))  # -P shares x with P
 
     def values(f):
         return _horner(_dense_mod(f, p, "x"), xs, p)
@@ -220,24 +234,25 @@ def verify_maps_vs_group_law(ctx, curve_index, alpha):
     n, u = maps.x_parts()
     t = values(maps.t)
     u = t if u is maps.t else values(u)
-    n = values(n)
-    s = values(maps.s)
+    at = dict(zip(xs, zip(values(n), [a * b % p for a, b in zip(u, t)],
+                          [v * v * v % p for v in t], values(maps.s))))
     mismatches = []
     exceptional = []
     kernel = []
     checked = 0
     images = ctx.image_table(curve_index, alpha)
-    for k, (P, expected) in enumerate(zip(points, images)):
+    for P, expected in zip(points, images):
         if expected is None:
             kernel.append(P)
-        tv = t[k]
-        if tv == 0:
+        nv, ut, t3, sv = at[P[0]]
+        if t3 == 0:
             exceptional.append(P)
             continue
         checked += 1
-        got = (n[k] * pow(u[k] * tv % p, -1, p) % p,
-               s[k] * P[1] % p * pow(tv * tv * tv % p, -1, p) % p)
-        if got != expected:
+        # x = n/(u*t) and y = s*y/t^3, compared without dividing
+        if expected is None or (expected[0] * ut - nv) % p or \
+                (expected[1] * t3 - sv * P[1]) % p:
+            got = (nv * pow(ut, -1, p) % p, sv * P[1] % p * pow(t3, -1, p) % p)
             mismatches.append({"point": P, "formula": got, "group_law": expected})
     report = {
         "p": p,
@@ -261,9 +276,9 @@ class _GroupedEquations:
     distinct factor-1 monomials m = x1^a*y1^b.  The tables are built list
     by list over the given tuples only: per equation, the values of its
     monomials m at each distinct first index (rows) and of its inner sums
-    R_m at each distinct rest (sums).  A tuple then costs two lookups and
-    one short dot product per equation.  coords[j] maps a point index of
-    factor j to its (x, y).
+    R_m, unreduced below 2^64, at each distinct rest (sums).  A tuple then
+    costs two lookups and one short dot product per equation.  coords[j]
+    maps a point index of factor j to its (x, y).
     """
 
     def __init__(self, reduced, coords, p, firsts, rests):
@@ -285,11 +300,16 @@ class _GroupedEquations:
         at = self._monomials(coords[:1], keys, heads).__getitem__
         self.rows = [dict(zip(keys, zip(*map(at, group)))) for group in groups]
         keys = list(dict.fromkeys(rests))
-        at = self._monomials(coords[1:], keys, tails).__getitem__
-        self.sums = [dict(zip(keys, zip(*[[sum(map(mul, coeffs, values)) % p
-                                           for values in zip(*map(at, cols))]
-                                          for cols, coeffs in group.values()])))
-                     for group in groups]
+        # tail columns packed into one 64-bit slot per rest; a slot of an
+        # inner sum holds at most (terms of its equation) * (p - 1)^2
+        if max(map(len, reduced), default=0) * (p - 1) ** 2 >> 64:
+            raise ValueError("inner sums mod %d overflow a 64-bit slot" % p)
+        at = [int.from_bytes(array("Q", col), sys.byteorder)
+              for col in self._monomials(coords[1:], keys, tails)].__getitem__
+        self.sums = [dict(zip(keys, zip(*[
+            memoryview(sum(map(mul, coeffs, map(at, cols))).to_bytes(
+                8 * len(keys), sys.byteorder)).cast("Q")
+            for cols, coeffs in group.values()]))) for group in groups]
 
     def _monomials(self, coords, keys, exps):
         """Each monomial of exps (exponents of x_1, y_1, x_2, ... over the

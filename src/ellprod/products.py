@@ -16,6 +16,7 @@ factor and the entries with i_k = 1 cap that factor away.
 from itertools import combinations
 from math import factorial
 
+from .arith import require_int
 from .polynomials import MultiPoly, parse_poly
 from .curves import WeierstrassCurve
 
@@ -78,10 +79,11 @@ class MultiDegreeTable:
     """Complete table {I: deg_I} over 0/1 tuples I of weight dim."""
 
     def __init__(self, dim, entries):
-        dim = int(dim)
+        dim = require_int(dim, "dim")
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        entries = {tuple(int(i) for i in I): int(d) for I, d in entries.items()}
+        entries = {tuple(require_int(i, "index entry") for i in I): require_int(d, "degree")
+                   for I, d in entries.items()}
         if not entries:
             raise ValueError("empty multidegree table")
         n = len(next(iter(entries)))

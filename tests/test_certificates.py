@@ -213,6 +213,13 @@ def test_corollary_identity_validation():
         check_corollary_identity(C3, p=6)  # composite
 
 
+@pytest.mark.parametrize("mode", [{"n": 5.5}, {"n": True}, {"p": 5.5}, {"p": 5.0}])
+def test_corollary_identity_reads_n_and_p_exactly(mode):
+    # n=5.5 used to certify as n=5
+    with pytest.raises(TypeError):
+        check_corollary_identity(C3, **mode)
+
+
 # ---------------------------------------------------------------------------
 # certify_auto
 # ---------------------------------------------------------------------------

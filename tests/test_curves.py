@@ -49,6 +49,13 @@ def test_singular_rejected():
         WeierstrassCurve(-3, 2)
 
 
+@pytest.mark.parametrize("A, B", [(0.9, 1), (0, 1.0), (False, 1), (0, Fraction(1))])
+def test_coefficients_are_read_exactly(A, B):
+    # WeierstrassCurve(0.9, 1) used to be y^2 = x^3 + 1
+    with pytest.raises(TypeError):
+        WeierstrassCurve(A, B)
+
+
 def test_contains():
     assert E01.contains(2, 3)
     assert E01.contains(-1, 0)

@@ -15,6 +15,13 @@ def test_construction():
         DiagonalIsogeny([2, 0])
 
 
+@pytest.mark.parametrize("alphas", [[2.9, 1], [2, 1.0], [True, 1], ["2", 1]])
+def test_multipliers_are_read_exactly(alphas):
+    # a float, bool or str multiplier is refused, never truncated
+    with pytest.raises(TypeError):
+        DiagonalIsogeny(alphas)
+
+
 def test_degree():
     assert DiagonalIsogeny([1, 1]).degree() == 1
     assert DiagonalIsogeny([2, 1]).degree() == 4

@@ -61,6 +61,18 @@ def test_ctx_validation():
     ctx.require_separable([2, 5])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: PrimeFieldCtx(17.9, SYS),  # used to be p = 17
+    lambda: PrimeFieldCtx(True, SYS),
+    lambda: verify_maps_vs_group_law(PrimeFieldCtx(7, SYS), 0, 2.7),  # checked 2
+    lambda: PrimeFieldCtx(7, SYS).image_table(0, 2.5),
+    lambda: PrimeFieldCtx(7, SYS).image_table(0, False),
+], ids=["p-float", "p-bool", "maps-alpha", "table-alpha", "table-alpha-bool"])
+def test_oracle_reads_integers_exactly(call):
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_enumerate_points():
     ctx = PrimeFieldCtx(7, SYS)
     pts = enumerate_points(ctx, 0)
@@ -218,14 +230,16 @@ def test_ctx_rejects_primes_above_max_p():
 # -- differential tests against a plain per-tuple reference -----------------
 
 
-def reference_maps(ctx, curve_index, alpha):
+def reference_maps(ctx, curve_index, alpha, maps=None):
     """verify_maps_vs_group_law as a plain loop: eval_mod per formula and
-    scalar_mul_mod per point."""
+    scalar_mul_mod per point, dividing as the formulas do; maps are those
+    of alpha on the curve unless given."""
     alpha = int(alpha)
     ctx.require_separable([alpha])
     p = ctx.p
     A, _ = ctx.curves_mod[curve_index]
-    maps = multiplication_maps(alpha, ctx.system.curves[curve_index])
+    if maps is None:
+        maps = multiplication_maps(alpha, ctx.system.curves[curve_index])
     r, s, t = (poly_mod(f, p, ("x",)) for f in (maps.r, maps.s, maps.t))
     even = maps.is_even()
     if even:
@@ -467,3 +481,82 @@ def test_separability_checked_before_any_table(monkeypatch):
         verify_maps_vs_group_law(ctx, 1, 5)
     with pytest.raises(BadReductionError):
         verify_preimage_membership(ctx, pre)
+
+
+# -- the table and scan kernels against per-point arithmetic ----------------
+
+
+@pytest.mark.parametrize("p", [13, 101, 1009])
+def test_image_table_equals_per_point_scalar_mul(p):
+    # factor 1 of SYS2 has full 2-torsion over F_p, so even alpha has
+    # kernel points, listed once each (y = 0 has no -P neighbour)
+    system = ProductSystem([E01, WeierstrassCurve(-1, 0)])
+    ctx = PrimeFieldCtx(p, system)
+    for idx in range(2):
+        A, _ = ctx.curves_mod[idx]
+        points = enumerate_points(ctx, idx)[1:]
+        assert ctx.affine_points(idx) == points
+        for alpha in (2, -2, 3, -3, 4, 5):
+            table = ctx.image_table(idx, alpha)
+            assert table == [scalar_mul_mod(p, A, alpha, P) for P in points]
+            if alpha % 2 == 0:
+                assert None in table
+
+
+def _corrupted(maps):
+    from ellprod.curves import MultiplicationMaps
+
+    return MultiplicationMaps(maps.alpha, maps.r, maps.s + 1, maps.t,
+                              maps.r_tilde, maps.t_tilde)
+
+
+@pytest.mark.parametrize("alpha", [2, -3, 4, 5])
+def test_maps_check_reports_mismatches_as_divided_formulas(monkeypatch, alpha):
+    # with s + 1 for s, the division-free check must report the same
+    # points, formula values and group-law values as dividing does
+    from ellprod import curves
+
+    real = curves._maps_for
+    monkeypatch.setattr(curves, "_maps_for",
+                        lambda curve, a: _corrupted(real(curve, a)))
+    for p in (13, 101, 1009):
+        ctx = PrimeFieldCtx(p, SYS)
+        maps = _corrupted(multiplication_maps(alpha, SYS.curves[0]))
+        got = verify_maps_vs_group_law(ctx, 0, alpha)
+        assert got == reference_maps(PrimeFieldCtx(p, SYS), 0, alpha, maps)
+        assert got["mismatches"] and not got["ok"]
+        assert all(set(m) == {"point", "formula", "group_law"}
+                   for m in got["mismatches"])
+
+
+def test_packed_inner_sums_agree_with_eval_mod_at_max_p():
+    # every tuple's value, rebuilt from the rows and the packed inner
+    # sums, equals eval_mod of the equation: slots reach about
+    # terms * (p - 1)^2 / 4 > 2^32 at the largest prime the oracle takes
+    pre = generate_preimage(C3, DiagonalIsogeny([5, 5]))
+    p = oracle.MAX_P - 1
+    eqs = [poly_mod(eq, p, SYS.ring) for eq in pre.equations]
+    assert sum(map(len, eqs)) >= 300
+    rng = random.Random(11)
+    coords = [[(rng.randrange(p), rng.randrange(p)) for _ in range(400)]
+              for _ in range(2)]
+    tuples = [(rng.randrange(400), rng.randrange(400)) for _ in range(300)]
+    grouped = oracle._GroupedEquations(eqs, coords, p, [t[:1] for t in tuples],
+                                       [t[1:] for t in tuples])
+    assert max(v for sums in grouped.sums for row in sums.values()
+               for v in row) >> 32
+    for eq, rows, sums in zip(eqs, grouped.rows, grouped.sums):
+        for i, j in tuples:
+            value = sum(a * b for a, b in zip(rows[(i,)], sums[(j,)])) % p
+            assert value == eval_mod(eq, coords[0][i] + coords[1][j], p)
+
+
+def test_packed_inner_sums_refuse_a_wrapping_slot():
+    # at the largest prime below 2^32 one term fits a 64-bit slot and two
+    # under one head may not
+    p = (1 << 32) - 5
+    eq = [(p - 1, (0, 0, 1, 0)), (p - 1, (0, 0, 0, 1))]
+    coords = [[(1, 1)], [(2, 3)]]
+    oracle._GroupedEquations([eq[:1]], coords, p, [(0,)], [(0,)])
+    with pytest.raises(ValueError):
+        oracle._GroupedEquations([eq], coords, p, [(0,)], [(0,)])

@@ -63,6 +63,18 @@ def test_table_validation():
         MultiDegreeTable(0, {})  # empty
 
 
+@pytest.mark.parametrize("dim, entries", [
+    (1, {(1, 0): 9.9, (0, 1): 18}),
+    (1, {(1, 0): True, (0, 1): 18}),
+    (1.0, {(1, 0): 9, (0, 1): 18}),
+    (1, {(1.0, 0): 9, (0, 1): 18}),
+])
+def test_table_values_are_read_exactly(dim, entries):
+    # {(1,0): 9.9, ...} used to store 9
+    with pytest.raises(TypeError):
+        MultiDegreeTable(dim, entries)
+
+
 def test_index_order_is_position_lexicographic():
     t = MultiDegreeTable(1, {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3})
     assert t.index_order() == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]

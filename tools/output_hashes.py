@@ -1,14 +1,20 @@
 """Print sha256 hashes of the program's outputs on fixed inputs, so that a
-change that must keep output byte-identical can be checked against its
-parent by running this script in both checkouts and comparing the lines.
+change that must keep output byte-identical can be checked against the
+hashes recorded in ``tools/output_hashes.json``.
 
 Usage, from the root of a checkout (its ``src`` is imported):
 
-    python3 tools/output_hashes.py [PART ...]
+    python3 tools/output_hashes.py [--write | --check] [PART ...]
 
 PART is any of ``preimage-fresh``, ``oracle-scan``, ``cli-cold``,
 ``curve-maps``, ``symbolic-maps``; all by default.  Each line is
-``<part> [seed <n>] <sha256 hex>``.  The job lists are those of the
+``<part> [seed <n>] <sha256 hex>``.  ``--write`` also records the lines
+of the given parts in ``tools/output_hashes.json`` (other parts' entries
+are kept); ``--check`` compares them with it instead, prints ``ok`` or
+``CHANGED`` (with both hashes) per line, and exits 1 unless every line
+is recorded and equal.  A deliberate change of output is recorded by
+``--write``.  Running every part takes about a minute and a half on a
+2-core machine, so no test runs it.  The job lists are those of the
 benchmark (``perfbench/joblists.py``) at 20 seconds, as the benchmark
 runs them.  The hashed texts are laid out as follows.
 
@@ -55,6 +61,7 @@ from ellprod import curves, isogenies, oracle, preimages, products  # noqa: E402
 
 SECONDS = 20
 SEEDS = (1, 2, 3)
+RECORD = os.path.join(ROOT, "tools", "output_hashes.json")
 MAP_CURVES = ((-1, 0), (0, 1), (2, 3), (-7, 6), (5, -3))
 FIELDS = ("r", "s", "t", "r_tilde", "t_tilde")
 
@@ -141,13 +148,34 @@ PARTS = {
 
 
 def main(argv):
-    unknown = [part for part in argv if part not in PARTS]
+    mode = argv[0] if argv[:1] in (["--write"], ["--check"]) else None
+    parts = argv[1:] if mode else argv
+    unknown = [part for part in parts if part not in PARTS]
     if unknown:
         sys.exit("unknown part(s) %s; choose from %s"
                  % (", ".join(unknown), ", ".join(PARTS)))
-    for part in argv or PARTS:
+    record = {}
+    if mode and os.path.exists(RECORD):
+        with open(RECORD) as fh:
+            record = json.load(fh)
+    changed = 0
+    for part in parts or PARTS:
         for line in PARTS[part]():
-            print(part, line, flush=True)
+            key, digest = ("%s %s" % (part, line)).rsplit(" ", 1)
+            if mode == "--check":
+                ok = record.get(key) == digest
+                changed += not ok
+                print(key, digest, "ok" if ok else "CHANGED (recorded %s)"
+                      % record.get(key), flush=True)
+            else:
+                record[key] = digest
+                print(key, digest, flush=True)
+    if mode == "--write":
+        with open(RECORD, "w") as fh:
+            json.dump(record, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    if changed:
+        sys.exit("%d line(s) differ from %s" % (changed, RECORD))
 
 
 if __name__ == "__main__":
