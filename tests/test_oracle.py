@@ -488,8 +488,8 @@ def test_separability_checked_before_any_table(monkeypatch):
 
 @pytest.mark.parametrize("p", [13, 101, 1009])
 def test_image_table_equals_per_point_scalar_mul(p):
-    # factor 1 of SYS2 has full 2-torsion over F_p, so even alpha has
-    # kernel points, listed once each (y = 0 has no -P neighbour)
+    # y^2 = x^3 + 1 and y^2 = x^3 - x have 2-torsion over every F_p, so
+    # even alpha has kernel points, listed once each (y = 0 is its own -P)
     system = ProductSystem([E01, WeierstrassCurve(-1, 0)])
     ctx = PrimeFieldCtx(p, system)
     for idx in range(2):
