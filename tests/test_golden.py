@@ -1,11 +1,15 @@
 """Golden corpus: canonical outputs frozen as a fixture.
 
-Refactors of the preimage path must leave every entry byte-identical:
-the equations and excluded loci of generate_preimage(C_3, phi) for the
-eight corpus isogenies, the printed symbolic multiplication maps, and the
-certify_auto dicts of the C_3 cases the certificate tests use.  Texts up
-to TEXT_LIMIT characters are stored whole; longer ones as sha256 plus
-term count.
+Refactors of the preimage path and the oracle must leave every entry
+byte-identical: the equations and excluded loci of generate_preimage(C_3,
+phi) for the eight corpus isogenies and of the surface y3 = x1*x2 in
+E x F x E for three more, the printed symbolic multiplication maps, the
+certify_auto dicts of the C_3 cases the certificate tests use, and the
+full oracle reports (maps check per factor, then membership scan) of
+fixed scans: exhaustive and both sampled scales, three factors, and a
+wrong presentation with mismatches of both kinds.  Texts up to
+TEXT_LIMIT characters are stored whole; longer ones as sha256 plus term
+count.
 
 The fixture was written by the code it now guards.  Rewrite it only for
 a deliberate change of output, and record that change:
@@ -23,17 +27,60 @@ import pytest
 from ellprod.certificates import certify_auto
 from ellprod.curves import WeierstrassCurve, multiplication_maps
 from ellprod.isogenies import DiagonalIsogeny
-from ellprod.preimages import generate_preimage
-from ellprod.products import make_cn_curve
+from ellprod.oracle import (PrimeFieldCtx, verify_maps_vs_group_law,
+                            verify_preimage_membership)
+from ellprod.polynomials import parse_poly
+from ellprod.preimages import PreimagePresentation, generate_preimage
+from ellprod.products import (MultiDegreeTable, ProductSystem,
+                              SubvarietyPresentation, make_cn_curve)
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "data", "golden_corpus.json")
 TEXT_LIMIT = 2048
 
-C3 = make_cn_curve(WeierstrassCurve(0, 1), WeierstrassCurve(0, 1), 3)
+E = WeierstrassCurve(0, 1)
+F = WeierstrassCurve(-1, 0)
+C3 = make_cn_curve(E, E, 3)
 PREIMAGE_ALPHAS = [[2, 1], [1, 5], [3, 3], [2, 2], [4, 1], [5, 5], [1, 7], [7, 7]]
 MAPS_ALPHAS = [a for k in range(2, 6) for a in (k, -k)]
 CERTIFY_ALPHAS = [[2, 1], [3, 3], [1, 1]]
+
+# y3 = x1*x2 in E x F x E; its table is the one the norm of the equation
+# gives (deg_I = 9 * deg_{x_k} N_k at the zero k of I)
+SYS3 = ProductSystem([E, F, E])
+SURFACE = SubvarietyPresentation(
+    SYS3, [parse_poly("y3 - x1*x2", SYS3.ring)], 2,
+    MultiDegreeTable(2, {(1, 1, 0): 27, (1, 0, 1): 18, (0, 1, 1): 18}), True)
+SURFACE_ALPHAS = [[2, 3, 1], [3, 3, 3], [5, 5, 5]]
+
+
+def _three_factor_preimage():
+    # the system of test_oracle.test_scan_matches_reference_on_three_factors
+    V = SubvarietyPresentation(
+        SYS3, [parse_poly("y1 - y3", SYS3.ring), parse_poly("x2 - x3", SYS3.ring)], 1,
+        MultiDegreeTable(1, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}), False)
+    return generate_preimage(V, DiagonalIsogeny([2, 1, -1]))
+
+
+def _wrong_presentation():
+    # the equations of [1,2] for [2,1], with no excluded locus: tuples
+    # with an image at infinity and tuples where the two sides disagree
+    pre = generate_preimage(C3, DiagonalIsogeny([2, 1]))
+    other = generate_preimage(C3, DiagonalIsogeny([1, 2]))
+    return PreimagePresentation(pre.base, pre.isogeny, other.equations, [],
+                                pre.degrees)
+
+
+# name -> (presentation builder, prime); 17 is exhaustive, 101 and 1009
+# are sampled
+ORACLE_SCANS = {
+    "2,1@%d" % p: (lambda: generate_preimage(C3, DiagonalIsogeny([2, 1])), p)
+    for p in (17, 101, 1009)}
+ORACLE_SCANS.update({
+    "1,-3@%d" % p: (lambda: generate_preimage(C3, DiagonalIsogeny([1, -3])), p)
+    for p in (17, 101, 1009)})
+ORACLE_SCANS["three-factor 2,1,-1@101"] = (_three_factor_preimage, 101)
+ORACLE_SCANS.update({"wrong 2,1@%d" % p: (_wrong_presentation, p) for p in (17, 101)})
 
 
 def _key(alphas):
@@ -48,12 +95,23 @@ def _frozen(p):
             "terms": len(p.terms)}
 
 
-def preimage_entry(alphas):
-    pre = generate_preimage(C3, DiagonalIsogeny(alphas))
+def preimage_entry(alphas, V=C3):
+    pre = generate_preimage(V, DiagonalIsogeny(alphas))
     return {"equations": [_frozen(eq) for eq in pre.equations],
             "excluded_locus": [{"j": row["j"], "alpha": row["alpha"],
                                 "t": _frozen(row["t"])}
                                for row in pre.excluded_locus]}
+
+
+def oracle_entry(name):
+    """The reports ``ellprod oracle`` prints for one prime, through JSON."""
+    build, p = ORACLE_SCANS[name]
+    pre = build()
+    ctx = PrimeFieldCtx(p, pre.system)
+    reports = [verify_maps_vs_group_law(ctx, idx, alpha)
+               for idx, alpha in enumerate(pre.isogeny.alphas)]
+    reports.append(verify_preimage_membership(ctx, pre))
+    return json.loads(json.dumps(reports))
 
 
 def maps_entry(alpha):
@@ -70,6 +128,8 @@ def certify_entry(alphas):
 def build_corpus():
     return {
         "preimages": {_key(a): preimage_entry(a) for a in PREIMAGE_ALPHAS},
+        "surface_preimages": {_key(a): preimage_entry(a, SURFACE) for a in SURFACE_ALPHAS},
+        "oracle": {name: oracle_entry(name) for name in ORACLE_SCANS},
         "maps": {str(a): maps_entry(a) for a in MAPS_ALPHAS},
         "certify_auto": {_key(a): certify_entry(a) for a in CERTIFY_ALPHAS},
     }
@@ -83,6 +143,16 @@ def _load():
 @pytest.mark.parametrize("alphas", PREIMAGE_ALPHAS, ids=_key)
 def test_preimage_matches_golden(alphas):
     assert preimage_entry(alphas) == _load()["preimages"][_key(alphas)]
+
+
+@pytest.mark.parametrize("alphas", SURFACE_ALPHAS, ids=_key)
+def test_surface_preimage_matches_golden(alphas):
+    assert preimage_entry(alphas, SURFACE) == _load()["surface_preimages"][_key(alphas)]
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SCANS))
+def test_oracle_reports_match_golden(name):
+    assert oracle_entry(name) == _load()["oracle"][name]
 
 
 @pytest.mark.parametrize("alpha", MAPS_ALPHAS)
