@@ -102,7 +102,7 @@ def check_theorem_a(C, primes):
     table = _table_of(C)
     if table.dim != 1:
         raise ValueError("TheoremA applies to curves (dim 1), got dim %d" % table.dim)
-    primes = [int(p) for p in primes]
+    primes = [require_int(p, "prime") for p in primes]
     _check_arity(table, len(primes), "prime vector")
     hypotheses, reasons = _hypotheses(C)
     n = table.n_factors

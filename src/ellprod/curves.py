@@ -143,7 +143,7 @@ def add_points(curve, P, Q):
 
 def scalar_mul_point(curve, n, P):
     """[n]P by double-and-add; total, exact, any integer n."""
-    n = int(n)
+    n = require_int(n, "n")
     if n < 0:
         return scalar_mul_point(curve, -n, negate_point(P))
     acc = CurvePoint.infinity()
@@ -224,7 +224,7 @@ def division_polynomial(m, curve=None):
     the recurrence runs on the curve's own integer coefficients and the
     result lies in the same ring with A and B absent.
     """
-    m = int(m)
+    m = require_int(m, "m")
     if m < 0:
         raise ValueError("m must be nonnegative")
     return _divpolys(curve)[0](m)
@@ -289,7 +289,7 @@ def multiplication_maps(alpha, curve=None):
     description (constant infinity) and is rejected.  Negative alpha
     flips the sign of s only.
     """
-    alpha = int(alpha)
+    alpha = require_int(alpha, "alpha")
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     a = abs(alpha)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from mpmath import iv, mp, nstr
 from mpmath.libmp import to_int
 
-from .arith import unlimited_int_str
+from .arith import require_int, unlimited_int_str
 from .curves import WeierstrassCurve
 
 DEFAULT_PREC = 80
@@ -203,7 +203,7 @@ def c0(d1, d2, m, method="double_sum", prec=DEFAULT_PREC):
     Both evaluation methods produce the identical exact Fraction for the
     rational part, so they agree bit for bit.
     """
-    d1, d2, m = int(d1), int(d2), int(m)
+    d1, d2, m = require_int(d1, "d1"), require_int(d2, "d2"), require_int(m, "m")
     if d1 < 0 or d2 < 0 or m < 0:
         raise ValueError("arguments must be nonnegative")
     rational = _c0_rational(d1, d2, method)
@@ -273,7 +273,7 @@ def zhang_special_bound(n_factors, h2_q, c3_product, prec=DEFAULT_PREC):
     """N * 3^(N-1) * (h2(Q) + c3), rounded up.  h2_q and c3_product are
     caller-supplied reals (no algorithm for them at this scale), enclosed
     by _ivq: a Fraction exactly, not as its nearest float."""
-    n_factors = int(n_factors)
+    n_factors = require_int(n_factors, "n_factors")
     if n_factors < 1:
         raise ValueError("need at least one factor")
     with _prec(prec):
@@ -293,8 +293,9 @@ def bezout_intersection_bounds(deg_pre, h2_pre, deg_b, h2_b, dim_b, n_factors,
     value so improved*deg_phi >= trivial always holds at the reported
     precision.
     """
-    deg_pre, deg_b = int(deg_pre), int(deg_b)
-    dim_b, n_factors, deg_phi = int(dim_b), int(n_factors), int(deg_phi)
+    deg_pre, deg_b = require_int(deg_pre, "deg_pre"), require_int(deg_b, "deg_b")
+    dim_b, n_factors = require_int(dim_b, "dim_b"), require_int(n_factors, "n_factors")
+    deg_phi = require_int(deg_phi, "deg_phi")
     if deg_phi < 1:
         raise ValueError("deg_phi must be >= 1")
     c = c0(1, dim_b, 3 ** n_factors - 1, prec=prec)

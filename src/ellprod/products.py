@@ -169,7 +169,7 @@ class SubvarietyPresentation:
 def make_cn_curve(E1, E2, n):
     """The curve y2 = x1^n inside E1 x E2, with its multidegree table
     {deg_(1,0) = 9, deg_(0,1) = 6n} and total degree 6n + 9."""
-    n = int(n)
+    n = require_int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     system = ProductSystem([E1, E2])
@@ -215,11 +215,11 @@ def preimage_degree_curve(d, j, alpha):
     """Curve shortcut: preimage of a curve with multidegrees (d_1, ..., d_N)
     under [1, ..., alpha, ..., 1] (alpha in slot j, 1-based) has degree
     d_j + alpha^2 * sum_{i != j} d_i."""
-    d = [int(v) for v in d]
-    j = int(j)
+    d = [require_int(v, "degree") for v in d]
+    j = require_int(j, "j")
     if not 1 <= j <= len(d):
         raise ValueError("slot j=%d out of range 1..%d" % (j, len(d)))
-    alpha = int(alpha)
+    alpha = require_int(alpha, "alpha")
     return d[j - 1] + alpha ** 2 * (sum(d) - d[j - 1])
 
 

@@ -96,3 +96,32 @@ def test_unlimited_int_str_lifts_the_limit_inside_the_block_only():
         with unlimited_int_str():
             raise KeyError("restored on the way out")
     assert sys.get_int_max_str_digits() == before
+
+
+def _entry_point_calls():
+    from ellprod import certificates, curves, heights, products
+
+    E = curves.WeierstrassCurve(0, 1)
+    C3 = products.make_cn_curve(E, E, 3)
+    P = curves.CurvePoint(2, 3)
+    return {
+        # each used to truncate: y2 = x1^2, [2], 81, P_3, [2]P, c0(2,1,1),
+        # primes [101, 103]
+        "make_cn_curve": lambda: products.make_cn_curve(E, E, 2.5),
+        "multiplication_maps": lambda: curves.multiplication_maps(2.9, E),
+        "preimage_degree_curve": lambda: products.preimage_degree_curve([9, 18.7], 1, 2.2),
+        "division_polynomial": lambda: curves.division_polynomial(3.7, E),
+        "scalar_mul_point": lambda: curves.scalar_mul_point(E, 2.5, P),
+        "c0": lambda: heights.c0(2.9, 1, 1),
+        "check_theorem_a": lambda: certificates.check_theorem_a(C3, [101.7, 103.2]),
+        "zhang_special_bound": lambda: heights.zhang_special_bound(2.5, 1, 1),
+        "bezout_intersection_bounds": lambda: heights.bezout_intersection_bounds(
+            1, 1, 1, 1, 1, 2, 1.5),
+        "bool": lambda: curves.multiplication_maps(True, E),
+    }
+
+
+@pytest.mark.parametrize("name", list(_entry_point_calls()))
+def test_entry_points_read_integers_exactly(name):
+    with pytest.raises(TypeError):
+        _entry_point_calls()[name]()
