@@ -16,30 +16,39 @@ Cost model: a PrimeFieldCtx keeps, for the life of the context, one
 square-root table, each factor's affine point list (-P next to P) and,
 per multiplier alpha, the table of [alpha]P over those points, made with
 one double-and-add per pair +-P ([alpha](-P) = -[alpha]P) and shared by
-both checks.  Both evaluate over whole point lists.  The maps check runs
-Horner's rule once per distinct x and compares cross-multiplied, n =
-X*u*t and s*y = Y*t^3 mod p, so it inverts only to report a mismatch.
-The membership scan first fixes its tuples (every tuple when exhaustive,
-the SAMPLE_COUNT draws when sampled), then flags their points on the
-excluded locus or with image at infinity, groups each equation by its
-factor-1 monomials x1^a*y1^b and builds two tables over the unflagged
-tuples only: the monomial row of each distinct factor-1 point and the
-inner sums R_m over the other factors at each distinct tuple of their
-points.  Those are packed (Kronecker substitution): a monomial column
-over the rests is one integer with a 64-bit slot per rest, and R_m is
-one big-integer combination of columns, exact (and checked) while the
-equation's terms times (p-1)^2 stay below 2^64.  A tuple then costs two
-lookups and one dot product per equation, as long as its number of
-distinct factor-1 monomials; a sampled scan evaluates nothing at a
-point it did not draw.
+both checks.  Polynomials in one x are evaluated over a list of x's by
+_values: the power columns x^k are built once and packed (Kronecker
+substitution), a 64-bit slot per x, so each polynomial is one big-integer
+combination of them, reduced slot by slot.  The maps check evaluates n,
+u, t and s this way at the distinct x's and compares cross-multiplied,
+n = X*u*t and s*y = Y*t^3 mod p, so it inverts only to report a mismatch.
+The membership scan holds its tuples as one column of point indices per
+factor (every tuple when exhaustive, the SAMPLE_COUNT draws when sampled)
+and works column by column: it flags the points with image at infinity
+and, through _values at the x's the tuples use, those on the excluded
+locus; ORs the flags into each tuple's kind; and gives the live tuples
+positions into their distinct factor-1 points (firsts) and distinct
+points of the other factors (rests), shared by the preimage and the base
+equations.  Each equation is grouped by its factor-1 monomials m, with a
+row of monomial values per first and each inner sum R_m packed with a
+slot per rest, exact (and checked) while terms * (p-1)^2 < 2^64.  Where
+the firsts times the rests are no more than the tuples times the heads
+(always for an exhaustive scan, whose tuples fill that grid), the whole
+grid is one combination of the packed R_m per first, read at each tuple's
+slot, as long as terms * (p-1)^3 < 2^64; else each tuple costs one dot
+product as long as its heads.  Only tuples to report are turned back
+into points, and a sampled scan evaluates nothing at a point it did not
+draw.
 """
 
 import random
 import sys
 from array import array
-from itertools import product as iter_product
+from bisect import bisect_left
+from functools import partial, reduce
+from itertools import chain, compress, count, product as iter_product, repeat
 from math import prod
-from operator import getitem, mul
+from operator import add, eq, floordiv, is_, itemgetter, mod, mul, ne, not_, or_
 
 from .arith import is_prime, require_int
 
@@ -172,12 +181,14 @@ def poly_mod(poly, p, names):
     """Reduce a MultiPoly to a list of (coeff mod p, exponents) aligned
     with the given variable names; requires denominators prime to p."""
     idx = [poly.ring.index(n) for n in names]
+    same = idx == list(range(len(poly.ring)))
     out = []
     for e, c in poly.terms.items():
-        if c.denominator % p == 0:
-            raise BadReductionError("coefficient denominator divisible by %d" % p)
-        cm = c.numerator * pow(c.denominator, -1, p) % p
-        out.append((cm, tuple(e[i] for i in idx)))
+        if type(c) is not int:  # a Fraction
+            if c.denominator % p == 0:
+                raise BadReductionError("coefficient denominator divisible by %d" % p)
+            c = c.numerator * pow(c.denominator, -1, p)
+        out.append((c % p, e if same else tuple(e[i] for i in idx)))
     return out
 
 
@@ -193,21 +204,52 @@ def eval_mod(reduced, values, p):
 
 
 def _dense_mod(poly, p, name):
-    """A polynomial in one variable as a mod-p coefficient list, leading
-    coefficient first, for _horner."""
+    """A polynomial in one variable as a mod-p coefficient list, constant
+    term first, for _values."""
     reduced = poly_mod(poly, p, (name,))
     coeffs = [0] * (max((e[0] for _, e in reduced), default=-1) + 1)
     for c, (k,) in reduced:
         coeffs[k] = (coeffs[k] + c) % p
-    return coeffs[::-1]
+    return coeffs
 
 
-def _horner(coeffs, xs, p):
-    """A _dense_mod polynomial at every x of the list xs."""
-    acc = [0] * len(xs)
-    for c in coeffs:
-        acc = [(a * x + c) % p for a, x in zip(acc, xs)]
-    return acc
+def _check_slot(largest, what):
+    """Raise before a packed 64-bit slot could wrap: largest bounds its value."""
+    if largest >> 64:
+        raise ValueError("%s overflow a 64-bit slot" % what)
+
+
+def _pack(col):
+    """A column of integers below 2^64 as one integer, a 64-bit slot each
+    (Kronecker substitution): a linear combination of packed columns is
+    the column of the combinations, as long as no slot wraps."""
+    return int.from_bytes(array("Q", col), sys.byteorder)
+
+
+def _slots(packed, size):
+    """The size 64-bit slots of a packed column, as a sequence of ints."""
+    return memoryview(packed.to_bytes(8 * size, sys.byteorder)).cast("Q")
+
+
+def _powers(v, d, p):
+    """The columns v^0, v^1, ..., v^d mod p of a column v of residues."""
+    cols = [[1] * len(v)]
+    for _ in range(d):
+        cols.append(list(map(mod, map(mul, cols[-1], v), repeat(p))))
+    return cols
+
+
+def _values(polys, xs, p):
+    """Each of polys (_dense_mod coefficient lists) at every x of xs.
+
+    The power columns x^k are built and packed once; each polynomial is
+    then one combination of them, with slots below len(coeffs) * (p - 1)^2.
+    """
+    d = max(map(len, polys), default=0)
+    _check_slot(d * (p - 1) ** 2, "polynomial values mod %d" % p)
+    cols = list(map(_pack, _powers(xs, d - 1, p)))
+    return [list(map(mod, _slots(sum(map(mul, coeffs, cols)), len(xs)), repeat(p)))
+            for coeffs in polys]
 
 
 def verify_maps_vs_group_law(ctx, curve_index, alpha):
@@ -227,15 +269,14 @@ def verify_maps_vs_group_law(ctx, curve_index, alpha):
     maps = _maps_for(ctx.system.curves[curve_index], alpha)
     points = ctx.affine_points(curve_index)
     xs = list(dict.fromkeys(x for x, _ in points))  # -P shares x with P
-
-    def values(f):
-        return _horner(_dense_mod(f, p, "x"), xs, p)
-
     n, u = maps.x_parts()
-    t = values(maps.t)
-    u = t if u is maps.t else values(u)
-    at = dict(zip(xs, zip(values(n), [a * b % p for a, b in zip(u, t)],
-                          [v * v * v % p for v in t], values(maps.s))))
+    polys = [n, maps.t, maps.s]
+    if u is not maps.t:  # for odd alpha u is t itself
+        polys.append(u)
+    n, t, s, *u = _values([_dense_mod(f, p, "x") for f in polys], xs, p)
+    u = u[0] if u else t
+    at = dict(zip(xs, zip(n, [a * b % p for a, b in zip(u, t)],
+                          [v * v * v % p for v in t], s)))
     mismatches = []
     exceptional = []
     kernel = []
@@ -268,27 +309,31 @@ def verify_maps_vs_group_law(ctx, curve_index, alpha):
 
 
 class _GroupedEquations:
-    """Reduced equations on E_1 x ... x E_N, evaluated over a list of
-    tuples of point indices, each given as its first index (a 1-tuple)
-    and the rest.
+    """Reduced equations on E_1 x ... x E_N, evaluated at tuples of point
+    indices.  firsts is the pair (the distinct factor-1 indices, each
+    tuple's position among them); rests is the same pair for the indices
+    in the other factors, each rest written as one integer i_2 + s_2*(i_3
+    + s_3*(...)) where s_j is the number of points of factor j.  coords[j]
+    maps a point index of factor j to its (x, y).
 
     Each equation is written as sum_m m(P_1) * R_m(P_2, ..., P_N) over its
-    distinct factor-1 monomials m = x1^a*y1^b.  The tables are built list
-    by list over the given tuples only: per equation, the values of its
-    monomials m at each distinct first index (rows) and of its inner sums
-    R_m, unreduced below 2^64, at each distinct rest (sums).  A tuple then
-    costs two lookups and one short dot product per equation.  coords[j]
-    maps a point index of factor j to its (x, y).
+    distinct factor-1 monomials m = x1^a*y1^b.  Per equation, rows holds
+    the values of its monomials m at each distinct first, and sums its
+    inner sums R_m, each packed with an unreduced 64-bit slot per
+    distinct rest.
     """
 
     def __init__(self, reduced, coords, p, firsts, rests):
+        reduced = list(filter(None, reduced))  # an empty equation vanishes everywhere
         self.p = p
-        self.firsts = firsts
-        self.rests = rests
+        keys, self.fpos = firsts
+        rkeys, self.rpos = rests
+        self.width = len(rkeys)
+        self.terms = list(map(len, reduced))
         heads = {}   # factor-1 exponents -> column
         tails = {}   # exponents in the other factors -> column
         groups = []  # per equation: head column -> (tail columns, coefficients)
-        for eq in filter(None, reduced):  # an empty equation vanishes everywhere
+        for eq in reduced:
             group = {}
             for c, e in eq:
                 cols, coeffs = group.setdefault(heads.setdefault(e[:2], len(heads)),
@@ -296,54 +341,94 @@ class _GroupedEquations:
                 cols.append(tails.setdefault(e[2:], len(tails)))
                 coeffs.append(c)
             groups.append(group)
-        keys = list(dict.fromkeys(firsts))
-        at = self._monomials(coords[:1], keys, heads).__getitem__
-        self.rows = [dict(zip(keys, zip(*map(at, group)))) for group in groups]
-        keys = list(dict.fromkeys(rests))
-        # tail columns packed into one 64-bit slot per rest; a slot of an
-        # inner sum holds at most (terms of its equation) * (p - 1)^2
-        if max(map(len, reduced), default=0) * (p - 1) ** 2 >> 64:
-            raise ValueError("inner sums mod %d overflow a 64-bit slot" % p)
-        at = [int.from_bytes(array("Q", col), sys.byteorder)
-              for col in self._monomials(coords[1:], keys, tails)].__getitem__
-        self.sums = [dict(zip(keys, zip(*[
-            memoryview(sum(map(mul, coeffs, map(at, cols))).to_bytes(
-                8 * len(keys), sys.byteorder)).cast("Q")
-            for cols, coeffs in group.values()]))) for group in groups]
+        at = _monomials(coords[:1], [keys], heads, p, len(keys)).__getitem__
+        self.rows = [list(zip(*map(at, group))) for group in groups]
+        # a slot of an inner sum holds at most (terms of its equation) * (p - 1)^2
+        _check_slot(max(self.terms, default=0) * (p - 1) ** 2, "inner sums mod %d" % p)
+        ids = []  # per other factor, its point index at each distinct rest
+        for pts in coords[1:]:
+            ids.append(list(map(mod, rkeys, repeat(len(pts)))))
+            rkeys = list(map(floordiv, rkeys, repeat(len(pts))))
+        at = list(map(_pack, _monomials(coords[1:], ids, tails, p, self.width))).__getitem__
+        self.sums = [[sum(map(mul, coeffs, map(at, cols))) for cols, coeffs in group.values()]
+                     for group in groups]
 
-    def _monomials(self, coords, keys, exps):
-        """Each monomial of exps (exponents of x_1, y_1, x_2, ... over the
-        factors of coords) as a column over keys (tuples of point indices)."""
-        p = self.p
-        powers = []  # per coordinate: [v^0, v^1, ...] as columns
-        for pos, d in enumerate(max(col) for col in zip(*exps)):
-            v = [coords[pos // 2][key[pos // 2]][pos % 2] for key in keys]
-            powers.append([[1] * len(keys)])
-            for _ in range(d):
-                powers[-1].append([a * b % p for a, b in zip(powers[-1][-1], v)])
-        out = []
-        for e in exps:
-            factors = [powers[pos][k] for pos, k in enumerate(e) if k] or [[1] * len(keys)]
-            col = factors.pop()
-            for f in factors:
-                col = [a * b % p for a, b in zip(col, f)]
-            out.append(col)
-        return out
+    def evaluate(self, grid=None):
+        """Each equation's values mod p at the tuples, one list per equation.
 
-    def vanish(self):
-        """For each of the tuples: do all equations vanish there?"""
-        p = self.p
-        out = [True] * len(self.firsts)
-        for rows, sums in zip(self.rows, self.sums):
-            out = [ok and not sum(map(mul, a, b)) % p for ok, a, b in
-                   zip(out, map(rows.__getitem__, self.firsts),
-                       map(sums.__getitem__, self.rests))]
-        return out
+        An equation is evaluated over the whole grid of distinct firsts
+        and rests when the grid has no more cells than the tuples have
+        head terms (always when the tuples fill it): per first, one
+        combination of the packed R_m, whose slot per rest holds at most
+        terms * (p - 1)^3.  Else, or if that could wrap, it is one dot
+        product per tuple.  grid=True or False forces the one way or the
+        other; a forced grid raises ValueError where a slot could wrap.
+        """
+        p, size = self.p, len(self.fpos)
+        cells = None
+        for rows, sums, terms in zip(self.rows, self.sums, self.terms):
+            largest = terms * (p - 1) ** 3  # in a slot of the grid
+            if grid or grid is None and not largest >> 64 and \
+                    len(rows) * self.width <= size * len(sums):
+                _check_slot(largest, "grid sums mod %d" % p)
+                if cells is None:
+                    cells = list(map(add, map(mul, self.fpos, repeat(self.width)), self.rpos))
+                at = memoryview(b"".join([
+                    sum(map(mul, row, sums)).to_bytes(8 * self.width, sys.byteorder)
+                    for row in rows])).cast("Q").__getitem__
+                yield list(map(mod, map(at, cells), repeat(p)))
+            else:
+                inner = list(zip(*[_slots(col, self.width) for col in sums]))
+                # sum(map(mul, row, inner sums)) % p per tuple, all in C
+                yield list(map(mod, map(sum, map(map, repeat(mul),
+                                                 map(rows.__getitem__, self.fpos),
+                                                 map(inner.__getitem__, self.rpos))),
+                               repeat(p)))
+
+    def vanish(self, grid=None):
+        """For each tuple: do all equations vanish there?"""
+        nonzero = reduce(partial(map, or_), self.evaluate(grid), repeat(0, len(self.fpos)))
+        return list(map(not_, nonzero))
+
+
+def _monomials(coords, ids, exps, p, size):
+    """Each monomial of exps (exponents of x_1, y_1, x_2, ... over the
+    factors of coords) as a column of size values mod p; ids[f] lists the
+    point index of factor f at each place of the column."""
+    powers = []  # per coordinate: [v^0, v^1, ...] as columns
+    for pos, d in enumerate(max(col) for col in zip(*exps)):
+        pts = map(coords[pos // 2].__getitem__, ids[pos // 2])
+        powers.append(_powers(list(map(itemgetter(pos % 2), pts)), d, p))
+    out = []
+    for e in exps:
+        factors = [powers[pos][k] for pos, k in enumerate(e) if k]
+        col = factors.pop() if factors else [1] * size
+        for f in factors:
+            col = list(map(mod, map(mul, col, f), repeat(p)))
+        out.append(col)
+    return out
+
+
+def _positions(keys):
+    """The distinct keys in first-seen order, and each key's position
+    among them."""
+    distinct = list(dict.fromkeys(keys))
+    return distinct, list(map(dict(zip(distinct, count())).__getitem__, keys))
+
+
+def _split(cols, sizes):
+    """The firsts and rests of _GroupedEquations for tuples given as one
+    column of point indices per factor, sizes[j] points in factor j."""
+    first, *rest = cols
+    key = rest[-1] if rest else [0] * len(first)  # i_2 + s_2*(i_3 + s_3*(...))
+    for col, size in zip(rest[-2::-1], sizes[-2:0:-1]):
+        key = list(map(add, col, map(mul, key, repeat(size))))
+    return _positions(first), _positions(key)
 
 
 def _draw(rng, sizes, count):
-    """count tuples of indices below sizes, from the stream that
-    tuple(map(rng.choice, map(range, sizes))) would draw."""
+    """count tuples of indices below sizes, flattened, from the stream
+    that tuple(map(rng.choice, map(range, sizes))) would draw."""
     bits = rng.getrandbits
     flat = []
     for size, k in [(size, size.bit_length()) for size in sizes] * count:
@@ -351,7 +436,7 @@ def _draw(rng, sizes, count):
         while r >= size:
             r = bits(k)
         flat.append(r)
-    return list(zip(*[iter(flat)] * len(sizes)))
+    return flat
 
 
 def verify_preimage_membership(ctx, pre):
@@ -366,55 +451,65 @@ def verify_preimage_membership(ctx, pre):
     ctx.require_separable(alphas)
     n = system.n_factors
     names = system.ring
-    eqs = [poly_mod(eq, p, names) for eq in pre.equations]
-    base_eqs = [poly_mod(eq, p, names) for eq in pre.base.equations]
+    eqs = [poly_mod(f, p, names) for f in pre.equations]
+    base_eqs = [poly_mod(f, p, names) for f in pre.base.equations]
     excl = [(row["j"] - 1, _dense_mod(row["t"], p, "x%d" % row["j"]))
             for row in pre.excluded_locus]
     affine = [ctx.affine_points(idx) for idx in range(n)]
     images = [ctx.image_table(idx, alphas[idx]) for idx in range(n)]
     sizes = [len(pts) for pts in affine]
     exhaustive = (p <= EXHAUSTIVE_MAX_P and n == 2)
+    # the tuples, as one column of point indices per factor
     if exhaustive:
-        tuples = list(iter_product(*map(range, sizes)))
+        cols = list(zip(*iter_product(*map(range, sizes))))
     else:
-        tuples = _draw(random.Random(SAMPLE_SEED), sizes, min(SAMPLE_COUNT, prod(sizes)))
-    # per factor and point index in the tuples: 2 on the excluded locus,
-    # else 1 if the image is at infinity, else 0; a tuple's kind is the
-    # largest of these
-    kind = []
-    for j, table in enumerate(images):
-        ids = sorted({idx[j] for idx in tuples})
-        kind.append(dict(zip(ids, [int(table[i] is None) for i in ids])))
-    for j, t in excl:
-        ids = list(kind[j])
-        for i, v in zip(ids, _horner(t, [affine[j][i][0] for i in ids], p)):
-            if v == 0:
-                kind[j][i] = 2
-    kinds = [max(map(getitem, kind, idx)) for idx in tuples]
-    live = [idx for idx, k in zip(tuples, kinds) if not k]
-    firsts = [idx[:1] for idx in live]
-    rests = [idx[1:] for idx in live]
+        flat = _draw(random.Random(SAMPLE_SEED), sizes, min(SAMPLE_COUNT, prod(sizes)))
+        cols = [flat[j::n] for j in range(n)]
+    # per factor and point index, bit 1 if the image is at infinity and
+    # bit 2 on the excluded locus (evaluated at the x's the tuples use); a
+    # tuple's kind is the OR over its factors: 0 live, 1 with an image at
+    # infinity, 2 or 3 excluded
+    per_factor = []
+    for j, (pts, col, table) in enumerate(zip(affine, cols, images)):
+        flag = [0] * len(pts)
+        for i in compress(count(), map(is_, table, repeat(None))):
+            flag[i] = 1
+        polys = [t for k, t in excl if k == j]
+        if polys:
+            xs = list(set(map(itemgetter(0), map(pts.__getitem__, set(col)))))
+            for values in _values(polys, xs, p):
+                for x in compress(xs, map(not_, values)):
+                    i = bisect_left(pts, (x,))  # the points are sorted, -P after P
+                    while i < len(pts) and pts[i][0] == x:
+                        flag[i] |= 2
+                        i += 1
+        per_factor.append(map(flag.__getitem__, col))
+    kinds = list(reduce(partial(map, or_), per_factor))
+    live = list(map(not_, kinds))
+    firsts, rests = _split([list(compress(col, live)) for col in cols], sizes)
     lhs = _GroupedEquations(eqs, affine, p, firsts, rests).vanish()
     rhs = _GroupedEquations(base_eqs, images, p, firsts, rests).vanish()
-    results = zip(lhs, rhs)
+    # only the tuples to report are turned back into points, in order:
+    # those with an image at infinity (outside the excluded locus it must
+    # be affine) and the live ones where the two sides disagree
+    differ = {}
+    if lhs != rhs:
+        differ = dict(compress(zip(compress(count(), live), lhs), map(ne, lhs, rhs)))
+    at_infinity = compress(count(), map(eq, kinds, repeat(1))) if 1 in kinds else ()
     mismatches = []
-    for idx, k in zip(tuples, kinds):
-        if k == 1:
-            # outside the excluded locus the image must be affine
-            tup = tuple(pts[i] for pts, i in zip(affine, idx))
+    for i in sorted(chain(at_infinity, differ)):
+        tup = tuple(pts[col[i]] for pts, col in zip(affine, cols))
+        if i in differ:
+            mismatches.append({"tuple": tup, "equations_vanish": differ[i],
+                               "image_on_subvariety": not differ[i]})
+        else:
             mismatches.append({"tuple": tup, "problem": "image at infinity"})
-        elif not k:
-            vanish, member = next(results)
-            if vanish != member:
-                tup = tuple(pts[i] for pts, i in zip(affine, idx))
-                mismatches.append({"tuple": tup, "equations_vanish": vanish,
-                                   "image_on_subvariety": member})
     return {
         "p": p,
         "mode": "exhaustive" if exhaustive else "sampled",
         "affine_counts": sizes,
-        "iterated": len(tuples),
-        "excluded": kinds.count(2),
+        "iterated": len(kinds),
+        "excluded": len(kinds) - len(lhs) - kinds.count(1),
         "equations_vanish": lhs.count(True),
         "image_on_subvariety": rhs.count(True),
         "mismatches": mismatches,

@@ -375,14 +375,18 @@ def test_scan_matches_reference_on_random_pairs():
         _assert_scans_match(pre, [exhaustive[0], exhaustive[-1]] + sampled)
 
 
-def test_scan_matches_reference_on_three_factors():
+def _three_factor_preimage():
     sys3 = ProductSystem([E01, WeierstrassCurve(-1, 0), E01])
     table = MultiDegreeTable(1, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
     eqs = [parse_poly("y1 - y3", sys3.ring), parse_poly("x2 - x3", sys3.ring)]
     V = SubvarietyPresentation(sys3, eqs, 1, table, False)
-    pre = generate_preimage(V, DiagonalIsogeny([2, 1, -1]))
+    return generate_preimage(V, DiagonalIsogeny([2, 1, -1]))
+
+
+def test_scan_matches_reference_on_three_factors():
+    pre = _three_factor_preimage()
     _assert_scans_match(pre, [7, 13, 101])
-    rep = verify_preimage_membership(PrimeFieldCtx(101, sys3), pre)
+    rep = verify_preimage_membership(PrimeFieldCtx(101, pre.system), pre)
     assert rep["mode"] == "sampled" and rep["iterated"] == oracle.SAMPLE_COUNT
 
 
@@ -442,8 +446,11 @@ def test_sampled_scan_builds_tables_over_drawn_points_only(monkeypatch):
     assert len(built) == 2  # the preimage and the base equations
     for grouped in built:
         assert grouped.rows and grouped.sums
-        for table in grouped.rows + grouped.sums:
-            assert 0 < len(table) <= oracle.SAMPLE_COUNT
+        assert 0 < grouped.width <= oracle.SAMPLE_COUNT
+        for rows in grouped.rows:
+            assert 0 < len(rows) <= oracle.SAMPLE_COUNT
+        for sums in grouped.sums:  # one 64-bit slot per distinct rest
+            assert all(s.bit_length() <= 64 * grouped.width for s in sums)
 
 
 # -- tables shared on one context ------------------------------------------
@@ -529,8 +536,15 @@ def test_maps_check_reports_mismatches_as_divided_formulas(monkeypatch, alpha):
                    for m in got["mismatches"])
 
 
+def _grouped(eqs, coords, p, tuples):
+    """_GroupedEquations over tuples of point indices, as the scan builds it."""
+    firsts, rests = oracle._split([list(col) for col in zip(*tuples)],
+                                  [len(pts) for pts in coords])
+    return oracle._GroupedEquations(eqs, coords, p, firsts, rests)
+
+
 def test_packed_inner_sums_agree_with_eval_mod_at_max_p():
-    # every tuple's value, rebuilt from the rows and the packed inner
+    # every tuple's value, rebuilt from the rows and the unpacked inner
     # sums, equals eval_mod of the equation: slots reach about
     # terms * (p - 1)^2 / 4 > 2^32 at the largest prime the oracle takes
     pre = generate_preimage(C3, DiagonalIsogeny([5, 5]))
@@ -541,14 +555,20 @@ def test_packed_inner_sums_agree_with_eval_mod_at_max_p():
     coords = [[(rng.randrange(p), rng.randrange(p)) for _ in range(400)]
               for _ in range(2)]
     tuples = [(rng.randrange(400), rng.randrange(400)) for _ in range(300)]
-    grouped = oracle._GroupedEquations(eqs, coords, p, [t[:1] for t in tuples],
-                                       [t[1:] for t in tuples])
-    assert max(v for sums in grouped.sums for row in sums.values()
-               for v in row) >> 32
-    for eq, rows, sums in zip(eqs, grouped.rows, grouped.sums):
-        for i, j in tuples:
-            value = sum(a * b for a, b in zip(rows[(i,)], sums[(j,)])) % p
+    grouped = _grouped(eqs, coords, p, tuples)
+    inner = [list(zip(*[oracle._slots(s, grouped.width) for s in sums]))
+             for sums in grouped.sums]
+    assert max(v for table in inner for row in table for v in row) >> 32
+    firsts, rests = oracle._split([list(col) for col in zip(*tuples)], [400, 400])
+    for eq, rows, table in zip(eqs, grouped.rows, inner):
+        for (i, j), f, r in zip(tuples, firsts[1], rests[1]):
+            value = sum(a * b for a, b in zip(rows[f], table[r])) % p
             assert value == eval_mod(eq, coords[0][i] + coords[1][j], p)
+    # both ways of evaluating give those values
+    want = [[eval_mod(eq, coords[0][i] + coords[1][j], p) for i, j in tuples]
+            for eq in eqs]
+    for grid in (False, True):
+        assert list(grouped.evaluate(grid)) == want
 
 
 def test_packed_inner_sums_refuse_a_wrapping_slot():
@@ -557,6 +577,113 @@ def test_packed_inner_sums_refuse_a_wrapping_slot():
     p = (1 << 32) - 5
     eq = [(p - 1, (0, 0, 1, 0)), (p - 1, (0, 0, 0, 1))]
     coords = [[(1, 1)], [(2, 3)]]
-    oracle._GroupedEquations([eq[:1]], coords, p, [(0,)], [(0,)])
+    _grouped([eq[:1]], coords, p, [(0, 0)])
     with pytest.raises(ValueError):
-        oracle._GroupedEquations([eq], coords, p, [(0,)], [(0,)])
+        _grouped([eq], coords, p, [(0, 0)])
+
+
+@pytest.mark.parametrize("p", [13, 1009, oracle.MAX_P - 1])
+def test_values_equal_horner_per_x(p):
+    rng = random.Random(p)
+    xs = [0, 1, p - 1] + [rng.randrange(p) for _ in range(200)]
+    polys = [[], [0], [p - 1], [rng.randrange(p) for _ in range(30)],
+             [p - 1] * 17, [rng.randrange(p) for _ in range(5)]]
+
+    def horner(coeffs, x):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % p
+        return acc
+
+    assert oracle._values(polys, xs, p) == [[horner(c, x) for x in xs] for c in polys]
+    assert oracle._values(polys, [], p) == [[] for _ in polys]
+
+
+def _on_base(coords, p):
+    """The tuples of point indices where the base equations of C_3 (two
+    factors) or of _three_factor_preimage (three) vanish."""
+    by_y, by_x = {}, {}
+    for k, (x, y) in enumerate(coords[-1]):
+        by_y.setdefault(y, []).append(k)
+    if len(coords) == 2:  # y2 = x1^3
+        return [(i, k) for i, (x, _) in enumerate(coords[0])
+                for k in by_y.get(x ** 3 % p, ())]
+    for k, (x, _) in enumerate(coords[1]):  # y1 = y3 and x2 = x3
+        by_x.setdefault(x, []).append(k)
+    return [(i, k, m) for i, (_, y) in enumerate(coords[0]) for m in by_y.get(y, ())
+            for k in by_x.get(coords[2][m][0], ())]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_grid_and_per_tuple_paths_agree(n):
+    # on the same tuples (a full grid, and a sample that does not fill
+    # it) the grid and the per-tuple evaluation give the same values,
+    # those of eval_mod, and so the same vanish lists
+    p = 101
+    if n == 2:
+        pre = generate_preimage(C3, DiagonalIsogeny([3, 2]))
+    else:
+        pre = _three_factor_preimage()
+    ctx = PrimeFieldCtx(p, pre.system)
+    coords = [ctx.affine_points(j) for j in range(n)]
+    sizes = [len(pts) for pts in coords]
+    rng = random.Random(n)
+    full = list(iter_product(*[rng.sample(range(size), 9) for size in sizes]))
+    sample = [tuple(rng.randrange(size) for size in sizes) for _ in range(300)]
+    sample[::15] = _on_base(coords, p)[:20]
+    seen = set()
+    for equations in (pre.equations, pre.base.equations):
+        eqs = [poly_mod(eq, p, pre.system.ring) for eq in equations]
+        for tuples in (full, sample):
+            grouped = _grouped(eqs, coords, p, tuples)
+            want = [[eval_mod(eq, [v for j, i in enumerate(t) for v in coords[j][i]], p)
+                     for t in tuples] for eq in eqs]
+            assert list(grouped.evaluate(True)) == list(grouped.evaluate(False)) == want
+            vanish = grouped.vanish(True)
+            assert vanish == grouped.vanish(False) == grouped.vanish()
+            assert vanish == [not any(v) for v in zip(*want)]
+            seen.update(vanish)
+    assert seen == {True, False}
+
+
+def test_grid_refuses_a_wrapping_slot():
+    # at p near 2^22 an inner sum of one term fits its slot, (p - 1)^2 <
+    # 2^64, but a grid slot, up to (p - 1)^3, may not: a forced grid
+    # raises, and the default takes the per-tuple path
+    p = (1 << 22) - 3
+    eq = [(p - 1, (1, 0, 1, 0))]
+    coords = [[(p - 1, 1), (2, 1)], [(p - 1, 2), (3, 1)]]
+    tuples = list(iter_product(range(2), range(2)))
+    grouped = _grouped([eq], coords, p, tuples)
+    with pytest.raises(ValueError):
+        list(grouped.evaluate(True))
+    want = [[eval_mod(eq, coords[0][i] + coords[1][j], p) for i, j in tuples]]
+    assert list(grouped.evaluate()) == list(grouped.evaluate(False)) == want
+
+
+def test_grid_taken_where_the_tuples_fill_it(monkeypatch):
+    # tuples that fill the grid of their firsts and rests, as an
+    # exhaustive scan's do, are read off the grid, and so are tuples
+    # whose grid has fewer cells than they have head terms (10 per tuple
+    # here); a sparse sample over many points is evaluated tuple by
+    # tuple, which unpacks the inner sums per rest
+    pre = generate_preimage(C3, DiagonalIsogeny([3, 2]))
+    p = 1009
+    ctx = PrimeFieldCtx(p, SYS)
+    coords = [ctx.affine_points(j) for j in range(2)]
+    eqs = [poly_mod(eq, p, SYS.ring) for eq in pre.equations]
+    rng = random.Random(5)
+    full = list(iter_product(range(40), range(50)))
+    dense = [(rng.randrange(60), rng.randrange(60)) for _ in range(1000)]
+    sparse = [(rng.randrange(len(coords[0])), rng.randrange(len(coords[1])))
+              for _ in range(300)]
+    unpacked = []
+    slots = oracle._slots
+    monkeypatch.setattr(oracle, "_slots", lambda *args: unpacked.append(args) or slots(*args))
+    assert all(len(rows[0]) == 10 for rows in _grouped(eqs, coords, p, dense).rows)
+    for tuples, per_tuple in ((full, False), (dense, False), (sparse, True)):
+        del unpacked[:]
+        want = [[eval_mod(eq, coords[0][i] + coords[1][j], p) for i, j in tuples]
+                for eq in eqs]
+        assert list(_grouped(eqs, coords, p, tuples).evaluate()) == want
+        assert bool(unpacked) == per_tuple
