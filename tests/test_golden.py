@@ -2,8 +2,9 @@
 
 Refactors of the preimage path and the oracle must leave every entry
 byte-identical: the equations and excluded loci of generate_preimage(C_3,
-phi) for the eight corpus isogenies and of the surface y3 = x1*x2 in
-E x F x E for three more, the printed symbolic multiplication maps, the
+phi) for the eight corpus isogenies, of the surface y3 = x1*x2 in
+E x F x E for three more and of two curves in E x F (one equation in
+all four coordinates, one in the x's alone) for four more, the printed symbolic multiplication maps, the
 certify_auto dicts of the C_3 cases the certificate tests use, and the
 full oracle reports (maps check per factor, then membership scan) of
 fixed scans: exhaustive and both sampled scales, three factors, and a
@@ -53,6 +54,21 @@ SURFACE = SubvarietyPresentation(
     MultiDegreeTable(2, {(1, 1, 0): 27, (1, 0, 1): 18, (0, 1, 1): 18}), True)
 SURFACE_ALPHAS = [[2, 3, 1], [3, 3, 3], [5, 5, 5]]
 
+# curves in E x F whose equations use all four coordinates or no y; the
+# tables are the ones the norms give (deg_I = 3 * deg_{x_k} N_k)
+SYS2 = ProductSystem([E, F])
+PLANE_CURVES = {
+    "y1*y2 - x1*x2 - 1": MultiDegreeTable(1, {(1, 0): 9, (0, 1): 9}),
+    "x2 - x1^2": MultiDegreeTable(1, {(1, 0): 6, (0, 1): 12}),
+}
+PLANE_CASES = [("y1*y2 - x1*x2 - 1", [2, 3]), ("y1*y2 - x1*x2 - 1", [-3, 2]),
+               ("x2 - x1^2", [3, 2]), ("x2 - x1^2", [2, 2])]
+
+
+def _plane_curve(eq):
+    return SubvarietyPresentation(SYS2, [parse_poly(eq, SYS2.ring)], 1,
+                                  PLANE_CURVES[eq], False)
+
 
 def _three_factor_preimage():
     # the system of test_oracle.test_scan_matches_reference_on_three_factors
@@ -85,6 +101,11 @@ ORACLE_SCANS.update({"wrong 2,1@%d" % p: (_wrong_presentation, p) for p in (17, 
 
 def _key(alphas):
     return ",".join(str(a) for a in alphas)
+
+
+def _plane_key(case):
+    eq, alphas = case
+    return "%s @ %s" % (eq, _key(alphas))
 
 
 def _frozen(p):
@@ -129,6 +150,8 @@ def build_corpus():
     return {
         "preimages": {_key(a): preimage_entry(a) for a in PREIMAGE_ALPHAS},
         "surface_preimages": {_key(a): preimage_entry(a, SURFACE) for a in SURFACE_ALPHAS},
+        "plane_curve_preimages": {_plane_key(c): preimage_entry(c[1], _plane_curve(c[0]))
+                                  for c in PLANE_CASES},
         "oracle": {name: oracle_entry(name) for name in ORACLE_SCANS},
         "maps": {str(a): maps_entry(a) for a in MAPS_ALPHAS},
         "certify_auto": {_key(a): certify_entry(a) for a in CERTIFY_ALPHAS},
@@ -148,6 +171,13 @@ def test_preimage_matches_golden(alphas):
 @pytest.mark.parametrize("alphas", SURFACE_ALPHAS, ids=_key)
 def test_surface_preimage_matches_golden(alphas):
     assert preimage_entry(alphas, SURFACE) == _load()["surface_preimages"][_key(alphas)]
+
+
+@pytest.mark.parametrize("case", PLANE_CASES, ids=_plane_key)
+def test_plane_curve_preimage_matches_golden(case):
+    eq, alphas = case
+    assert (preimage_entry(alphas, _plane_curve(eq))
+            == _load()["plane_curve_preimages"][_plane_key(case)])
 
 
 @pytest.mark.parametrize("name", list(ORACLE_SCANS))
