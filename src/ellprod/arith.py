@@ -25,7 +25,7 @@ def require_int(v, name):
 
 def is_prime(n):
     """Is |n| prime?  Proven for |n| < MR_LIMIT; ValueError above."""
-    n = abs(int(n))
+    n = abs(require_int(n, "n"))
     if n >= MR_LIMIT:
         raise ValueError("primality of %d is beyond the proven range of the "
                          "13-base Miller-Rabin test (< %d)" % (n, MR_LIMIT))
@@ -58,7 +58,7 @@ def prime_factors(n):
     ValueError for 0, and for a cofactor that is composite or too large
     for is_prime.
     """
-    n = abs(int(n))
+    n = abs(require_int(n, "n"))
     if n == 0:
         raise ValueError("0 has no finite prime factorization")
     primes = []

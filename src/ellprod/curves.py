@@ -22,7 +22,10 @@ symbolically and then specialized.  Neither path divides: s = P_2alpha /
 (2 P_alpha) is taken from the bracket (P_{alpha+2} P_{alpha-1}^2 -
 P_{alpha-2} P_{alpha+1}^2) / 4 of the recurrence, for either parity of
 alpha (Washington, Elliptic Curves: Number Theory and Cryptography,
-section 3.2).
+section 3.2).  The maps multiplication_maps returns build each of r, s,
+t, r~ and t~ from the recurrence on first access and keep it, so a
+caller that reads only some fields (the preimage of an equation that
+omits a coordinate) never pays for the others.
 
 The coordinate formulas are undefined exactly where t(x) = 0, on the
 affine kernel of [alpha]; evaluation there raises KernelPointError, and
@@ -233,6 +236,9 @@ def division_polynomial(m, curve=None):
 # -- scalar multiplication in coordinates --------------------------------
 
 
+_FIELDS = ("r", "s", "t", "r_tilde", "t_tilde")
+
+
 class MultiplicationMaps:
     """Coordinate functions of [alpha] on a short Weierstrass curve.
 
@@ -240,9 +246,14 @@ class MultiplicationMaps:
     MultiPoly in the ring (x, A, B); when built for a concrete curve the
     symbols A, B do not occur.  With (n, u) = x_parts(), the x-map is
     n/(u*t) and the y-map s*y/t^3 for either parity of alpha.
+
+    The constructor takes the fields themselves.  The maps that
+    multiplication_maps returns build each field from the psi recurrence
+    on first access and keep it, so a caller pays only for the fields it
+    reads; the values do not depend on the order of reading.
     """
 
-    __slots__ = ("alpha", "r", "s", "t", "r_tilde", "t_tilde")
+    __slots__ = ("alpha",) + _FIELDS + ("_divpolys",)
 
     def __init__(self, alpha, r, s, t, r_tilde=None, t_tilde=None):
         self.alpha = alpha
@@ -251,6 +262,49 @@ class MultiplicationMaps:
         self.t = t
         self.r_tilde = r_tilde
         self.t_tilde = t_tilde
+
+    @classmethod
+    def _from_divpolys(cls, alpha, P, c3):
+        """Maps of [alpha], |alpha| >= 2, whose fields are built on first
+        access from the x-parts P and the curve cubic c3."""
+        maps = object.__new__(cls)
+        maps.alpha = alpha
+        maps._divpolys = P, c3
+        return maps
+
+    def __getattr__(self, name):
+        # reached only for a field not built yet (or an unknown name)
+        if name not in _FIELDS:
+            raise AttributeError(name)
+        value = self._field(name)
+        setattr(self, name, value)
+        return value
+
+    def _field(self, name):
+        """One field of [a], a = |alpha| >= 2.
+
+        s = P_2a / (2 P_a) is taken from the bracket of the psi
+        recurrence, (P_{a+2} P_{a-1}^2 - P_{a-2} P_{a+1}^2) / 4, so no
+        division occurs.  For even a, t = c3 * t~ and r = c3 * r~.
+        """
+        P, c3 = self._divpolys
+        a = abs(self.alpha)
+        even = a % 2 == 0
+        if name == "s":
+            s4 = P(a + 2) * P(a - 1) ** 2 - P(a - 2) * P(a + 1) ** 2
+            s = Fraction(1, 4) * (c3 * s4 if even else s4)
+            return -s if self.alpha < 0 else s
+        if name == "t":
+            return c3 * P(a) if even else P(a)
+        if not even:
+            if name == "r":
+                return _X * P(a) ** 2 - c3 * P(a - 1) * P(a + 1)
+            return None  # r~ and t~ exist for even a only
+        if name == "r":
+            return c3 * self.r_tilde
+        if name == "r_tilde":
+            return _X * c3 * P(a) ** 2 - P(a - 1) * P(a + 1)
+        return P(a)  # t~
 
     def is_even(self):
         return self.alpha % 2 == 0
@@ -266,42 +320,22 @@ class MultiplicationMaps:
         return {"r": self.r.degree(), "s": self.s.degree(), "t": self.t.degree()}
 
 
-def _map_fields(a, P, c3):
-    """(r, 4*s, t, r~, t~) of [a] for a >= 2, from the x-parts P and the
-    curve cubic c3.
-
-    s = P_2a / (2 P_a) is taken from the bracket of the psi recurrence,
-    (P_{a+2} P_{a-1}^2 - P_{a-2} P_{a+1}^2) / 4, so no division occurs.
-    """
-    s4 = P(a + 2) * P(a - 1) ** 2 - P(a - 2) * P(a + 1) ** 2
-    if a % 2 == 1:
-        return _X * P(a) ** 2 - c3 * P(a - 1) * P(a + 1), s4, P(a), None, None
-    r_t = _X * c3 * P(a) ** 2 - P(a - 1) * P(a + 1)
-    return c3 * r_t, c3 * s4, c3 * P(a), r_t, P(a)
-
-
 def multiplication_maps(alpha, curve=None):
-    """Build the (r, s, t) data for [alpha], symbolic or curve-specific.
+    """The (r, s, t) data for [alpha], symbolic or curve-specific.
 
     Symbolic maps come from the division polynomials in Z[x, A, B]; a
     curve's maps are built on its own integer coefficients, and equal the
-    symbolic ones with A and B specialized.  alpha = 0 has no coordinate
-    description (constant infinity) and is rejected.  Negative alpha
-    flips the sign of s only.
+    symbolic ones with A and B specialized.  Each field is built when
+    first read.  alpha = 0 has no coordinate description (constant
+    infinity) and is rejected.  Negative alpha flips the sign of s only.
     """
     alpha = require_int(alpha, "alpha")
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    a = abs(alpha)
-    if a == 1:
-        r, s, t = _X, MultiPoly.const(RING_XAB, 1), MultiPoly.const(RING_XAB, 1)
-        r_t = t_t = None
-    else:
-        r, s4, t, r_t, t_t = _map_fields(a, *_divpolys(curve))
-        s = Fraction(1, 4) * s4
-    if alpha < 0:
-        s = -s
-    return MultiplicationMaps(alpha, r, s, t, r_t, t_t)
+    if abs(alpha) == 1:
+        s, t = MultiPoly.const(RING_XAB, 1), MultiPoly.const(RING_XAB, 1)
+        return MultiplicationMaps(alpha, _X, s if alpha > 0 else -s, t)
+    return MultiplicationMaps._from_divpolys(alpha, *_divpolys(curve))
 
 
 _MAPS_CACHE = {}

@@ -309,7 +309,7 @@ def bezout_intersection_bounds(deg_pre, h2_pre, deg_b, h2_b, dim_b, n_factors,
 
 def galateau_lambda(n_factors, k):
     """lambda(N, k) = (5N(k+1))^(k+1), exact integer."""
-    n_factors, k = int(n_factors), int(k)
+    n_factors, k = require_int(n_factors, "n_factors"), require_int(k, "k")
     if n_factors < 1 or k < 0:
         raise ValueError("need N >= 1 and k >= 0")
     return (5 * n_factors * (k + 1)) ** (k + 1)
@@ -364,8 +364,9 @@ def essential_minimum_image_bounds(n_factors, r, d_l, alpha, deg_c,
     deg_pre = N*alpha^(2(N-r))*deg_C, then 3N^3*d_L*alpha^(2(N-r))*deg_C,
     then 3N^3*alpha^(2(N+1-r))*deg_C.
     """
-    n_factors, r, d_l, alpha, deg_c = (int(n_factors), int(r), int(d_l),
-                                       int(alpha), int(deg_c))
+    n_factors, r, alpha = (require_int(n_factors, "n_factors"), require_int(r, "r"),
+                           require_int(alpha, "alpha"))
+    d_l, deg_c = require_int(d_l, "d_l"), require_int(deg_c, "deg_c")
     if n_factors < 2:
         raise ValueError("need N >= 2")
     if not 2 <= r <= n_factors:

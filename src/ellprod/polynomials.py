@@ -26,6 +26,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
 
+from .arith import require_int
+
 
 class ParseError(ValueError):
     """Raised on malformed polynomial text; message carries the offset."""
@@ -59,7 +61,7 @@ class MultiPoly:
                 c = _norm(Fraction(c))
                 if c == 0:
                     continue
-                e = tuple(int(k) for k in e)
+                e = tuple(require_int(k, "exponent") for k in e)
                 if len(e) != n or any(k < 0 for k in e):
                     raise ValueError("bad exponent tuple %r for ring %r" % (e, self.ring))
                 clean[e] = _norm(clean.get(e, 0) + c)
@@ -98,9 +100,12 @@ class MultiPoly:
         ring = tuple(ring)
         if name not in ring:
             raise ValueError("variable %r not in ring %r" % (name, ring))
+        power = require_int(power, "power")
+        if power < 0:
+            raise ValueError("negative exponent")
         e = [0] * len(ring)
         e[ring.index(name)] = power
-        return cls(ring, {tuple(e): Fraction(1)})
+        return cls._trusted(ring, {tuple(e): 1})
 
     # -- basic queries ------------------------------------------------
 
@@ -251,11 +256,15 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        n = int(n)
+        n = require_int(n, "exponent")
         if n < 0:
             raise ValueError("negative exponent")
         if n <= 1:
             return self if n else MultiPoly.const(self.ring, 1)
+        if len(self.terms) == 1:
+            # one term: raise its coefficient and scale its exponent
+            (e, c), = self.terms.items()
+            return MultiPoly._trusted(self.ring, {tuple(k * n for k in e): c ** n})
         half = self ** (n >> 1)
         return half * half * self if n & 1 else half * half
 
@@ -650,17 +659,20 @@ def reduce_weierstrass(p, relations):
         yi = p.ring.index(name)
         if p.degree_in(name) <= 1:
             continue
-        cache = {0: MultiPoly.const(p.ring, 1)}
-        out = MultiPoly.zero(p.ring)
+        # accumulate c * x^base * rhs^half for every term into one dict
+        cache = {}
+        out = {}
+        get = out.get
         for e, c in p.terms.items():
-            k = e[yi]
-            half, parity = divmod(k, 2)
+            half, parity = divmod(e[yi], 2)
             if half not in cache:
                 cache[half] = rhs ** half
             base = list(e)
             base[yi] = parity
-            out = out + MultiPoly._trusted(p.ring, {tuple(base): c}) * cache[half]
-        p = out
+            for f, d in cache[half].terms.items():
+                g = tuple(map(add, base, f))
+                out[g] = get(g, 0) + c * d
+        p = MultiPoly._trusted(p.ring, {e: _norm(c) for e, c in out.items() if c})
     return p
 
 

@@ -78,26 +78,32 @@ def generate_preimage(V, isogeny):
         raise ValueError("isogeny has %d components, product has %d factors"
                          % (isogeny.n_factors, system.n_factors))
     ring = system.ring
+    # bind only the coordinates the equations use: the maps build only
+    # the fields that are read
+    used = set().union(*(f.variables() for f in V.equations))
+    relations = system.weierstrass_relations()
     bindings = {}
     strip_candidates = []
     excluded = []
     for j, (alpha, curve) in enumerate(zip(isogeny.alphas, system.curves), start=1):
         maps = multiplication_maps(alpha, curve)
         xj, yj = "x%d" % j, "y%d" % j
-        n, u, s, t = (f.embed(ring, {"x": xj})
-                      for f in maps.x_parts() + (maps.s, maps.t))
-        bindings[xj] = (n, u * t)
-        bindings[yj] = (s * MultiPoly.var(ring, yj), t ** 3)
+        n, u = maps.x_parts()
+        t = maps.t.embed(ring, {"x": xj})
+        u = t if u is maps.t else u.embed(ring, {"x": xj})
+        if xj in used:
+            bindings[xj] = (n.embed(ring, {"x": xj}), u * t)
+        if yj in used:
+            bindings[yj] = (maps.s.embed(ring, {"x": xj}) * MultiPoly.var(ring, yj), t ** 3)
         if abs(alpha) != 1:
             excluded.append({"j": j, "alpha": alpha, "t": integer_primitive(t)[1]})
             # t is u (odd alpha) or the cubic times u (even alpha, where
             # the two are coprime), so u and the cubic strip what t would
-            for cand in (u, system.coordinate_cubic(j)):
+            for cand in (u, relations[j - 1][1]):
                 cand = integer_primitive(cand)[1]
                 if not cand.is_constant() and cand not in strip_candidates:
                     strip_candidates.append(cand)
 
-    relations = system.weierstrass_relations()
     equations = []
     for f in V.equations:
         num, _den = substitute(f, bindings)

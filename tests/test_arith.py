@@ -99,14 +99,26 @@ def test_unlimited_int_str_lifts_the_limit_inside_the_block_only():
 
 
 def _entry_point_calls():
-    from ellprod import certificates, curves, heights, products
+    from ellprod import arith, certificates, curves, heights, polynomials, products
 
     E = curves.WeierstrassCurve(0, 1)
     C3 = products.make_cn_curve(E, E, 3)
     P = curves.CurvePoint(2, 3)
+    ring = ("x", "y")
+    x = polynomials.MultiPoly.var(ring, "x")
     return {
         # each used to truncate: y2 = x1^2, [2], 81, P_3, [2]P, c0(2,1,1),
-        # primes [101, 103]
+        # primes [101, 103]; then 7 is prime, [2, 3], lambda(2, 1) = 400,
+        # N = 2, alpha = 5, deg_C = 3 echoed, x^2, x, x, 3*x
+        "is_prime": lambda: arith.is_prime(7.9),
+        "prime_factors": lambda: arith.prime_factors(12.5),
+        "galateau_lambda": lambda: heights.galateau_lambda(2.7, 1.2),
+        "essential_minimum_image_bounds": lambda: heights.essential_minimum_image_bounds(
+            2.9, 2, 1, 5.5, 3.2),
+        "poly_pow": lambda: x ** 2.5,
+        "poly_pow_bool": lambda: x ** True,
+        "var_power": lambda: polynomials.MultiPoly.var(ring, "x", 1.7),
+        "exponent_tuple": lambda: polynomials.MultiPoly(ring, {(1.9, 0): 3}),
         "make_cn_curve": lambda: products.make_cn_curve(E, E, 2.5),
         "multiplication_maps": lambda: curves.multiplication_maps(2.9, E),
         "preimage_degree_curve": lambda: products.preimage_degree_curve([9, 18.7], 1, 2.2),

@@ -272,6 +272,36 @@ def _symbolic_maps(alpha):
     return _SYMBOLIC_MAPS[alpha]
 
 
+# the curves of tools/output_hashes.py for alpha in +-1..9, then the
+# symbolic maps for alpha in +-1..7 (its symbolic-maps range; +-8 and +-9
+# would add about 2 s)
+LAZY_CURVES = [WeierstrassCurve(*ab) for ab in [(-1, 0), (0, 1), (2, 3), (-7, 6), (5, -3)]]
+LAZY_ORDERS = {
+    "r first": ("r", "t_tilde", "s", "r_tilde", "t"),
+    "s first": ("s", "r_tilde", "t", "r", "t_tilde"),
+    "x_parts first": ("x_parts", "s", "t", "r", "r_tilde", "t_tilde"),
+    "t~ first": ("t_tilde", "t", "r", "r_tilde", "s"),
+}
+
+
+@pytest.mark.parametrize("curve", LAZY_CURVES + [None], ids=repr)
+def test_lazy_fields_do_not_depend_on_the_order_of_reading(curve):
+    top = 9 if curve else 7
+    for alpha in [a for k in range(1, top + 1) for a in (k, -k)]:
+        ref = multiplication_maps(alpha, curve)
+        want = {f: getattr(ref, f) for f in MAP_FIELDS}  # the default order
+        for order in LAZY_ORDERS.values():
+            maps = multiplication_maps(alpha, curve)
+            for f in order:
+                maps.x_parts() if f == "x_parts" else getattr(maps, f)
+            assert {f: getattr(maps, f) for f in MAP_FIELDS} == want, (alpha, order)
+            assert maps.x_parts() == ref.x_parts()
+            if alpha % 2:
+                assert maps.x_parts()[1] is maps.t
+            else:
+                assert maps.x_parts()[0] is maps.r_tilde and maps.x_parts()[1] is maps.t_tilde
+
+
 nonsingular_curves = st.tuples(
     st.integers(min_value=-60, max_value=60),
     st.integers(min_value=-60, max_value=60),
