@@ -316,6 +316,11 @@ class MultiplicationMaps:
             return self.r_tilde, self.t_tilde
         return self.r, self.t
 
+    def u_part(self):
+        """u of x_parts() alone, so that a caller that does not need the
+        x-map never builds n."""
+        return self.t_tilde if self.is_even() else self.t
+
     def degrees(self):
         return {"r": self.r.degree(), "s": self.s.degree(), "t": self.t.degree()}
 

@@ -88,11 +88,11 @@ def generate_preimage(V, isogeny):
     for j, (alpha, curve) in enumerate(zip(isogeny.alphas, system.curves), start=1):
         maps = multiplication_maps(alpha, curve)
         xj, yj = "x%d" % j, "y%d" % j
-        n, u = maps.x_parts()
+        u = maps.u_part()
         t = maps.t.embed(ring, {"x": xj})
         u = t if u is maps.t else u.embed(ring, {"x": xj})
         if xj in used:
-            bindings[xj] = (n.embed(ring, {"x": xj}), u * t)
+            bindings[xj] = (maps.x_parts()[0].embed(ring, {"x": xj}), u * t)
         if yj in used:
             bindings[yj] = (maps.s.embed(ring, {"x": xj}) * MultiPoly.var(ring, yj), t ** 3)
         if abs(alpha) != 1:

@@ -296,6 +296,7 @@ def test_lazy_fields_do_not_depend_on_the_order_of_reading(curve):
                 maps.x_parts() if f == "x_parts" else getattr(maps, f)
             assert {f: getattr(maps, f) for f in MAP_FIELDS} == want, (alpha, order)
             assert maps.x_parts() == ref.x_parts()
+            assert maps.u_part() is maps.x_parts()[1]
             if alpha % 2:
                 assert maps.x_parts()[1] is maps.t
             else:

@@ -71,6 +71,29 @@ def test_preimage_1_5_equation():
     assert [row["j"] for row in pre.excluded_locus] == [2]
 
 
+@pytest.mark.parametrize("alphas, built", [
+    # y2 - x1^3 uses x1 and y2: factor 1 needs n, u and t; factor 2 s, u, t
+    ([3, 5], [{"r", "t"}, {"s", "t"}]),
+    ([2, 4], [{"r_tilde", "t_tilde", "t"}, {"s", "t_tilde", "t"}]),
+    ([-3, 2], [{"r", "t"}, {"s", "t_tilde", "t"}]),
+])
+def test_preimage_builds_only_the_map_fields_its_bindings_use(monkeypatch, alphas, built):
+    from ellprod.curves import MultiplicationMaps
+
+    seen = []
+    field = MultiplicationMaps._field
+
+    def recording(maps, name):
+        seen.append((maps, name))
+        return field(maps, name)
+
+    monkeypatch.setattr(MultiplicationMaps, "_field", recording)
+    generate_preimage(C3, DiagonalIsogeny(alphas))
+    factors = list(dict.fromkeys(maps for maps, _ in seen))
+    assert [maps.alpha for maps in factors] == alphas
+    assert [{name for maps, name in seen if maps is f} for f in factors] == built
+
+
 def test_preimage_equation_not_divisible_by_denominators():
     pre = generate_preimage(C3, DiagonalIsogeny([2, 1]))
     eq = pre.equations[0]
