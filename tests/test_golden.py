@@ -4,7 +4,9 @@ Refactors of the preimage path and the oracle must leave every entry
 byte-identical: the equations and excluded loci of generate_preimage(C_3,
 phi) for the eight corpus isogenies, of the surface y3 = x1*x2 in
 E x F x E for three more and of two curves in E x F (one equation in
-all four coordinates, one in the x's alone) for four more, the printed symbolic multiplication maps, the
+all four coordinates, one in the x's alone) for four more, the printed
+symbolic multiplication maps, the printed maps of two concrete curves
+(small and 30-digit coefficients) for alpha = +-2..9, the
 certify_auto dicts of the C_3 cases the certificate tests use, and the
 full oracle reports (maps check per factor, then membership scan) of
 fixed scans: exhaustive and both sampled scales, three factors, and a
@@ -44,6 +46,12 @@ F = WeierstrassCurve(-1, 0)
 C3 = make_cn_curve(E, E, 3)
 PREIMAGE_ALPHAS = [[2, 1], [1, 5], [3, 3], [2, 2], [4, 1], [5, 5], [1, 7], [7, 7]]
 MAPS_ALPHAS = [a for k in range(2, 6) for a in (k, -k)]
+# curve-specific maps: benchmark-sized and 30-digit coefficients
+MAP_CURVES = [WeierstrassCurve(-45, 53),
+              WeierstrassCurve(314159265358979323846264338327,
+                               -271828182845904523536028747135)]
+CURVE_MAPS_CASES = [(E_, a) for E_ in MAP_CURVES
+                    for k in range(2, 10) for a in (k, -k)]
 CERTIFY_ALPHAS = [[2, 1], [3, 3], [1, 1]]
 
 # y3 = x1*x2 in E x F x E; its table is the one the norm of the equation
@@ -103,6 +111,11 @@ def _key(alphas):
     return ",".join(str(a) for a in alphas)
 
 
+def _curve_maps_key(case):
+    E_, alpha = case
+    return "%d,%d @ %d" % (E_.A, E_.B, alpha)
+
+
 def _plane_key(case):
     eq, alphas = case
     return "%s @ %s" % (eq, _key(alphas))
@@ -135,8 +148,8 @@ def oracle_entry(name):
     return json.loads(json.dumps(reports))
 
 
-def maps_entry(alpha):
-    maps = multiplication_maps(alpha)
+def maps_entry(alpha, curve=None):
+    maps = multiplication_maps(alpha, curve)
     return {f: _frozen(getattr(maps, f))
             for f in ("r", "s", "t", "r_tilde", "t_tilde")
             if getattr(maps, f) is not None}
@@ -154,6 +167,7 @@ def build_corpus():
                                   for c in PLANE_CASES},
         "oracle": {name: oracle_entry(name) for name in ORACLE_SCANS},
         "maps": {str(a): maps_entry(a) for a in MAPS_ALPHAS},
+        "curve_maps": {_curve_maps_key(c): maps_entry(c[1], c[0]) for c in CURVE_MAPS_CASES},
         "certify_auto": {_key(a): certify_entry(a) for a in CERTIFY_ALPHAS},
     }
 
@@ -188,6 +202,12 @@ def test_oracle_reports_match_golden(name):
 @pytest.mark.parametrize("alpha", MAPS_ALPHAS)
 def test_symbolic_maps_match_golden(alpha):
     assert maps_entry(alpha) == _load()["maps"][str(alpha)]
+
+
+@pytest.mark.parametrize("case", CURVE_MAPS_CASES, ids=_curve_maps_key)
+def test_curve_maps_match_golden(case):
+    E_, alpha = case
+    assert maps_entry(alpha, E_) == _load()["curve_maps"][_curve_maps_key(case)]
 
 
 @pytest.mark.parametrize("alphas", CERTIFY_ALPHAS, ids=_key)
