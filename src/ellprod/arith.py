@@ -1,11 +1,12 @@
 """Integer number theory for the certificates, the isogenies and the
 finite-field oracle: each answer is exact, and an input out of range
 raises ValueError instead of getting a guess.  Also the constructors'
-strict int reader and the one place that lifts the interpreter's
-int->str digit limit, for printing exact integers in full."""
+strict int and rational readers and the one place that lifts the
+interpreter's int->str digit limit, for printing exact integers in full."""
 
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 
 # Miller-Rabin with the 13 prime bases 2..41 proves primality below
 # MR_LIMIT, the least strong pseudoprime to all of them (Sorenson and
@@ -20,6 +21,16 @@ def require_int(v, name):
     """v if it is an int, not a bool; TypeError, never a truncation."""
     if type(v) is not int:
         raise TypeError("%s must be an int, got %r" % (name, v))
+    return v
+
+
+def require_rational(v, name):
+    """v if it is an int (not a bool) or a Fraction; TypeError for a float
+    (never its binary fraction) or any other type.  Text is not parsed
+    either; it gets the ValueError of malformed numeric text."""
+    if type(v) is not int and not isinstance(v, Fraction):
+        error = ValueError if isinstance(v, str) else TypeError
+        raise error("%s must be an int or a Fraction, got %r" % (name, v))
     return v
 
 

@@ -14,11 +14,24 @@ parity choice for this module and its callers alike.
 Division polynomials are stored with y^2 eliminated: psi_m = y^(m+1 mod 2)
 * P_m(x, A, B), and this module works with the x-parts P_m throughout.
 
-One psi recurrence on MultiPoly in (x, A, B) serves both kinds of maps.
-Symbolic maps seed it with P_0..P_4 and the cubic in Z[x, A, B]; the
-maps of a given curve seed it with the same polynomials with A and B
-specialized to the curve's integers, so they are never built
-symbolically and then specialized.  Neither path divides: s = P_2alpha /
+One psi recurrence serves both kinds of maps, and it, its seeds P_0..P_4
+with the cubic, and the field formulas are each written once, generic
+over the element type.  Symbolic maps run them on MultiPoly in (x, A, B).
+The maps of a given curve run them on Python ints: each value is a
+polynomial in Z[x] (A and B the curve's integers) evaluated at x = 2^w.
+That evaluation is a ring homomorphism Z[x] -> Z (Kronecker
+substitution), so each product of polynomials is one product of ints and
+the exact halvings are shifts; the maps are never built symbolically and
+then specialized.  A value is unpacked into a MultiPoly once, when a
+caller reads it, from slots of w bits, a multiple of 8.  Intermediate
+values need no width, since evaluation is exact; the width of a value
+that is unpacked is proven from an upper bound on its L1 norm (|fg| <=
+|f||g|, |f +- g| <= |f| + |g|), which the same formulas compute from the
+norms of the seeds.  The recurrence runs at the width of the x-parts a
+map reads, and a field that needs more gets those x-parts repacked at
+its own width.  The packed int never leaves this module: it is the value
+of a polynomial, not a second polynomial type, and MultiPoly stays the
+one polynomial type callers see.  Neither path divides: s = P_2alpha /
 (2 P_alpha) is taken from the bracket (P_{alpha+2} P_{alpha-1}^2 -
 P_{alpha-2} P_{alpha+1}^2) / 4 of the recurrence, for either parity of
 alpha (Washington, Elliptic Curves: Number Theory and Cryptography,
@@ -34,7 +47,7 @@ the public evaluator falls back to the group law, which is total.
 
 from fractions import Fraction
 
-from .arith import require_int
+from .arith import require_int, require_rational
 from .polynomials import MultiPoly
 
 RING_XAB = ("x", "A", "B")
@@ -70,11 +83,11 @@ class WeierstrassCurve:
         return Fraction(-1728 * (4 * self.A) ** 3, self.discriminant())
 
     def rhs(self, x):
-        x = Fraction(x)
+        x = Fraction(require_rational(x, "x"))
         return x ** 3 + self.A * x + self.B
 
     def contains(self, x, y):
-        return Fraction(y) ** 2 == self.rhs(x)
+        return Fraction(require_rational(y, "y")) ** 2 == self.rhs(x)
 
     def __eq__(self, other):
         return (isinstance(other, WeierstrassCurve)
@@ -95,8 +108,10 @@ class CurvePoint:
     def __init__(self, x=None, y=None):
         if (x is None) != (y is None):
             raise ValueError("both coordinates or neither")
-        object.__setattr__(self, "x", None if x is None else Fraction(x))
-        object.__setattr__(self, "y", None if y is None else Fraction(y))
+        if x is not None:
+            x, y = Fraction(require_rational(x, "x")), Fraction(require_rational(y, "y"))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def __setattr__(self, name, value):
         raise AttributeError("CurvePoint is immutable")
@@ -161,62 +176,181 @@ def scalar_mul_point(curve, n, P):
 
 
 # -- division polynomials (x-parts) -------------------------------------
+#
+# The seeds, the recurrence and the field formulas are written once and
+# run on three element types: MultiPoly in (x, A, B); a Python int, the
+# value at x = 2^w of a polynomial in Z[x] (Kronecker substitution;
+# Schönhage, ICALP 1982); and
+# _L1, an upper bound on the L1 norm of such a polynomial, from which w
+# is taken.
 
 _X = MultiPoly.var(RING_XAB, "x")
 _A = MultiPoly.var(RING_XAB, "A")
 _B = MultiPoly.var(RING_XAB, "B")
-_C3 = _X ** 3 + _A * _X + _B  # the curve cubic, i.e. y^2
-
-_SEEDS = {
-    0: MultiPoly.zero(RING_XAB),
-    1: MultiPoly.const(RING_XAB, 1),
-    2: MultiPoly.const(RING_XAB, 2),
-    3: 3 * _X ** 4 + 6 * _A * _X ** 2 + 12 * _B * _X - _A ** 2,
-    4: 4 * (_X ** 6 + 5 * _A * _X ** 4 + 20 * _B * _X ** 3
-            - 5 * _A ** 2 * _X ** 2 - 4 * _A * _B * _X
-            - 8 * _B ** 2 - _A ** 3),
-}
-_DIVPOLY_CACHE = dict(_SEEDS)
 
 
-def _psi_x(m, memo, c3_sq):
-    """x-part P_m by the psi recurrence from the seeds P_0..P_4 in memo
-    (which caches every P_m computed); c3_sq is the squared curve cubic."""
-    if m in memo:
-        return memo[m]
-    k, odd = divmod(m, 2)
+class _L1(int):
+    """An upper bound on the L1 norm (sum of absolute coefficients) of a
+    polynomial: |f g| <= |f| |g| and |f +- g| <= |f| + |g|, so both + and
+    - add, and an exact division by 2^k divides the bound (rounded up)."""
 
-    def P(i):
-        return _psi_x(i, memo, c3_sq)
+    __slots__ = ()
 
-    if odd:
-        # psi_{2k+1} = psi_{k+2} psi_k^3 - psi_{k-1} psi_{k+1}^3, with the
-        # even-index entries each contributing a factor y; y^4 = c3^2.
-        if k % 2 == 1:
-            p = P(k + 2) * P(k) ** 3 - c3_sq * P(k - 1) * P(k + 1) ** 3
+    def __add__(self, other):
+        return _L1(int.__add__(self, other))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        return _L1(int.__mul__(self, other))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        return _L1(int.__pow__(self, n))
+
+    def __neg__(self):
+        return self
+
+    def __rshift__(self, k):
+        return _L1(-(int.__neg__(self) >> k))
+
+
+def _shr(v, k):
+    """v / 2^k for a v that the division leaves in Z[x, A, B]: a shift on
+    an int (exact, since evaluation at x = 2^w is a ring homomorphism), a
+    scaling on a MultiPoly."""
+    return v >> k if isinstance(v, int) else Fraction(1, 1 << k) * v
+
+
+def _seeds(x, A, B):
+    """({m: P_m} for m = 0..4, the curve cubic x^3 + A*x + B), in the
+    element type of x."""
+    one = x ** 0
+    return {0: 0 * x, 1: one, 2: 2 * one,
+            3: 3 * x ** 4 + 6 * A * x ** 2 + 12 * B * x - A ** 2,
+            4: 4 * (x ** 6 + 5 * A * x ** 4 + 20 * B * x ** 3
+                    - 5 * A ** 2 * x ** 2 - 4 * A * B * x
+                    - 8 * B ** 2 - A ** 3)}, x ** 3 + A * x + B
+
+
+class _Recurrence:
+    """The x-parts P_m on one element type, from the seeds at (x, A, B) by
+    the psi recurrence, memoised: P(m) is P_m, P.x is x and P.c3 the
+    curve cubic."""
+
+    __slots__ = ("x", "c3", "c3_sq", "memo")
+
+    def __init__(self, x, A, B):
+        self.x = x
+        self.memo, self.c3 = _seeds(x, A, B)
+        self.c3_sq = self.c3 * self.c3
+
+    def __call__(self, m):
+        if m in self.memo:
+            return self.memo[m]
+        k, odd = divmod(m, 2)
+        P = self
+        if odd:
+            # psi_{2k+1} = psi_{k+2} psi_k^3 - psi_{k-1} psi_{k+1}^3, with the
+            # even-index entries each contributing a factor y; y^4 = c3^2.
+            if k % 2 == 1:
+                p = P(k + 2) * P(k) ** 3 - self.c3_sq * P(k - 1) * P(k + 1) ** 3
+            else:
+                p = self.c3_sq * P(k + 2) * P(k) ** 3 - P(k - 1) * P(k + 1) ** 3
         else:
-            p = c3_sq * P(k + 2) * P(k) ** 3 - P(k - 1) * P(k + 1) ** 3
-    else:
-        # psi_{2k} = psi_k (psi_{k+2} psi_{k-1}^2 - psi_{k-2} psi_{k+1}^2) / (2y);
-        # the y factors cancel identically for either parity of k, and the
-        # halving is exact because every P_m lies in Z[x, A, B].
-        p = Fraction(1, 2) * (P(k) * (P(k + 2) * P(k - 1) ** 2 - P(k - 2) * P(k + 1) ** 2))
-    memo[m] = p
-    return p
+            # psi_{2k} = psi_k (psi_{k+2} psi_{k-1}^2 - psi_{k-2} psi_{k+1}^2) / (2y);
+            # the y factors cancel identically for either parity of k, and the
+            # halving is exact because every P_m lies in Z[x, A, B].
+            p = _shr(P(k) * (P(k + 2) * P(k - 1) ** 2 - P(k - 2) * P(k + 1) ** 2), 1)
+        self.memo[m] = p
+        return p
+
+    def poly(self, formula):
+        """formula(P) (a MultiPoly, on a MultiPoly recurrence)."""
+        return formula(self)
 
 
-def _divpolys(curve):
-    """(P, c3) with P(m) the x-part P_m and c3 the curve cubic: symbolic
-    in Z[x, A, B] (memoised for the process) when curve is None, else by
-    the recurrence seeded with that curve's integer coefficients."""
-    if curve is None:
-        memo, c3 = _DIVPOLY_CACHE, _C3
-    else:
-        coeffs = {"A": curve.A, "B": curve.B}
-        memo = {m: p.specialize(coeffs) for m, p in _SEEDS.items()}
-        c3 = _C3.specialize(coeffs)
-    c3_sq = c3 * c3
-    return (lambda m: _psi_x(m, memo, c3_sq)), c3
+def _width(norm):
+    """The least multiple of 8 that is a slot width w with every integer
+    of absolute value at most norm in (-2^(w-1), 2^(w-1))."""
+    return (norm.bit_length() + 8) // 8 * 8
+
+
+def _offset(n, b, stride):
+    # 2^(8b-1) in each of n slots of stride >= b bytes
+    return int.from_bytes((bytes(b - 1) + b"\x80" + bytes(stride - b)) * n, "little")
+
+
+def _slots(v, w):
+    """(bytes, n): v plus 2^(w-1) in each of n slots of w bits, so that slot
+    i holds c_i + 2^(w-1) for v the value at x = 2^w of sum c_i x^i with
+    each c_i in (-2^(w-1), 2^(w-1)); w is a multiple of 8, so that each
+    slot is a whole number of bytes."""
+    b = w >> 3
+    n = v.bit_length() // w + 2  # at least the degree plus one
+    return (v + _offset(n, b, b)).to_bytes(n * b, "little"), n
+
+
+def _coeffs(v, w):
+    """The coefficients c_0, c_1, ... of v (as in _slots)."""
+    data, n = _slots(v, w)
+    b, half = w >> 3, 1 << (w - 1)
+    return [int.from_bytes(data[i:i + b], "little") - half for i in range(0, n * b, b)]
+
+
+def _repack(v, w, w2):
+    """The value at x = 2^w2, w2 >= w, of the polynomial whose value at
+    x = 2^w is v (as in _slots): each slot's bytes move to a wider slot."""
+    (data, n), b, b2 = _slots(v, w), w >> 3, w2 >> 3
+    out = bytearray(n * b2)
+    for j in range(b):
+        out[j::b2] = data[j::b]
+    return int.from_bytes(out, "little") - _offset(n, b, b2)
+
+
+class _Packed:
+    """The x-parts of one curve as ints, each the value of P_m at x = 2^w
+    (Kronecker substitution), and the MultiPoly in x of a formula in them.
+
+    The recurrence runs at the least width w1 that unpacks P_low..P_high:
+    intermediate values need no width, because evaluation is exact.  A
+    formula whose L1 bound needs more gets a width of its own, with
+    P_low..P_high repacked there once.
+    """
+
+    __slots__ = ("A", "B", "low", "high", "norms", "w1", "recs")
+
+    def __init__(self, curve, low, high):
+        self.A, self.B, self.low, self.high = curve.A, curve.B, low, high
+        self.norms = _Recurrence(_L1(1), _L1(abs(curve.A)), _L1(abs(curve.B)))
+        self.w1 = _width(max(map(self.norms, range(low, high + 1))))
+        self.recs = {self.w1: _Recurrence(1 << self.w1, self.A, self.B)}
+
+    def _at(self, w):
+        # the recurrence at width w >= w1, with P_low..P_high repacked
+        if w not in self.recs:
+            rec, w1 = _Recurrence(1 << w, self.A, self.B), self.w1
+            for m in range(self.low, self.high + 1):
+                rec.memo[m] = _repack(self.recs[w1](m), w1, w)
+            self.recs[w] = rec
+        return self.recs[w]
+
+    def poly(self, formula):
+        """formula(P) as a MultiPoly in x, for a formula that is a
+        polynomial in x, c3 and P_low..P_high."""
+        w = max(self.w1, _width(formula(self.norms)))
+        return MultiPoly._trusted(RING_XAB, {
+            (i, 0, 0): c for i, c in enumerate(_coeffs(formula(self._at(w)), w)) if c})
+
+
+_SYMBOLIC = _Recurrence(_X, _A, _B)  # P_m in Z[x, A, B], memoised for the process
+
+
+def _divpolys(curve, low, high):
+    """The x-parts, with poly(formula): symbolic in Z[x, A, B] when curve
+    is None, else packed for that curve with P_low..P_high unpackable."""
+    return _SYMBOLIC if curve is None else _Packed(curve, low, high)
 
 
 def division_polynomial(m, curve=None):
@@ -230,7 +364,30 @@ def division_polynomial(m, curve=None):
     m = require_int(m, "m")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return _divpolys(curve)[0](m)
+    return _divpolys(curve, m, m).poly(lambda P: P(m))
+
+
+def _field_value(name, alpha, P):
+    """Field name of [alpha], |alpha| = a >= 2, in the element type of the
+    recurrence P: r (odd a) or r~ (even a), s, t, and t~ (even a).
+
+    s = P_2a / (2 P_a) is taken from the bracket of the psi recurrence,
+    (P_{a+2} P_{a-1}^2 - P_{a-2} P_{a+1}^2) / 4, so no division occurs.
+    For even a, t = c3 * t~ (and r = c3 * r~, built by the maps).
+    """
+    a = abs(alpha)
+    even = a % 2 == 0
+    if name == "s":
+        s4 = P(a + 2) * P(a - 1) ** 2 - P(a - 2) * P(a + 1) ** 2
+        s = _shr(P.c3 * s4 if even else s4, 2)
+        return -s if alpha < 0 else s
+    if name == "t":
+        return P.c3 * P(a) if even else P(a)
+    if name == "t_tilde":
+        return P(a)
+    if even:  # r~
+        return P.x * P.c3 * P(a) ** 2 - P(a - 1) * P(a + 1)
+    return P.x * P(a) ** 2 - P.c3 * P(a - 1) * P(a + 1)
 
 
 # -- scalar multiplication in coordinates --------------------------------
@@ -250,7 +407,10 @@ class MultiplicationMaps:
     The constructor takes the fields themselves.  The maps that
     multiplication_maps returns build each field from the psi recurrence
     on first access and keep it, so a caller pays only for the fields it
-    reads; the values do not depend on the order of reading.
+    reads; the values do not depend on the order of reading.  For a
+    concrete curve the recurrence runs on ints, each the value of P_m at
+    x = 2^w, and each field is unpacked into a MultiPoly once, at a width
+    proven from an L1-norm bound (see the module docstring).
     """
 
     __slots__ = ("alpha",) + _FIELDS + ("_divpolys",)
@@ -264,12 +424,12 @@ class MultiplicationMaps:
         self.t_tilde = t_tilde
 
     @classmethod
-    def _from_divpolys(cls, alpha, P, c3):
+    def _from_divpolys(cls, alpha, divpolys):
         """Maps of [alpha], |alpha| >= 2, whose fields are built on first
-        access from the x-parts P and the curve cubic c3."""
+        access from the x-parts divpolys (see _divpolys)."""
         maps = object.__new__(cls)
         maps.alpha = alpha
-        maps._divpolys = P, c3
+        maps._divpolys = divpolys
         return maps
 
     def __getattr__(self, name):
@@ -281,30 +441,13 @@ class MultiplicationMaps:
         return value
 
     def _field(self, name):
-        """One field of [a], a = |alpha| >= 2.
-
-        s = P_2a / (2 P_a) is taken from the bracket of the psi
-        recurrence, (P_{a+2} P_{a-1}^2 - P_{a-2} P_{a+1}^2) / 4, so no
-        division occurs.  For even a, t = c3 * t~ and r = c3 * r~.
-        """
-        P, c3 = self._divpolys
-        a = abs(self.alpha)
-        even = a % 2 == 0
-        if name == "s":
-            s4 = P(a + 2) * P(a - 1) ** 2 - P(a - 2) * P(a + 1) ** 2
-            s = Fraction(1, 4) * (c3 * s4 if even else s4)
-            return -s if self.alpha < 0 else s
-        if name == "t":
-            return c3 * P(a) if even else P(a)
-        if not even:
-            if name == "r":
-                return _X * P(a) ** 2 - c3 * P(a - 1) * P(a + 1)
-            return None  # r~ and t~ exist for even a only
-        if name == "r":
-            return c3 * self.r_tilde
-        if name == "r_tilde":
-            return _X * c3 * P(a) ** 2 - P(a - 1) * P(a + 1)
-        return P(a)  # t~
+        """One field of [alpha], |alpha| >= 2, by _field_value."""
+        even = self.is_even()
+        if name in ("r_tilde", "t_tilde") and not even:
+            return None  # r~ and t~ exist for even alpha only
+        if name == "r" and even:
+            return self._divpolys.poly(lambda P: P.c3) * self.r_tilde
+        return self._divpolys.poly(lambda P: _field_value(name, self.alpha, P))
 
     def is_even(self):
         return self.alpha % 2 == 0
@@ -340,7 +483,8 @@ def multiplication_maps(alpha, curve=None):
     if abs(alpha) == 1:
         s, t = MultiPoly.const(RING_XAB, 1), MultiPoly.const(RING_XAB, 1)
         return MultiplicationMaps(alpha, _X, s if alpha > 0 else -s, t)
-    return MultiplicationMaps._from_divpolys(alpha, *_divpolys(curve))
+    a = abs(alpha)
+    return MultiplicationMaps._from_divpolys(alpha, _divpolys(curve, a - 2, a + 2))
 
 
 _MAPS_CACHE = {}

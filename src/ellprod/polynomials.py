@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
 
-from .arith import require_int
+from .arith import require_int, require_rational
 
 
 class ParseError(ValueError):
@@ -58,7 +58,7 @@ class MultiPoly:
         if terms:
             n = len(self.ring)
             for e, c in terms.items():
-                c = _norm(Fraction(c))
+                c = _norm(Fraction(require_rational(c, "coefficient")))
                 if c == 0:
                     continue
                 e = tuple(require_int(k, "exponent") for k in e)
@@ -92,7 +92,7 @@ class MultiPoly:
     @classmethod
     def const(cls, ring, c):
         ring = tuple(ring)
-        c = _norm(Fraction(c))
+        c = _norm(Fraction(require_rational(c, "coefficient")))
         return cls._trusted(ring, {(0,) * len(ring): c} if c else {})
 
     @classmethod
@@ -269,7 +269,7 @@ class MultiPoly:
         return half * half * self if n & 1 else half * half
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):  # not a bool
             other = MultiPoly.const(self.ring, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -286,7 +286,7 @@ class MultiPoly:
         vals = []
         for i, name in enumerate(self.ring):
             if name in values:
-                vals.append(Fraction(values[name]))
+                vals.append(Fraction(require_rational(values[name], name)))
             else:
                 vals.append(None)
         acc = Fraction(0)
@@ -303,7 +303,8 @@ class MultiPoly:
     def specialize(self, values):
         """Plug in constants for a subset of variables; result stays in
         the same ring (the specialized variables simply no longer occur)."""
-        idx = {self.ring.index(n): _norm(Fraction(v)) for n, v in values.items()}
+        idx = {self.ring.index(n): _norm(Fraction(require_rational(v, n)))
+               for n, v in values.items()}
         out = {}
         for e, c in self.terms.items():
             for i, v in idx.items():

@@ -137,3 +137,30 @@ def _entry_point_calls():
 def test_entry_points_read_integers_exactly(name):
     with pytest.raises(TypeError):
         _entry_point_calls()[name]()
+
+
+def _rational_entry_point_calls():
+    from ellprod import curves, polynomials
+
+    E = curves.WeierstrassCurve(0, 1)
+    ring = ("x", "y")
+    x = polynomials.MultiPoly.var(ring, "x")
+    return {
+        # each used to read the float as its binary fraction:
+        # 3602879701896397/36028797018963968, 1/2*x, and so on
+        "const": lambda: polynomials.MultiPoly.const(ring, 0.1),
+        "const_bool": lambda: polynomials.MultiPoly.const(ring, True),
+        "coefficient": lambda: polynomials.MultiPoly(ring, {(1, 0): 0.5}),
+        "evaluate": lambda: x.evaluate({"x": 0.5}),
+        "specialize": lambda: x.specialize({"x": 0.25}),
+        "point_x": lambda: curves.CurvePoint(0.1, 2),
+        "point_y": lambda: curves.CurvePoint(2, 3.0),
+        "rhs": lambda: E.rhs(0.5),
+        "contains": lambda: E.contains(2, 3.0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_rational_entry_point_calls()))
+def test_entry_points_read_rationals_exactly(name):
+    with pytest.raises(TypeError):
+        _rational_entry_point_calls()[name]()
