@@ -46,6 +46,7 @@ the public evaluator falls back to the group law, which is total.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .arith import require_int, require_rational
 from .polynomials import MultiPoly
@@ -185,8 +186,6 @@ def scalar_mul_point(curve, n, P):
 # is taken.
 
 _X = MultiPoly.var(RING_XAB, "x")
-_A = MultiPoly.var(RING_XAB, "A")
-_B = MultiPoly.var(RING_XAB, "B")
 
 
 class _L1(int):
@@ -344,13 +343,17 @@ class _Packed:
             (i, 0, 0): c for i, c in enumerate(_coeffs(formula(self._at(w)), w)) if c})
 
 
-_SYMBOLIC = _Recurrence(_X, _A, _B)  # P_m in Z[x, A, B], memoised for the process
+@cache
+def _symbolic():
+    """The x-parts in Z[x, A, B], built on first use and memoised for the
+    process."""
+    return _Recurrence(_X, MultiPoly.var(RING_XAB, "A"), MultiPoly.var(RING_XAB, "B"))
 
 
 def _divpolys(curve, low, high):
     """The x-parts, with poly(formula): symbolic in Z[x, A, B] when curve
     is None, else packed for that curve with P_low..P_high unpackable."""
-    return _SYMBOLIC if curve is None else _Packed(curve, low, high)
+    return _symbolic() if curve is None else _Packed(curve, low, high)
 
 
 def division_polynomial(m, curve=None):
@@ -365,29 +368,6 @@ def division_polynomial(m, curve=None):
     if m < 0:
         raise ValueError("m must be nonnegative")
     return _divpolys(curve, m, m).poly(lambda P: P(m))
-
-
-def _field_value(name, alpha, P):
-    """Field name of [alpha], |alpha| = a >= 2, in the element type of the
-    recurrence P: r (odd a) or r~ (even a), s, t, and t~ (even a).
-
-    s = P_2a / (2 P_a) is taken from the bracket of the psi recurrence,
-    (P_{a+2} P_{a-1}^2 - P_{a-2} P_{a+1}^2) / 4, so no division occurs.
-    For even a, t = c3 * t~ (and r = c3 * r~, built by the maps).
-    """
-    a = abs(alpha)
-    even = a % 2 == 0
-    if name == "s":
-        s4 = P(a + 2) * P(a - 1) ** 2 - P(a - 2) * P(a + 1) ** 2
-        s = _shr(P.c3 * s4 if even else s4, 2)
-        return -s if alpha < 0 else s
-    if name == "t":
-        return P.c3 * P(a) if even else P(a)
-    if name == "t_tilde":
-        return P(a)
-    if even:  # r~
-        return P.x * P.c3 * P(a) ** 2 - P(a - 1) * P(a + 1)
-    return P.x * P(a) ** 2 - P.c3 * P(a - 1) * P(a + 1)
 
 
 # -- scalar multiplication in coordinates --------------------------------
@@ -441,13 +421,34 @@ class MultiplicationMaps:
         return value
 
     def _field(self, name):
-        """One field of [alpha], |alpha| >= 2, by _field_value."""
-        even = self.is_even()
+        """One field of [a], a = |alpha| >= 2, by one formula in the x-parts
+        P, x and the cubic c3, whatever their element type.
+
+        s = P_2a / (2 P_a) is taken from the bracket of the psi
+        recurrence, (P_{a+2} P_{a-1}^2 - P_{a-2} P_{a+1}^2) / 4, so no
+        division occurs.  For even a, t = c3 * t~ and r = c3 * r~.
+        """
+        a = abs(self.alpha)
+        even = a % 2 == 0
         if name in ("r_tilde", "t_tilde") and not even:
-            return None  # r~ and t~ exist for even alpha only
+            return None  # r~ and t~ exist for even a only
         if name == "r" and even:
             return self._divpolys.poly(lambda P: P.c3) * self.r_tilde
-        return self._divpolys.poly(lambda P: _field_value(name, self.alpha, P))
+
+        def formula(P):
+            if name == "s":
+                s4 = P(a + 2) * P(a - 1) ** 2 - P(a - 2) * P(a + 1) ** 2
+                s = _shr(P.c3 * s4 if even else s4, 2)
+                return -s if self.alpha < 0 else s
+            if name == "t":
+                return P.c3 * P(a) if even else P(a)
+            if name == "t_tilde":
+                return P(a)
+            if even:  # r~
+                return P.x * P.c3 * P(a) ** 2 - P(a - 1) * P(a + 1)
+            return P.x * P(a) ** 2 - P.c3 * P(a - 1) * P(a + 1)
+
+        return self._divpolys.poly(formula)
 
     def is_even(self):
         return self.alpha % 2 == 0
