@@ -181,9 +181,8 @@ def scalar_mul_point(curve, n, P):
 # The seeds, the recurrence and the field formulas are written once and
 # run on three element types: MultiPoly in (x, A, B); a Python int, the
 # value at x = 2^w of a polynomial in Z[x] (Kronecker substitution;
-# Schönhage, ICALP 1982); and
-# _L1, an upper bound on the L1 norm of such a polynomial, from which w
-# is taken.
+# Schönhage, ICALP 1982); and _L1, an upper bound on the L1 norm of such
+# a polynomial, from which w is taken.
 
 _X = MultiPoly.var(RING_XAB, "x")
 
