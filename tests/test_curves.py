@@ -311,7 +311,8 @@ _curve_coefficients = st.one_of(
     st.just(0),
     st.integers(min_value=-10 ** 40, max_value=10 ** 40),
 )
-nonsingular_curves = st.tuples(_curve_coefficients, _curve_coefficients).filter(lambda ab: 4 * ab[0] ** 3 + 27 * ab[1] ** 2 != 0).map(
+nonsingular_curves = st.tuples(_curve_coefficients, _curve_coefficients).filter(
+    lambda ab: 4 * ab[0] ** 3 + 27 * ab[1] ** 2 != 0).map(
     lambda ab: WeierstrassCurve(*ab))
 
 
