@@ -30,9 +30,9 @@ oracle-scan, seed 1 (192 timed jobs, warm-up excluded):
     ``ellprod oracle`` runs them (tuples print as JSON lists).
 
 cli-cold, seeds 1..3 (169 jobs each, the warm-up first):
-    b"%d\\n%s\\n" % (exit code, stdout) per job, concatenated; every job
-    is a fresh ``python -m ellprod.cli`` with the variety files of the
-    job list in its working directory.
+    b"%d\\n%s\\n%s\\n" % (exit code, stdout, stderr) per job,
+    concatenated; every job is a fresh ``python -m ellprod.cli`` with the
+    variety files of the job list in its working directory.
 
 curve-maps (for each of the curves (A, B) = (-1, 0), (0, 1), (2, 3),
 (-7, 6), (5, -3) in turn, alpha in 1..21 then -1..-21):
@@ -117,7 +117,8 @@ def cli_cold():
             for job in lists["warmup"] + lists["timed"]:
                 proc = subprocess.run([sys.executable, "-m", "ellprod.cli"] + job["argv"],
                                       cwd=workdir, env=env, capture_output=True)
-                digest.update(b"%d\n%s\n" % (proc.returncode, proc.stdout))
+                digest.update(b"%d\n%s\n%s\n"
+                              % (proc.returncode, proc.stdout, proc.stderr))
         yield "seed %d %s" % (seed, digest.hexdigest())
 
 
