@@ -422,6 +422,123 @@ def test_verify_refuses_numbers_that_are_not_exact_ints():
         assert problems[0].startswith("malformed certificate"), problems
 
 
+T3 = MultiDegreeTable(2, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
+
+
+def _set(*path_and_value):
+    """An edit that sets the leaf at path to value."""
+    *path, key, value = path_and_value
+
+    def edit(cert):
+        node = cert
+        for step in path:
+            node = node[step]
+        node[key] = value
+    return edit
+
+
+def _edits(*edits):
+    def edit(cert):
+        for e in edits:
+            e(cert)
+    return edit
+
+
+def _drop_row(j):
+    return lambda c: c["witness"].pop(j - 1)
+
+
+def _to_dim_two(c):
+    c["inputs"].update(dim=2, multidegrees=[{"I": [1, 1], "deg": 1}])
+
+
+COVERAGE = "witness does not cover every component exactly once"
+
+# One tampered genuine certificate per rejection branch of the verifier,
+# with the full list of problems it must report.
+REJECTIONS = {
+    "theorem-a-dim": (
+        lambda: check_theorem_a(C3, [167, 167]), _to_dim_two,
+        ["TheoremA needs dim 1, certificate has dim 2",
+         "component 1: echoed threshold disagrees (162 != 12)",
+         "component 2: echoed threshold disagrees (162 != 12)"]),
+    "theorem-a-row-vs-inputs": (
+        lambda: check_theorem_a(C3, [167, 167]), _set("witness", 0, "p", 163),
+        ["witness row for j=1 does not match inputs"]),
+    "theorem-a-not-prime": (
+        lambda: check_theorem_a(C3, [167, 167]),
+        _edits(_set("witness", 0, "p", 169), _set("inputs", "primes", 0, 169)),
+        ["component 1: 169 is not prime"]),
+    "theorem-a-coverage": (
+        lambda: check_theorem_a(C3, [167, 167]), _drop_row(2), [COVERAGE]),
+    "theorem-main-J": (
+        lambda: check_theorem_main(C3, DiagonalIsogeny([2, 1])),
+        _set("witness", 0, "J", [2]),
+        ["component 1: J=[2] is not a size-1 set containing j"]),
+    "theorem-main-I-vs-J": (
+        lambda: check_theorem_main(C3, DiagonalIsogeny([2, 1])),
+        _set("witness", 0, "I", [0, 1]),
+        ["component 1: I does not match J"]),
+    "theorem-main-deg-I": (
+        lambda: check_theorem_main(C3, DiagonalIsogeny([2, 1])),
+        _set("witness", 1, "deg_I", 19),
+        ["component 2: deg_I does not match the table"]),
+    "theorem-main-coverage": (
+        lambda: check_theorem_main(C3, DiagonalIsogeny([2, 1])), _drop_row(1),
+        [COVERAGE]),
+    "identity-bad-index": (
+        lambda: check_corollary_identity(C3, n=5), _set("witness", 0, "I", [0, 1]),
+        ["component 1: bad index (0, 1)"]),
+    "identity-deg-I": (
+        lambda: check_corollary_identity(C3, n=5), _set("witness", 0, "deg_I", 10),
+        ["component 1: deg_I does not match the table"]),
+    "identity-gcd": (
+        lambda: check_corollary_identity(C3, n=5), _set("inputs", "n", 3),
+        ["component 1: gcd(n, dim! * deg_I) != 1",
+         "component 2: gcd(n, dim! * deg_I) != 1"]),
+    "identity-coverage": (
+        lambda: check_corollary_identity(C3, n=5), _drop_row(2), [COVERAGE]),
+    "identity-p-not-prime": (
+        lambda: check_corollary_identity(C3, p=5), _set("inputs", "p", 4),
+        ["p = 4 is not prime"]),
+    "identity-p-divides-dim-factorial": (
+        lambda: check_corollary_identity(T3, p=3), _set("inputs", "p", 2),
+        ["p divides dim!"]),
+    "identity-p-divides-every-deg-I": (
+        lambda: check_corollary_identity(C3, p=5), _set("inputs", "p", 3),
+        ["component 1: p divides every deg_I with i_j = 1",
+         "component 2: p divides every deg_I with i_j = 1"]),
+    "curves-dim": (
+        lambda: check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
+        _edits(_to_dim_two, _set("witness", [])),
+        ["CorollaryCurves needs dim 1, certificate has dim 2", COVERAGE]),
+    "curves-j-out-of-range": (
+        lambda: check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
+        _set("witness", 0, "j", 3),
+        ["witness names component 3 outside 1..2", COVERAGE]),
+    "curves-deg-alpha-echo": (
+        lambda: check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
+        _set("witness", 0, "deg_alpha", 9),
+        ["component 1: echoed deg_alpha disagrees"]),
+    "table-bad-index": (
+        lambda: check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
+        _set("inputs", "multidegrees", 1, "I", [1, 1]),
+        ["malformed certificate: bad multidegree index (1, 1)"]),
+    "table-duplicate-index": (
+        lambda: check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
+        _set("inputs", "multidegrees", 1, "I", [1, 0]),
+        ["malformed certificate: duplicate multidegree index (1, 0)"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_verify_reports_each_rejection(case):
+    make, edit, problems = REJECTIONS[case]
+    cert = make()
+    assert cert.certified() and verify_certificate(cert) == (True, [])
+    assert verify_certificate(_tampered(cert, edit)) == (False, problems)
+
+
 def _leaf_paths(node, path=()):
     if isinstance(node, dict):
         for key, value in node.items():
