@@ -336,15 +336,23 @@ def _reverify(cert):
             fail("%s vector length %d != %d factors" % (what, len(values), nf))
         return values
 
+    def components():
+        """The witness rows with their j, then the check that the rows
+        cover every component exactly once."""
+        seen = set()
+        for row in witness:
+            j = exact_int(row["j"])
+            seen.add(j)
+            yield j, row
+        if seen != set(range(1, nf + 1)):
+            fail("witness does not cover every component exactly once")
+
     if criterion == "TheoremA":
         if dim != 1:
             fail("TheoremA needs dim 1, certificate has dim %d" % dim)
         primes = vector("primes", "prime")
         threshold = total * nf * 3 ** (nf - 1)
-        seen = set()
-        for row in witness:
-            j = exact_int(row["j"])
-            seen.add(j)
+        for j, row in components():
             p = exact_int(row["p"])
             if not 1 <= j <= nf or p != primes[j - 1]:
                 fail("witness row for j=%d does not match inputs" % j)
@@ -356,14 +364,9 @@ def _reverify(cert):
             if exact_int(row.get("threshold", threshold)) != threshold:
                 fail("component %d: echoed threshold disagrees (%s != %d)"
                      % (j, row.get("threshold"), threshold))
-        if seen != set(range(1, nf + 1)):
-            fail("witness does not cover every component exactly once")
     elif criterion == "TheoremMain":
         alphas = vector("alphas", "alpha")
-        seen = set()
-        for row in witness:
-            j = exact_int(row["j"])
-            seen.add(j)
+        for j, row in components():
             J = [exact_int(k) for k in row["J"]]
             I = tuple(exact_int(i) for i in row["I"])
             if len(J) != dim or j not in J:
@@ -378,8 +381,6 @@ def _reverify(cert):
                 continue
             if gcd(alphas[j - 1] ** 2, bang * entries[I]) != 1:
                 fail("component %d: gcd(alpha_j^2, dim! * deg_I) != 1" % j)
-        if seen != set(range(1, nf + 1)):
-            fail("witness does not cover every component exactly once")
     elif criterion == "TheoremWeak":
         alphas = vector("alphas", "alpha")
         primes = sorted({p for a in alphas for p in prime_factors(a)})
@@ -394,10 +395,7 @@ def _reverify(cert):
         mode = inputs["mode"]
         if mode == "integer":
             n = exact_int(inputs["n"])
-            seen = set()
-            for row in witness:
-                j = exact_int(row["j"])
-                seen.add(j)
+            for j, row in components():
                 I = tuple(exact_int(i) for i in row["I"])
                 if not 1 <= j <= nf or I not in entries or I[j - 1] != 1:
                     fail("component %d: bad index %r" % (j, I))
@@ -407,8 +405,6 @@ def _reverify(cert):
                     continue
                 if gcd(n, bang * entries[I]) != 1:
                     fail("component %d: gcd(n, dim! * deg_I) != 1" % j)
-            if seen != set(range(1, nf + 1)):
-                fail("witness does not cover every component exactly once")
         elif mode == "prime":
             p = exact_int(inputs["p"])
             if not is_prime(p):
@@ -428,10 +424,7 @@ def _reverify(cert):
         if dim != 1:
             fail("CorollaryCurves needs dim 1, certificate has dim %d" % dim)
         alphas = vector("alphas", "alpha")
-        seen = set()
-        for row in witness:
-            j = exact_int(row["j"])
-            seen.add(j)
+        for j, row in components():
             if not 1 <= j <= nf:
                 fail("witness names component %d outside 1..%d" % (j, nf))
                 continue
@@ -444,8 +437,6 @@ def _reverify(cert):
                 fail("component %d: echoed deg_alpha disagrees" % j)
             if gcd(alphas[j - 1] ** 2, d_j) != 1:
                 fail("component %d: gcd(alpha_j^2, d_j) != 1" % j)
-        if seen != set(range(1, nf + 1)):
-            fail("witness does not cover every component exactly once")
     else:
         fail("unknown criterion %r" % criterion)
     return (not problems), problems
