@@ -134,22 +134,27 @@ def _emit(report, out_path=None):
             raise InputError("cannot write report file: %s" % exc)
 
 
+# The criteria that need --isogeny, each with the checker in certificates
+# it runs on the variety and the isogeny.
+ISOGENY_CRITERIA = {
+    "auto": "certify_auto",
+    "corollary-curves": "check_corollary_curves",
+    "theorem-main": "check_theorem_main",
+    "theorem-weak": "check_theorem_weak",
+}
+
+
 def cmd_certify(args):
+    crit = args.criterion
+    if crit in ISOGENY_CRITERIA and not args.isogeny:
+        raise InputError("--isogeny is required for criterion %s" % crit)
     from . import certificates
     V = _load_variety(args.variety)
     inputs = {"variety": subvariety_to_dict(V)}
-    crit = args.criterion
-    if crit in ("auto", "corollary-curves", "theorem-main", "theorem-weak"):
+    if crit in ISOGENY_CRITERIA:
         phi = _load_isogeny(args.isogeny)
         inputs["isogeny"] = list(phi.alphas)
-        if crit == "auto":
-            cert = certificates.certify_auto(V, phi)
-        elif crit == "corollary-curves":
-            cert = certificates.check_corollary_curves(V, phi)
-        elif crit == "theorem-main":
-            cert = certificates.check_theorem_main(V, phi)
-        else:
-            cert = certificates.check_theorem_weak(V, phi)
+        cert = getattr(certificates, ISOGENY_CRITERIA[crit])(V, phi)
     elif crit == "theorem-a":
         if args.primes is None:
             raise InputError("theorem-a needs --primes")
@@ -361,7 +366,7 @@ def build_parser():
     p.add_argument("--primes", help="JSON array for theorem-a")
     p.add_argument("--n", type=int, help="integer for corollary-identity")
     p.add_argument("--p", type=int, help="prime for corollary-identity")
-    p.set_defaults(func=cmd_certify, needs_isogeny=True)
+    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("preimage", help="generate preimage equations")
     p.add_argument("--variety", required=True)
@@ -419,11 +424,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "needs_isogeny", False) and args.criterion not in (
-            "theorem-a", "corollary-identity") and not args.isogeny:
-        print("error: --isogeny is required for criterion %s" % args.criterion,
-              file=sys.stderr)
-        return 2
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows up here, not at exit

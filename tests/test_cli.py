@@ -99,10 +99,14 @@ def test_certify_criteria_flags(capsys, c3_file):
     code = main(["certify", "--variety", c3_file, "--criterion", "theorem-a"])
     capsys.readouterr()
     assert code == 2
-    # missing isogeny for an isogeny criterion
-    code = main(["certify", "--variety", c3_file])
-    capsys.readouterr()
-    assert code == 2
+    # missing isogeny for an isogeny criterion, reported before the variety
+    # is read
+    for criterion in ("auto", "corollary-curves", "theorem-main", "theorem-weak"):
+        for variety in (c3_file, "missing.json"):
+            code = main(["certify", "--variety", variety, "--criterion", criterion])
+            assert code == 2
+            assert capsys.readouterr() == (
+                "", "error: --isogeny is required for criterion %s\n" % criterion)
 
 
 def test_input_error_paths(capsys, c3_file, tmp_path):
