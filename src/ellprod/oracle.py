@@ -25,7 +25,7 @@ n = X*u*t and s*y = Y*t^3 mod p, so it inverts only to report a mismatch.
 The membership scan holds its tuples as one column of point indices per
 factor (every tuple when exhaustive, the SAMPLE_COUNT draws when sampled)
 and works column by column: it flags the points with image at infinity
-and, through _values at the x's the tuples use, those on the excluded
+and, through _values at the points the tuples use, those on the excluded
 locus; ORs the flags into each tuple's kind; and gives the live tuples
 positions into their distinct factor-1 points (firsts) and distinct
 points of the other factors (rests), shared by the preimage and the base
@@ -44,7 +44,6 @@ draw.
 import random
 import sys
 from array import array
-from bisect import bisect_left
 from functools import partial, reduce
 from itertools import chain, compress, count, product as iter_product, repeat
 from math import prod
@@ -466,7 +465,7 @@ def verify_preimage_membership(ctx, pre):
         flat = _draw(random.Random(SAMPLE_SEED), sizes, min(SAMPLE_COUNT, prod(sizes)))
         cols = [flat[j::n] for j in range(n)]
     # per factor and point index, bit 1 if the image is at infinity and
-    # bit 2 on the excluded locus (evaluated at the x's the tuples use); a
+    # bit 2 on the excluded locus (evaluated at the points the tuples use); a
     # tuple's kind is the OR over its factors: 0 live, 1 with an image at
     # infinity, 2 or 3 excluded
     per_factor = []
@@ -476,13 +475,11 @@ def verify_preimage_membership(ctx, pre):
             flag[i] = 1
         polys = [t for k, t in excl if k == j]
         if polys:
-            xs = list(set(map(itemgetter(0), map(pts.__getitem__, set(col)))))
+            drawn = list(set(col))
+            xs = [pts[i][0] for i in drawn]
             for values in _values(polys, xs, p):
-                for x in compress(xs, map(not_, values)):
-                    i = bisect_left(pts, (x,))  # the points are sorted, -P after P
-                    while i < len(pts) and pts[i][0] == x:
-                        flag[i] |= 2
-                        i += 1
+                for i in compress(drawn, map(not_, values)):
+                    flag[i] |= 2
         per_factor.append(map(flag.__getitem__, col))
     kinds = list(reduce(partial(map, or_), per_factor))
     live = list(map(not_, kinds))
