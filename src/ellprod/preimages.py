@@ -98,11 +98,12 @@ def generate_preimage(V, isogeny):
         if abs(alpha) != 1:
             excluded.append({"j": j, "alpha": alpha, "t": integer_primitive(t)[1]})
             # t is u (odd alpha) or the cubic times u (even alpha, where
-            # the two are coprime), so u and the cubic strip what t would
-            for cand in (u, relations[j - 1][1]):
-                cand = integer_primitive(cand)[1]
-                if not cand.is_constant() and cand not in strip_candidates:
-                    strip_candidates.append(cand)
+            # the two are coprime), so u and the cubic strip what t would;
+            # u is constant only for alpha = +-2, and the cubic is monic
+            cand = integer_primitive(u)[1]
+            if not cand.is_constant():
+                strip_candidates.append(cand)
+            strip_candidates.append(relations[j - 1][1])
 
     equations = []
     for f in V.equations:
@@ -118,14 +119,15 @@ def generate_preimage(V, isogeny):
                 "substitution" % (f,))
         num = integer_primitive(num)[1]
         # strip stray factors supported on the cleared denominators; a
-        # candidate that fails once divides no later quotient either
+        # candidate that fails once divides no later quotient either, and a
+        # quotient stays primitive with a positive leading coefficient
+        # (Gauss's lemma; the candidates are primitive and lead positive)
         for cand in strip_candidates:
             while not num.is_constant():
                 try:
-                    q = exact_divide_univariate(num, cand)
+                    num = exact_divide_univariate(num, cand)
                 except ExactDivisionError:
                     break
-                num = integer_primitive(q)[1]
         equations.append(num)
     table = preimage_multidegrees(V.degrees, isogeny)
     return PreimagePresentation(V, isogeny, equations, excluded, table)
