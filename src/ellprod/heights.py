@@ -164,14 +164,18 @@ def _log_max1(q):
     return iv.log(_ivq(q))
 
 
+def _weil_height(q):
+    """Interval for h(q) = log max(|num|, den) of a rational q; exact zero
+    when that max is 1."""
+    m = max(abs(q.numerator), q.denominator)
+    return iv.mpf(0) if m == 1 else iv.log(iv.mpf(m))
+
+
 def weil_height_rational(q, prec=DEFAULT_PREC):
     """h(q) = log max(|num|, den) of the reduced fraction, rounded up."""
     q = Fraction(q)
     with _prec(prec):
-        m = max(abs(q.numerator), q.denominator)
-        if m == 1:
-            return upper_endpoint(iv.mpf(0))
-        return upper_endpoint(iv.log(iv.mpf(m)))
+        return upper_endpoint(_weil_height(q))
 
 
 def _harmonic(k):
@@ -231,8 +235,7 @@ def c1_c2_curve(E, use_better=False, prec=DEFAULT_PREC):
         hA = _log_max1(A)
         hB = _log_max1(B)
         hD = _log_max1(disc)  # Delta is a nonzero integer, so h = log|Delta|
-        hj = (iv.mpf(0) if max(abs(j.numerator), j.denominator) == 1
-              else iv.log(iv.mpf(max(abs(j.numerator), j.denominator))))
+        hj = _weil_height(j)
         hj_inf = _log_max1(j)
         if not use_better:
             base = (hA + hB) / 2 + (hD + hj_inf) / 4
