@@ -81,7 +81,7 @@ def _hypotheses(V):
     not flagged transverse is never certified."""
     flag = V.transverse if isinstance(V, SubvarietyPresentation) else True
     reasons = [] if flag else ["input subvariety is not flagged transverse"]
-    return {"transverse_input": bool(flag)}, reasons
+    return {"transverse_input": flag}, reasons
 
 
 def _conclude(criterion, hypotheses, inputs, witness, reasons):
@@ -297,7 +297,8 @@ def verify_certificate(cert):
     JSON).  Returns (ok, problems); a malformed payload, including a
     number that is not an exact int (bool, float and str are refused) or
     one beyond the proven range of ellprod.arith, gives (False,
-    ["malformed certificate: ..."]) instead of an exception.  Uses only
+    ["malformed certificate: ..."]) instead of an exception, and so does a
+    multiplier (alpha_j, prime or n) of 0, which is no isogeny.  Uses only
     integer arithmetic — primality and factoring from ellprod.arith,
     gcds, factorials — independently of the checkers above.  An
     Inconclusive certificate asserts nothing and is accepted as long as
@@ -330,8 +331,14 @@ def _reverify(cert):
     problems = []
     fail = problems.append
 
+    def multiplier(value):
+        m = exact_int(value)
+        if m == 0:
+            raise ValueError("multiplication by 0 is not an isogeny")
+        return m
+
     def vector(key, what):
-        values = [exact_int(v) for v in inputs[key]]
+        values = [multiplier(v) for v in inputs[key]]
         if len(values) != nf:
             fail("%s vector length %d != %d factors" % (what, len(values), nf))
         return values
@@ -394,7 +401,7 @@ def _reverify(cert):
     elif criterion == "CorollaryIdentity":
         mode = inputs["mode"]
         if mode == "integer":
-            n = exact_int(inputs["n"])
+            n = multiplier(inputs["n"])
             for j, row in components():
                 I = tuple(exact_int(i) for i in row["I"])
                 if not 1 <= j <= nf or I not in entries or I[j - 1] != 1:

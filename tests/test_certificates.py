@@ -539,6 +539,30 @@ def test_verify_reports_each_rejection(case):
     assert verify_certificate(_tampered(cert, edit)) == (False, problems)
 
 
+T2 = MultiDegreeTable(1, {(1, 0): 1, (0, 1): 1})
+ZERO_MULTIPLIER = ["malformed certificate: multiplication by 0 is not an isogeny"]
+
+
+def test_verify_refuses_curves_multiplier_zero():
+    cert = check_corollary_curves(T2, DiagonalIsogeny([3, 5]))
+    bad = _tampered(cert, _edits(_set("inputs", "alphas", [0, 1]),
+                                 _set("witness", 0, "deg_alpha", 0),
+                                 _set("witness", 1, "deg_alpha", 1)))
+    assert verify_certificate(bad) == (False, ZERO_MULTIPLIER)
+
+
+def test_verify_refuses_main_multipliers_zero():
+    cert = check_theorem_main(T2, DiagonalIsogeny([3, 5]))
+    bad = _tampered(cert, _set("inputs", "alphas", [0, 0]))
+    assert verify_certificate(bad) == (False, ZERO_MULTIPLIER)
+
+
+def test_verify_refuses_identity_n_zero():
+    cert = check_corollary_identity(T2, n=5)
+    bad = _tampered(cert, _set("inputs", "n", 0))
+    assert verify_certificate(bad) == (False, ZERO_MULTIPLIER)
+
+
 def _leaf_paths(node, path=()):
     if isinstance(node, dict):
         for key, value in node.items():
