@@ -27,7 +27,7 @@ from fractions import Fraction
 from mpmath import iv, mp, nstr
 from mpmath.libmp import to_int
 
-from .arith import require_int, unlimited_int_str
+from .arith import require_int, require_rational, unlimited_int_str
 from .curves import WeierstrassCurve
 
 DEFAULT_PREC = 80
@@ -173,7 +173,7 @@ def _weil_height(q):
 
 def weil_height_rational(q, prec=DEFAULT_PREC):
     """h(q) = log max(|num|, den) of the reduced fraction, rounded up."""
-    q = Fraction(q)
+    q = Fraction(require_rational(q, "q"))
     with _prec(prec):
         return upper_endpoint(_weil_height(q))
 

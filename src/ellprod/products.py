@@ -137,7 +137,10 @@ class SubvarietyPresentation:
         if degrees.n_factors != system.n_factors:
             raise ValueError("multidegree table is for %d factors, system has %d"
                              % (degrees.n_factors, system.n_factors))
-        if degrees.dim != int(dim):
+        dim = require_int(dim, "dim")
+        if not isinstance(transverse, bool):
+            raise TypeError("transverse must be a bool, got %r" % (transverse,))
+        if degrees.dim != dim:
             raise ValueError("table dimension %d != stated dimension %d"
                              % (degrees.dim, dim))
         equations = tuple(equations)
@@ -149,9 +152,9 @@ class SubvarietyPresentation:
                 raise ValueError("zero polynomial is not a defining equation")
         self.system = system
         self.equations = equations
-        self.dim = int(dim)
+        self.dim = dim
         self.degrees = degrees
-        self.transverse = bool(transverse)
+        self.transverse = transverse
 
     @property
     def n_factors(self):

@@ -109,7 +109,8 @@ def _entry_point_calls():
     return {
         # each used to truncate: y2 = x1^2, [2], 81, P_3, [2]P, c0(2,1,1),
         # primes [101, 103]; then 7 is prime, [2, 3], lambda(2, 1) = 400,
-        # N = 2, alpha = 5, deg_C = 3 echoed, x^2, x, x, 3*x
+        # N = 2, alpha = 5, deg_C = 3 echoed, x^2, x, x, 3*x, dim 1, and
+        # transverse True from "no"
         "is_prime": lambda: arith.is_prime(7.9),
         "prime_factors": lambda: arith.prime_factors(12.5),
         "galateau_lambda": lambda: heights.galateau_lambda(2.7, 1.2),
@@ -130,6 +131,10 @@ def _entry_point_calls():
         "bezout_intersection_bounds": lambda: heights.bezout_intersection_bounds(
             1, 1, 1, 1, 1, 2, 1.5),
         "bool": lambda: curves.multiplication_maps(True, E),
+        "subvariety_dim": lambda: products.SubvarietyPresentation(
+            C3.system, C3.equations, 1.9, C3.degrees, True),
+        "subvariety_transverse": lambda: products.SubvarietyPresentation(
+            C3.system, C3.equations, 1, C3.degrees, "no"),
     }
 
 
@@ -140,7 +145,7 @@ def test_entry_points_read_integers_exactly(name):
 
 
 def _rational_entry_point_calls():
-    from ellprod import curves, polynomials
+    from ellprod import curves, heights, polynomials
 
     E = curves.WeierstrassCurve(0, 1)
     ring = ("x", "y")
@@ -157,10 +162,16 @@ def _rational_entry_point_calls():
         "point_y": lambda: curves.CurvePoint(2, 3.0),
         "rhs": lambda: E.rhs(0.5),
         "contains": lambda: E.contains(2, 3.0),
+        # the height of that binary fraction, 38.12, not log 10; and the
+        # text was parsed
+        "weil_height_rational": lambda: heights.weil_height_rational(0.1),
+        "weil_height_rational_text": lambda: heights.weil_height_rational("1/3"),
     }
 
 
 @pytest.mark.parametrize("name", list(_rational_entry_point_calls()))
 def test_entry_points_read_rationals_exactly(name):
-    with pytest.raises(TypeError):
+    # text gets the ValueError of malformed numeric text, other types a
+    # TypeError
+    with pytest.raises(ValueError if name.endswith("_text") else TypeError):
         _rational_entry_point_calls()[name]()
