@@ -297,12 +297,11 @@ def verify_certificate(cert):
     JSON).  Returns (ok, problems); a malformed payload, including a
     number that is not an exact int (bool, float and str are refused) or
     one beyond the proven range of ellprod.arith, gives (False,
-    ["malformed certificate: ..."]) instead of an exception, and so does a
-    multiplier (alpha_j, prime or n) of 0, which is no isogeny.  Uses only
-    integer arithmetic — primality and factoring from ellprod.arith,
-    gcds, factorials — independently of the checkers above.  An
-    Inconclusive certificate asserts nothing and is accepted as long as
-    it is well-formed.
+    ["malformed certificate: ..."]) instead of an exception, as does a
+    multiplier (alpha_j, prime or n) of 0.  Uses only integer arithmetic
+    — primality and factoring from ellprod.arith, gcds, factorials —
+    independently of the checkers above.  An Inconclusive certificate
+    asserts nothing and is accepted as long as it is well-formed.
     """
     if isinstance(cert, TransversalityCertificate):
         cert = cert.to_dict()
@@ -419,10 +418,7 @@ def _reverify(cert):
             if bang % abs(p) == 0:
                 fail("p divides dim!")
             for j in range(1, nf + 1):
-                g = 0
-                for I, d in entries.items():
-                    if I[j - 1] == 1:
-                        g = gcd(g, d)
+                g = gcd(*(d for I, d in entries.items() if I[j - 1] == 1))
                 if g % abs(p) == 0:
                     fail("component %d: p divides every deg_I with i_j = 1" % j)
         else:
