@@ -165,7 +165,7 @@ def _log_max1(q):
 
 
 def _weil_height(q):
-    """Interval for h(q) = log max(|num|, den) of a Fraction; exact 0 at 1."""
+    """Interval for h(q) = log max(|num|, den) of a Fraction; 0 if that is 1."""
     m = max(abs(q.numerator), q.denominator)
     return iv.mpf(0) if m == 1 else iv.log(iv.mpf(m))
 
