@@ -344,10 +344,49 @@ def test_parse_whitespace_insensitive():
     assert parse_poly(" x ^ 2 + 1 ", RING) == X ** 2 + ONE
 
 
-def test_parse_errors():
-    for bad in ["x +", "x^", "x^-1", "(x", "x)", "z", "x**2", "1.5", "x^y", ""]:
-        with pytest.raises(ParseError):
-            parse_poly(bad, RING)
+PARSE_ERRORS = [
+    ("x +", "unexpected token 'END' at offset 3"),
+    ("x^", "expected integer exponent at offset 2"),
+    ("x^-1", "expected integer exponent at offset 2"),
+    ("(x", "expected ')' at offset 2"),
+    ("x)", "trailing input ')' at offset 1"),
+    ("z", "unknown variable 'z' at offset 0"),
+    ("x**2", "unexpected token '*' at offset 2"),
+    ("1.5", "unexpected character '.' at offset 1"),
+    ("x^y", "expected integer exponent at offset 2"),
+    ("", "unexpected token 'END' at offset 0"),
+    ("   ", "unexpected token 'END' at offset 3"),
+    ("-", "unexpected token 'END' at offset 1"),
+    ("x + + y", "unexpected token '+' at offset 4"),
+    ("x $ y", "unexpected character '$' at offset 2"),
+    ("x + + $", "unexpected character '$' at offset 6"),
+    ("x/2", "trailing input '/' at offset 1"),
+    ("1/0", "zero denominator at offset 2"),
+    ("1/00", "zero denominator at offset 2"),
+    ("1/x", "expected integer denominator at offset 2"),
+    ("1/", "expected integer denominator at offset 2"),
+    ("3/-2", "expected integer denominator at offset 2"),
+    ("1/2/3", "trailing input '/' at offset 3"),
+    ("2x", "trailing input 'x' at offset 1"),
+    ("x y", "trailing input 'y' at offset 2"),
+    ("()", "unexpected token ')' at offset 1"),
+    ("(x + y", "expected ')' at offset 6"),
+    ("(x + y))", "trailing input ')' at offset 7"),
+    ("-(x", "expected ')' at offset 3"),
+    ("x + (y * )", "unexpected token ')' at offset 9"),
+    ("x^(2)", "expected integer exponent at offset 2"),
+    ("*x", "unexpected token '*' at offset 0"),
+    ("x^2^3", "trailing input '^' at offset 3"),
+    ("x*", "unexpected token 'END' at offset 2"),
+    ("x\t+\n y @", "unexpected character '@' at offset 7"),
+]
+
+
+@pytest.mark.parametrize("bad, message", PARSE_ERRORS)
+def test_parse_errors(bad, message):
+    with pytest.raises(ParseError) as info:
+        parse_poly(bad, RING)
+    assert str(info.value) == message
 
 
 @settings(max_examples=300)
