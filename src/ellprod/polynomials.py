@@ -22,8 +22,9 @@ exponents are nonnegative integers, and '/' occurs only inside rational
 literals.
 """
 
+import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, mul
 
 from .arith import require_int, require_rational
@@ -376,131 +377,138 @@ class MultiPoly:
 
 # -- parsing -----------------------------------------------------------
 
+# Bound on the work of one product or power in parse_poly, whose
+# docstring has the model; near it, one takes 0.3 to 1 s on a 2-core Xeon.
+MAX_WORK = 1_000_000
 
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("NAME", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*^()/":
-            tokens.append(("OP", ch, i))
-            i += 1
-            continue
-        raise ParseError("unexpected character %r at offset %d" % (ch, i))
-    tokens.append(("END", "", n))
-    return tokens
+# An integer, a name, an operator, or any other character but whitespace.
+_TOKEN = re.compile(r"(?P<INT>\d+)|(?P<NAME>[^\W\d]\w*)|(?P<OP>[-+*^()/])|(?P<BAD>\S)")
 
 
-class _Parser:
-    def __init__(self, tokens, ring):
-        self.tokens = tokens
-        self.pos = 0
-        self.ring = tuple(ring)
+def _size(p):
+    # the largest floor(log2 |numerator|) + floor(log2 denominator) in p
+    return max((abs(c.numerator).bit_length() + c.denominator.bit_length() - 2
+                for c in p.terms.values()), default=0)
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _rate(*ps):
+    # a product of Fractions, with its gcds, costs some 32 times one of ints
+    return 32 if any(type(c) is Fraction for p in ps for c in p.terms.values()) else 1
 
-    def expect_op(self, op):
-        kind, val, off = self.take()
-        if kind != "OP" or val != op:
-            raise ParseError("expected %r at offset %d" % (op, off))
 
-    def parse_expr(self):
-        kind, val, off = self.peek()
-        sign = 1
-        if kind == "OP" and val in "+-":
-            self.take()
-            sign = -1 if val == "-" else 1
-        acc = self.parse_term()
-        if sign < 0:
-            acc = -acc
-        while True:
-            kind, val, off = self.peek()
-            if kind == "OP" and val in "+-":
-                self.take()
-                t = self.parse_term()
-                acc = acc - t if val == "-" else acc + t
-            else:
-                return acc
+def _work(pairs, size1, size2, rate):
+    return pairs * (1 + (size1 * size2 >> 18)) * rate
 
-    def parse_term(self):
-        acc = self.parse_factor()
-        while True:
-            kind, val, off = self.peek()
-            if kind == "OP" and val == "*":
-                self.take()
-                acc = acc * self.parse_factor()
-            else:
-                return acc
 
-    def parse_factor(self):
-        base = self.parse_base()
-        kind, val, off = self.peek()
-        if kind == "OP" and val == "^":
-            self.take()
-            kind, val, off = self.take()
-            if kind != "INT":
-                raise ParseError("expected integer exponent at offset %d" % off)
-            return base ** int(val)
-        return base
-
-    def parse_base(self):
-        kind, val, off = self.take()
-        if kind == "INT":
-            num = int(val)
-            kind2, val2, off2 = self.peek()
-            if kind2 == "OP" and val2 == "/":
-                self.take()
-                kind3, val3, off3 = self.take()
-                if kind3 != "INT":
-                    raise ParseError("expected integer denominator at offset %d" % off3)
-                if int(val3) == 0:
-                    raise ParseError("zero denominator at offset %d" % off3)
-                return MultiPoly.const(self.ring, Fraction(num, int(val3)))
-            return MultiPoly.const(self.ring, num)
-        if kind == "NAME":
-            if val not in self.ring:
-                raise ParseError("unknown variable %r at offset %d" % (val, off))
-            return MultiPoly.var(self.ring, val)
-        if kind == "OP" and val == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError("unexpected token %r at offset %d" % (val or kind, off))
-
-    def expect_end(self):
-        kind, val, off = self.peek()
-        if kind != "END":
-            raise ParseError("trailing input %r at offset %d" % (val, off))
+def _power_work(b, n):
+    k, m = len(b.terms), n // 2
+    # log2 k rounded up; for a zero b, 1 bounds the n __pow__ recurses on
+    size = m * (_size(b) + (k - 1).bit_length())
+    if k < 2 or m == 0:
+        return _work(1, size, size, 1)
+    if m * k >= MAX_WORK:
+        return m * k  # no more than the model's figure, and cheap to find
+    pairs = comb(m + k - 1, k - 1) ** 2 + n % 2 * comb(2 * m + k - 1, k - 1) * k
+    return _work(pairs, size, size, _rate(b))
 
 
 def parse_poly(text, ring):
-    """Parse canonical (or hand-written) polynomial text into a MultiPoly."""
-    parser = _Parser(_tokenize(text), ring)
-    p = parser.parse_expr()
-    parser.expect_end()
+    """Parse canonical (or hand-written) polynomial text into a MultiPoly,
+    in time linear in the terms of each sum.
+
+    Malformed text raises ParseError, its message ending "at offset i" for
+    the index i of the fault; so do an integer literal past the int()
+    digit limit, nesting past the recursion limit, and a product or power
+    whose work passes MAX_WORK, refused before it is computed.  Work
+    counts coefficient products, each 1 + s1*s2/2^18 for sizes s1, s2 as
+    _size gives, times 32 if a Fraction takes part: |a|*|b| of them for
+    a*b.  For b^n with k >= 2 terms, let m = n // 2 and T(j) =
+    comb(j + k - 1, k - 1), the most terms b^j can have: the products
+    are the T(m)^2 of the last squaring and, for odd n, the T(2m)*k of
+    the product by b, all of the size m*(_size(b) + log2 k) of b^m.  For
+    one term, c^n is one product of that size at the rate of ints.
+    """
+    ring = tuple(ring)
+    toks = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    for kind, val, off in toks:
+        # \w also takes numerals that are not letters, such as '²'
+        if kind == "BAD" or kind == "NAME" and not (val[0].isalpha() or val[0] == "_"):
+            raise ParseError("unexpected character %r at offset %d" % (val[0], off))
+    toks = [("END", "", len(text))] + toks[::-1]  # the next token last
+    take = toks.pop
+
+    def nat(what):
+        kind, val, off = take()
+        if kind != "INT":
+            raise ParseError("expected integer %s at offset %d" % (what, off))
+        try:
+            return int(val), off
+        except ValueError:  # past the digit limit: \d+ matched the rest
+            raise ParseError("integer literal too long at offset %d" % off) from None
+
+    def expr():
+        out = {}
+        op = take()[1] if toks[-1][1] in ("+", "-") else "+"
+        while True:
+            for e, c in (-term() if op == "-" else term()).terms.items():
+                out[e] = s = _norm(out.get(e, 0) + c)
+                if not s:
+                    del out[e]
+            if toks[-1][1] not in ("+", "-"):
+                return MultiPoly._trusted(ring, out)
+            op = take()[1]
+
+    def term():
+        acc = factor()
+        while toks[-1][1] == "*":
+            off = take()[2]
+            b = factor()
+            pairs = len(acc.terms) * len(b.terms)
+            if _work(pairs, _size(acc), _size(b), _rate(acc, b)) > MAX_WORK:
+                raise ParseError("product too large at offset %d" % off)
+            acc = acc * b
+        return acc
+
+    def factor():
+        b = base()
+        if toks[-1][1] != "^":
+            return b
+        off = take()[2]
+        n = nat("exponent")[0]
+        if _power_work(b, n) > MAX_WORK:
+            raise ParseError("power too large at offset %d" % off)
+        return b ** n
+
+    def base():
+        kind, val, off = toks[-1]
+        if kind == "INT":
+            num = nat("literal")[0]
+            if toks[-1][1] != "/":
+                return MultiPoly.const(ring, num)
+            take()
+            den, off = nat("denominator")
+            if den == 0:
+                raise ParseError("zero denominator at offset %d" % off)
+            return MultiPoly.const(ring, Fraction(num, den))
+        take()
+        if kind == "NAME":
+            if val not in ring:
+                raise ParseError("unknown variable %r at offset %d" % (val, off))
+            return MultiPoly.var(ring, val)
+        if val == "(":
+            inner = expr()
+            kind, val, off = take()
+            if val != ")":
+                raise ParseError("expected ')' at offset %d" % off)
+            return inner
+        raise ParseError("unexpected token %r at offset %d" % (val or kind, off))
+
+    try:
+        p = expr()
+    except RecursionError:
+        raise ParseError("nesting too deep at offset %d" % toks[-1][2]) from None
+    if toks[-1][0] != "END":
+        raise ParseError("trailing input %r at offset %d" % toks[-1][1:])
     return p
 
 

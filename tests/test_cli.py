@@ -150,6 +150,18 @@ def test_input_error_paths(capsys, c3_file, tmp_path):
     capsys.readouterr()
 
 
+def test_costly_equation_is_an_input_error(capsys, tmp_path):
+    payload = subvariety_to_dict(make_cn_curve(E01, E01, 3))
+    payload["equations"] = ["(x1+y1+x2+1)^50"]
+    path = tmp_path / "costly.json"
+    path.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    assert main(["degree", "--variety", str(path), "--isogeny", "[2,1]"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: bad variety payload: power too large at offset 12\n")
+
+
 @pytest.mark.parametrize("field, value", [
     ("transverse", "false"),     # a string, not a JSON bool
     ("transverse", 0),

@@ -1,6 +1,7 @@
 """Tests for the sparse multivariate polynomial core."""
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -379,6 +380,12 @@ PARSE_ERRORS = [
     ("x^2^3", "trailing input '^' at offset 3"),
     ("x*", "unexpected token 'END' at offset 2"),
     ("x\t+\n y @", "unexpected character '@' at offset 7"),
+    ("\u00b2", "unexpected character '\u00b2' at offset 0"),
+    ("x^\u00b2", "unexpected character '\u00b2' at offset 2"),
+    # past the interpreter's default limit of 4300 digits for int()
+    ("9" * 4301, "integer literal too long at offset 0"),
+    ("x^" + "9" * 4301, "integer literal too long at offset 2"),
+    ("1/" + "9" * 4301, "integer literal too long at offset 2"),
 ]
 
 
@@ -387,6 +394,40 @@ def test_parse_errors(bad, message):
     with pytest.raises(ParseError) as info:
         parse_poly(bad, RING)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(x1+y1+x2+1)^50", "power too large at offset 12"),
+    ("(x1+1)^3000", "power too large at offset 6"),
+    ("3^1000000000", "power too large at offset 1"),
+    ("(x1+y1+x2+1)^25*(x1+y1+x2+1)^25", "product too large at offset 15"),
+])
+def test_parse_refuses_costly_work_before_doing_it(text, message):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse_poly(text, ("x1", "y1", "x2"))
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == message
+
+
+def test_parse_refuses_nesting_past_the_recursion_limit():
+    assert parse_poly("(" * 100 + "x" + ")" * 100, RING) == X
+    with pytest.raises(ParseError, match="^nesting too deep at offset [0-9]+$"):
+        parse_poly("(" * 5000 + "x" + ")" * 5000, RING)
+
+
+def test_parse_takes_cheap_powers_of_any_size():
+    assert parse_poly("(x + 1)^999", RING) == (X + 1) ** 999
+    n = 10 ** 30  # a one-term base of coefficient 1 costs nothing to raise
+    assert parse_poly("-x^%d" % n, RING) == -X ** n
+
+
+def test_parse_sum_is_linear_in_its_terms():
+    p = MultiPoly(RING, {(i, 0): i + 1 for i in range(20000)})
+    text = str(p)
+    start = time.perf_counter()
+    assert parse_poly(text, RING) == p
+    assert time.perf_counter() - start < 1
 
 
 @settings(max_examples=300)
