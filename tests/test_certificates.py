@@ -520,6 +520,10 @@ REJECTIONS = {
         lambda: check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
         _set("witness", 0, "deg_alpha", 9),
         ["component 1: echoed deg_alpha disagrees"]),
+    "curves-duplicate-row": (
+        lambda: check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
+        lambda c: c["witness"].append(copy.deepcopy(c["witness"][0])),
+        [COVERAGE]),
     "table-bad-index": (
         lambda: check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
         _set("inputs", "multidegrees", 1, "I", [1, 1]),
