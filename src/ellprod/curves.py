@@ -487,14 +487,9 @@ def multiplication_maps(alpha, curve=None):
     return MultiplicationMaps._from_divpolys(alpha, _divpolys(curve, a - 2, a + 2))
 
 
-_MAPS_CACHE = {}
-
-
+@cache
 def _maps_for(curve, alpha):
-    key = (curve.A, curve.B, alpha)
-    if key not in _MAPS_CACHE:
-        _MAPS_CACHE[key] = multiplication_maps(alpha, curve)
-    return _MAPS_CACHE[key]
+    return multiplication_maps(alpha, curve)
 
 
 def evaluate_via_formula(curve, alpha, P):

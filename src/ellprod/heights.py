@@ -243,11 +243,7 @@ def c1_c2_curve(E, use_better=False, prec=DEFAULT_PREC):
             return upper_endpoint(c1), upper_endpoint(c2)
         first = iv.log(iv.mpf(abs(A) + abs(B) + 3)) / 2 + (hD + hj_inf) / 4
         # h(1 : |A|^(1/2) : |B|^(1/3)) = max(0, log|A|/2, log|B|/3)
-        h_abc = iv.mpf(0)
-        if abs(A) > 1:
-            h_abc = _iv_max(h_abc, iv.log(iv.mpf(abs(A))) / 2)
-        if abs(B) > 1:
-            h_abc = _iv_max(h_abc, iv.log(iv.mpf(abs(B))) / 3)
+        h_abc = _iv_max(hA / 2, hB / 3)
         c1_first = first + hj / 8 + iv.mpf("2.919")
         c1_second = 3 * h_abc + iv.mpf("4.709")
         c2_first = first + iv.mpf("3.21")
