@@ -423,7 +423,7 @@ def test_parse_takes_cheap_powers_of_any_size():
 
 
 def test_parse_sum_is_linear_in_its_terms():
-    p = MultiPoly(RING, {(i, 0): i + 1 for i in range(20000)})
+    p = MultiPoly(RING, {(i, 0): 1 for i in range(20000)})
     text = str(p)
     start = time.perf_counter()
     assert parse_poly(text, RING) == p
