@@ -383,9 +383,9 @@ PARSE_ERRORS = [
     ("\u00b2", "unexpected character '\u00b2' at offset 0"),
     ("x^\u00b2", "unexpected character '\u00b2' at offset 2"),
     # past the interpreter's default limit of 4300 digits for int()
-    ("9" * 4301, "integer literal too long at offset 0"),
-    ("x^" + "9" * 4301, "integer literal too long at offset 2"),
-    ("1/" + "9" * 4301, "integer literal too long at offset 2"),
+    pytest.param("9" * 4301, "integer literal too long at offset 0", id="long-int"),
+    pytest.param("x^" + "9" * 4301, "integer literal too long at offset 2", id="long-exp"),
+    pytest.param("1/" + "9" * 4301, "integer literal too long at offset 2", id="long-den"),
 ]
 
 
