@@ -377,9 +377,9 @@ class MultiPoly:
 
 # -- parsing -----------------------------------------------------------
 
-# Bound on the work of one product or power in parse_poly, whose
-# docstring has the model; near it, one takes 0.3 to 1 s on a 2-core Xeon.
-MAX_WORK = 1_000_000
+# Bounds on one product or power in parse_poly, whose docstring has the
+# model; MAX_DEGREE keeps exponents short to print and to pack in __mul__.
+MAX_WORK = MAX_DEGREE = 1_000_000
 
 # An integer, a name, an operator, or any other character but whitespace.
 _TOKEN = re.compile(r"(?P<INT>\d+)|(?P<NAME>[^\W\d]\w*)|(?P<OP>[-+*^()/])|(?P<BAD>\S)")
@@ -391,12 +391,9 @@ def _size(p):
                 for c in p.terms.values()), default=0)
 
 
-def _rate(*ps):
+def _work(pairs, size1, size2, *ps):
     # a product of Fractions, with its gcds, costs some 32 times one of ints
-    return 32 if any(type(c) is Fraction for p in ps for c in p.terms.values()) else 1
-
-
-def _work(pairs, size1, size2, rate):
+    rate = 32 if any(type(c) is Fraction for p in ps for c in p.terms.values()) else 1
     return pairs * (1 + (size1 * size2 >> 18)) * rate
 
 
@@ -405,11 +402,11 @@ def _power_work(b, n):
     # log2 k rounded up; for a zero b, 1 bounds the n __pow__ recurses on
     size = m * (_size(b) + (k - 1).bit_length())
     if k < 2 or m == 0:
-        return _work(1, size, size, 1)
-    if m * k >= MAX_WORK:
+        return _work(1, size, size)
+    if m * k > MAX_WORK:
         return m * k  # no more than the model's figure, and cheap to find
     pairs = comb(m + k - 1, k - 1) ** 2 + n % 2 * comb(2 * m + k - 1, k - 1) * k
-    return _work(pairs, size, size, _rate(b))
+    return _work(pairs, size, size, b)
 
 
 def parse_poly(text, ring):
@@ -419,14 +416,14 @@ def parse_poly(text, ring):
     Malformed text raises ParseError, its message ending "at offset i" for
     the index i of the fault; so do an integer literal past the int()
     digit limit, nesting past the recursion limit, and a product or power
-    whose work passes MAX_WORK, refused before it is computed.  Work
-    counts coefficient products, each 1 + s1*s2/2^18 for sizes s1, s2 as
-    _size gives, times 32 if a Fraction takes part: |a|*|b| of them for
-    a*b.  For b^n with k >= 2 terms, let m = n // 2 and T(j) =
-    comb(j + k - 1, k - 1), the most terms b^j can have: the products
-    are the T(m)^2 of the last squaring and, for odd n, the T(2m)*k of
-    the product by b, all of the size m*(_size(b) + log2 k) of b^m.  For
-    one term, c^n is one product of that size at the rate of ints.
+    of total degree past MAX_DEGREE or work past MAX_WORK, refused before
+    it is computed.  Work counts coefficient products, each 1 + s1*s2/2^18
+    for sizes s1, s2 as _size gives, times 32 if a Fraction takes part:
+    |a|*|b| of them for a*b.  For b^n with k >= 2 terms, let m = n // 2 and
+    T(j) = comb(j + k - 1, k - 1), the most terms b^j can have: the
+    products are the T(m)^2 of the last squaring and, for odd n, the
+    T(2m)*k of the product by b, all of the size m*(_size(b) + log2 k) of
+    b^m.  For one term, c^n is one product of that size at the rate of ints.
     """
     ring = tuple(ring)
     toks = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
@@ -442,7 +439,7 @@ def parse_poly(text, ring):
         if kind != "INT":
             raise ParseError("expected integer %s at offset %d" % (what, off))
         try:
-            return int(val), off
+            return int(val)
         except ValueError:  # past the digit limit: \d+ matched the rest
             raise ParseError("integer literal too long at offset %d" % off) from None
 
@@ -464,7 +461,8 @@ def parse_poly(text, ring):
             off = take()[2]
             b = factor()
             pairs = len(acc.terms) * len(b.terms)
-            if _work(pairs, _size(acc), _size(b), _rate(acc, b)) > MAX_WORK:
+            if (acc.degree() + b.degree() > MAX_DEGREE
+                    or _work(pairs, _size(acc), _size(b), acc, b) > MAX_WORK):
                 raise ParseError("product too large at offset %d" % off)
             acc = acc * b
         return acc
@@ -474,19 +472,20 @@ def parse_poly(text, ring):
         if toks[-1][1] != "^":
             return b
         off = take()[2]
-        n = nat("exponent")[0]
-        if _power_work(b, n) > MAX_WORK:
+        n = nat("exponent")
+        if n * b.degree() > MAX_DEGREE or _power_work(b, n) > MAX_WORK:
             raise ParseError("power too large at offset %d" % off)
         return b ** n
 
     def base():
         kind, val, off = toks[-1]
         if kind == "INT":
-            num = nat("literal")[0]
+            num = nat("literal")
             if toks[-1][1] != "/":
                 return MultiPoly.const(ring, num)
             take()
-            den, off = nat("denominator")
+            off = toks[-1][2]
+            den = nat("denominator")
             if den == 0:
                 raise ParseError("zero denominator at offset %d" % off)
             return MultiPoly.const(ring, Fraction(num, den))
