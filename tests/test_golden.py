@@ -4,7 +4,8 @@ Refactors of the preimage path and the oracle must leave every entry
 byte-identical: the equations and excluded loci of generate_preimage(C_3,
 phi) for the eight corpus isogenies, of the surface y3 = x1*x2 in
 E x F x E for three more and of two curves in E x F (one equation in
-all four coordinates, one in the x's alone) for four more, the printed
+all four coordinates, one in the x's alone) for four more and of curves
+in E x F whose equations have y-degree 2 or more for five more, the printed
 symbolic multiplication maps, the printed maps of two concrete curves
 (small and 30-digit coefficients) for alpha = +-2..9, the
 certify_auto dicts of the C_3 cases the certificate tests use, and the
@@ -71,6 +72,16 @@ PLANE_CURVES = {
 }
 PLANE_CASES = [("y1*y2 - x1*x2 - 1", [2, 3]), ("y1*y2 - x1*x2 - 1", [-3, 2]),
                ("x2 - x1^2", [3, 2]), ("x2 - x1^2", [2, 2])]
+# curves in E x F whose equations have y-degree 2 or more, so that the
+# Weierstrass relations rewrite them; the first two are one curve
+PLANE_CURVES.update({
+    "y1^2 - y2^2": MultiDegreeTable(1, {(1, 0): 18, (0, 1): 18}),
+    "y2^2 - x1^3 - 1": MultiDegreeTable(1, {(1, 0): 18, (0, 1): 18}),
+    "y1^2*y2 - x2": MultiDegreeTable(1, {(1, 0): 9, (0, 1): 18}),
+})
+Y_POWER_CASES = [("y1^2 - y2^2", [3, 3]), ("y1^2 - y2^2", [5, 3]),
+                 ("y1^2 - y2^2", [2, 2]), ("y2^2 - x1^3 - 1", [2, 3]),
+                 ("y1^2*y2 - x2", [3, 2])]
 
 
 def _plane_curve(eq):
@@ -165,6 +176,8 @@ def build_corpus():
         "surface_preimages": {_key(a): preimage_entry(a, SURFACE) for a in SURFACE_ALPHAS},
         "plane_curve_preimages": {_plane_key(c): preimage_entry(c[1], _plane_curve(c[0]))
                                   for c in PLANE_CASES},
+        "y_power_preimages": {_plane_key(c): preimage_entry(c[1], _plane_curve(c[0]))
+                              for c in Y_POWER_CASES},
         "oracle": {name: oracle_entry(name) for name in ORACLE_SCANS},
         "maps": {str(a): maps_entry(a) for a in MAPS_ALPHAS},
         "curve_maps": {_curve_maps_key(c): maps_entry(c[1], c[0]) for c in CURVE_MAPS_CASES},
@@ -192,6 +205,13 @@ def test_plane_curve_preimage_matches_golden(case):
     eq, alphas = case
     assert (preimage_entry(alphas, _plane_curve(eq))
             == _load()["plane_curve_preimages"][_plane_key(case)])
+
+
+@pytest.mark.parametrize("case", Y_POWER_CASES, ids=_plane_key)
+def test_y_power_preimage_matches_golden(case):
+    eq, alphas = case
+    assert (preimage_entry(alphas, _plane_curve(eq))
+            == _load()["y_power_preimages"][_plane_key(case)])
 
 
 @pytest.mark.parametrize("name", list(ORACLE_SCANS))
