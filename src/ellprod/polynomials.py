@@ -23,8 +23,9 @@ literals.
 """
 
 import re
+import sys
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, mul
 
 from .arith import require_int, require_rational
@@ -46,6 +47,16 @@ def _gl_key(expts):
 def _norm(c):
     # the coefficient domain: an int when integral, else a Fraction
     return c.numerator if c.denominator == 1 else c
+
+
+def _power(b, n, times):
+    # b^n for n >= 1 by left-to-right binary powering, from b itself
+    acc = b
+    for bit in bin(n)[3:]:
+        acc = times(acc, acc)
+        if bit == "1":
+            acc = times(acc, b)
+    return acc
 
 
 class MultiPoly:
@@ -266,8 +277,7 @@ class MultiPoly:
             # one term: raise its coefficient and scale its exponent
             (e, c), = self.terms.items()
             return MultiPoly._trusted(self.ring, {tuple(k * n for k in e): c ** n})
-        half = self ** (n >> 1)
-        return half * half * self if n & 1 else half * half
+        return _power(self, n, mul)
 
     def __eq__(self, other):
         if type(other) is int or isinstance(other, Fraction):  # not a bool
@@ -391,22 +401,35 @@ def _size(p):
                 for c in p.terms.values()), default=0)
 
 
-def _work(pairs, size1, size2, *ps):
-    # a product of Fractions, with its gcds, costs some 32 times one of ints
-    rate = 32 if any(type(c) is Fraction for p in ps for c in p.terms.values()) else 1
-    return pairs * (1 + (size1 * size2 >> 18)) * rate
+def _bounded(degree, work, bits, compute, what, off):
+    # compute() if degree and work are in bounds and str() prints it, else
+    # ParseError.  bits bounds the bit lengths of its numerators and
+    # denominators (None if unknown); as 8^L < 10^L, only one of more than
+    # 3L bits can pass the int->str digit limit L (0: none, before 3.10.7).
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if degree <= MAX_DEGREE and work <= MAX_WORK:
+        p = compute()
+        if not limit or bits is not None and bits <= 3 * limit or all(
+                k.bit_length() <= 3 * limit or abs(k) < 10 ** limit
+                for c in p.terms.values() for k in (c.numerator, c.denominator)):
+            return p
+    raise ParseError("%s too large at offset %d" % (what, off))
 
 
-def _power_work(b, n):
-    k, m = len(b.terms), n // 2
-    # log2 k rounded up; for a zero b, 1 bounds the n __pow__ recurses on
-    size = m * (_size(b) + (k - 1).bit_length())
-    if k < 2 or m == 0:
-        return _work(1, size, size)
-    if m * k > MAX_WORK:
-        return m * k  # no more than the model's figure, and cheap to find
-    pairs = comb(m + k - 1, k - 1) ** 2 + n % 2 * comb(2 * m + k - 1, k - 1) * k
-    return _work(pairs, size, size, b)
+def _product(a, b, what, off):
+    # a*b in parse_poly, priced by the rule its docstring states
+    k = min(len(a.terms), len(b.terms))
+    pairs = terms = len(a.terms) * len(b.terms)
+    if k > 1:  # else each pair is a term
+        da, db = (map(max, zip(*p.terms)) for p in (a, b))
+        terms = min(pairs, prod(i + j + 1 for i, j in zip(da, db)))
+    rate = 32 if any(type(c) is Fraction for p in (a, b) for c in p.terms.values()) else 1
+    s1, s2 = _size(a), _size(b)
+    work = (pairs + 10 * terms) * (1 + (s1 * s2 >> 18)) * rate
+    # a coefficient sums at most k fractions, each of numerator and
+    # denominator lengths adding to at most s1 + s2 + 4 bits
+    bits = k * (s1 + s2 + 4) + k.bit_length()
+    return _bounded(a.degree() + b.degree(), work, bits, lambda: a * b, what, off)
 
 
 def parse_poly(text, ring):
@@ -415,17 +438,18 @@ def parse_poly(text, ring):
 
     Malformed text raises ParseError, its message ending "at offset i" for
     the index i of the fault; so do an integer literal past the int()
-    digit limit, nesting past the recursion limit, and a product or power
-    of total degree past MAX_DEGREE or work past MAX_WORK, refused before
-    it is computed.  Work counts coefficient products, each 1 + s1*s2/2^18
-    for sizes s1, s2 as _size gives, times 32 if a Fraction takes part:
-    |a|*|b| of them for a*b.  For b^n with k >= 2 terms, let m = n // 2 and
-    T(j) = comb(j + k - 1, k - 1), the most terms b^j can have: the
-    products are the T(m)^2 of the last squaring and, for odd n, the
-    T(2m)*k of the product by b, all of the size m*(_size(b) + log2 k) of
-    b^m.  For one term, c^n is one product of that size at the rate of ints.
+    digit limit, nesting past the recursion limit, a sum, product or power
+    that str() cannot print, and a product or power of total degree past
+    MAX_DEGREE or work past MAX_WORK, refused before it is computed.  Each
+    product a*b, for '*' and in the binary powering of a b^n of two or more
+    terms, has work (P + 10*T) * (1 + s1*s2/2^18), 32 times that if a
+    Fraction takes part, for its P = |a|*|b| pairs, the T terms it can make
+    (at most P and the product over the variables v of deg_v(a) + deg_v(b)
+    + 1) and the sizes s1, s2 that _size gives.  A one-term c^n is one
+    product, of two c^(n//2) of size (n//2)*_size(c), at the rate of ints.
     """
     ring = tuple(ring)
+    names = {name: MultiPoly.var(ring, name) for name in ring}
     toks = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
     for kind, val, off in toks:
         # \w also takes numerals that are not letters, such as '²'
@@ -445,26 +469,21 @@ def parse_poly(text, ring):
 
     def expr():
         out = {}
-        op = take()[1] if toks[-1][1] in ("+", "-") else "+"
+        _, op, off = take() if toks[-1][1] in ("+", "-") else (0, "+", 0)
         while True:
             for e, c in (-term() if op == "-" else term()).terms.items():
                 out[e] = s = _norm(out.get(e, 0) + c)
                 if not s:
                     del out[e]
-            if toks[-1][1] not in ("+", "-"):
-                return MultiPoly._trusted(ring, out)
-            op = take()[1]
+            if toks[-1][1] not in ("+", "-"):  # off is then at the last sign
+                return _bounded(0, 0, None, lambda: MultiPoly._trusted(ring, out), "sum", off)
+            _, op, off = take()
 
     def term():
         acc = factor()
         while toks[-1][1] == "*":
             off = take()[2]
-            b = factor()
-            pairs = len(acc.terms) * len(b.terms)
-            if (acc.degree() + b.degree() > MAX_DEGREE
-                    or _work(pairs, _size(acc), _size(b), acc, b) > MAX_WORK):
-                raise ParseError("product too large at offset %d" % off)
-            acc = acc * b
+            acc = _product(acc, factor(), "product", off)
         return acc
 
     def factor():
@@ -473,9 +492,12 @@ def parse_poly(text, ring):
             return b
         off = take()[2]
         n = nat("exponent")
-        if n * b.degree() > MAX_DEGREE or _power_work(b, n) > MAX_WORK:
-            raise ParseError("power too large at offset %d" % off)
-        return b ** n
+        if n and len(b.terms) > 1:
+            return _power(b, n, lambda p, q: _product(p, q, "power", off))
+        s = _size(b)
+        h = n // 2 * s  # c^n is one product of two c^(n//2)
+        return _bounded(n * b.degree(), 1 + (h * h >> 18), n * (s + 1), lambda: b ** n,
+                        "power", off)
 
     def base():
         kind, val, off = toks[-1]
@@ -491,9 +513,9 @@ def parse_poly(text, ring):
             return MultiPoly.const(ring, Fraction(num, den))
         take()
         if kind == "NAME":
-            if val not in ring:
+            if val not in names:
                 raise ParseError("unknown variable %r at offset %d" % (val, off))
-            return MultiPoly.var(ring, val)
+            return names[val]
         if val == "(":
             inner = expr()
             kind, val, off = take()
@@ -668,18 +690,14 @@ def reduce_weierstrass(p, relations):
         if p.degree_in(name) <= 1:
             continue
         # accumulate c * x^base * rhs^half for every term into one dict
-        cache = {}
         out = {}
-        get = out.get
         for e, c in p.terms.items():
             half, parity = divmod(e[yi], 2)
-            if half not in cache:
-                cache[half] = rhs ** half
             base = list(e)
             base[yi] = parity
-            for f, d in cache[half].terms.items():
+            for f, d in (rhs ** half).terms.items():
                 g = tuple(map(add, base, f))
-                out[g] = get(g, 0) + c * d
+                out[g] = out.get(g, 0) + c * d
         p = MultiPoly._trusted(p.ring, {e: _norm(c) for e, c in out.items() if c})
     return p
 

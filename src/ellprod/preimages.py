@@ -2,18 +2,19 @@
 
 Given V inside E_1 x ... x E_N cut out by polynomial equations and a
 diagonal isogeny phi = [alpha_1, ..., alpha_N], the preimage phi^(-1)(V)
-satisfies the equations obtained by substituting the coordinate form of
-scalar multiplication, one form for either parity of alpha_j,
+satisfies the equations obtained by rewriting y_j^2 via the Weierstrass
+relations, then substituting the coordinate form of scalar
+multiplication, one form for either parity of alpha_j,
 
     x_j -> n_j(x_j) / (u_j t_j)(x_j)
     y_j -> s_j(x_j)*y_j / t_j(x_j)^3
 
 with (n_j, u_j) = (r_j, t_j) for odd alpha_j and (r~_j, t~_j) for even
-alpha_j (curves.MultiplicationMaps.x_parts), then clearing denominators,
-rewriting y_j^2 via the Weierstrass relations, and stripping content plus
-any stray factors supported on the cleared denominators (powers of u_j or
-the curve cubic, which between them make up t_j), ending with primitive
-integer coefficients and a positive graded-lex leading coefficient.
+alpha_j (curves.MultiplicationMaps.x_parts), which is linear in y_j, then
+clearing denominators and stripping content plus any stray factors
+supported on them (powers of u_j or the curve cubic, which between them
+make up t_j), ending with primitive integer coefficients and a positive
+graded-lex leading coefficient.
 
 The equations present the preimage away from the excluded locus
 {t_j(x_j) = 0 for some j} — the x-coordinates of the kernel of [alpha_j]
@@ -29,9 +30,8 @@ from .products import (SubvarietyPresentation, preimage_multidegrees)
 
 
 class PreimageDegenerateError(ValueError):
-    """An input equation collapsed to 0 after substitution: the subvariety
-    contains a translate of the kernel, and no equation presents its
-    preimage there."""
+    """An input equation lies in the Weierstrass ideal: it vanishes on the
+    whole product and presents no subvariety."""
 
 
 class ExcludedLocusError(ValueError):
@@ -78,10 +78,14 @@ def generate_preimage(V, isogeny):
         raise ValueError("isogeny has %d components, product has %d factors"
                          % (isogeny.n_factors, system.n_factors))
     ring = system.ring
-    # bind only the coordinates the equations use: the maps build only
-    # the fields that are read
-    used = set().union(*(f.variables() for f in V.equations))
     relations = system.weierstrass_relations()
+    reduced = [reduce_weierstrass(f, relations) for f in V.equations]
+    for f, g in zip(V.equations, reduced):
+        if not g:
+            raise PreimageDegenerateError("equation %s lies in the Weierstrass ideal" % (f,))
+    # bind only the coordinates the reduced equations use: the maps build
+    # only the fields that are read
+    used = set().union(*(f.variables() for f in reduced))
     bindings = {}
     strip_candidates = []
     excluded = []
@@ -106,18 +110,9 @@ def generate_preimage(V, isogeny):
             strip_candidates.append(relations[j - 1][1])
 
     equations = []
-    for f in V.equations:
-        num, _den = substitute(f, bindings)
-        if not num:
-            raise PreimageDegenerateError(
-                "equation %s collapses to 0 after substitution: the "
-                "subvariety contains a kernel translate" % (f,))
-        num = reduce_weierstrass(num, relations)
-        if not num:
-            raise PreimageDegenerateError(
-                "equation %s lies in the Weierstrass ideal after "
-                "substitution" % (f,))
-        num = integer_primitive(num)[1]
+    for f in reduced:
+        # never 0: the images of the x_j and y_j are algebraically independent
+        num = integer_primitive(substitute(f, bindings)[0])[1]
         # strip stray factors supported on the cleared denominators; a
         # candidate that fails once divides no later quotient either, and a
         # quotient stays primitive with a positive leading coefficient

@@ -184,6 +184,19 @@ def test_pow_matches_repeated_mul(p, k):
     assert (p ** k).terms == reference
 
 
+def test_pow_by_binary_powering_matches_repeated_mul():
+    p, expected = X + Y + ONE, ONE
+    for n in range(10):  # every bit pattern up to 1001
+        assert p ** n == expected
+        expected = expected * p
+
+
+def test_pow_of_zero_takes_no_time():
+    start = time.perf_counter()
+    assert ZERO ** (1 << 2000) == 0
+    assert time.perf_counter() - start < 1
+
+
 @settings(max_examples=100)
 @given(polys())
 def test_degree_of_product(p):
@@ -397,6 +410,10 @@ def test_parse_errors(bad, message):
     assert str(info.value) == message
 
 
+DISTINCT = "(%s)*(%s)" % tuple("+".join("%s^%d" % (v, i) for i in range(1000))
+                              for v in ("x1", "y1"))
+
+
 @pytest.mark.parametrize("text, message", [
     ("(x1+y1+x2+1)^50", "power too large at offset 12"),
     ("(x1+1)^3000", "power too large at offset 6"),
@@ -407,6 +424,13 @@ def test_parse_errors(bad, message):
     ("x1^1000*x2^999001", "product too large at offset 7"),
     pytest.param("(((x1^N)^N)^N + 1)^999".replace("N", "9" * 4000),
                  "power too large at offset 5", id="nested-long-exp"),
+    # 10^6 pairs that make 10^6 distinct terms
+    pytest.param(DISTINCT, "product too large at offset %d" % DISTINCT.index("*"),
+                 id="distinct-terms"),
+    # results that str() cannot print, past the 4300-digit int->str limit
+    ("3^900000", "power too large at offset 1"),
+    pytest.param("9" * 4300 + " + " + "9" * 4300, "sum too large at offset 4301",
+                 id="long-sum"),
 ])
 def test_parse_refuses_costly_work_before_doing_it(text, message):
     start = time.perf_counter()
@@ -425,6 +449,11 @@ def test_parse_refuses_nesting_past_the_recursion_limit():
 def test_parse_takes_cheap_powers_up_to_the_degree_bound():
     assert parse_poly("(x + 1)^999", RING) == (X + 1) ** 999
     assert parse_poly("-x^500000*y^500000", RING) == -X ** 500000 * Y ** 500000
+
+
+def test_parse_keeps_coefficients_up_to_the_digit_limit():
+    p = parse_poly("9" * 4300 + "*x*y", RING)
+    assert parse_poly(str(p), RING) == p
 
 
 def test_parse_sum_is_linear_in_its_terms():

@@ -120,7 +120,7 @@ def test_preimage_arity_and_types():
 
 def test_degenerate_equation_detected():
     # an "equation" lying in the Weierstrass ideal presents the whole
-    # product, and its pullback collapses to 0 after reduction
+    # product, and reduces to 0
     rel = parse_poly("y1^2 - x1^3 - 1", RING)
     V = SubvarietyPresentation(C3.system, [rel], 1, C3.degrees, True)
     with pytest.raises(PreimageDegenerateError):
