@@ -423,6 +423,7 @@ def _product(a, b, what, off):
     if k > 1:  # else each pair is a term
         da, db = (map(max, zip(*p.terms)) for p in (a, b))
         terms = min(pairs, prod(i + j + 1 for i, j in zip(da, db)))
+    # a product of Fractions, with its gcds, costs some 32 times one of ints
     rate = 32 if any(type(c) is Fraction for p in (a, b) for c in p.terms.values()) else 1
     s1, s2 = _size(a), _size(b)
     work = (pairs + 10 * terms) * (1 + (s1 * s2 >> 18)) * rate
