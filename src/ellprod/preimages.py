@@ -11,10 +11,14 @@ multiplication, one form for either parity of alpha_j,
 
 with (n_j, u_j) = (r_j, t_j) for odd alpha_j and (r~_j, t~_j) for even
 alpha_j (curves.MultiplicationMaps.x_parts), which is linear in y_j, then
-clearing denominators and stripping content plus any stray factors
-supported on them (powers of u_j or the curve cubic, which between them
-make up t_j), ending with primitive integer coefficients and a positive
-graded-lex leading coefficient.
+clearing denominators and content.  A term c*x_j^a*y_j^b of an equation of
+top degrees A, B so gains a factor q of t_j to the power dx*(A-a) +
+dy*(B-b) + ds*b, (dx, dy, ds) being the powers of q in u_j*t_j, t_j^3 and
+s_j: (2, 3, 0) for q = prim(u_j), and (1, 3, 1) for the cubic, a factor of
+t_j for even alpha_j only.  q^k, k least over the terms, is divided out
+once.  No higher power divides: the terms of least power differ in
+y_j-degree, and the maps are in lowest terms (Washington, Elliptic Curves,
+3.2).  The result has primitive integer coefficients and leads positive.
 
 The equations present the preimage away from the excluded locus
 {t_j(x_j) = 0 for some j} — the x-coordinates of the kernel of [alpha_j]
@@ -24,8 +28,8 @@ membership_test refuses points on that locus rather than answer wrongly.
 
 from .curves import evaluate_multiplication_map, multiplication_maps
 from .isogenies import DiagonalIsogeny
-from .polynomials import (ExactDivisionError, MultiPoly, exact_divide_univariate,
-                          integer_primitive, reduce_weierstrass, substitute)
+from .polynomials import (MultiPoly, exact_divide_univariate, integer_primitive,
+                          reduce_weierstrass, substitute)
 from .products import (SubvarietyPresentation, preimage_multidegrees)
 
 
@@ -87,7 +91,7 @@ def generate_preimage(V, isogeny):
     # only the fields that are read
     used = set().union(*(f.variables() for f in reduced))
     bindings = {}
-    strip_candidates = []
+    factors = []  # (x_j and y_j indices, q, powers of q in u_j*t_j, t_j^3, s_j)
     excluded = []
     for j, (alpha, curve) in enumerate(zip(isogeny.alphas, system.curves), start=1):
         maps = multiplication_maps(alpha, curve)
@@ -101,28 +105,24 @@ def generate_preimage(V, isogeny):
             bindings[yj] = (maps.s.embed(ring, {"x": xj}) * MultiPoly.var(ring, yj), t ** 3)
         if abs(alpha) != 1:
             excluded.append({"j": j, "alpha": alpha, "t": integer_primitive(t)[1]})
-            # t is u (odd alpha) or the cubic times u (even alpha, where
-            # the two are coprime), so u and the cubic strip what t would;
-            # u is constant only for alpha = +-2, and the cubic is monic
-            cand = integer_primitive(u)[1]
-            if not cand.is_constant():
-                strip_candidates.append(cand)
-            strip_candidates.append(relations[j - 1][1])
+            # t is u (odd alpha) or the cubic times u (even alpha, where the
+            # two are coprime); u is constant only for alpha = +-2
+            at = ring.index(xj), ring.index(yj)
+            if not u.is_constant():
+                factors.append((at, integer_primitive(u)[1], (2, 3, 0)))
+            if u is not t:
+                factors.append((at, relations[j - 1][1], (1, 3, 1)))
 
     equations = []
     for f in reduced:
         # never 0: the images of the x_j and y_j are algebraically independent
         num = integer_primitive(substitute(f, bindings)[0])[1]
-        # strip stray factors supported on the cleared denominators; a
-        # candidate that fails once divides no later quotient either, and a
-        # quotient stays primitive with a positive leading coefficient
-        # (Gauss's lemma; the candidates are primitive and lead positive)
-        for cand in strip_candidates:
-            while not num.is_constant():
-                try:
-                    num = exact_divide_univariate(num, cand)
-                except ExactDivisionError:
-                    break
+        # divide out q^k, the power the terms force (module docstring); the
+        # quotient stays primitive and leads positive, as q does (Gauss)
+        for (ix, iy), q, (dx, dy, ds) in factors:
+            A, B = (max(e[i] for e in f.terms) for i in (ix, iy))
+            k = min(dx * (A - e[ix]) + dy * (B - e[iy]) + ds * e[iy] for e in f.terms)
+            num = exact_divide_univariate(num, q ** k) if k else num
         equations.append(num)
     table = preimage_multidegrees(V.degrees, isogeny)
     return PreimagePresentation(V, isogeny, equations, excluded, table)

@@ -21,7 +21,7 @@ from ellprod.curves import (
     negate_point,
     scalar_mul_point,
 )
-from ellprod.polynomials import MultiPoly, exact_divide, parse_poly
+from ellprod.polynomials import MultiPoly, exact_divide, integer_primitive, parse_poly
 
 E01 = WeierstrassCurve(0, 1)
 X = MultiPoly.var(RING_XAB, "x")
@@ -301,6 +301,53 @@ def test_lazy_fields_do_not_depend_on_the_order_of_reading(curve):
                 assert maps.x_parts()[1] is maps.t
             else:
                 assert maps.x_parts()[0] is maps.r_tilde and maps.x_parts()[1] is maps.t_tilde
+
+
+_P61 = (1 << 61) - 1
+
+
+def _coprime(a, b):
+    """gcd(a, b) = 1 over F_p, p = 2^61 - 1, for univariate a, b in x whose
+    leading coefficients p does not divide; a common factor over Q would
+    survive reduction mod p, so then gcd(a, b) = 1 over Q as well."""
+    def dense(f):
+        c = [0] * (f.degree() + 1)
+        for e, v in f.terms.items():
+            c[e[0]] = v % _P61
+        assert c[-1]
+        return c
+
+    a, b = dense(a), dense(b)
+    while len(b) > 1:
+        inv = pow(b[-1], -1, _P61)
+        while len(a) >= len(b):
+            m, k = a[-1] * inv % _P61, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[k + i] = (a[k + i] - m * c) % _P61
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
+@pytest.mark.parametrize("curve", LAZY_CURVES + [WeierstrassCurve(-45, 53)], ids=repr)
+def test_maps_are_in_lowest_terms_at_each_factor_of_t(curve):
+    # the facts behind the exponent rule of generate_preimage: prim(u) is
+    # coprime to n and s, and for even alpha the cubic divides s exactly
+    # once and is coprime to n and u (the 30-digit golden curve is left
+    # out: its maps up to alpha = 12 take seconds to build)
+    c3 = C3.specialize({"A": curve.A, "B": curve.B})
+    for alpha in [a for k in range(2, 13) for a in (k, -k)]:
+        maps = multiplication_maps(alpha, curve)
+        n, u = maps.x_parts()
+        q = integer_primitive(u)[1]
+        if not q.is_constant():
+            assert _coprime(n, q) and _coprime(maps.s, q), alpha
+        if alpha % 2 == 0:
+            assert _coprime(exact_divide(maps.s, c3), c3), alpha
+            assert _coprime(n, c3) and _coprime(u, c3), alpha
 
 
 # small, zero and 40-digit coefficients: the packed recurrence of a curve

@@ -1,17 +1,22 @@
 """Tests for explicit preimage generation under diagonal isogenies."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from ellprod.curves import CurvePoint, WeierstrassCurve, multiplication_maps
 from ellprod.isogenies import DiagonalIsogeny
+from ellprod.oracle import PrimeFieldCtx, verify_preimage_membership
 from ellprod.polynomials import (
     ExactDivisionError,
     MultiPoly,
     exact_divide,
+    exact_divide_univariate,
     integer_primitive,
     parse_poly,
+    reduce_weierstrass,
+    substitute,
 )
 from ellprod.preimages import (
     ExcludedLocusError,
@@ -21,6 +26,8 @@ from ellprod.preimages import (
     membership_test,
 )
 from ellprod.products import (
+    MultiDegreeTable,
+    ProductSystem,
     SubvarietyPresentation,
     make_cn_curve,
     preimage_multidegrees,
@@ -95,11 +102,77 @@ def test_preimage_builds_only_the_map_fields_its_bindings_use(monkeypatch, alpha
 
 
 def test_preimage_equation_not_divisible_by_denominators():
-    pre = generate_preimage(C3, DiagonalIsogeny([2, 1]))
-    eq = pre.equations[0]
-    for factor in (X1 ** 3 + 1, pre.excluded_locus[0]["t"]):
-        with pytest.raises(ExactDivisionError):
-            exact_divide(eq, factor)
+    for alphas in ([2, 1], [-2, 1], [3, 1], [4, 1], [1, 2], [1, -2], [1, 3], [1, 4]):
+        pre = generate_preimage(C3, DiagonalIsogeny(alphas))
+        eq = pre.equations[0]
+        for row in pre.excluded_locus:
+            cubic = C3.system.coordinate_cubic(row["j"])
+            for factor in (cubic, row["t"]):
+                with pytest.raises(ExactDivisionError):
+                    exact_divide(eq, factor)
+
+
+# E x F with E: y^2 = x^3 + 1 and F: y^2 = x^3 - x
+EF = ProductSystem([E01, WeierstrassCurve(-1, 0)])
+
+
+@pytest.mark.parametrize("alpha, degree", [(3, 27), (5, 75)])
+def test_odd_multiplier_keeps_the_fibres_over_2_torsion(alpha, degree):
+    # V = {x1^3 + 1 = 0} is the affine 2-torsion of E times F.  [alpha]T = T
+    # for T in E[2] and odd alpha, so phi^(-1)(V) holds those fibres, off
+    # the excluded locus; the cubic is no factor of t_alpha, and dividing
+    # it out of the equation would delete them
+    V = SubvarietyPresentation(EF, [parse_poly("x1^3 + 1", EF.ring)], 1,
+                               MultiDegreeTable(1, {(1, 0): 0, (0, 1): 18}), False)
+    pre = generate_preimage(V, DiagonalIsogeny([alpha, 1]))
+    assert membership_test(pre, [CurvePoint(-1, 0), CurvePoint(0, 0)])
+    assert pre.equations[0].degree() == degree
+    for p in (13, 17, 19):
+        assert verify_preimage_membership(PrimeFieldCtx(p, EF), pre)["ok"], p
+
+
+def _trial_division_reference(V, isogeny):
+    """The equations of phi^(-1)(V) by trial division: clear the substituted
+    equation, then divide it by prim(u_j), and by the cubic for even
+    alpha_j, for as long as the division is exact."""
+    ring = V.system.ring
+    relations = V.system.weierstrass_relations()
+    bindings, candidates = {}, []
+    for j, (alpha, curve) in enumerate(zip(isogeny.alphas, V.system.curves), start=1):
+        maps = multiplication_maps(alpha, curve)
+        n, u, t, s = (f.embed(ring, {"x": "x%d" % j})
+                      for f in maps.x_parts() + (maps.t, maps.s))
+        bindings["x%d" % j] = (n, u * t)
+        bindings["y%d" % j] = (s * MultiPoly.var(ring, "y%d" % j), t ** 3)
+        candidates.append(integer_primitive(u)[1])
+        if maps.is_even():
+            candidates.append(relations[j - 1][1])
+    equations = []
+    for f in V.equations:
+        num = integer_primitive(substitute(reduce_weierstrass(f, relations), bindings)[0])[1]
+        for q in candidates:
+            while not q.is_constant() and not num.is_constant():
+                try:
+                    num = exact_divide_univariate(num, q)
+                except ExactDivisionError:
+                    break
+        equations.append(num)
+    return equations
+
+
+def test_exponent_rule_agrees_with_trial_division():
+    # seeded random equations in E x F of 1 to 5 terms, each exponent at
+    # most 2 (so y^2 is reduced first), under multipliers in +-1..4
+    rng = random.Random(2023)
+    table = MultiDegreeTable(1, {(1, 0): 1, (0, 1): 1})
+    multipliers = [a for k in range(1, 5) for a in (k, -k)]
+    for _ in range(60):
+        terms = {tuple(rng.randint(0, 2) for _ in EF.ring): rng.choice([-3, -2, -1, 1, 2, 3])
+                 for _ in range(rng.randint(1, 5))}
+        V = SubvarietyPresentation(EF, [MultiPoly(EF.ring, terms)], 1, table, False)
+        phi = DiagonalIsogeny([rng.choice(multipliers), rng.choice(multipliers)])
+        assert list(generate_preimage(V, phi).equations) == _trial_division_reference(V, phi), \
+            (terms, phi.alphas)
 
 
 def test_preimage_identity_is_sign_normalized_input():
