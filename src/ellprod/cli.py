@@ -245,7 +245,7 @@ def cmd_constants(args):
     inputs["better"] = bool(args.better)
     inputs["precision_bits"] = prec
     rows = []
-    with heights._prec(prec):
+    with heights._prec(heights._checked(prec)):
         tot1 = iv.mpf(0)
         tot2 = iv.mpf(0)
         for E in curves:

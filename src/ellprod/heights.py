@@ -1,8 +1,8 @@
 """Explicit height-inequality constants, with directed rounding.
 
 All transcendental evaluation goes through mpmath interval arithmetic at
-a caller-selectable working precision (default 80 significand bits, well
-above the 64-bit floor the bounds require).  Quantities that sit on the
+a caller-selectable working precision (default 80 significand bits, from
+the 64-bit floor the bounds require to MAX_PREC).  Quantities on the
 upper-bound side of an inequality are reported as the upper interval
 endpoint ("up"); multipliers on the lower-bound side are reported as the
 lower endpoint ("down"); integer degree bounds are exact.  Every report
@@ -32,17 +32,28 @@ from .curves import WeierstrassCurve
 
 DEFAULT_PREC = 80
 
+# Bounds on a caller's input, whose cost grows faster than linearly: at a
+# working precision of MAX_PREC bits the slowest CLI run measured took
+# 0.75 s, and c0 with d1 + d2 = MAX_C0_DEGREE (its exact rational part has
+# a denominator of about 1.44 (d1 + d2) bits) 0.61 s, on a 2-core Xeon.
+MAX_PREC = MAX_C0_DEGREE = 20_000
+
 
 @contextmanager
 def _prec(bits):
-    if bits < 64:
-        raise ValueError("working precision must be >= 64 bits")
     old = iv.prec
     iv.prec = bits
     try:
         yield
     finally:
         iv.prec = old
+
+
+def _checked(prec):
+    # a caller's working precision: an int of 64 to MAX_PREC bits
+    if not 64 <= require_int(prec, "prec") <= MAX_PREC:
+        raise ValueError("working precision must be 64 to %d bits" % MAX_PREC)
+    return prec
 
 
 def upper_endpoint(x):
@@ -173,7 +184,7 @@ def _weil_height(q):
 def weil_height_rational(q, prec=DEFAULT_PREC):
     """h(q) = log max(|num|, den) of the reduced fraction, rounded up."""
     q = Fraction(require_rational(q, "q"))
-    with _prec(prec):
+    with _prec(_checked(prec)):
         return upper_endpoint(_weil_height(q))
 
 
@@ -207,8 +218,11 @@ def c0(d1, d2, m, method="double_sum", prec=DEFAULT_PREC):
     rational part, so they agree bit for bit.
     """
     d1, d2, m = require_int(d1, "d1"), require_int(d2, "d2"), require_int(m, "m")
+    prec = _checked(prec)
     if d1 < 0 or d2 < 0 or m < 0:
         raise ValueError("arguments must be nonnegative")
+    if d1 + d2 > MAX_C0_DEGREE:
+        raise ValueError("c0 takes d1 + d2 up to %d, got %d" % (MAX_C0_DEGREE, d1 + d2))
     rational = _c0_rational(d1, d2, method)
     logcoeff = Fraction(m) - Fraction(d1 + d2, 2)
     with _prec(prec):
@@ -230,7 +244,7 @@ def c1_c2_curve(E, use_better=False, prec=DEFAULT_PREC):
     A, B = E.A, E.B
     disc = E.discriminant()
     j = E.j_invariant()
-    with _prec(prec):
+    with _prec(_checked(prec)):
         hA = _log_max1(A)
         hB = _log_max1(B)
         hD = _log_max1(disc)  # Delta is a nonzero integer, so h = log|Delta|
@@ -274,7 +288,7 @@ def zhang_special_bound(n_factors, h2_q, c3_product, prec=DEFAULT_PREC):
     n_factors = require_int(n_factors, "n_factors")
     if n_factors < 1:
         raise ValueError("need at least one factor")
-    with _prec(prec):
+    with _prec(_checked(prec)):
         h2 = _ivq(h2_q)
         if h2 < 0:
             raise ValueError("h2_q must be nonnegative")
@@ -365,6 +379,7 @@ def essential_minimum_image_bounds(n_factors, r, d_l, alpha, deg_c,
     n_factors, r, alpha = (require_int(n_factors, "n_factors"), require_int(r, "r"),
                            require_int(alpha, "alpha"))
     d_l, deg_c = require_int(d_l, "d_l"), require_int(deg_c, "deg_c")
+    prec = _checked(prec)
     if n_factors < 2:
         raise ValueError("need N >= 2")
     if not 2 <= r <= n_factors:

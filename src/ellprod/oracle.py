@@ -98,7 +98,11 @@ class PrimeFieldCtx:
                                         % (self.p, a))
 
     def affine_points(self, curve_index):
-        """The affine F_p points of one factor, in enumerate_points order."""
+        """The affine F_p points of one factor, in enumerate_points order.
+        A curve_index that is not an int in range(len(curves)) is refused."""
+        if not 0 <= require_int(curve_index, "curve_index") < len(self.curves_mod):
+            raise ValueError("no factor %d in a product of %d curves"
+                             % (curve_index, len(self.curves_mod)))
         pts = self._points.get(curve_index)
         if pts is None:
             pts = [P for P in enumerate_points(self, curve_index) if P is not None]
@@ -109,10 +113,10 @@ class PrimeFieldCtx:
         """[alpha]P for every affine point P of one factor, by index (None
         on the kernel); -P follows P in the list and gets -[alpha]P."""
         key = (curve_index, require_int(alpha, "alpha"))
+        points = self.affine_points(curve_index)  # checks curve_index
         table = self._images.get(key)
         if table is None:
             A, _ = self.curves_mod[curve_index]
-            points = self.affine_points(curve_index)
             table = []
             for k, P in enumerate(points):
                 if k and points[k - 1][0] == P[0]:  # P = -points[k - 1]
@@ -265,8 +269,8 @@ def verify_maps_vs_group_law(ctx, curve_index, alpha):
     require_int(alpha, "alpha")
     ctx.require_separable([alpha])
     p = ctx.p
+    points = ctx.affine_points(curve_index)  # checks curve_index
     maps = _maps_for(ctx.system.curves[curve_index], alpha)
-    points = ctx.affine_points(curve_index)
     xs = list(dict.fromkeys(x for x, _ in points))  # -P shares x with P
     n, u = maps.x_parts()
     polys = [n, maps.t, maps.s]

@@ -49,6 +49,19 @@ def _norm(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _merge(out, pairs):
+    # add (exponents, coefficient) pairs into the terms dict out, in place:
+    # each sum an int when integral, and dropped when it cancels
+    get = out.get
+    for e, c in pairs:
+        s = _norm(get(e, 0) + c)
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
 def _power(b, n, times):
     # b^n for n >= 1 by left-to-right binary powering, from b itself
     acc = b
@@ -65,21 +78,18 @@ class MultiPoly:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms=None):
-        object.__setattr__(self, "ring", tuple(ring))
-        clean = {}
-        if terms:
-            n = len(self.ring)
-            for e, c in terms.items():
-                c = _norm(Fraction(require_rational(c, "coefficient")))
-                if c == 0:
-                    continue
+        ring = tuple(ring)
+        object.__setattr__(self, "ring", ring)
+
+        def checked():
+            # each coefficient is read first, then its exponent tuple checked
+            for e, c in (terms or {}).items():
+                c = require_rational(c, "coefficient")
                 e = tuple(require_int(k, "exponent") for k in e)
-                if len(e) != n or any(k < 0 for k in e):
-                    raise ValueError("bad exponent tuple %r for ring %r" % (e, self.ring))
-                clean[e] = _norm(clean.get(e, 0) + c)
-                if clean[e] == 0:
-                    del clean[e]
-        object.__setattr__(self, "terms", clean)
+                if len(e) != len(ring) or any(k < 0 for k in e):
+                    raise ValueError("bad exponent tuple %r for ring %r" % (e, ring))
+                yield e, c
+        object.__setattr__(self, "terms", _merge({}, checked()))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -148,12 +158,7 @@ class MultiPoly:
 
     def variables(self):
         """Names of variables that actually occur."""
-        seen = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    seen.add(self.ring[i])
-        return seen
+        return {self.ring[i] for e in self.terms for i, k in enumerate(e) if k}
 
     def leading(self):
         """(exponent tuple, coefficient) of the graded-lex leading term."""
@@ -183,14 +188,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = _norm(out.get(e, 0) + c)
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MultiPoly._trusted(self.ring, out)
+        return MultiPoly._trusted(self.ring, _merge(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -294,12 +292,8 @@ class MultiPoly:
     def evaluate(self, values):
         """Evaluate at a dict {name: Fraction}; every occurring variable
         must be bound.  Returns a Fraction."""
-        vals = []
-        for i, name in enumerate(self.ring):
-            if name in values:
-                vals.append(Fraction(require_rational(values[name], name)))
-            else:
-                vals.append(None)
+        vals = [Fraction(require_rational(values[name], name)) if name in values else None
+                for name in self.ring]
         acc = Fraction(0)
         for e, c in self.terms.items():
             t = c
@@ -316,20 +310,10 @@ class MultiPoly:
         the same ring (the specialized variables simply no longer occur)."""
         idx = {self.ring.index(n): _norm(Fraction(require_rational(v, n)))
                for n, v in values.items()}
-        out = {}
-        for e, c in self.terms.items():
-            for i, v in idx.items():
-                if e[i]:
-                    c = c * v ** e[i]
-            if c == 0:
-                continue
-            e2 = tuple(0 if i in idx else k for i, k in enumerate(e))
-            s = _norm(out.get(e2, 0) + c)
-            if s:
-                out[e2] = s
-            else:
-                del out[e2]
-        return MultiPoly._trusted(self.ring, out)
+        return MultiPoly._trusted(self.ring, _merge({}, (
+            (tuple(0 if i in idx else k for i, k in enumerate(e)),
+             c * prod(v ** e[i] for i, v in idx.items() if e[i]))
+            for e, c in self.terms.items())))
 
     def embed(self, new_ring, rename=None):
         """Reinterpret in another ring, optionally renaming variables.
@@ -340,18 +324,19 @@ class MultiPoly:
         for i, name in enumerate(self.ring):
             target = rename.get(name, name)
             pos[i] = new_ring.index(target) if target in new_ring else None
-        out = {}
-        for e, c in self.terms.items():
-            e2 = [0] * len(new_ring)
-            for i, k in enumerate(e):
-                if k:
-                    if pos[i] is None:
-                        raise ValueError(
-                            "variable %r has no image in ring %r" % (self.ring[i], new_ring))
-                    e2[pos[i]] += k
-            out[tuple(e2)] = _norm(out.get(tuple(e2), 0) + c)
+
+        def moved():
+            for e, c in self.terms.items():
+                e2 = [0] * len(new_ring)
+                for i, k in enumerate(e):
+                    if k:
+                        if pos[i] is None:
+                            raise ValueError("variable %r has no image in ring %r"
+                                             % (self.ring[i], new_ring))
+                        e2[pos[i]] += k
+                yield tuple(e2), c
         # two variables renamed to one can merge terms that cancel
-        return MultiPoly._trusted(new_ring, {e: c for e, c in out.items() if c})
+        return MultiPoly._trusted(new_ring, _merge({}, moved()))
 
     # -- printing -------------------------------------------------------
 
@@ -472,10 +457,7 @@ def parse_poly(text, ring):
         out = {}
         _, op, off = take() if toks[-1][1] in ("+", "-") else (0, "+", 0)
         while True:
-            for e, c in (-term() if op == "-" else term()).terms.items():
-                out[e] = s = _norm(out.get(e, 0) + c)
-                if not s:
-                    del out[e]
+            _merge(out, (-term() if op == "-" else term()).terms.items())
             if toks[-1][1] not in ("+", "-"):  # off is then at the last sign
                 return _bounded(0, 0, None, lambda: MultiPoly._trusted(ring, out), "sum", off)
             _, op, off = take()
@@ -619,6 +601,14 @@ def exact_divide_univariate(a, b):
     return MultiPoly._trusted(a.ring, q)
 
 
+def _powers(f, m):
+    # [1, f, f^2, ..., f^m]
+    out = [MultiPoly.const(f.ring, 1)]
+    for _ in range(m):
+        out.append(out[-1] * f)
+    return out
+
+
 def substitute(p, bindings):
     """Substitute rational expressions num/den for variables and clear
     denominators.
@@ -637,40 +627,26 @@ def substitute(p, bindings):
         if not den:
             raise ZeroDivisionError("zero denominator binding for %r" % (name,))
     maxdeg = {name: max(p.degree_in(name), 0) for name in bindings}
-    # cache powers of each num and den up to the degree actually used
-    pow_num = {}
-    pow_den = {}
-    for name, (num, den) in bindings.items():
-        m = maxdeg[name]
-        pn = [MultiPoly.const(ring, 1)]
-        pd = [MultiPoly.const(ring, 1)]
-        for k in range(m):
-            pn.append(pn[-1] * num)
-            pd.append(pd[-1] * den)
-        pow_num[name] = pn
-        pow_den[name] = pd
+    # the powers of each num and den up to the degree actually used
+    pow_num = {name: _powers(num, maxdeg[name]) for name, (num, _) in bindings.items()}
+    pow_den = {name: _powers(den, maxdeg[name]) for name, (_, den) in bindings.items()}
     bound_idx = {ring.index(name): name for name in bindings}
-    acc = MultiPoly.zero(ring)
+    acc = {}  # one running sum, so the cost is linear in the terms of p
     for e, c in p.terms.items():
-        piece = MultiPoly.const(ring, c)
-        rest = [0] * len(ring)
-        for i, k in enumerate(e):
-            if i in bound_idx:
-                # the 0th powers are the constant 1: skip them
-                name = bound_idx[i]
-                if k:
-                    piece = piece * pow_num[name][k]
-                if maxdeg[name] - k:
-                    piece = piece * pow_den[name][maxdeg[name] - k]
-            else:
-                rest[i] = k
-        if any(rest):
-            piece = piece * MultiPoly._trusted(ring, {tuple(rest): 1})
-        acc = acc + piece
+        # c times the unbound part of the monomial, then the powers
+        piece = MultiPoly._trusted(ring, {tuple(0 if i in bound_idx else k
+                                                for i, k in enumerate(e)): c})
+        for i, name in bound_idx.items():
+            k = e[i]  # the 0th powers are the constant 1: skip them
+            if k:
+                piece = piece * pow_num[name][k]
+            if maxdeg[name] - k:
+                piece = piece * pow_den[name][maxdeg[name] - k]
+        _merge(acc, piece.terms.items())
     d = MultiPoly.const(ring, 1)
     for name in sorted(bindings):
         d = d * pow_den[name][maxdeg[name]]
-    return acc, d
+    return MultiPoly._trusted(ring, acc), d
 
 
 def reduce_weierstrass(p, relations):
@@ -690,16 +666,15 @@ def reduce_weierstrass(p, relations):
         yi = p.ring.index(name)
         if p.degree_in(name) <= 1:
             continue
-        # accumulate c * x^base * rhs^half for every term into one dict
+        # sum c * x^base * rhs^half over the terms into one dict
+        powers = _powers(rhs, p.degree_in(name) // 2)
         out = {}
         for e, c in p.terms.items():
             half, parity = divmod(e[yi], 2)
-            base = list(e)
-            base[yi] = parity
-            for f, d in (rhs ** half).terms.items():
-                g = tuple(map(add, base, f))
-                out[g] = out.get(g, 0) + c * d
-        p = MultiPoly._trusted(p.ring, {e: _norm(c) for e, c in out.items() if c})
+            base = e[:yi] + (parity,) + e[yi + 1:]
+            _merge(out, ((tuple(map(add, base, f)), c * d)
+                         for f, d in powers[half].terms.items()))
+        p = MultiPoly._trusted(p.ring, out)
     return p
 
 

@@ -126,6 +126,7 @@ def _entry_point_calls():
         "division_polynomial": lambda: curves.division_polynomial(3.7, E),
         "scalar_mul_point": lambda: curves.scalar_mul_point(E, 2.5, P),
         "c0": lambda: heights.c0(2.9, 1, 1),
+        "prec": lambda: heights.c0(1, 1, 1, prec=100.7),  # used to run at 100 bits
         "check_theorem_a": lambda: certificates.check_theorem_a(C3, [101.7, 103.2]),
         "zhang_special_bound": lambda: heights.zhang_special_bound(2.5, 1, 1),
         "bezout_intersection_bounds": lambda: heights.bezout_intersection_bounds(

@@ -246,6 +246,26 @@ def test_bounds_kinds(capsys):
     assert rep["inputs"]["lambda"] == 400
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["constants", "--curves", '[{"A":0,"B":1}]', "--prec", "1000000"], "prec"),
+    (["constants", "--curves", "[]", "--prec", "63"], "prec"),
+    (["bounds", "--kind", "c0", "--d1", "2", "--d2", "2", "--m", "3", "--prec", "1000000"],
+     "prec"),
+    (["bounds", "--kind", "essential-minimum", "--n-factors", "3", "--alpha", "5",
+      "--prec", "100000"], "prec"),
+    (["bounds", "--kind", "c0", "--d1", "100000", "--d2", "1", "--m", "1"], "c0"),
+    (["bounds", "--kind", "bezout", "--dim-b", "100000"], "c0"),
+])
+def test_costly_height_requests_are_refused(capsys, argv, message):
+    # each used to run for 7 to more than 60 s
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == {
+        "prec": "error: working precision must be 64 to 20000 bits\n",
+        "c0": "error: c0 takes d1 + d2 up to 20000, got 100001\n"}[message]
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="no int->str digit limit in this Python")
 def test_exact_integers_of_any_length_are_printed(capsys):

@@ -334,6 +334,27 @@ def test_precision_floor_and_restoration():
     assert iv.prec == before
 
 
+def test_costly_input_is_refused():
+    # each used to run: 10^6 bits for minutes, d1 + d2 = 10^7 past 30 s
+    top = heights.MAX_PREC + 1
+    for call in (lambda: c0(1, 1, 8, prec=top),
+                 lambda: weil_height_rational(2, prec=top),
+                 lambda: c1_c2_curve(E01, prec=top),
+                 lambda: curve_c3(E01, True, prec=top),
+                 lambda: zhang_special_bound(2, 1, 1, prec=top),
+                 lambda: bezout_intersection_bounds(1, 1, 1, 1, 1, 2, 1, prec=top),
+                 lambda: essential_minimum_image_bounds(2, 2, 1, 5, 27, prec=top)):
+        with pytest.raises(ValueError, match="working precision must be 64 to 20000 bits"):
+            call()
+    for call in (lambda: c0(heights.MAX_C0_DEGREE, 1, 1, method="harmonic"),
+                 lambda: bezout_intersection_bounds(1, 1, 1, 1, heights.MAX_C0_DEGREE, 2, 1)):
+        with pytest.raises(ValueError, match="c0 takes d1 \\+ d2 up to 20000, got 20001"):
+            call()
+    # the bounds themselves are accepted
+    assert c0(1, 1, 8, prec=heights.MAX_PREC) <= c0(1, 1, 8)  # tighter
+    assert c0(heights.MAX_C0_DEGREE - 5, 5, heights.MAX_C0_DEGREE) > 0
+
+
 def _c0_enclosure(d1, d2, m, prec):
     rational = heights._c0_rational(d1, d2, "harmonic")
     logcoeff = Fraction(m) - Fraction(d1 + d2, 2)

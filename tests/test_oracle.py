@@ -73,6 +73,18 @@ def test_oracle_reads_integers_exactly(call):
         call()
 
 
+@pytest.mark.parametrize("index, error", [(-1, ValueError), (2, ValueError), (True, TypeError)])
+def test_oracle_refuses_a_bad_factor_index(index, error):
+    # -1 used to check the last factor and report "curve_index": -1, 2 to
+    # raise a bare IndexError, and True to be taken as 1
+    ctx = PrimeFieldCtx(7, SYS)
+    for call in (lambda: verify_maps_vs_group_law(ctx, index, 2),
+                 lambda: ctx.affine_points(index), lambda: ctx.image_table(index, 2)):
+        with pytest.raises(error, match=None if error is TypeError else "no factor"):
+            call()
+    assert ctx._points == {} and ctx._images == {}
+
+
 def test_enumerate_points():
     ctx = PrimeFieldCtx(7, SYS)
     pts = enumerate_points(ctx, 0)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ellprod.polynomials import (
     ExactDivisionError,
@@ -52,10 +52,11 @@ def polys(draw, ring=RING, max_terms=5, max_exp=4):
 
 
 def assert_domain(*ps):
-    """Every coefficient is an int when integral and a Fraction otherwise
-    (never a float or a bool)."""
+    """Every coefficient is nonzero, an int when integral and a Fraction
+    otherwise (never a float or a bool)."""
     for p in ps:
         for c in p.terms.values():
+            assert c != 0, repr(p.terms)
             if type(c) is not int:
                 assert type(c) is Fraction and c.denominator != 1, repr(c)
 
@@ -128,6 +129,24 @@ def test_integral_coefficients_are_ints():
     raw = MultiPoly._trusted(RING, {(1, 0): Fraction(1), (0, 0): Fraction(1)})
     assert p == raw and hash(p) == hash(raw)
     assert str(p) == str(raw) == "x + 1"
+
+
+def test_constructor_checks_every_exponent_tuple():
+    # a zero coefficient used to skip the check and give the zero polynomial
+    for terms in ({(1,): 0}, {(1, -2, 5): Fraction(0)}, {(1,): 3}, {(0, -1): 0}):
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            MultiPoly(RING, terms)
+    # the coefficient is still read first
+    with pytest.raises(TypeError):
+        MultiPoly(RING, {(1,): 0.5})
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       st.sampled_from([0, Fraction(0), 3, Fraction(6, 2), Fraction(-1, 2)])))
+def test_constructor_keeps_the_domain(terms):
+    p = MultiPoly(RING, terms)
+    assert_domain(p)
+    assert p.terms == {e: c for e, c in terms.items() if c}
 
 
 def test_exact_divide_keeps_a_proper_fraction():
@@ -309,6 +328,18 @@ def test_specialize_and_embed_keep_the_domain(p, a, b):
     assert merged.evaluate({"t": a}) == p.evaluate({"x": a, "y": a})
 
 
+def test_specialize_and_embed_drop_what_cancels():
+    # specialize at a root, and rename x and y to one variable
+    p = X ** 2 * Y - 4 * Y + X * Y ** 2 - 2 * Y ** 2 + Fraction(1, 2) * X
+    s = p.specialize({"x": 2})
+    assert s == ONE and type(s.terms[(0, 0)]) is int
+    assert (X ** 2 - 4).specialize({"x": -2}) == ZERO
+    merged = (X - Y + Fraction(1, 3) * X * Y).embed(("t",), {"x": "t", "y": "t"})
+    assert merged.terms == {(2,): Fraction(1, 3)}
+    assert_domain(s, merged)
+    assert (3 * X - 3 * Y).embed(("t",), {"x": "t", "y": "t"}).terms == {}
+
+
 def test_embed_rename():
     big = ("x1", "y1", "x2", "y2")
     p = X ** 2 + 2 * Y
@@ -471,7 +502,16 @@ def test_parse_sum_is_linear_in_its_terms():
 @settings(max_examples=300)
 @given(polys())
 def test_parse_roundtrip(p):
-    assert parse_poly(str(p), RING) == p
+    q = parse_poly(str(p), RING)
+    assert q == p
+    assert_domain(q)
+
+
+def test_parse_sums_drop_what_cancels():
+    p = parse_poly("1/2*x + 1/2*x + y - (y + 1/3) + 1/3", RING)
+    assert p.terms == {(1, 0): 1} and type(p.terms[(1, 0)]) is int
+    assert parse_poly("x*y - y*x", RING) == ZERO
+    assert_domain(p)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +621,41 @@ def test_substitute_consistency():
     lhs = num.evaluate(vals)
     cval = p.evaluate({"x": Fraction(5, 2), "y": Fraction(3)})
     assert lhs == cval * den.evaluate(vals)
+    assert_domain(num, den)
+
+
+@settings(max_examples=100)
+@given(polys(), polys(max_terms=3, max_exp=2), polys(max_terms=3, max_exp=2))
+def test_substitute_keeps_the_domain(p, num, den):
+    assume(den)
+    q, d = substitute(p, {"x": (num, den), "y": (X, ONE)})
+    assert_domain(q, d)
+    vals = {"x": Fraction(1, 3), "y": Fraction(-2)}
+    inner = {"x": num.evaluate(vals) / den.evaluate(vals), "y": vals["x"]}
+    if den.evaluate(vals):
+        assert q.evaluate(vals) == p.evaluate(inner) * d.evaluate(vals)
+
+
+def test_substitute_drops_what_cancels():
+    # x*y - y^2 at x = y is 0, and 1/2*x*y + 1/2*y^2 is y^2
+    num, den = substitute(X * Y - Y ** 2, {"x": (Y, ONE)})
+    assert num == ZERO and den == ONE
+    num, _ = substitute(Fraction(1, 2) * X * Y + Fraction(1, 2) * Y ** 2, {"x": (Y, ONE)})
+    assert num.terms == {(0, 2): 1} and type(num.terms[(0, 2)]) is int
+
+
+def test_substitute_is_linear_in_its_terms():
+    # dense p of about 5 000 and 20 000 terms, y -> y/1
+    ps = [MultiPoly(RING, {(i, j): i - j or 1 for i in range(n) for j in range(n)})
+          for n in (71, 141)]
+    times = [[], []]
+    for _ in range(3):  # the two sizes in turn, so that both see the same load
+        for p, seen in zip(ps, times):
+            seen.append(timeit.timeit(lambda: substitute(p, {"y": (Y, ONE)}), number=1))
+    # four times the terms: about four times as long, where a sum that is
+    # copied for each term takes about sixteen
+    assert min(times[1]) < 8 * min(times[0])
+    assert min(times[1]) < 1
 
 
 def test_substitute_zero_denominator_rejected():
@@ -607,6 +682,14 @@ def test_reduce_weierstrass_basic():
     assert reduce_weierstrass(p, [("y", rhs)]) == rhs + WY + 1
 
 
+def test_reduce_weierstrass_drops_what_cancels():
+    rhs = WX ** 3 + Fraction(1, 2) * WX
+    assert reduce_weierstrass(WY ** 2 - rhs, [("y", rhs)]) == ZERO
+    r = reduce_weierstrass(WY ** 4 - WX ** 6 + WX * WY, [("y", rhs)])
+    assert r == WX ** 4 + Fraction(1, 4) * WX ** 2 + WX * WY
+    assert_domain(r)
+
+
 def test_reduce_weierstrass_idempotent_example():
     rhs = WX ** 3 - WX + 4
     p = (WY ** 2 + WY) ** 3 + WX * WY ** 4
@@ -621,6 +704,7 @@ def test_reduce_weierstrass_preserves_evaluation(p):
     rhs = WX ** 3 + 2 * WX + 3
     r = reduce_weierstrass(p, [("y", rhs)])
     assert r.degree_in("y") <= 1
+    assert_domain(r)
     # on the curve y^2 = rhs(x), p and r agree: pick x, set y^2 = rhs
     x0 = Fraction(2)
     y2 = rhs.evaluate({"x": x0, "y": 0})
