@@ -29,10 +29,11 @@ echoed inputs using nothing but integer arithmetic, so a certificate can
 be checked at a desk without trusting this module's checkers.
 """
 
-from math import comb, factorial, gcd
+from math import factorial, gcd
 
 from .arith import is_prime, prime_factors, require_int
-from .products import SubvarietyPresentation, _table_of, exact_int
+from .products import (SubvarietyPresentation, _table_of, exact_int,
+                       read_multidegree_rows)
 
 CERTIFIED = "CertifiedTransverse"
 INCONCLUSIVE = "Inconclusive"
@@ -274,22 +275,6 @@ def certify_auto(V, phi):
 # -- independent verification --------------------------------------------
 
 
-def _read_table(inputs):
-    dim = exact_int(inputs["dim"])
-    nf = exact_int(inputs["n_factors"])
-    entries = {}
-    for row in inputs["multidegrees"]:
-        I = tuple(exact_int(i) for i in row["I"])
-        if len(I) != nf or any(i not in (0, 1) for i in I) or sum(I) != dim:
-            raise ValueError("bad multidegree index %r" % (I,))
-        if I in entries:
-            raise ValueError("duplicate multidegree index %r" % (I,))
-        entries[I] = exact_int(row["deg"])
-    if not entries or len(entries) != comb(nf, dim):
-        raise ValueError("incomplete multidegree table")
-    return nf, dim, entries
-
-
 def verify_certificate(cert):
     """Re-derive a certificate's claim from its echoed inputs.
 
@@ -297,8 +282,10 @@ def verify_certificate(cert):
     JSON).  Returns (ok, problems); a malformed payload, including a
     number that is not an exact int (bool, float and str are refused) or
     one beyond the proven range of ellprod.arith, gives (False,
-    ["malformed certificate: ..."]) instead of an exception, as does a
-    multiplier (alpha_j, prime or n) of 0.  Uses only integer arithmetic
+    ["malformed certificate: ..."]) instead of an exception, as do a
+    multiplier (alpha_j, prime or n) of 0 and a multidegree table that
+    products.read_multidegree_rows refuses (an index out of shape,
+    repeated or missing, or a negative degree).  Uses only integer arithmetic
     — primality and factoring from ellprod.arith, gcds, factorials —
     independently of the checkers above.  An Inconclusive certificate
     asserts nothing and is accepted as long as it is well-formed.
@@ -317,7 +304,9 @@ def _reverify(cert):
     hypotheses = cert["hypotheses"]
     inputs = cert["inputs"]
     witness = cert["witness"]
-    nf, dim, entries = _read_table(inputs)
+    dim = exact_int(inputs["dim"])
+    nf = exact_int(inputs["n_factors"])
+    entries = read_multidegree_rows(inputs["multidegrees"], nf, dim)
     if verdict not in (CERTIFIED, INCONCLUSIVE):
         return False, ["unknown verdict %r" % verdict]
     if verdict == INCONCLUSIVE:

@@ -100,29 +100,10 @@ def _report(command, inputs, result):
             "inputs": inputs, "result": result}
 
 
-# Exact integers are printed in full, and CPython's int->str takes time
-# quadratic in the length (0.2 s at 10^5 digits, 19 s at 10^6 on a
-# 2-core Xeon), so a request whose exact result would be longer than this
-# is refused before anything is computed.
-MAX_EXACT_DIGITS = 100_000
-
-
-def _check_exact_size(what, base, exponent, factor=1):
-    """Refuse a request whose exact result factor * base**exponent (base
-    and factor nonzero) would have more than MAX_EXACT_DIGITS digits."""
-    try:
-        digits = exponent * math.log10(abs(base)) + math.log10(abs(factor))
-    except OverflowError:  # an exponent beyond the range of a float
-        digits = math.inf
-    if digits > MAX_EXACT_DIGITS:
-        raise InputError("%s would have about %.3g decimal digits; reports "
-                         "print at most %d" % (what, digits, MAX_EXACT_DIGITS))
-
-
 def _emit(report, out_path=None):
     # Exact integers longer than the interpreter's int->str digit limit are
-    # valid output, so the limit is lifted for this conversion only; parsing
-    # the command line stays limited, and MAX_EXACT_DIGITS bounds the length.
+    # valid output, so the limit is lifted for this conversion only; argument
+    # parsing stays limited, and heights.MAX_EXACT_DIGITS bounds the length.
     with unlimited_int_str():
         text = json.dumps(report, indent=2)
     print(text)
@@ -229,9 +210,7 @@ def _working_prec(args):
 
 
 def cmd_constants(args):
-    from mpmath import iv
-
-    from . import heights
+    from .heights import curve_constants, directed_str
     prec = _working_prec(args)
     if args.curves:
         curves = _load_curves(args.curves)
@@ -244,26 +223,11 @@ def cmd_constants(args):
         raise InputError("constants needs --curves or --variety")
     inputs["better"] = bool(args.better)
     inputs["precision_bits"] = prec
-    rows = []
-    with heights._prec(heights._checked(prec)):
-        tot1 = iv.mpf(0)
-        tot2 = iv.mpf(0)
-        for E in curves:
-            c1, c2 = heights.c1_c2_curve(E, use_better=args.better, prec=prec)
-            tot1 += iv.mpf(c1)
-            tot2 += iv.mpf(c2)
-            c3 = heights.upper_endpoint(iv.mpf(c1) + iv.mpf(c2))
-            rows.append({"A": E.A, "B": E.B,
-                         "c1": heights.directed_str(c1, "up"),
-                         "c2": heights.directed_str(c2, "up"),
-                         "c3": heights.directed_str(c3, "up")})
-        result = {
-            "per_curve": rows,
-            "c1_sum": heights.directed_str(heights.upper_endpoint(tot1), "up"),
-            "c2_sum": heights.directed_str(heights.upper_endpoint(tot2), "up"),
-            "c3_sum": heights.directed_str(heights.upper_endpoint(tot1 + tot2), "up"),
-            "rounding": "up",
-        }
+    rows, sums = curve_constants(curves, args.better, prec)
+    texts = [[directed_str(c, "up") for c in row] for row in rows + [sums]]
+    result = {"per_curve": [{"A": E.A, "B": E.B, "c1": c1, "c2": c2, "c3": c3}
+                            for E, (c1, c2, c3) in zip(curves, texts)]}
+    result.update(zip(("c1_sum", "c2_sum", "c3_sum"), texts[-1]), rounding="up")
     _emit(_report("constants", inputs, result))
     return 0
 
@@ -296,19 +260,10 @@ def cmd_bounds(args):
                   "improved": heights.directed_str(improved, "up"),
                   "rounding": "up"}
     elif kind == "galateau-lambda":
-        n, k = args.n_factors, args.k
-        if n >= 1 and k >= 0:  # else galateau_lambda raises
-            _check_exact_size("lambda(N, k)", 5 * n * (k + 1), k + 1)
-        val = heights.galateau_lambda(n, k)
+        val = heights.galateau_lambda(args.n_factors, args.k)
         inputs = {"kind": kind, "N": args.n_factors, "k": args.k}
         result = {"value": val, "rounding": "exact"}
     elif kind == "essential-minimum":
-        n, r, alpha = args.n_factors, args.r, args.alpha
-        if n >= 2 and 2 <= r <= n and alpha and args.degc:
-            # else the library raises; the final degree bound is the largest
-            _check_exact_size("lambda(N, N-1)", 5 * n * n, n)
-            _check_exact_size("the image degree bound", alpha,
-                              2 * (n + 1 - r), 3 * n ** 3 * args.degc)
         rep = heights.essential_minimum_image_bounds(
             args.n_factors, args.r, args.dl, args.alpha, args.degc,
             mode=args.mode, prec=prec)
@@ -328,6 +283,8 @@ def cmd_oracle(args):
     V = _load_variety(args.variety)
     phi = _load_isogeny(args.isogeny)
     primes = _load_int_list(args.primes, "--primes")
+    if not primes:  # an empty list would check nothing and report ok
+        raise InputError("--primes must name at least one prime")
     inputs = {"variety": subvariety_to_dict(V), "isogeny": list(phi.alphas),
               "primes": primes}
     pre = generate_preimage(V, phi)

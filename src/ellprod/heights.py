@@ -20,6 +20,7 @@ not numerically specified; they stay symbolic with multiplier 1 and the
 reports carry the computed cofactor that multiplies them.
 """
 
+import math
 from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
@@ -38,6 +39,16 @@ DEFAULT_PREC = 80
 # a denominator of about 1.44 (d1 + d2) bits) 0.61 s, on a 2-core Xeon.
 MAX_PREC = MAX_C0_DEGREE = 20_000
 
+# Exact integers are printed in full, and CPython's int->str takes time
+# quadratic in the length (0.2 s at 10^5 digits, 19 s at 10^6 on a 2-core
+# Xeon), so galateau_lambda, essential_minimum_image_bounds and
+# bezout_intersection_bounds (for 3^N - 1) refuse an exact value longer
+# than this before computing it.  Just under it, whole CLI processes took
+# 0.37 s for galateau-lambda at N = 2, k = 18 899, 0.20 s for bezout at
+# N = 209 590 and 6.3 s for essential-minimum at N = 11 000, most of it
+# raising an interval to the integer lambda.
+MAX_EXACT_DIGITS = 100_000
+
 
 @contextmanager
 def _prec(bits):
@@ -54,6 +65,18 @@ def _checked(prec):
     if not 64 <= require_int(prec, "prec") <= MAX_PREC:
         raise ValueError("working precision must be 64 to %d bits" % MAX_PREC)
     return prec
+
+
+def _refuse_long(what, base, exponent, factor=1):
+    """Refuse a request whose exact value factor * base**exponent (base
+    and factor nonzero) would have more than MAX_EXACT_DIGITS digits."""
+    try:
+        digits = exponent * math.log10(abs(base)) + math.log10(abs(factor))
+    except OverflowError:  # an exponent beyond the range of a float
+        digits = math.inf
+    if digits > MAX_EXACT_DIGITS:
+        raise ValueError("%s would have about %.3g decimal digits; reports "
+                         "print at most %d" % (what, digits, MAX_EXACT_DIGITS))
 
 
 def upper_endpoint(x):
@@ -274,11 +297,23 @@ def _iv_max(a, b):
     return iv.mpf([lo, hi])
 
 
+def curve_constants(curves, use_better=False, prec=DEFAULT_PREC):
+    """Each curve's (c1, c2, c3) and the sums (c1_sum, c2_sum, c3_sum) over
+    the curves, all rounded up at the working precision; c3 = c1 + c2, and
+    the sums accumulate in curve order."""
+    def c3(c1, c2):
+        return upper_endpoint(iv.mpf(c1) + iv.mpf(c2))
+
+    with _prec(_checked(prec)):
+        rows = [c1_c2_curve(E, use_better, prec) for E in curves]
+        sums = [upper_endpoint(sum((iv.mpf(row[i]) for row in rows), iv.mpf(0)))
+                for i in (0, 1)]
+        return [(c1, c2, c3(c1, c2)) for c1, c2 in rows], (*sums, c3(*sums))
+
+
 def curve_c3(E, use_better=False, prec=DEFAULT_PREC):
     """c3 = c1 + c2 at the working precision."""
-    c1, c2 = c1_c2_curve(E, use_better, prec)
-    with _prec(prec):
-        return upper_endpoint(iv.mpf(c1) + iv.mpf(c2))
+    return curve_constants([E], use_better, prec)[0][0][2]
 
 
 def zhang_special_bound(n_factors, h2_q, c3_product, prec=DEFAULT_PREC):
@@ -310,6 +345,9 @@ def bezout_intersection_bounds(deg_pre, h2_pre, deg_b, h2_b, dim_b, n_factors,
     deg_phi = require_int(deg_phi, "deg_phi")
     if deg_phi < 1:
         raise ValueError("deg_phi must be >= 1")
+    if n_factors < 1:  # 3^N - 1 is no integer for N < 0
+        raise ValueError("need at least one factor")
+    _refuse_long("3^N - 1", 3, n_factors)
     c = c0(1, dim_b, 3 ** n_factors - 1, prec=prec)
     with _prec(prec):
         trivial = upper_endpoint(iv.mpf(deg_pre) * _ivq(h2_b)
@@ -324,6 +362,7 @@ def galateau_lambda(n_factors, k):
     n_factors, k = require_int(n_factors, "n_factors"), require_int(k, "k")
     if n_factors < 1 or k < 0:
         raise ValueError("need N >= 1 and k >= 0")
+    _refuse_long("lambda(N, k)", 5 * n_factors * (k + 1), k + 1)
     return (5 * n_factors * (k + 1)) ** (k + 1)
 
 
@@ -388,6 +427,10 @@ def essential_minimum_image_bounds(n_factors, r, d_l, alpha, deg_c,
         raise ValueError("d_L and deg_C must be positive")
     if alpha ** 2 < d_l:
         raise ValueError("hypothesis alpha^2 >= d_L violated")
+    # the final degree bound is the largest exact value
+    _refuse_long("lambda(N, N-1)", 5 * n_factors ** 2, n_factors)
+    _refuse_long("the image degree bound", alpha, 2 * (n_factors + 1 - r),
+                 3 * n_factors ** 3 * deg_c)
     lam = galateau_lambda(n_factors, n_factors - 1)
     deg_pre = n_factors * alpha ** (2 * (n_factors - r)) * deg_c
     degree_entries = [

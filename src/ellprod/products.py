@@ -14,7 +14,7 @@ factor and the entries with i_k = 1 cap that factor away.
 """
 
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 from .arith import require_int
 from .polynomials import MultiPoly, parse_poly
@@ -75,29 +75,29 @@ def _weight_dim_indices(n, dim):
     return out
 
 
+def _complete_table(entries, n_factors, dim):
+    """entries if each I is a 0/1 tuple of length n_factors and weight dim,
+    every such I is present and no degree is negative; ValueError if not."""
+    for I, d in entries.items():
+        if len(I) != n_factors or any(i not in (0, 1) for i in I) or sum(I) != dim:
+            raise ValueError("bad multidegree index %r" % (I,))
+        if d < 0:
+            raise ValueError("negative multidegree at %r" % (I,))
+    if not entries or len(entries) != comb(n_factors, dim):
+        raise ValueError("incomplete multidegree table")
+    return entries
+
+
 class MultiDegreeTable:
     """Complete table {I: deg_I} over 0/1 tuples I of weight dim."""
 
     def __init__(self, dim, entries):
         dim = require_int(dim, "dim")
-        if dim < 0:
-            raise ValueError("dimension must be nonnegative")
         entries = {tuple(require_int(i, "index entry") for i in I): require_int(d, "degree")
                    for I, d in entries.items()}
-        if not entries:
-            raise ValueError("empty multidegree table")
-        n = len(next(iter(entries)))
-        expected = _weight_dim_indices(n, dim)
-        if sorted(entries) != sorted(expected):
-            raise ValueError(
-                "table must have exactly the 0/1 index tuples of weight %d in "
-                "%d factors" % (dim, n))
-        for I, d in entries.items():
-            if d < 0:
-                raise ValueError("negative multidegree at %r" % (I,))
         self.dim = dim
-        self.n_factors = n
-        self.entries = entries
+        self.n_factors = len(next(iter(entries), ()))
+        self.entries = _complete_table(entries, self.n_factors, dim)
 
     def index_order(self):
         """Deterministic index order (position-subset lexicographic)."""
@@ -237,6 +237,20 @@ def exact_int(v):
     return v
 
 
+def read_multidegree_rows(rows, n_factors, dim):
+    """The entries {I: deg_I} of JSON rows [{"I": [...], "deg": d}, ...]
+    for a table of n_factors factors and dimension dim: exact ints, each I
+    given once, and the rules of a MultiDegreeTable.  ValueError (or the
+    KeyError or TypeError of a malformed row) otherwise."""
+    entries = {}
+    for row in rows:
+        I = tuple(exact_int(i) for i in row["I"])
+        if I in entries:
+            raise ValueError("duplicate multidegree index %r" % (I,))
+        entries[I] = exact_int(row["deg"])
+    return _complete_table(entries, n_factors, dim)
+
+
 def subvariety_to_dict(V):
     return {
         "curves": [{"A": E.A, "B": E.B} for E in V.system.curves],
@@ -249,16 +263,12 @@ def subvariety_to_dict(V):
 
 def subvariety_from_dict(data):
     """The inverse of subvariety_to_dict.  Integers must be JSON integers
-    and the flag a JSON bool: ValueError for anything else."""
+    and the flag a JSON bool: ValueError or TypeError otherwise."""
     curves = [WeierstrassCurve(exact_int(c["A"]), exact_int(c["B"]))
               for c in data["curves"]]
     system = ProductSystem(curves)
     equations = [parse_poly(s, system.ring) for s in data["equations"]]
     dim = exact_int(data["dim"])
-    entries = {tuple(map(exact_int, row["I"])): exact_int(row["deg"])
-               for row in data["multidegrees"]}
-    table = MultiDegreeTable(dim, entries)
-    transverse = data["transverse"]
-    if type(transverse) is not bool:
-        raise ValueError("transverse must be true or false, got %r" % (transverse,))
-    return SubvarietyPresentation(system, equations, dim, table, transverse)
+    table = MultiDegreeTable(dim, read_multidegree_rows(data["multidegrees"],
+                                                        len(curves), dim))
+    return SubvarietyPresentation(system, equations, dim, table, data["transverse"])

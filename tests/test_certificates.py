@@ -401,6 +401,22 @@ def test_verify_reports_malformed_payloads_instead_of_raising():
         assert problems[0].startswith("malformed certificate"), problems
 
 
+def test_verify_refuses_negative_multidegrees():
+    # no MultiDegreeTable holds -9 and -18, and gcd(alpha_j^2, -9) = 1 still
+    # held, so this used to verify as (True, [])
+    cert = check_theorem_main(C3, DiagonalIsogeny([2, 1]))
+    assert cert.certified()
+
+    def negate(c):
+        for row in c["inputs"]["multidegrees"] + c["witness"]:
+            key = "deg" if "deg" in row else "deg_I"
+            row[key] = -row[key]
+    bad = _tampered(cert, negate)
+    assert [row["deg"] for row in bad["inputs"]["multidegrees"]] == [-9, -18]
+    assert verify_certificate(bad) == (
+        False, ["malformed certificate: negative multidegree at (1, 0)"])
+
+
 def test_verify_refuses_numbers_that_are_not_exact_ints():
     genuine = check_theorem_a(C3, [163, 167])
     assert genuine.certified()

@@ -191,6 +191,20 @@ def test_variety_values_are_read_exactly(capsys, c3_file, tmp_path, field, value
         assert captured.err.startswith("error:") and not captured.out
 
 
+def test_variety_table_with_a_repeated_row_is_refused(capsys, c3_file, tmp_path):
+    # the last row used to win, so this file was read as the table (9, 18)
+    with open(c3_file) as fh:
+        data = json.load(fh)
+    data["multidegrees"].append({"I": [1, 0], "deg": 5})
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(data))
+    assert main(["degree", "--variety", str(path), "--isogeny", "[2,1]"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == ("error: bad variety payload: duplicate multidegree "
+                            "index (1, 0)\n")
+
+
 def test_constants_command(capsys):
     code, rep = run(capsys, ["constants", "--curves",
                              "[{\"A\":0,\"B\":1},{\"A\":0,\"B\":1}]"])
@@ -298,6 +312,15 @@ def test_oracle_command(capsys, c3_file, tmp_path):
     assert set(per_p[0]) == {"p", "maps", "membership"}
     # --out mirrors stdout
     assert json.loads(out.read_text()) == rep
+
+
+def test_oracle_needs_a_prime(capsys, c3_file):
+    # an empty list checked nothing and reported "ok": true
+    code = main(["oracle", "--variety", c3_file, "--isogeny", "[2,1]",
+                 "--primes", "[]"])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == "error: --primes must name at least one prime\n"
 
 
 def test_oracle_refuses_huge_prime_quickly(capsys, c3_file):
@@ -522,6 +545,7 @@ def test_essential_minimum_with_hundreds_of_factors(n):
     ["--kind", "galateau-lambda", "--n-factors", "2", "--k", "9" * 400],
     ["--kind", "essential-minimum", "--n-factors", "100", "--r", "2",
      "--alpha", "1" + "0" * 3000],
+    ["--kind", "bezout", "--n-factors", "20000000"],
 ])
 def test_overlong_exact_integers_are_refused_at_once(argv):
     """An exact result of more than MAX_EXACT_DIGITS digits is an input

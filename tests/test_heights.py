@@ -208,6 +208,22 @@ def test_bezout_identity_division():
 def test_bezout_validation():
     with pytest.raises(ValueError):
         bezout_intersection_bounds(1, 1, 1, 1, 1, 2, 0)
+    for n in (0, -1):  # N = -1 used to raise TypeError from c0
+        with pytest.raises(ValueError, match="need at least one factor"):
+            bezout_intersection_bounds(1, 1, 1, 1, 1, n, 1)
+
+
+def test_bezout_refuses_an_overlong_multiplier_at_once():
+    # 3^N - 1 in c0 past MAX_EXACT_DIGITS digits; N = 20 000 000 used to
+    # take about 10 s and return a value
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="3\\^N - 1 would have about 9.54e\\+06 "
+                                         "decimal digits"):
+        bezout_intersection_bounds(1, 0, 1, 0, 1, 20_000_000, 1)
+    assert time.perf_counter() - start < 1
+    bezout_intersection_bounds(1, 0, 1, 0, 1, 209_590, 1)  # the largest N accepted
+    with pytest.raises(ValueError):
+        bezout_intersection_bounds(1, 0, 1, 0, 1, 209_591, 1)
 
 
 @given(st.integers(1, 50), st.integers(1, 50), st.integers(1, 4),
@@ -230,6 +246,29 @@ def test_galateau_lambda_values():
         galateau_lambda(0, 1)
     with pytest.raises(ValueError):
         galateau_lambda(1, -1)
+
+
+@pytest.mark.parametrize("k", [10 ** 6, int("9" * 400)])
+def test_galateau_lambda_refuses_overlong_results_at_once(k):
+    # lambda(2, 10^6) has about 7 million digits and took 4.7 s to compute
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="lambda\\(N, k\\) would have about .* "
+                                         "decimal digits; reports print at most 100000"):
+        galateau_lambda(2, k)
+    assert time.perf_counter() - start < 1
+
+
+def test_curve_constants_sum_the_per_curve_constants():
+    F = WeierstrassCurve(-1, 0)
+    rows, sums = heights.curve_constants([E01, F, E01], use_better=True)
+    assert rows[0] == (*c1_c2_curve(E01, True), curve_c3(E01, True))
+    assert rows[1][2] == curve_c3(F, True) and rows[2] == rows[0]
+    with heights._prec(heights.DEFAULT_PREC):
+        for i in (0, 1):
+            assert sums[i] == upper_endpoint(
+                sum((iv.mpf(row[i]) for row in rows), iv.mpf(0)))
+        assert sums[2] == upper_endpoint(iv.mpf(sums[0]) + iv.mpf(sums[1]))
+    assert heights.curve_constants([]) == ([], (0, 0, 0))
 
 
 # ---------------------------------------------------------- essential minimum
