@@ -372,7 +372,7 @@ def division_polynomial(m, curve=None):
 # -- scalar multiplication in coordinates --------------------------------
 
 
-_FIELDS = ("r", "s", "t", "r_tilde", "t_tilde")
+_FIELDS = ("r", "s", "t", "r_tilde", "t_tilde", "x_den", "y_den")
 
 
 class MultiplicationMaps:
@@ -381,9 +381,10 @@ class MultiplicationMaps:
     Fields r, s, t (and r_tilde, t_tilde when alpha is even) are
     MultiPoly in the ring (x, A, B); when built for a concrete curve the
     symbols A, B do not occur.  With (n, u) = x_parts(), the x-map is
-    n/(u*t) and the y-map s*y/t^3 for either parity of alpha.
+    n/x_den and the y-map s*y/y_den for either parity of alpha, where the
+    fields x_den = u*t and y_den = t^3 are the two denominators.
 
-    The constructor takes the fields themselves.  The maps that
+    The constructor takes r, s, t, r~ and t~ and forms the denominators.  The maps that
     multiplication_maps returns build each field from the psi recurrence
     on first access and keep it, so a caller pays only for the fields it
     reads; the values do not depend on the order of reading.  For a
@@ -401,6 +402,8 @@ class MultiplicationMaps:
         self.t = t
         self.r_tilde = r_tilde
         self.t_tilde = t_tilde
+        self.x_den = self.u_part() * t
+        self.y_den = t ** 3
 
     @classmethod
     def _from_divpolys(cls, alpha, divpolys):
@@ -439,8 +442,9 @@ class MultiplicationMaps:
                 s4 = P(a + 2) * P(a - 1) ** 2 - P(a - 2) * P(a + 1) ** 2
                 s = _shr(P.c3 * s4 if even else s4, 2)
                 return -s if self.alpha < 0 else s
-            if name == "t":
-                return P.c3 * P(a) if even else P(a)
+            if name in ("t", "x_den", "y_den"):
+                t = P.c3 * P(a) if even else P(a)  # u is P(a) for either parity
+                return t if name == "t" else t * P(a) if name == "x_den" else t ** 3
             if name == "t_tilde":
                 return P(a)
             if even:  # r~

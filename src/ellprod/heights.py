@@ -431,6 +431,8 @@ def essential_minimum_image_bounds(n_factors, r, d_l, alpha, deg_c,
     _refuse_long("lambda(N, N-1)", 5 * n_factors ** 2, n_factors)
     _refuse_long("the image degree bound", alpha, 2 * (n_factors + 1 - r),
                  3 * n_factors ** 3 * deg_c)
+    if mode == "smart":  # the strong multiplier takes alpha^(2(r-1)) exactly
+        _refuse_long("alpha^(2(r-1))", alpha, 2 * (r - 1))
     lam = galateau_lambda(n_factors, n_factors - 1)
     deg_pre = n_factors * alpha ** (2 * (n_factors - r)) * deg_c
     degree_entries = [

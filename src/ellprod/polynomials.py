@@ -26,6 +26,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm, prod
+from itertools import repeat
 from operator import add, mul
 
 from .arith import require_int, require_rational
@@ -46,7 +47,7 @@ def _gl_key(expts):
 
 def _norm(c):
     # the coefficient domain: an int when integral, else a Fraction
-    return c.numerator if c.denominator == 1 else c
+    return c if type(c) is int else c.numerator if c.denominator == 1 else c
 
 
 def _merge(out, pairs):
@@ -320,10 +321,19 @@ class MultiPoly:
         Every occurring variable must land in new_ring."""
         rename = rename or {}
         new_ring = tuple(new_ring)
-        pos = {}
-        for i, name in enumerate(self.ring):
-            target = rename.get(name, name)
-            pos[i] = new_ring.index(target) if target in new_ring else None
+        n = len(self.ring)
+        pos = [new_ring.index(t) if t in new_ring else None
+               for t in map(rename.get, self.ring, self.ring)]
+        src = [pos.index(k) if k in pos else n for k in range(len(new_ring))]
+        if n - pos.count(None) == len(src) - src.count(n):
+            # no two variables land on one, so no terms merge: the exponent
+            # columns move to their new places (column n is all zeros)
+            cols = list(zip(*self.terms)) or [()] * n
+            cols.append((0,) * len(self.terms))
+            lost = [i for i, k in enumerate(pos) if k is None]
+            if not any(map(any, map(cols.__getitem__, lost))):  # else moved() raises
+                keys = zip(*map(cols.__getitem__, src)) if src else repeat((), len(self.terms))
+                return MultiPoly._trusted(new_ring, dict(zip(keys, self.terms.values())))
 
         def moved():
             for e, c in self.terms.items():
@@ -603,10 +613,10 @@ def exact_divide_univariate(a, b):
 
 def _powers(f, m):
     # [1, f, f^2, ..., f^m]
-    out = [MultiPoly.const(f.ring, 1)]
-    for _ in range(m):
+    out = [MultiPoly.const(f.ring, 1), f]
+    for _ in range(m - 1):
         out.append(out[-1] * f)
-    return out
+    return out[:m + 1]
 
 
 def substitute(p, bindings):
@@ -683,12 +693,12 @@ def integer_primitive(p):
     positive graded-lex leading coefficient.  Returns (scale, q)."""
     if not p:
         return Fraction(1), p
-    den = 1
-    for c in p.terms.values():
-        den = lcm(den, c.denominator)
-    # integer numerators over the common denominator, divided by their
-    # content signed like the leading term
-    nums = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    den, nums = 1, p.terms
+    if Fraction in map(type, nums.values()):
+        # integer numerators over the common denominator
+        den = lcm(*(c.denominator for c in nums.values()))
+        nums = {e: c.numerator * (den // c.denominator) for e, c in nums.items()}
+    # divided by their content signed like the leading term
     g = gcd(*nums.values())
     if p.leading()[1] < 0:
         g = -g

@@ -10,7 +10,8 @@ multiplication, one form for either parity of alpha_j,
     y_j -> s_j(x_j)*y_j / t_j(x_j)^3
 
 with (n_j, u_j) = (r_j, t_j) for odd alpha_j and (r~_j, t~_j) for even
-alpha_j (curves.MultiplicationMaps.x_parts), which is linear in y_j, then
+alpha_j (curves.MultiplicationMaps.x_parts; the maps give the two
+denominators as the fields x_den and y_den), which is linear in y_j, then
 clearing denominators and content.  A term c*x_j^a*y_j^b of an equation of
 top degrees A, B so gains a factor q of t_j to the power dx*(A-a) +
 dy*(B-b) + ds*b, (dx, dy, ds) being the powers of q in u_j*t_j, t_j^3 and
@@ -96,21 +97,24 @@ def generate_preimage(V, isogeny):
     for j, (alpha, curve) in enumerate(zip(isogeny.alphas, system.curves), start=1):
         maps = multiplication_maps(alpha, curve)
         xj, yj = "x%d" % j, "y%d" % j
-        u = maps.u_part()
-        t = maps.t.embed(ring, {"x": xj})
-        u = t if u is maps.t else u.embed(ring, {"x": xj})
         if xj in used:
-            bindings[xj] = (maps.x_parts()[0].embed(ring, {"x": xj}), u * t)
+            bindings[xj] = (maps.x_parts()[0].embed(ring, {"x": xj}),
+                            maps.x_den.embed(ring, {"x": xj}))
         if yj in used:
-            bindings[yj] = (maps.s.embed(ring, {"x": xj}) * MultiPoly.var(ring, yj), t ** 3)
+            bindings[yj] = (maps.s.embed(ring, {"x": xj}) * MultiPoly.var(ring, yj),
+                            maps.y_den.embed(ring, {"x": xj}))
         if abs(alpha) != 1:
-            excluded.append({"j": j, "alpha": alpha, "t": integer_primitive(t)[1]})
+            t = integer_primitive(maps.t)[1].embed(ring, {"x": xj})
+            excluded.append({"j": j, "alpha": alpha, "t": t})
             # t is u (odd alpha) or the cubic times u (even alpha, where the
             # two are coprime); u is constant only for alpha = +-2
-            at = ring.index(xj), ring.index(yj)
-            if not u.is_constant():
-                factors.append((at, integer_primitive(u)[1], (2, 3, 0)))
-            if u is not t:
+            at, u = (ring.index(xj), ring.index(yj)), maps.u_part()
+            if u is maps.t:
+                factors.append((at, t, (2, 3, 0)))
+            else:
+                if not u.is_constant():
+                    factors.append((at, integer_primitive(u)[1].embed(ring, {"x": xj}),
+                                    (2, 3, 0)))
                 factors.append((at, relations[j - 1][1], (1, 3, 1)))
 
     equations = []

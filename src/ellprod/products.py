@@ -49,9 +49,14 @@ class ProductSystem:
 
     def coordinate_cubic(self, j):
         """x_j^3 + A_j*x_j + B_j in the product coordinate ring (j 1-based)."""
-        E = self.curves[j - 1]
-        x = MultiPoly.var(self.ring, "x%d" % j)
-        return x ** 3 + E.A * x + E.B
+        E, x = self.curves[j - 1], "x%d" % j
+        if x not in self.ring:  # j < 1
+            raise ValueError("variable %r not in ring %r" % (x, self.ring))
+        i = self.ring.index(x)
+        # the terms written directly, in the order x^3 + A*x + B makes them
+        return MultiPoly._trusted(self.ring, {
+            (0,) * i + (k,) + (0,) * (len(self.ring) - i - 1): c
+            for k, c in ((3, 1), (1, E.A), (0, E.B)) if c})
 
     def weierstrass_relations(self):
         """[(y_j name, cubic in x_j)] for reduce_weierstrass."""

@@ -540,6 +540,25 @@ def test_essential_minimum_with_hundreds_of_factors(n):
         assert all(len(row["value"].split("e")[1]) > 22900 for row in rows)
 
 
+def test_essential_minimum_smart_power_is_refused_within_a_second():
+    """The strong smart multiplier takes alpha^(2(r-1)) exactly, which no
+    printed value bounds: at N = r = 11000 and alpha = 10^4000 it would
+    have about 8.8e7 digits, while lambda and the degree bounds pass the
+    digit rule.  The digit rule refuses it, well within a second."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellprod.cli", "bounds", "--kind",
+         "essential-minimum", "--n-factors", "11000", "--r", "11000",
+         "--alpha", "1" + "0" * 4000],
+        capture_output=True, env=env, timeout=60,
+        preexec_fn=_small_address_space)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b"" and b"alpha^(2(r-1)) would have about 8.8e+07" in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["--kind", "galateau-lambda", "--n-factors", "2", "--k", "1000000"],
     ["--kind", "galateau-lambda", "--n-factors", "2", "--k", "9" * 400],

@@ -262,7 +262,7 @@ def test_x_map_degrees():
 # curve-built maps against the symbolic ones
 # ---------------------------------------------------------------------------
 
-MAP_FIELDS = ("r", "s", "t", "r_tilde", "t_tilde")
+MAP_FIELDS = ("r", "s", "t", "r_tilde", "t_tilde", "x_den", "y_den")
 _SYMBOLIC_MAPS = {}
 
 
@@ -276,11 +276,16 @@ def _symbolic_maps(alpha):
 # symbolic maps for alpha in +-1..7 (its symbolic-maps range; +-8 and +-9
 # would add about 2 s)
 LAZY_CURVES = [WeierstrassCurve(*ab) for ab in [(-1, 0), (0, 1), (2, 3), (-7, 6), (5, -3)]]
+# the curve-specific maps of the golden corpus (tests/test_golden.py)
+MAP_CURVES = [WeierstrassCurve(-45, 53),
+              WeierstrassCurve(314159265358979323846264338327,
+                               -271828182845904523536028747135)]
 LAZY_ORDERS = {
     "r first": ("r", "t_tilde", "s", "r_tilde", "t"),
     "s first": ("s", "r_tilde", "t", "r", "t_tilde"),
     "x_parts first": ("x_parts", "s", "t", "r", "r_tilde", "t_tilde"),
     "t~ first": ("t_tilde", "t", "r", "r_tilde", "s"),
+    "denominators first": ("y_den", "x_den", "s", "t", "x_parts"),
 }
 
 
@@ -387,6 +392,33 @@ def test_curve_divpolys_equal_specialized_symbolic_ones(E):
     coeffs = {"A": E.A, "B": E.B}
     for m in range(15):
         assert division_polynomial(m, E) == division_polynomial(m).specialize(coeffs), m
+
+
+def _check_denominators(maps):
+    # the packed (or symbolic) recurrence gives x_den and y_den directly;
+    # they are the products of the coordinate form
+    n, u = maps.x_parts()
+    assert maps.x_den == u * maps.t, maps.alpha
+    assert maps.y_den == maps.t ** 3, maps.alpha
+
+
+ALPHAS_TO_9 = [a for k in range(1, 10) for a in (k, -k)]
+
+
+@pytest.mark.parametrize("curve", [E01] + MAP_CURVES + [None], ids=repr)
+def test_denominators_are_u_t_and_t_cubed(curve):
+    for alpha in ALPHAS_TO_9:
+        _check_denominators(multiplication_maps(alpha, curve))
+    # and in maps built from their fields
+    maps = multiplication_maps(4, curve)
+    _check_denominators(MultiplicationMaps(4, maps.r, maps.s, maps.t,
+                                           maps.r_tilde, maps.t_tilde))
+
+
+@settings(max_examples=25, deadline=None)
+@given(nonsingular_curves, st.sampled_from(ALPHAS_TO_9))
+def test_curve_denominators_are_u_t_and_t_cubed(E, alpha):
+    _check_denominators(multiplication_maps(alpha, E))
 
 
 # ---------------------------------------------------------------------------

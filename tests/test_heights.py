@@ -331,6 +331,21 @@ def test_essential_minimum_validation():
         essential_minimum_image_bounds(2, 2, 1, 5, 27, mode="bogus")
 
 
+def test_essential_minimum_smart_refuses_an_overlong_exact_power():
+    # alpha^(2(r-1)) is taken exactly in smart mode: 10^24999 to the 4th has
+    # 99 997 digits and is computed, 10^25001 to the 4th (100 005) refused
+    # before anything is computed, in either case below a second
+    for e, refused in ((24999, False), (25001, True)):
+        start = time.perf_counter()
+        if refused:
+            with pytest.raises(ValueError, match=r"alpha\^\(2\(r-1\)\) would have"):
+                essential_minimum_image_bounds(3, 3, 1, 10 ** e, 1, mode="smart")
+        else:
+            rep = essential_minimum_image_bounds(3, 3, 1, 10 ** e, 1, mode="smart")
+            assert rep.value("smart_multiplier_strong") > 0
+        assert time.perf_counter() - start < 1
+
+
 # --------------------------------------------------------------- BoundReport
 
 def test_bound_report_shape():

@@ -349,6 +349,28 @@ def test_embed_rename():
     assert q == x2 ** 2 + 2 * y2
 
 
+def test_embed_moves_merges_and_refuses():
+    big = ("x1", "y1", "x2", "y2")
+    p = 3 * X ** 2 * Y - Fraction(1, 2) * Y + 5
+    # no two variables land on one: the terms move as they are
+    assert p.embed(("y", "x")) == MultiPoly(("y", "x"), {(1, 2): 3, (1, 0): Fraction(-1, 2),
+                                                          (0, 0): 5})
+    assert p.embed(big, {"x": "y2", "y": "x1"}).terms == {
+        (1, 0, 0, 2): 3, (1, 0, 0, 0): Fraction(-1, 2), (0, 0, 0, 0): 5}
+    # a variable that does not occur needs no image
+    assert (X ** 2 + 1).embed(("x", "z")).terms == {(2, 0): 1, (0, 0): 1}
+    # two variables renamed to one merge their terms, which may cancel,
+    # into a ring of one variable or of more
+    for ring in (("t",), ("s", "t", "u")):
+        merged = (X - Y + Fraction(1, 3) * X * Y).embed(ring, {"x": "t", "y": "t"})
+        assert merged == MultiPoly(ring, {tuple(2 if v == "t" else 0 for v in ring): Fraction(1, 3)})
+        assert (3 * X - 3 * Y).embed(ring, {"x": "t", "y": "t"}).terms == {}
+    # an occurring variable with no image is an error, whichever path
+    for ring, rename in ((("x", "z"), None), (("x1", "y1"), {"x": "x1"}), (("x",), None)):
+        with pytest.raises(ValueError, match="variable 'y' has no image"):
+            (X + X * Y).embed(ring, rename)
+
+
 # ---------------------------------------------------------------------------
 # printing and parsing
 # ---------------------------------------------------------------------------
@@ -631,8 +653,8 @@ def test_substitute_keeps_the_domain(p, num, den):
     q, d = substitute(p, {"x": (num, den), "y": (X, ONE)})
     assert_domain(q, d)
     vals = {"x": Fraction(1, 3), "y": Fraction(-2)}
-    inner = {"x": num.evaluate(vals) / den.evaluate(vals), "y": vals["x"]}
-    if den.evaluate(vals):
+    if den.evaluate(vals):  # den = y/2 + 1, say, vanishes there
+        inner = {"x": num.evaluate(vals) / den.evaluate(vals), "y": vals["x"]}
         assert q.evaluate(vals) == p.evaluate(inner) * d.evaluate(vals)
 
 
@@ -775,6 +797,30 @@ def test_integer_primitive_on_integral_and_fractional_input(q, m, d):
         assert type(got_scale) is Fraction
         assert got_scale == scale
         assert prim.terms == q.terms
+
+
+@settings(max_examples=200)
+@given(primitive_polys(), st.integers(min_value=-12, max_value=12).filter(bool),
+       st.integers(min_value=2, max_value=12))
+def test_integer_primitive_int_path_equals_fraction_path(q, m, d):
+    # m*q has int coefficients only, of content |m| and leading sign that
+    # of m; m*q/d has Fraction ones, or a mix of int and Fraction
+    p = m * q
+    assert Fraction not in map(type, p.terms.values())
+    scale, prim = integer_primitive(p)
+    scale_d, prim_d = integer_primitive(Fraction(1, d) * p)
+    assert prim.terms == prim_d.terms == q.terms
+    assert scale == m and scale_d == Fraction(m, d)
+    assert_domain(prim, prim_d)
+
+
+def test_integer_primitive_on_mixed_coefficients():
+    # x leads: -6x + 9/2 y has content 3/2 and leads negative
+    mixed = MultiPoly(RING, {(1, 0): -6, (0, 1): Fraction(9, 2)})
+    assert integer_primitive(mixed) == (Fraction(-3, 2), 4 * X - 3 * Y)
+    assert integer_primitive(2 * mixed) == (-3, 4 * X - 3 * Y)
+    prim = 4 * X - 3 * Y
+    assert integer_primitive(prim)[1] is prim  # already primitive
 
 
 @settings(max_examples=200)

@@ -79,10 +79,11 @@ def test_preimage_1_5_equation():
 
 
 @pytest.mark.parametrize("alphas, built", [
-    # y2 - x1^3 uses x1 and y2: factor 1 needs n, u and t; factor 2 s, u, t
-    ([3, 5], [{"r", "t"}, {"s", "t"}]),
-    ([2, 4], [{"r_tilde", "t_tilde", "t"}, {"s", "t_tilde", "t"}]),
-    ([-3, 2], [{"r", "t"}, {"s", "t_tilde", "t"}]),
+    # y2 - x1^3 uses x1 and y2: factor 1 needs n, x_den, u and t; factor 2
+    # s, y_den, u and t
+    ([3, 5], [{"r", "x_den", "t"}, {"s", "y_den", "t"}]),
+    ([2, 4], [{"r_tilde", "x_den", "t_tilde", "t"}, {"s", "y_den", "t_tilde", "t"}]),
+    ([-3, 2], [{"r", "x_den", "t"}, {"s", "y_den", "t_tilde", "t"}]),
 ])
 def test_preimage_builds_only_the_map_fields_its_bindings_use(monkeypatch, alphas, built):
     from ellprod.curves import MultiplicationMaps
