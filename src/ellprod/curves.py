@@ -384,13 +384,14 @@ class MultiplicationMaps:
     n/x_den and the y-map s*y/y_den for either parity of alpha, where the
     fields x_den = u*t and y_den = t^3 are the two denominators.
 
-    The constructor takes r, s, t, r~ and t~ and forms the denominators.  The maps that
-    multiplication_maps returns build each field from the psi recurrence
-    on first access and keep it, so a caller pays only for the fields it
-    reads; the values do not depend on the order of reading.  For a
-    concrete curve the recurrence runs on ints, each the value of P_m at
-    x = 2^w, and each field is unpacked into a MultiPoly once, at a width
-    proven from an L1-norm bound (see the module docstring).
+    The constructor takes r, s, t, r~ and t~ and forms the denominators.
+    The maps that multiplication_maps returns build each field, the
+    denominators too, from the psi recurrence on first access and keep
+    it, so a caller pays only for the fields it reads; the values do not
+    depend on the order of reading.  For a concrete curve the recurrence
+    runs on ints, each the value of P_m at x = 2^w, and each field is
+    unpacked into a MultiPoly once, at a width proven from an L1-norm
+    bound (see the module docstring).
     """
 
     __slots__ = ("alpha",) + _FIELDS + ("_divpolys",)
@@ -402,8 +403,10 @@ class MultiplicationMaps:
         self.t = t
         self.r_tilde = r_tilde
         self.t_tilde = t_tilde
-        self.x_den = self.u_part() * t
-        self.y_den = t ** 3
+        u = self.u_part()
+        if u is None:
+            raise ValueError("maps of even alpha need r_tilde and t_tilde")
+        self.x_den, self.y_den = u * t, t ** 3
 
     @classmethod
     def _from_divpolys(cls, alpha, divpolys):

@@ -25,8 +25,8 @@ literals.
 import re
 import sys
 from fractions import Fraction
-from math import gcd, lcm, prod
 from itertools import repeat
+from math import gcd, lcm, prod
 from operator import add, mul
 
 from .arith import require_int, require_rational

@@ -413,6 +413,8 @@ def test_denominators_are_u_t_and_t_cubed(curve):
     maps = multiplication_maps(4, curve)
     _check_denominators(MultiplicationMaps(4, maps.r, maps.s, maps.t,
                                            maps.r_tilde, maps.t_tilde))
+    with pytest.raises(ValueError, match="even alpha need r_tilde and t_tilde"):
+        MultiplicationMaps(4, maps.r, maps.s, maps.t)
 
 
 @settings(max_examples=25, deadline=None)

@@ -363,9 +363,10 @@ def test_embed_moves_merges_and_refuses():
     # into a ring of one variable or of more
     for ring in (("t",), ("s", "t", "u")):
         merged = (X - Y + Fraction(1, 3) * X * Y).embed(ring, {"x": "t", "y": "t"})
-        assert merged == MultiPoly(ring, {tuple(2 if v == "t" else 0 for v in ring): Fraction(1, 3)})
+        t2 = tuple(2 if v == "t" else 0 for v in ring)
+        assert merged == MultiPoly(ring, {t2: Fraction(1, 3)})
         assert (3 * X - 3 * Y).embed(ring, {"x": "t", "y": "t"}).terms == {}
-    # an occurring variable with no image is an error, whichever path
+    # an occurring variable with no image is an error
     for ring, rename in ((("x", "z"), None), (("x1", "y1"), {"x": "x1"}), (("x",), None)):
         with pytest.raises(ValueError, match="variable 'y' has no image"):
             (X + X * Y).embed(ring, rename)
