@@ -14,31 +14,27 @@ parity choice for this module and its callers alike.
 Division polynomials are stored with y^2 eliminated: psi_m = y^(m+1 mod 2)
 * P_m(x, A, B), and this module works with the x-parts P_m throughout.
 
-One psi recurrence serves both kinds of maps, and it, its seeds P_0..P_4
-with the cubic, and the field formulas are each written once, generic
-over the element type.  Symbolic maps run them on MultiPoly in (x, A, B).
-The maps of a given curve run them on Python ints: each value is a
-polynomial in Z[x] (A and B the curve's integers) evaluated at x = 2^w.
-That evaluation is a ring homomorphism Z[x] -> Z (Kronecker
-substitution), so each product of polynomials is one product of ints and
-the exact halvings are shifts; the maps are never built symbolically and
-then specialized.  A value is unpacked into a MultiPoly once, when a
-caller reads it, from slots of w bits, a multiple of 8.  Intermediate
-values need no width, since evaluation is exact; the width of a value
-that is unpacked is proven from an upper bound on its L1 norm (|fg| <=
-|f||g|, |f +- g| <= |f| + |g|), which the same formulas compute from the
-norms of the seeds.  The recurrence runs at the width of the x-parts a
-map reads, and a field that needs more gets those x-parts repacked at
-its own width.  The packed int never leaves this module: it is the value
-of a polynomial, not a second polynomial type, and MultiPoly stays the
-one polynomial type callers see.  Neither path divides: s = P_2alpha /
-(2 P_alpha) is taken from the bracket (P_{alpha+2} P_{alpha-1}^2 -
-P_{alpha-2} P_{alpha+1}^2) / 4 of the recurrence, for either parity of
-alpha (Washington, Elliptic Curves: Number Theory and Cryptography,
-section 3.2).  The maps multiplication_maps returns build each of r, s,
-t, r~ and t~ from the recurrence on first access and keep it, so a
-caller that reads only some fields (the preimage of an equation that
-omits a coordinate) never pays for the others.
+One psi recurrence, its seeds P_0..P_4, the formulas of n, u, t and s and
+the cleared product n^a (u t)^(A-a) s^b (t^3)^(B-b) of a term x^a y^b are
+each written once, generic over the element type.  Symbolic maps run the
+recurrence on MultiPoly in (x, A, B).  The maps of a given curve run it
+on Python ints, each the value at x = 2^w of a polynomial in Z[x] (A and
+B the curve's integers).  That evaluation is a ring homomorphism Z[x] ->
+Z (Kronecker substitution), so each product of polynomials is one product
+of ints and the exact halvings are shifts.  A value is unpacked into a
+MultiPoly once, when a caller reads it, from slots of w bits, a multiple
+of 8, proven from an upper bound on its L1 norm (|fg| <= |f||g|,
+|f +- g| <= |f| + |g|) that the same formula computes from the norms of
+the seeds; intermediate values need no width, since evaluation is exact.
+The recurrence runs at the width of the x-parts a map reads, and a value
+that needs more gets those x-parts repacked at its own width.  The packed
+int never leaves this module: MultiPoly stays the one polynomial type
+callers see.  Neither path divides: s = P_2alpha / (2 P_alpha) is taken
+from the bracket (P_{alpha+2} P_{alpha-1}^2 - P_{alpha-2} P_{alpha+1}^2) / 4
+of the recurrence (Washington, Elliptic Curves: Number Theory and
+Cryptography, section 3.2).  The maps multiplication_maps returns build
+each field on first access and keep it, and build each cleared product
+without any field, so a caller pays only for what it reads.
 
 The coordinate formulas are undefined exactly where t(x) = 0, on the
 affine kernel of [alpha]; evaluation there raises KernelPointError, and
@@ -222,27 +218,27 @@ def _shr(v, k):
 
 
 def _seeds(x, A, B):
-    """({m: P_m} for m = 0..4, the curve cubic x^3 + A*x + B), in the
-    element type of x."""
+    """{m: P_m} for m = 0..4, in the element type of x."""
     one = x ** 0
     return {0: 0 * x, 1: one, 2: 2 * one,
             3: 3 * x ** 4 + 6 * A * x ** 2 + 12 * B * x - A ** 2,
             4: 4 * (x ** 6 + 5 * A * x ** 4 + 20 * B * x ** 3
                     - 5 * A ** 2 * x ** 2 - 4 * A * B * x
-                    - 8 * B ** 2 - A ** 3)}, x ** 3 + A * x + B
+                    - 8 * B ** 2 - A ** 3)}
 
 
 class _Recurrence:
     """The x-parts P_m on one element type, from the seeds at (x, A, B) by
     the psi recurrence, memoised: P(m) is P_m, P.x is x and P.c3 the
-    curve cubic."""
+    curve cubic x^3 + A*x + B.  A memo given in place of the seeds holds
+    every P_m that will be read."""
 
     __slots__ = ("x", "c3", "c3_sq", "memo")
 
-    def __init__(self, x, A, B):
-        self.x = x
-        self.memo, self.c3 = _seeds(x, A, B)
+    def __init__(self, x, A, B, memo=None):
+        self.x, self.c3 = x, x ** 3 + A * x + B
         self.c3_sq = self.c3 * self.c3
+        self.memo = _seeds(x, A, B) if memo is None else memo
 
     def __call__(self, m):
         if m in self.memo:
@@ -326,12 +322,12 @@ class _Packed:
         self.recs = {self.w1: _Recurrence(1 << self.w1, self.A, self.B)}
 
     def _at(self, w):
-        # the recurrence at width w >= w1, with P_low..P_high repacked
+        # the x-parts at width w >= w1: x, the cubic and P_low..P_high
+        # repacked, with no seeds (a formula reads no other P_m)
         if w not in self.recs:
-            rec, w1 = _Recurrence(1 << w, self.A, self.B), self.w1
-            for m in range(self.low, self.high + 1):
-                rec.memo[m] = _repack(self.recs[w1](m), w1, w)
-            self.recs[w] = rec
+            P, w1 = self.recs[self.w1], self.w1
+            self.recs[w] = _Recurrence(1 << w, self.A, self.B, {
+                m: _repack(P(m), w1, w) for m in range(self.low, self.high + 1)})
         return self.recs[w]
 
     def poly(self, formula):
@@ -372,7 +368,32 @@ def division_polynomial(m, curve=None):
 # -- scalar multiplication in coordinates --------------------------------
 
 
-_FIELDS = ("r", "s", "t", "r_tilde", "t_tilde", "x_den", "y_den")
+def _part(P, name, alpha, even):
+    """Part name of the maps of [alpha], |alpha| = a >= 2, in the x-parts
+    P, x and the cubic c3: u = t~ = P_a; t = c3*u for even a, else u; n = r~
+    for even a (r = c3*r~), else r; s from the bracket, times c3 for even a."""
+    a = abs(alpha)
+    if name == "s":
+        s4 = P(a + 2) * P(a - 1) ** 2 - P(a - 2) * P(a + 1) ** 2
+        s = _shr(P.c3 * s4 if even else s4, 2)
+        return -s if alpha < 0 else s
+    if name == "n":
+        if even:
+            return P.x * P.c3 * P(a) ** 2 - P(a - 1) * P(a + 1)
+        return P.x * P(a) ** 2 - P.c3 * P(a - 1) * P(a + 1)
+    return P.c3 * P(a) if name == "t" and even else P(a)
+
+
+def _cleared(part, a, b, A, B):
+    """n^a (u t)^(A-a) s^b (t^3)^(B-b) in any element type, from part(name)
+    for name in n, u, t and s; n and s are read only at a positive power."""
+    k, u, t = A - a, part("u"), part("t")
+    out = t ** (2 * k + 3 * (B - b)) if u is t else u ** k * t ** (k + 3 * (B - b))
+    out = out * part("n") ** a if a else out
+    return out * part("s") ** b if b else out
+
+
+_FIELDS = ("r", "s", "t", "r_tilde", "t_tilde")
 
 
 class MultiplicationMaps:
@@ -381,17 +402,11 @@ class MultiplicationMaps:
     Fields r, s, t (and r_tilde, t_tilde when alpha is even) are
     MultiPoly in the ring (x, A, B); when built for a concrete curve the
     symbols A, B do not occur.  With (n, u) = x_parts(), the x-map is
-    n/x_den and the y-map s*y/y_den for either parity of alpha, where the
-    fields x_den = u*t and y_den = t^3 are the two denominators.
+    n/(u*t) and the y-map s*y/t^3 for either parity of alpha; cleared()
+    gives the products of their parts that clear an equation.
 
-    The constructor takes r, s, t, r~ and t~ and forms the denominators.
-    The maps that multiplication_maps returns build each field, the
-    denominators too, from the psi recurrence on first access and keep
-    it, so a caller pays only for the fields it reads; the values do not
-    depend on the order of reading.  For a concrete curve the recurrence
-    runs on ints, each the value of P_m at x = 2^w, and each field is
-    unpacked into a MultiPoly once, at a width proven from an L1-norm
-    bound (see the module docstring).
+    The maps that multiplication_maps returns build each field on first
+    access and keep it; the values do not depend on the order of reading.
     """
 
     __slots__ = ("alpha",) + _FIELDS + ("_divpolys",)
@@ -403,10 +418,8 @@ class MultiplicationMaps:
         self.t = t
         self.r_tilde = r_tilde
         self.t_tilde = t_tilde
-        u = self.u_part()
-        if u is None:
+        if self.u_part() is None:
             raise ValueError("maps of even alpha need r_tilde and t_tilde")
-        self.x_den, self.y_den = u * t, t ** 3
 
     @classmethod
     def _from_divpolys(cls, alpha, divpolys):
@@ -426,35 +439,28 @@ class MultiplicationMaps:
         return value
 
     def _field(self, name):
-        """One field of [a], a = |alpha| >= 2, by one formula in the x-parts
-        P, x and the cubic c3, whatever their element type.
-
-        s = P_2a / (2 P_a) is taken from the bracket of the psi
-        recurrence, (P_{a+2} P_{a-1}^2 - P_{a-2} P_{a+1}^2) / 4, so no
-        division occurs.  For even a, t = c3 * t~ and r = c3 * r~.
-        """
-        a = abs(self.alpha)
-        even = a % 2 == 0
+        """One field of [alpha], |alpha| >= 2, by its formula (_part) in the
+        x-parts."""
+        even = self.is_even()
         if name in ("r_tilde", "t_tilde") and not even:
-            return None  # r~ and t~ exist for even a only
+            return None  # r~ and t~ exist for even alpha only
         if name == "r" and even:
             return self._divpolys.poly(lambda P: P.c3) * self.r_tilde
+        part = {"s": "s", "t": "t", "t_tilde": "u"}.get(name, "n")
+        return self._divpolys.poly(lambda P: _part(P, part, self.alpha, even))
 
-        def formula(P):
-            if name == "s":
-                s4 = P(a + 2) * P(a - 1) ** 2 - P(a - 2) * P(a + 1) ** 2
-                s = _shr(P.c3 * s4 if even else s4, 2)
-                return -s if self.alpha < 0 else s
-            if name in ("t", "x_den", "y_den"):
-                t = P.c3 * P(a) if even else P(a)  # u is P(a) for either parity
-                return t if name == "t" else t * P(a) if name == "x_den" else t ** 3
-            if name == "t_tilde":
-                return P(a)
-            if even:  # r~
-                return P.x * P.c3 * P(a) ** 2 - P(a - 1) * P(a + 1)
-            return P.x * P(a) ** 2 - P.c3 * P(a - 1) * P(a + 1)
-
-        return self._divpolys.poly(formula)
+    def cleared(self, a, b, A, B):
+        """n^a * (u*t)^(A-a) * s^b * (t^3)^(B-b), a MultiPoly in x: a term
+        c*x^a*y^b of an equation of top degrees A >= a in x and B >= b in
+        y, cleared of denominators after x -> n/(u*t), y -> s*y/t^3, is
+        c*y^b times it.  Maps of a curve build it on the packed recurrence
+        (module docstring); other maps multiply their fields."""
+        packed, even = getattr(self, "_divpolys", None), self.is_even()
+        if isinstance(packed, _Packed):
+            return packed.poly(lambda P: _cleared(
+                lambda k: _part(P, k, self.alpha, even), a, b, A, B))
+        return _cleared(lambda k: self.x_parts()[0] if k == "n" else
+                        self.u_part() if k == "u" else getattr(self, k), a, b, A, B)
 
     def is_even(self):
         return self.alpha % 2 == 0

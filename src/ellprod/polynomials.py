@@ -25,7 +25,6 @@ literals.
 import re
 import sys
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm, prod
 from operator import add, mul
 
@@ -321,19 +320,8 @@ class MultiPoly:
         Every occurring variable must land in new_ring."""
         rename = rename or {}
         new_ring = tuple(new_ring)
-        n = len(self.ring)
         pos = [new_ring.index(t) if t in new_ring else None
                for t in map(rename.get, self.ring, self.ring)]
-        src = [pos.index(k) if k in pos else n for k in range(len(new_ring))]
-        if n - pos.count(None) == len(src) - src.count(n):
-            # no two variables land on one, so no terms merge: the exponent
-            # columns move to their new places (column n is all zeros)
-            cols = list(zip(*self.terms)) or [()] * n
-            cols.append((0,) * len(self.terms))
-            lost = [i for i, k in enumerate(pos) if k is None]
-            if not any(map(any, map(cols.__getitem__, lost))):  # else moved() raises
-                keys = zip(*map(cols.__getitem__, src)) if src else repeat((), len(self.terms))
-                return MultiPoly._trusted(new_ring, dict(zip(keys, self.terms.values())))
 
         def moved():
             for e, c in self.terms.items():
@@ -638,8 +626,8 @@ def substitute(p, bindings):
             raise ZeroDivisionError("zero denominator binding for %r" % (name,))
     maxdeg = {name: max(p.degree_in(name), 0) for name in bindings}
     # the powers of each num and den up to the degree actually used
-    pow_num = {name: _powers(num, maxdeg[name]) for name, (num, _) in bindings.items()}
-    pow_den = {name: _powers(den, maxdeg[name]) for name, (_, den) in bindings.items()}
+    pows = {name: (_powers(num, maxdeg[name]), _powers(den, maxdeg[name]))
+            for name, (num, den) in bindings.items()}
     bound_idx = {ring.index(name): name for name in bindings}
     acc = {}  # one running sum, so the cost is linear in the terms of p
     for e, c in p.terms.items():
@@ -647,15 +635,10 @@ def substitute(p, bindings):
         piece = MultiPoly._trusted(ring, {tuple(0 if i in bound_idx else k
                                                 for i, k in enumerate(e)): c})
         for i, name in bound_idx.items():
-            k = e[i]  # the 0th powers are the constant 1: skip them
-            if k:
-                piece = piece * pow_num[name][k]
-            if maxdeg[name] - k:
-                piece = piece * pow_den[name][maxdeg[name] - k]
+            nums, dens = pows[name]
+            piece = piece * nums[e[i]] * dens[maxdeg[name] - e[i]]
         _merge(acc, piece.terms.items())
-    d = MultiPoly.const(ring, 1)
-    for name in sorted(bindings):
-        d = d * pow_den[name][maxdeg[name]]
+    d = prod((pows[name][1][-1] for name in sorted(bindings)), start=MultiPoly.const(ring, 1))
     return MultiPoly._trusted(ring, acc), d
 
 

@@ -10,16 +10,18 @@ multiplication, one form for either parity of alpha_j,
     y_j -> s_j(x_j)*y_j / t_j(x_j)^3
 
 with (n_j, u_j) = (r_j, t_j) for odd alpha_j and (r~_j, t~_j) for even
-alpha_j (curves.MultiplicationMaps.x_parts; the maps give the two
-denominators as the fields x_den and y_den), which is linear in y_j, then
-clearing denominators and content.  A term c*x_j^a*y_j^b of an equation of
-top degrees A, B so gains a factor q of t_j to the power dx*(A-a) +
-dy*(B-b) + ds*b, (dx, dy, ds) being the powers of q in u_j*t_j, t_j^3 and
-s_j: (2, 3, 0) for q = prim(u_j), and (1, 3, 1) for the cubic, a factor of
-t_j for even alpha_j only.  q^k, k least over the terms, is divided out
-once.  No higher power divides: the terms of least power differ in
-y_j-degree, and the maps are in lowest terms (Washington, Elliptic Curves,
-3.2).  The result has primitive integer coefficients and leads positive.
+alpha_j (curves.MultiplicationMaps.x_parts), which is linear in y_j, then
+clearing denominators and content.  Cleared, a term c*prod_j x_j^a_j y_j^b_j
+of an equation of top degrees A_j, B_j is c times the product over j of
+y_j^b_j and n_j^a_j (u_j t_j)^(A_j-a_j) s_j^b_j (t_j^3)^(B_j-b_j), which
+MultiplicationMaps.cleared builds in x_j alone.  The term so gains a factor
+q of t_j to the power dx*(A-a) + dy*(B-b) + ds*b, (dx, dy, ds) being the
+powers of q in u_j*t_j, t_j^3 and s_j: (2, 3, 0) for q = prim(u_j), and
+(1, 3, 1) for the cubic, a factor of t_j for even alpha_j only.  q^k, k
+least over the terms, is divided out once.  No higher power divides: the
+terms of least power differ in y_j-degree, and the maps are in lowest terms
+(Washington, Elliptic Curves, 3.2).  The result has primitive integer
+coefficients and leads positive.
 
 The equations present the preimage away from the excluded locus
 {t_j(x_j) = 0 for some j} — the x-coordinates of the kernel of [alpha_j]
@@ -29,8 +31,8 @@ membership_test refuses points on that locus rather than answer wrongly.
 
 from .curves import evaluate_multiplication_map, multiplication_maps
 from .isogenies import DiagonalIsogeny
-from .polynomials import (MultiPoly, exact_divide_univariate, integer_primitive,
-                          reduce_weierstrass, substitute)
+from .polynomials import (MultiPoly, _merge, exact_divide_univariate, integer_primitive,
+                          reduce_weierstrass)
 from .products import (SubvarietyPresentation, preimage_multidegrees)
 
 
@@ -88,27 +90,20 @@ def generate_preimage(V, isogeny):
     for f, g in zip(V.equations, reduced):
         if not g:
             raise PreimageDegenerateError("equation %s lies in the Weierstrass ideal" % (f,))
-    # bind only the coordinates the reduced equations use: the maps build
-    # only the fields that are read
-    used = set().union(*(f.variables() for f in reduced))
-    bindings = {}
+    maps_of = []  # (x_j and y_j indices, maps) per factor
     factors = []  # (x_j and y_j indices, q, powers of q in u_j*t_j, t_j^3, s_j)
     excluded = []
     for j, (alpha, curve) in enumerate(zip(isogeny.alphas, system.curves), start=1):
         maps = multiplication_maps(alpha, curve)
-        xj, yj = "x%d" % j, "y%d" % j
-        if xj in used:
-            bindings[xj] = (maps.x_parts()[0].embed(ring, {"x": xj}),
-                            maps.x_den.embed(ring, {"x": xj}))
-        if yj in used:
-            bindings[yj] = (maps.s.embed(ring, {"x": xj}) * MultiPoly.var(ring, yj),
-                            maps.y_den.embed(ring, {"x": xj}))
+        xj = "x%d" % j
+        at = (ring.index(xj), ring.index("y%d" % j))
+        maps_of.append((at, maps))
         if abs(alpha) != 1:
             t = integer_primitive(maps.t)[1].embed(ring, {"x": xj})
             excluded.append({"j": j, "alpha": alpha, "t": t})
             # t is u (odd alpha) or the cubic times u (even alpha, where the
             # two are coprime); u is constant only for alpha = +-2
-            at, u = (ring.index(xj), ring.index(yj)), maps.u_part()
+            u = maps.u_part()
             if u is maps.t:
                 factors.append((at, t, (2, 3, 0)))
             else:
@@ -117,15 +112,27 @@ def generate_preimage(V, isogeny):
                                     (2, 3, 0)))
                 factors.append((at, relations[j - 1][1], (1, 3, 1)))
 
-    equations = []
+    equations, cleared = [], {}  # cleared: (x_j index, a, b, A, B) -> terms
     for f in reduced:
+        top = list(map(max, zip(*f.terms)))  # f's top degree in each variable
+        num = {}
+        for e, c in f.terms.items():
+            # c * prod_j x_j^a_j y_j^b_j clears to c times the outer product
+            # over j of the cleared products in x_j times y_j^b_j (ring order)
+            rows = [((), c)]
+            for (ix, iy), maps in maps_of:
+                key = (ix, e[ix], e[iy], top[ix], top[iy])
+                if key not in cleared:
+                    cleared[key] = [(i, d) for (i, _, _), d in maps.cleared(*key[1:]).terms.items()]
+                rows = [(k + (i, e[iy]), c1 * d) for k, c1 in rows for i, d in cleared[key]]
+            _merge(num, rows)
         # never 0: the images of the x_j and y_j are algebraically independent
-        num = integer_primitive(substitute(f, bindings)[0])[1]
+        num = integer_primitive(MultiPoly._trusted(ring, num))[1]
         # divide out q^k, the power the terms force (module docstring); the
         # quotient stays primitive and leads positive, as q does (Gauss)
         for (ix, iy), q, (dx, dy, ds) in factors:
-            A, B = (max(e[i] for e in f.terms) for i in (ix, iy))
-            k = min(dx * (A - e[ix]) + dy * (B - e[iy]) + ds * e[iy] for e in f.terms)
+            k = min(dx * (top[ix] - e[ix]) + dy * (top[iy] - e[iy]) + ds * e[iy]
+                    for e in f.terms)
             num = exact_divide_univariate(num, q ** k) if k else num
         equations.append(num)
     table = preimage_multidegrees(V.degrees, isogeny)

@@ -22,6 +22,7 @@ from ellprod.curves import (
     scalar_mul_point,
 )
 from ellprod.polynomials import MultiPoly, exact_divide, integer_primitive, parse_poly
+from strategies import nonsingular_curves
 
 E01 = WeierstrassCurve(0, 1)
 X = MultiPoly.var(RING_XAB, "x")
@@ -262,7 +263,7 @@ def test_x_map_degrees():
 # curve-built maps against the symbolic ones
 # ---------------------------------------------------------------------------
 
-MAP_FIELDS = ("r", "s", "t", "r_tilde", "t_tilde", "x_den", "y_den")
+MAP_FIELDS = ("r", "s", "t", "r_tilde", "t_tilde")
 _SYMBOLIC_MAPS = {}
 
 
@@ -285,7 +286,7 @@ LAZY_ORDERS = {
     "s first": ("s", "r_tilde", "t", "r", "t_tilde"),
     "x_parts first": ("x_parts", "s", "t", "r", "r_tilde", "t_tilde"),
     "t~ first": ("t_tilde", "t", "r", "r_tilde", "s"),
-    "denominators first": ("y_den", "x_den", "s", "t", "x_parts"),
+    "cleared first": ("cleared", "s", "t", "x_parts"),
 }
 
 
@@ -298,7 +299,10 @@ def test_lazy_fields_do_not_depend_on_the_order_of_reading(curve):
         for order in LAZY_ORDERS.values():
             maps = multiplication_maps(alpha, curve)
             for f in order:
-                maps.x_parts() if f == "x_parts" else getattr(maps, f)
+                if f == "cleared":  # builds n and s at widths of their own
+                    maps.cleared(2, 1, 2, 1)
+                else:
+                    maps.x_parts() if f == "x_parts" else getattr(maps, f)
             assert {f: getattr(maps, f) for f in MAP_FIELDS} == want, (alpha, order)
             assert maps.x_parts() == ref.x_parts()
             assert maps.u_part() is maps.x_parts()[1]
@@ -355,19 +359,6 @@ def test_maps_are_in_lowest_terms_at_each_factor_of_t(curve):
             assert _coprime(n, c3) and _coprime(u, c3), alpha
 
 
-# small, zero and 40-digit coefficients: the packed recurrence of a curve
-# unpacks at a width taken from bounds in |A| and |B|, so large ones (and
-# a vanishing one) are where a width too small would show
-_curve_coefficients = st.one_of(
-    st.integers(min_value=-60, max_value=60),
-    st.just(0),
-    st.integers(min_value=-10 ** 40, max_value=10 ** 40),
-)
-nonsingular_curves = st.tuples(_curve_coefficients, _curve_coefficients).filter(
-    lambda ab: 4 * ab[0] ** 3 + 27 * ab[1] ** 2 != 0).map(
-    lambda ab: WeierstrassCurve(*ab))
-
-
 @settings(max_examples=25, deadline=None)
 @given(nonsingular_curves, st.sampled_from([a for k in range(2, 8) for a in (k, -k)]))
 def test_curve_maps_equal_specialized_symbolic_maps(E, alpha):
@@ -394,25 +385,35 @@ def test_curve_divpolys_equal_specialized_symbolic_ones(E):
         assert division_polynomial(m, E) == division_polynomial(m).specialize(coeffs), m
 
 
-def _check_denominators(maps):
-    # the packed (or symbolic) recurrence gives x_den and y_den directly;
-    # they are the products of the coordinate form
-    n, u = maps.x_parts()
-    assert maps.x_den == u * maps.t, maps.alpha
-    assert maps.y_den == maps.t ** 3, maps.alpha
-
-
 ALPHAS_TO_9 = [a for k in range(1, 10) for a in (k, -k)]
+# (a, b, A, B) for a term x^a y^b of an equation of top degrees A and B:
+# first the two denominators u*t and t^3.  Only the first five are cheap to
+# check on symbolic maps, and the first seven on curves with 30- and
+# 40-digit coefficients: the others multiply out powers of t of degree up
+# to 7*80.
+DENOMINATORS = [(0, 0, 1, 0), (0, 0, 0, 1)]
+CLEARED_CASES = DENOMINATORS + [
+    (0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1), (0, 1, 1, 1),
+    (0, 0, 2, 1), (2, 1, 2, 1), (1, 0, 2, 1), (3, 0, 3, 0), (0, 0, 1, 2)]
+
+
+def _check_cleared(maps, cases):
+    # maps.cleared against the MultiPoly product of the fields, for the
+    # maps as given and for maps built from their fields
+    n, u = maps.x_parts()
+    rebuilt = MultiplicationMaps(maps.alpha, maps.r, maps.s, maps.t,
+                                 maps.r_tilde, maps.t_tilde)
+    for a, b, A, B in cases:
+        want = n ** a * (u * maps.t) ** (A - a) * maps.s ** b * (maps.t ** 3) ** (B - b)
+        assert maps.cleared(a, b, A, B) == want, (maps.alpha, a, b, A, B)
+        assert rebuilt.cleared(a, b, A, B) == want, (maps.alpha, a, b, A, B)
 
 
 @pytest.mark.parametrize("curve", [E01] + MAP_CURVES + [None], ids=repr)
 def test_denominators_are_u_t_and_t_cubed(curve):
     for alpha in ALPHAS_TO_9:
-        _check_denominators(multiplication_maps(alpha, curve))
-    # and in maps built from their fields
+        _check_cleared(multiplication_maps(alpha, curve), DENOMINATORS)
     maps = multiplication_maps(4, curve)
-    _check_denominators(MultiplicationMaps(4, maps.r, maps.s, maps.t,
-                                           maps.r_tilde, maps.t_tilde))
     with pytest.raises(ValueError, match="even alpha need r_tilde and t_tilde"):
         MultiplicationMaps(4, maps.r, maps.s, maps.t)
 
@@ -420,7 +421,41 @@ def test_denominators_are_u_t_and_t_cubed(curve):
 @settings(max_examples=25, deadline=None)
 @given(nonsingular_curves, st.sampled_from(ALPHAS_TO_9))
 def test_curve_denominators_are_u_t_and_t_cubed(E, alpha):
-    _check_denominators(multiplication_maps(alpha, E))
+    _check_cleared(multiplication_maps(alpha, E), DENOMINATORS)
+
+
+@pytest.mark.parametrize("curve", [E01, MAP_CURVES[0], None], ids=repr)
+def test_cleared_products_are_products_of_the_fields(curve):
+    for alpha in ALPHAS_TO_9:
+        _check_cleared(multiplication_maps(alpha, curve), CLEARED_CASES[2:5] if curve is None
+                       else CLEARED_CASES[2:])
+
+
+def test_cleared_products_on_the_30_digit_golden_curve():
+    # one case per multiplier: the products of the fields take seconds here
+    for i, alpha in enumerate(ALPHAS_TO_9):
+        _check_cleared(multiplication_maps(alpha, MAP_CURVES[1]), [CLEARED_CASES[2 + i % 5]])
+
+
+def test_cleared_reads_no_field_of_a_curve_map(monkeypatch):
+    # the packed route builds each product from the x-parts alone
+    def refused(maps, name):
+        raise AssertionError("field %s was built" % name)
+
+    for alpha in (3, -4):
+        maps = multiplication_maps(alpha, E01)
+        want = maps.r_tilde if alpha % 2 == 0 else maps.r
+        maps = multiplication_maps(alpha, E01)
+        monkeypatch.setattr(MultiplicationMaps, "_field", refused)
+        assert maps.cleared(1, 0, 1, 0) == want
+        monkeypatch.undo()
+
+
+@settings(max_examples=20, deadline=None)
+@given(nonsingular_curves, st.sampled_from(ALPHAS_TO_9), st.sampled_from(CLEARED_CASES[2:7]))
+def test_curve_cleared_products_are_products_of_the_fields(E, alpha, case):
+    # 40-digit coefficients stress the width proven from the L1 norms
+    _check_cleared(multiplication_maps(alpha, E), [case])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ellprod.curves import CurvePoint, WeierstrassCurve, multiplication_maps
 from ellprod.isogenies import DiagonalIsogeny
@@ -32,6 +33,7 @@ from ellprod.products import (
     make_cn_curve,
     preimage_multidegrees,
 )
+from strategies import nonsingular_curves
 
 E01 = WeierstrassCurve(0, 1)
 C3 = make_cn_curve(E01, E01, 3)
@@ -79,11 +81,12 @@ def test_preimage_1_5_equation():
 
 
 @pytest.mark.parametrize("alphas, built", [
-    # y2 - x1^3 uses x1 and y2: factor 1 needs n, x_den, u and t; factor 2
-    # s, y_den, u and t
-    ([3, 5], [{"r", "x_den", "t"}, {"s", "y_den", "t"}]),
-    ([2, 4], [{"r_tilde", "x_den", "t_tilde", "t"}, {"s", "y_den", "t_tilde", "t"}]),
-    ([-3, 2], [{"r", "x_den", "t"}, {"s", "y_den", "t_tilde", "t"}]),
+    # the cleared products of y2 - x1^3 come from the packed recurrence, so
+    # each factor builds only the fields of its excluded locus and its
+    # factors q: t, and u = t~ for even alpha
+    ([3, 5], [{"t"}, {"t"}]),
+    ([2, 4], [{"t_tilde", "t"}, {"t_tilde", "t"}]),
+    ([-3, 2], [{"t"}, {"t_tilde", "t"}]),
 ])
 def test_preimage_builds_only_the_map_fields_its_bindings_use(monkeypatch, alphas, built):
     from ellprod.curves import MultiplicationMaps
@@ -174,6 +177,100 @@ def test_exponent_rule_agrees_with_trial_division():
         phi = DiagonalIsogeny([rng.choice(multipliers), rng.choice(multipliers)])
         assert list(generate_preimage(V, phi).equations) == _trial_division_reference(V, phi), \
             (terms, phi.alphas)
+
+
+def _substitution_reference(V, isogeny):
+    """(equation texts, excluded-locus texts) of phi^(-1)(V) by substitution:
+    bind x_j to n_j/(u_j t_j) and y_j to s_j*y_j/t_j^3, products of the maps'
+    fields, take the primitive part of substitute's numerator, then divide
+    out each q^k by the exponent rule."""
+    ring = V.system.ring
+    relations = V.system.weierstrass_relations()
+    bindings, factors, excluded = {}, [], []
+    for j, (alpha, curve) in enumerate(zip(isogeny.alphas, V.system.curves), start=1):
+        maps = multiplication_maps(alpha, curve)
+        xj, yj = "x%d" % j, "y%d" % j
+        n, u, t, s = (f.embed(ring, {"x": xj}) for f in maps.x_parts() + (maps.t, maps.s))
+        bindings[xj] = (n, u * t)
+        bindings[yj] = (s * MultiPoly.var(ring, yj), t ** 3)
+        if abs(alpha) != 1:
+            prim_t = integer_primitive(t)[1]
+            excluded.append("%d %d %s" % (j, alpha, prim_t))
+            at = (ring.index(xj), ring.index(yj))
+            if not maps.is_even():
+                factors.append((at, prim_t, (2, 3, 0)))
+                continue
+            if not u.is_constant():
+                factors.append((at, integer_primitive(u)[1], (2, 3, 0)))
+            factors.append((at, relations[j - 1][1], (1, 3, 1)))
+    equations = []
+    for f in V.equations:
+        f = reduce_weierstrass(f, relations)
+        num = integer_primitive(substitute(f, bindings)[0])[1]
+        for (ix, iy), q, (dx, dy, ds) in factors:
+            A, B = (max(e[i] for e in f.terms) for i in (ix, iy))
+            k = min(dx * (A - e[ix]) + dy * (B - e[iy]) + ds * e[iy] for e in f.terms)
+            num = exact_divide_univariate(num, q ** k) if k else num
+        equations.append(str(num))
+    return equations, excluded
+
+
+def _check_against_substitution(V, phi):
+    pre = generate_preimage(V, phi)
+    got = ([str(eq) for eq in pre.equations],
+           ["%d %d %s" % (row["j"], row["alpha"], row["t"]) for row in pre.excluded_locus])
+    assert got == _substitution_reference(V, phi), ([str(f) for f in V.equations], phi.alphas)
+
+
+def _variety(system, texts):
+    # the table is not read by the equations
+    n = system.n_factors
+    table = MultiDegreeTable(n - 1, {tuple(int(i != k) for i in range(n)): 1 for k in range(n)})
+    return SubvarietyPresentation(system, [parse_poly(t, system.ring) for t in texts],
+                                  n - 1, table, False)
+
+
+ALPHAS_TO_7 = [a for k in range(1, 8) for a in (k, -k)]
+# y-degree 2 and 3, coordinates omitted, a factor left out, two equations
+SUBSTITUTION_EQUATIONS = [["y1^2*x2 - x1 + 2*y2"], ["y2^3 + x1"], ["x1*y1 - 3"],
+                          ["y1*y2 - x2^2", "x1 - 2*x2"], ["1/2*y1 + x2*y2"]]
+
+
+def test_preimage_matches_substitution_for_multipliers_to_7():
+    # every multiplier in +-1..7 on each factor of E x F
+    for i, alpha in enumerate(ALPHAS_TO_7):
+        phi = DiagonalIsogeny([alpha, ALPHAS_TO_7[(i + 5) % len(ALPHAS_TO_7)]])
+        _check_against_substitution(_variety(EF, SUBSTITUTION_EQUATIONS[i % 5]), phi)
+        phi = DiagonalIsogeny(phi.alphas[::-1])
+        _check_against_substitution(_variety(EF, SUBSTITUTION_EQUATIONS[(i + 2) % 5]), phi)
+
+
+EFE = ProductSystem([E01, WeierstrassCurve(-1, 0), WeierstrassCurve(-45, 53)])
+
+
+@pytest.mark.parametrize("texts", [["x1*y2*x3 + y3^2"], ["y2^2 - x3", "x1*y1 + y3"],
+                                   ["y1^3 + x3 - 1"]])
+def test_preimage_matches_substitution_on_three_factors(texts):
+    for alphas in ([2, -3, 1], [-1, 4, -2], [3, 1, 3], [-5, 2, 4]):
+        _check_against_substitution(_variety(EFE, texts), DiagonalIsogeny(alphas))
+
+
+_terms = st.dictionaries(st.tuples(*(st.integers(0, k) for k in (1, 2, 1, 2))),
+                         st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(nonsingular_curves, nonsingular_curves,
+       st.lists(st.sampled_from([a for k in range(1, 4) for a in (k, -k)]), min_size=2,
+                max_size=2), _terms)
+def test_curve_preimage_matches_substitution(E, F, alphas, terms):
+    # 40-digit coefficients too; exponents up to 1 in x and 2 in y
+    system = ProductSystem([E, F])
+    f = MultiPoly(system.ring, terms)
+    if reduce_weierstrass(f, system.weierstrass_relations()):
+        _check_against_substitution(
+            SubvarietyPresentation(system, [f], 1, MultiDegreeTable(1, {(1, 0): 1, (0, 1): 1}),
+                                   False), DiagonalIsogeny(alphas))
 
 
 def test_preimage_identity_is_sign_normalized_input():
