@@ -123,7 +123,8 @@ def generate_preimage(V, isogeny):
             for (ix, iy), maps in maps_of:
                 key = (ix, e[ix], e[iy], top[ix], top[iy])
                 if key not in cleared:
-                    cleared[key] = [(i, d) for (i, _, _), d in maps.cleared(*key[1:]).terms.items()]
+                    cleared[key] = [(i, d) for (i, _, _), d in
+                                    maps.cleared(*key[1:]).terms.items()]
                 rows = [(k + (i, e[iy]), c1 * d) for k, c1 in rows for i, d in cleared[key]]
             _merge(num, rows)
         # never 0: the images of the x_j and y_j are algebraically independent
