@@ -1,39 +1,38 @@
 """Short Weierstrass curves y^2 = x^3 + A*x + B over Q.
 
 Provides the exact chord-and-tangent group law, the x-parts of the
-division polynomials, and the rational functions (r, s, t) — plus the
-cofactor-free pair (r~, t~) for even multipliers — that express scalar
-multiplication in coordinates by one formula for every alpha:
+division polynomials, and scalar multiplication in coordinates, written
+once for every alpha in four parts n, u, c and w of x:
 
-    [alpha](x, y) = ( n(x) / (u(x)*t(x)) , s(x)*y / t(x)^3 )
+    [alpha](x, y) = ( n(x) / (c(x)*u(x)^2) , w(x)*y / (c(x)^2*u(x)^3) )
 
-with (n, u) = (r, t) for odd alpha and (r~, t~) for even alpha, where
-t = (x^3 + A*x + B)*t~ and r = (x^3 + A*x + B)*r~ (on the curve the even
-y-map also reads s/(t~*t^2*y)).  MultiplicationMaps.x_parts() makes this
-parity choice for this module and its callers alike.
+with c the curve cubic x^3 + A*x + B for even alpha and 1 for odd alpha.
+The fields of the maps are products of the parts: r, s, t = c*n, c*w, c*u,
+and for even alpha the cofactor-free r~, t~ = n, u, so that the x-map is
+n/(u*t) and the y-map s*y/t^3 for either parity; x_parts() gives (n, u).
 Division polynomials are stored with y^2 eliminated: psi_m = y^(m+1 mod 2)
 * P_m(x, A, B), and this module works with the x-parts P_m throughout.
 
-One psi recurrence, its seeds P_0..P_4, the formulas of n, u, t and s and
-the cleared product n^a (u t)^(A-a) s^b (t^3)^(B-b) of a term x^a y^b are
-each written once, generic over the element type.  Symbolic maps run the
-recurrence on MultiPoly in (x, A, B).  The maps of a given curve run it
-on Python ints, each the value at x = 2^w of a polynomial in Z[x] (A and
-B the curve's integers).  That evaluation is a ring homomorphism Z[x] ->
-Z (Kronecker substitution), so each product of polynomials is one product
-of ints and the exact halvings are shifts.  A value is unpacked into a
-MultiPoly once, when a caller reads it, from slots of w bits, a multiple
-of 8, proven from an upper bound on its L1 norm (|fg| <= |f||g|,
-|f +- g| <= |f| + |g|) that the same formula computes from the norms of
-the seeds; intermediate values need no width, since evaluation is exact.
+One psi recurrence, its seeds P_0..P_4, the formulas of the parts and
+their products n^a w^b u^i c^j are each written once, generic over the
+element type.  Symbolic maps run the recurrence on MultiPoly in (x, A,
+B).  The maps of a given curve run it on Python ints, each the value at
+x = 2^w of a polynomial in Z[x] (A and B the curve's integers).  That
+evaluation is a ring homomorphism Z[x] -> Z (Kronecker substitution), so
+each product of polynomials is one product of ints and the exact
+halvings are shifts.  A value is unpacked into a MultiPoly once, when a
+caller reads it, from slots of w bits, a multiple of 8, proven from an
+upper bound on its L1 norm (|fg| <= |f||g|, |f +- g| <= |f| + |g|) that
+the same formula computes from the norms of the seeds; intermediate
+values need no width, since evaluation is exact.
 The recurrence runs at the width of the x-parts a map reads, and a value
 that needs more gets those x-parts repacked at its own width.  The packed
 int never leaves this module: MultiPoly stays the one polynomial type
-callers see.  Neither path divides: s = P_2alpha / (2 P_alpha) is taken
+callers see.  Neither path divides: w = P_2alpha / (2 P_alpha) is taken
 from the bracket (P_{alpha+2} P_{alpha-1}^2 - P_{alpha-2} P_{alpha+1}^2) / 4
 of the recurrence (Washington, Elliptic Curves: Number Theory and
 Cryptography, section 3.2).  The maps multiplication_maps returns build
-each field on first access and keep it, and build each cleared product
+each field on first access and keep it, and build each product of parts
 without any field, so a caller pays only for what it reads.
 
 The coordinate formulas are undefined exactly where t(x) = 0, on the
@@ -174,7 +173,7 @@ def scalar_mul_point(curve, n, P):
 
 # -- division polynomials (x-parts) -------------------------------------
 #
-# The seeds, the recurrence and the field formulas are written once and
+# The seeds, the recurrence and the part formulas are written once and
 # run on three element types: MultiPoly in (x, A, B); a Python int, the
 # value at x = 2^w of a polynomial in Z[x] (Kronecker substitution;
 # Schönhage, ICALP 1982); and _L1, an upper bound on the L1 norm of such
@@ -369,31 +368,36 @@ def division_polynomial(m, curve=None):
 
 
 def _part(P, name, alpha, even):
-    """Part name of the maps of [alpha], |alpha| = a >= 2, in the x-parts
-    P, x and the cubic c3: u = t~ = P_a; t = c3*u for even a, else u; n = r~
-    for even a (r = c3*r~), else r; s from the bracket, times c3 for even a."""
+    """Part name of [alpha], |alpha| = a >= 2, in the x-parts P, x and the
+    cubic c3: u = P_a; c = c3 for even a, else 1; n as below; and w from
+    the bracket, with the sign of alpha."""
     a = abs(alpha)
-    if name == "s":
-        s4 = P(a + 2) * P(a - 1) ** 2 - P(a - 2) * P(a + 1) ** 2
-        s = _shr(P.c3 * s4 if even else s4, 2)
-        return -s if alpha < 0 else s
+    if name == "w":
+        w = _shr(P(a + 2) * P(a - 1) ** 2 - P(a - 2) * P(a + 1) ** 2, 2)
+        return -w if alpha < 0 else w
     if name == "n":
         if even:
             return P.x * P.c3 * P(a) ** 2 - P(a - 1) * P(a + 1)
         return P.x * P(a) ** 2 - P.c3 * P(a - 1) * P(a + 1)
-    return P.c3 * P(a) if name == "t" and even else P(a)
+    if name == "c":
+        return P.c3 if even else P.x ** 0
+    return P(a)
 
 
-def _cleared(part, a, b, A, B):
-    """n^a (u t)^(A-a) s^b (t^3)^(B-b) in any element type, from part(name)
-    for name in n, u, t and s; n and s are read only at a positive power."""
-    k, u, t = A - a, part("u"), part("t")
-    out = t ** (2 * k + 3 * (B - b)) if u is t else u ** k * t ** (k + 3 * (B - b))
-    out = out * part("n") ** a if a else out
-    return out * part("s") ** b if b else out
+def _product(part, a, b, i, j):
+    """n^a w^b u^i c^j in any element type, from part(name) for name in n,
+    w, u and c; n, w and u are read only at a positive power."""
+    out = part("c") ** j
+    for name, k in (("n", a), ("w", b), ("u", i)):
+        if k:
+            out = out * part(name) ** k
+    return out
 
 
-_FIELDS = ("r", "s", "t", "r_tilde", "t_tilde")
+# each field as the powers (a, b, i, j) of its product n^a w^b u^i c^j;
+# r~ and t~ exist for even alpha only
+_FIELDS = {"r": (1, 0, 0, 1), "s": (0, 1, 0, 1), "t": (0, 0, 1, 1),
+           "r_tilde": (1, 0, 0, 0), "t_tilde": (0, 0, 1, 0)}
 
 
 class MultiplicationMaps:
@@ -401,15 +405,15 @@ class MultiplicationMaps:
 
     Fields r, s, t (and r_tilde, t_tilde when alpha is even) are
     MultiPoly in the ring (x, A, B); when built for a concrete curve the
-    symbols A, B do not occur.  With (n, u) = x_parts(), the x-map is
-    n/(u*t) and the y-map s*y/t^3 for either parity of alpha; cleared()
-    gives the products of their parts that clear an equation.
+    symbols A, B do not occur.  Each field is a product of the parts n, u,
+    c and w (module docstring); with (n, u) = x_parts(), the x-map is
+    n/(u*t) and the y-map s*y/t^3 for either parity of alpha.
 
     The maps that multiplication_maps returns build each field on first
     access and keep it; the values do not depend on the order of reading.
     """
 
-    __slots__ = ("alpha",) + _FIELDS + ("_divpolys",)
+    __slots__ = ("alpha",) + tuple(_FIELDS) + ("_divpolys",)
 
     def __init__(self, alpha, r, s, t, r_tilde=None, t_tilde=None):
         self.alpha = alpha
@@ -418,7 +422,7 @@ class MultiplicationMaps:
         self.t = t
         self.r_tilde = r_tilde
         self.t_tilde = t_tilde
-        if self.u_part() is None:
+        if None in self.x_parts():
             raise ValueError("maps of even alpha need r_tilde and t_tilde")
 
     @classmethod
@@ -439,28 +443,28 @@ class MultiplicationMaps:
         return value
 
     def _field(self, name):
-        """One field of [alpha], |alpha| >= 2, by its formula (_part) in the
-        x-parts."""
-        even = self.is_even()
-        if name in ("r_tilde", "t_tilde") and not even:
-            return None  # r~ and t~ exist for even alpha only
-        if name == "r" and even:
-            return self._divpolys.poly(lambda P: P.c3) * self.r_tilde
-        part = {"s": "s", "t": "t", "t_tilde": "u"}.get(name, "n")
-        return self._divpolys.poly(lambda P: _part(P, part, self.alpha, even))
+        """One field of [alpha], |alpha| >= 2: its product of parts."""
+        if name in ("r_tilde", "t_tilde") and not self.is_even():
+            return None
+        return self.product(*_FIELDS[name])
 
-    def cleared(self, a, b, A, B):
-        """n^a * (u*t)^(A-a) * s^b * (t^3)^(B-b), a MultiPoly in x: a term
-        c*x^a*y^b of an equation of top degrees A >= a in x and B >= b in
-        y, cleared of denominators after x -> n/(u*t), y -> s*y/t^3, is
-        c*y^b times it.  Maps of a curve build it on the packed recurrence
-        (module docstring); other maps multiply their fields."""
-        packed, even = getattr(self, "_divpolys", None), self.is_even()
-        if isinstance(packed, _Packed):
-            return packed.poly(lambda P: _cleared(
-                lambda k: _part(P, k, self.alpha, even), a, b, A, B))
-        return _cleared(lambda k: self.x_parts()[0] if k == "n" else
-                        self.u_part() if k == "u" else getattr(self, k), a, b, A, B)
+    def product(self, a, b, i, j):
+        """n^a * w^b * u^i * c^j, a MultiPoly in x: a term c0*x^a*y^b of an
+        equation clears, after x -> n/(c*u^2) and y -> w*y/(c^2*u^3), to
+        c0*y^b times such a product, with i and j set by the other terms
+        (preimages module docstring).  The maps multiplication_maps returns
+        build it from the x-parts (module docstring), reading no field;
+        maps given their fields read n, w and u from r, s and t, and refuse
+        an even alpha, whose c they do not keep."""
+        divpolys = getattr(self, "_divpolys", None)
+        if divpolys is not None:
+            even = self.is_even()
+            return divpolys.poly(lambda P: _product(
+                lambda k: _part(P, k, self.alpha, even), a, b, i, j))
+        if self.is_even():
+            raise ValueError("maps of even alpha given by their fields have no parts")
+        return _product({"n": self.r, "w": self.s, "u": self.t, "c": self.t ** 0}.get,
+                        a, b, i, j)
 
     def is_even(self):
         return self.alpha % 2 == 0
@@ -471,14 +475,6 @@ class MultiplicationMaps:
         if self.is_even():
             return self.r_tilde, self.t_tilde
         return self.r, self.t
-
-    def u_part(self):
-        """u of x_parts() alone, so that a caller that does not need the
-        x-map never builds n."""
-        return self.t_tilde if self.is_even() else self.t
-
-    def degrees(self):
-        return {"r": self.r.degree(), "s": self.s.degree(), "t": self.t.degree()}
 
 
 def multiplication_maps(alpha, curve=None):

@@ -6,22 +6,22 @@ satisfies the equations obtained by rewriting y_j^2 via the Weierstrass
 relations, then substituting the coordinate form of scalar
 multiplication, one form for either parity of alpha_j,
 
-    x_j -> n_j(x_j) / (u_j t_j)(x_j)
-    y_j -> s_j(x_j)*y_j / t_j(x_j)^3
+    x_j -> n_j(x_j) / (c_j u_j^2)(x_j)
+    y_j -> w_j(x_j)*y_j / (c_j^2 u_j^3)(x_j)
 
-with (n_j, u_j) = (r_j, t_j) for odd alpha_j and (r~_j, t~_j) for even
-alpha_j (curves.MultiplicationMaps.x_parts), which is linear in y_j, then
-clearing denominators and content.  Cleared, a term c*prod_j x_j^a_j y_j^b_j
-of an equation of top degrees A_j, B_j is c times the product over j of
-y_j^b_j and n_j^a_j (u_j t_j)^(A_j-a_j) s_j^b_j (t_j^3)^(B_j-b_j), which
-MultiplicationMaps.cleared builds in x_j alone.  The term so gains a factor
-q of t_j to the power dx*(A-a) + dy*(B-b) + ds*b, (dx, dy, ds) being the
-powers of q in u_j*t_j, t_j^3 and s_j: (2, 3, 0) for q = prim(u_j), and
-(1, 3, 1) for the cubic, a factor of t_j for even alpha_j only.  q^k, k
-least over the terms, is divided out once.  No higher power divides: the
-terms of least power differ in y_j-degree, and the maps are in lowest terms
-(Washington, Elliptic Curves, 3.2).  The result has primitive integer
-coefficients and leads positive.
+in the parts n_j, u_j, c_j, w_j of the maps (curves module docstring; c_j
+is the curve cubic for even alpha_j and 1 for odd alpha_j), which is
+linear in y_j, then clearing denominators and content in lowest terms.
+A term c*prod_j x_j^a_j y_j^b_j of an equation clears to c times the
+product over j of y_j^b_j and n_j^a_j w_j^b_j u_j^i_j c_j^k_j, which
+MultiplicationMaps.product builds in x_j alone.  Its weights 2a_j + 3b_j
+in u_j and a_j + 2b_j in c_j fall short of their greatest values over the
+terms by i_j and k_j, so that the least i_j and the least k_j are 0.  No
+factor of u_j or c_j divides the sum: the terms where the least is met
+differ in y_j-degree, n_j and w_j are coprime to u_j, and n_j and u_j to
+c_j (Washington, Elliptic Curves, 3.2).  The equation is the primitive
+part of the sum, with integer coefficients and a positive leading one;
+nothing is divided.
 
 The equations present the preimage away from the excluded locus
 {t_j(x_j) = 0 for some j} — the x-coordinates of the kernel of [alpha_j]
@@ -31,8 +31,7 @@ membership_test refuses points on that locus rather than answer wrongly.
 
 from .curves import evaluate_multiplication_map, multiplication_maps
 from .isogenies import DiagonalIsogeny
-from .polynomials import (MultiPoly, _merge, exact_divide_univariate, integer_primitive,
-                          reduce_weierstrass)
+from .polynomials import MultiPoly, _merge, integer_primitive, reduce_weierstrass
 from .products import (SubvarietyPresentation, preimage_multidegrees)
 
 
@@ -74,6 +73,12 @@ class PreimagePresentation:
                 % (list(self.isogeny.alphas), len(self.equations)))
 
 
+def _require_arity(system, isogeny):
+    if isogeny.n_factors != system.n_factors:
+        raise ValueError("isogeny has %d components, product has %d factors"
+                         % (isogeny.n_factors, system.n_factors))
+
+
 def generate_preimage(V, isogeny):
     """Equations, excluded locus, and multidegrees of phi^(-1)(V)."""
     if not isinstance(V, SubvarietyPresentation):
@@ -81,9 +86,7 @@ def generate_preimage(V, isogeny):
     if not isinstance(isogeny, DiagonalIsogeny):
         raise TypeError("isogeny must be a DiagonalIsogeny")
     system = V.system
-    if isogeny.n_factors != system.n_factors:
-        raise ValueError("isogeny has %d components, product has %d factors"
-                         % (isogeny.n_factors, system.n_factors))
+    _require_arity(system, isogeny)
     ring = system.ring
     relations = system.weierstrass_relations()
     reduced = [reduce_weierstrass(f, relations) for f in V.equations]
@@ -91,51 +94,35 @@ def generate_preimage(V, isogeny):
         if not g:
             raise PreimageDegenerateError("equation %s lies in the Weierstrass ideal" % (f,))
     maps_of = []  # (x_j and y_j indices, maps) per factor
-    factors = []  # (x_j and y_j indices, q, powers of q in u_j*t_j, t_j^3, s_j)
     excluded = []
     for j, (alpha, curve) in enumerate(zip(isogeny.alphas, system.curves), start=1):
         maps = multiplication_maps(alpha, curve)
         xj = "x%d" % j
-        at = (ring.index(xj), ring.index("y%d" % j))
-        maps_of.append((at, maps))
+        maps_of.append(((ring.index(xj), ring.index("y%d" % j)), maps))
         if abs(alpha) != 1:
             t = integer_primitive(maps.t)[1].embed(ring, {"x": xj})
             excluded.append({"j": j, "alpha": alpha, "t": t})
-            # t is u (odd alpha) or the cubic times u (even alpha, where the
-            # two are coprime); u is constant only for alpha = +-2
-            u = maps.u_part()
-            if u is maps.t:
-                factors.append((at, t, (2, 3, 0)))
-            else:
-                if not u.is_constant():
-                    factors.append((at, integer_primitive(u)[1].embed(ring, {"x": xj}),
-                                    (2, 3, 0)))
-                factors.append((at, relations[j - 1][1], (1, 3, 1)))
 
-    equations, cleared = [], {}  # cleared: (x_j index, a, b, A, B) -> terms
+    equations, products = [], {}  # products: (x_j index, a, b, i, k) -> terms
     for f in reduced:
-        top = list(map(max, zip(*f.terms)))  # f's top degree in each variable
+        # the greatest weights of f's terms in u_j and c_j (module docstring)
+        tops = [(max(2 * e[ix] + 3 * e[iy] for e in f.terms),
+                 max(e[ix] + 2 * e[iy] for e in f.terms)) for (ix, iy), _ in maps_of]
         num = {}
         for e, c in f.terms.items():
             # c * prod_j x_j^a_j y_j^b_j clears to c times the outer product
-            # over j of the cleared products in x_j times y_j^b_j (ring order)
+            # over j of the products of parts in x_j times y_j^b_j (ring order)
             rows = [((), c)]
-            for (ix, iy), maps in maps_of:
-                key = (ix, e[ix], e[iy], top[ix], top[iy])
-                if key not in cleared:
-                    cleared[key] = [(i, d) for (i, _, _), d in
-                                    maps.cleared(*key[1:]).terms.items()]
-                rows = [(k + (i, e[iy]), c1 * d) for k, c1 in rows for i, d in cleared[key]]
+            for ((ix, iy), maps), (tu, tc) in zip(maps_of, tops):
+                a, b = e[ix], e[iy]
+                key = (ix, a, b, tu - 2 * a - 3 * b, tc - a - 2 * b)
+                if key not in products:
+                    products[key] = [(i, d) for (i, _, _), d in
+                                     maps.product(*key[1:]).terms.items()]
+                rows = [(r + (i, b), c1 * d) for r, c1 in rows for i, d in products[key]]
             _merge(num, rows)
         # never 0: the images of the x_j and y_j are algebraically independent
-        num = integer_primitive(MultiPoly._trusted(ring, num))[1]
-        # divide out q^k, the power the terms force (module docstring); the
-        # quotient stays primitive and leads positive, as q does (Gauss)
-        for (ix, iy), q, (dx, dy, ds) in factors:
-            k = min(dx * (top[ix] - e[ix]) + dy * (top[iy] - e[iy]) + ds * e[iy]
-                    for e in f.terms)
-            num = exact_divide_univariate(num, q ** k) if k else num
-        equations.append(num)
+        equations.append(integer_primitive(MultiPoly._trusted(ring, num))[1])
     table = preimage_multidegrees(V.degrees, isogeny)
     return PreimagePresentation(V, isogeny, equations, excluded, table)
 
@@ -143,6 +130,7 @@ def generate_preimage(V, isogeny):
 def apply_isogeny(system, isogeny, points):
     """Image of a tuple of points under [alpha_1, ..., alpha_N], using the
     coordinate formulas with group-law fallback on the kernel."""
+    _require_arity(system, isogeny)
     if len(points) != system.n_factors:
         raise ValueError("expected %d points, got %d"
                          % (system.n_factors, len(points)))

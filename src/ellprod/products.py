@@ -222,12 +222,17 @@ def preimage_degree(V, isogeny):
 def preimage_degree_curve(d, j, alpha):
     """Curve shortcut: preimage of a curve with multidegrees (d_1, ..., d_N)
     under [1, ..., alpha, ..., 1] (alpha in slot j, 1-based) has degree
-    d_j + alpha^2 * sum_{i != j} d_i."""
+    d_j + alpha^2 * sum_{i != j} d_i.  A negative d_i and alpha = 0 are
+    refused, as MultiDegreeTable and DiagonalIsogeny refuse them."""
     d = [require_int(v, "degree") for v in d]
     j = require_int(j, "j")
     if not 1 <= j <= len(d):
         raise ValueError("slot j=%d out of range 1..%d" % (j, len(d)))
+    _complete_table({tuple(int(i == k) for i in range(len(d))): v for k, v in enumerate(d)},
+                    len(d), 1)
     alpha = require_int(alpha, "alpha")
+    if alpha == 0:
+        raise ValueError("zero component is not an isogeny")
     return d[j - 1] + alpha ** 2 * (sum(d) - d[j - 1])
 
 

@@ -286,7 +286,7 @@ LAZY_ORDERS = {
     "s first": ("s", "r_tilde", "t", "r", "t_tilde"),
     "x_parts first": ("x_parts", "s", "t", "r", "r_tilde", "t_tilde"),
     "t~ first": ("t_tilde", "t", "r", "r_tilde", "s"),
-    "cleared first": ("cleared", "s", "t", "x_parts"),
+    "product first": ("product", "s", "t", "x_parts"),
 }
 
 
@@ -299,13 +299,12 @@ def test_lazy_fields_do_not_depend_on_the_order_of_reading(curve):
         for order in LAZY_ORDERS.values():
             maps = multiplication_maps(alpha, curve)
             for f in order:
-                if f == "cleared":  # builds n and s at widths of their own
-                    maps.cleared(2, 1, 2, 1)
+                if f == "product":  # builds n, w, u and c at widths of their own
+                    maps.product(2, 1, 3, 2)
                 else:
                     maps.x_parts() if f == "x_parts" else getattr(maps, f)
             assert {f: getattr(maps, f) for f in MAP_FIELDS} == want, (alpha, order)
             assert maps.x_parts() == ref.x_parts()
-            assert maps.u_part() is maps.x_parts()[1]
             if alpha % 2:
                 assert maps.x_parts()[1] is maps.t
             else:
@@ -343,9 +342,9 @@ def _coprime(a, b):
 
 @pytest.mark.parametrize("curve", LAZY_CURVES + [WeierstrassCurve(-45, 53)], ids=repr)
 def test_maps_are_in_lowest_terms_at_each_factor_of_t(curve):
-    # the facts behind the exponent rule of generate_preimage: prim(u) is
-    # coprime to n and s, and for even alpha the cubic divides s exactly
-    # once and is coprime to n and u (the 30-digit golden curve is left
+    # the facts behind the lowest terms of generate_preimage: prim(u) is
+    # coprime to n and s, so to w, and for even alpha the cubic c divides s
+    # exactly once and is coprime to n and u (the 30-digit golden curve is left
     # out: its maps up to alpha = 12 take seconds to build)
     c3 = C3.specialize({"A": curve.A, "B": curve.B})
     for alpha in [a for k in range(2, 13) for a in (k, -k)]:
@@ -386,76 +385,88 @@ def test_curve_divpolys_equal_specialized_symbolic_ones(E):
 
 
 ALPHAS_TO_9 = [a for k in range(1, 10) for a in (k, -k)]
-# (a, b, A, B) for a term x^a y^b of an equation of top degrees A and B:
-# first the two denominators u*t and t^3.  Only the first five are cheap to
-# check on symbolic maps, and the first seven on curves with 30- and
-# 40-digit coefficients: the others multiply out powers of t of degree up
-# to 7*80.
-DENOMINATORS = [(0, 0, 1, 0), (0, 0, 0, 1)]
-CLEARED_CASES = DENOMINATORS + [
-    (0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1), (0, 1, 1, 1),
-    (0, 0, 2, 1), (2, 1, 2, 1), (1, 0, 2, 1), (3, 0, 3, 0), (0, 0, 1, 2)]
+# (a, b, i, j) for the product n^a w^b u^i c^j: first the denominators c*u^2
+# of the x-map and c^2*u^3 of the y-map, then products that clear a term
+# x^a y^b of a small equation.  Only the first five are cheap to check on
+# symbolic maps, and the first seven on curves with 30- and 40-digit
+# coefficients: the others multiply out powers of u of degree up to 8*40.
+DENOMINATORS = [(0, 0, 2, 1), (0, 0, 3, 2)]
+PRODUCT_CASES = DENOMINATORS + [
+    (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 1, 2, 1),
+    (0, 0, 7, 4), (2, 1, 0, 0), (1, 0, 5, 3), (3, 0, 0, 0), (0, 0, 8, 5)]
 
 
-def _check_cleared(maps, cases):
-    # maps.cleared against the MultiPoly product of the fields, for the
-    # maps as given and for maps built from their fields
+def _check_product(maps, cases):
+    # maps.product against the MultiPoly product of the parts read from the
+    # fields: n and u from x_parts(), c = t/u and w = s/c; maps built from
+    # their fields give the same for odd alpha, and keep no c for even alpha
     n, u = maps.x_parts()
+    c = exact_divide(maps.t, u)
+    w = exact_divide(maps.s, c)
     rebuilt = MultiplicationMaps(maps.alpha, maps.r, maps.s, maps.t,
                                  maps.r_tilde, maps.t_tilde)
-    for a, b, A, B in cases:
-        want = n ** a * (u * maps.t) ** (A - a) * maps.s ** b * (maps.t ** 3) ** (B - b)
-        assert maps.cleared(a, b, A, B) == want, (maps.alpha, a, b, A, B)
-        assert rebuilt.cleared(a, b, A, B) == want, (maps.alpha, a, b, A, B)
+    for a, b, i, j in cases:
+        want = n ** a * w ** b * u ** i * c ** j
+        assert maps.product(a, b, i, j) == want, (maps.alpha, a, b, i, j)
+        if maps.is_even():
+            with pytest.raises(ValueError, match="given by their fields have no parts"):
+                rebuilt.product(a, b, i, j)
+        else:
+            assert rebuilt.product(a, b, i, j) == want, (maps.alpha, a, b, i, j)
 
 
 @pytest.mark.parametrize("curve", [E01] + MAP_CURVES + [None], ids=repr)
 def test_denominators_are_u_t_and_t_cubed(curve):
     for alpha in ALPHAS_TO_9:
-        _check_cleared(multiplication_maps(alpha, curve), DENOMINATORS)
+        maps = multiplication_maps(alpha, curve)
+        _check_product(maps, DENOMINATORS)
+        # c*u^2 = u*t, and c^2*u^3 is t^3 over c, which s = c*w carries
+        assert maps.product(0, 0, 2, 1) == maps.x_parts()[1] * maps.t, alpha
+        assert maps.product(0, 0, 3, 3) == maps.t ** 3, alpha
     maps = multiplication_maps(4, curve)
-    with pytest.raises(ValueError, match="even alpha need r_tilde and t_tilde"):
-        MultiplicationMaps(4, maps.r, maps.s, maps.t)
+    for fields in ((), (None, maps.t_tilde), (maps.r_tilde, None)):
+        with pytest.raises(ValueError, match="even alpha need r_tilde and t_tilde"):
+            MultiplicationMaps(4, maps.r, maps.s, maps.t, *fields)
 
 
 @settings(max_examples=25, deadline=None)
 @given(nonsingular_curves, st.sampled_from(ALPHAS_TO_9))
 def test_curve_denominators_are_u_t_and_t_cubed(E, alpha):
-    _check_cleared(multiplication_maps(alpha, E), DENOMINATORS)
+    _check_product(multiplication_maps(alpha, E), DENOMINATORS)
 
 
 @pytest.mark.parametrize("curve", [E01, MAP_CURVES[0], None], ids=repr)
-def test_cleared_products_are_products_of_the_fields(curve):
+def test_products_of_parts_match_the_fields(curve):
     for alpha in ALPHAS_TO_9:
-        _check_cleared(multiplication_maps(alpha, curve), CLEARED_CASES[2:5] if curve is None
-                       else CLEARED_CASES[2:])
+        _check_product(multiplication_maps(alpha, curve), PRODUCT_CASES[2:5] if curve is None
+                       else PRODUCT_CASES[2:])
 
 
-def test_cleared_products_on_the_30_digit_golden_curve():
-    # one case per multiplier: the products of the fields take seconds here
+def test_products_of_parts_on_the_30_digit_golden_curve():
+    # one case per multiplier: the products of the parts take seconds here
     for i, alpha in enumerate(ALPHAS_TO_9):
-        _check_cleared(multiplication_maps(alpha, MAP_CURVES[1]), [CLEARED_CASES[2 + i % 5]])
+        _check_product(multiplication_maps(alpha, MAP_CURVES[1]), [PRODUCT_CASES[2 + i % 5]])
 
 
-def test_cleared_reads_no_field_of_a_curve_map(monkeypatch):
+def test_product_reads_no_field_of_a_curve_map(monkeypatch):
     # the packed route builds each product from the x-parts alone
     def refused(maps, name):
         raise AssertionError("field %s was built" % name)
 
     for alpha in (3, -4):
         maps = multiplication_maps(alpha, E01)
-        want = maps.r_tilde if alpha % 2 == 0 else maps.r
+        want = maps.x_parts()[0], maps.s
         maps = multiplication_maps(alpha, E01)
         monkeypatch.setattr(MultiplicationMaps, "_field", refused)
-        assert maps.cleared(1, 0, 1, 0) == want
+        assert (maps.product(1, 0, 0, 0), maps.product(0, 1, 0, 1)) == want
         monkeypatch.undo()
 
 
 @settings(max_examples=20, deadline=None)
-@given(nonsingular_curves, st.sampled_from(ALPHAS_TO_9), st.sampled_from(CLEARED_CASES[2:7]))
-def test_curve_cleared_products_are_products_of_the_fields(E, alpha, case):
+@given(nonsingular_curves, st.sampled_from(ALPHAS_TO_9), st.sampled_from(PRODUCT_CASES[2:7]))
+def test_curve_products_of_parts_match_the_fields(E, alpha, case):
     # 40-digit coefficients stress the width proven from the L1 norms
-    _check_cleared(multiplication_maps(alpha, E), [case])
+    _check_product(multiplication_maps(alpha, E), [case])
 
 
 # ---------------------------------------------------------------------------

@@ -81,12 +81,11 @@ def test_preimage_1_5_equation():
 
 
 @pytest.mark.parametrize("alphas, built", [
-    # the cleared products of y2 - x1^3 come from the packed recurrence, so
-    # each factor builds only the fields of its excluded locus and its
-    # factors q: t, and u = t~ for even alpha
+    # the products of parts of y2 - x1^3 come from the packed recurrence,
+    # so each factor builds only t, the field of its excluded locus
     ([3, 5], [{"t"}, {"t"}]),
-    ([2, 4], [{"t_tilde", "t"}, {"t_tilde", "t"}]),
-    ([-3, 2], [{"t"}, {"t_tilde", "t"}]),
+    ([2, 4], [{"t"}, {"t"}]),
+    ([-3, 2], [{"t"}, {"t"}]),
 ])
 def test_preimage_builds_only_the_map_fields_its_bindings_use(monkeypatch, alphas, built):
     from ellprod.curves import MultiplicationMaps
@@ -164,7 +163,7 @@ def _trial_division_reference(V, isogeny):
     return equations
 
 
-def test_exponent_rule_agrees_with_trial_division():
+def test_lowest_terms_agree_with_trial_division():
     # seeded random equations in E x F of 1 to 5 terms, each exponent at
     # most 2 (so y^2 is reduced first), under multipliers in +-1..4
     rng = random.Random(2023)
@@ -316,6 +315,12 @@ def test_apply_isogeny():
     assert img[1] == Q
     with pytest.raises(ValueError):
         apply_isogeny(sysm, phi, [P])
+    # an isogeny of another arity is refused, neither indexed past its end
+    # nor cut short
+    for alphas in ([2], [2, 1, 5]):
+        with pytest.raises(ValueError, match="isogeny has %d components, product has 2 "
+                                             "factors" % len(alphas)):
+            apply_isogeny(sysm, DiagonalIsogeny(alphas), [P, Q])
 
 
 def test_membership_matches_semantic_preimage():

@@ -155,6 +155,11 @@ def test_preimage_degree_curve_shortcut():
     assert preimage_degree_curve([9, 18], 2, 5) == 18 + 25 * 9
     with pytest.raises(ValueError):
         preimage_degree_curve([9, 18], 3, 2)
+    # the inputs MultiDegreeTable and DiagonalIsogeny refuse, refused alike
+    with pytest.raises(ValueError, match="zero component is not an isogeny"):
+        preimage_degree_curve([9, 6], 1, 0)
+    with pytest.raises(ValueError, match=r"negative multidegree at \(1, 0\)"):
+        preimage_degree_curve([-5, 6], 1, 2)
 
 
 def test_both_degree_paths_agree():
