@@ -16,10 +16,8 @@ __version__ = "0.1.0"
 # submodule -> the public names it exports at package level
 _EXPORTS = {
     "arith": (),
-    "polynomials": ("ExactDivisionError", "MultiPoly", "ParseError",
-                    "exact_divide", "exact_divide_univariate",
-                    "integer_primitive", "parse_poly", "reduce_weierstrass",
-                    "substitute"),
+    "polynomials": ("MultiPoly", "ParseError", "integer_primitive",
+                    "parse_poly", "reduce_weierstrass"),
     "curves": ("CurvePoint", "KernelPointError", "MultiplicationMaps",
                "SingularCurveError", "WeierstrassCurve", "add_points",
                "division_polynomial", "evaluate_multiplication_map",

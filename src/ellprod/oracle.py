@@ -195,17 +195,6 @@ def poly_mod(poly, p, names):
     return out
 
 
-def eval_mod(reduced, values, p):
-    acc = 0
-    for c, e in reduced:
-        t = c
-        for v, k in zip(values, e):
-            if k:
-                t = t * pow(v, k, p) % p
-        acc = (acc + t) % p
-    return acc
-
-
 def _dense_mod(poly, p, name):
     """A polynomial in one variable as a mod-p coefficient list, constant
     term first, for _values."""

@@ -158,7 +158,6 @@ def _rational_entry_point_calls():
         "const_bool": lambda: polynomials.MultiPoly.const(ring, True),
         "coefficient": lambda: polynomials.MultiPoly(ring, {(1, 0): 0.5}),
         "evaluate": lambda: x.evaluate({"x": 0.5}),
-        "specialize": lambda: x.specialize({"x": 0.25}),
         "point_x": lambda: curves.CurvePoint(0.1, 2),
         "point_y": lambda: curves.CurvePoint(2, 3.0),
         "rhs": lambda: E.rhs(0.5),

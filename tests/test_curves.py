@@ -21,7 +21,8 @@ from ellprod.curves import (
     negate_point,
     scalar_mul_point,
 )
-from ellprod.polynomials import MultiPoly, exact_divide, integer_primitive, parse_poly
+from ellprod.polynomials import MultiPoly, integer_primitive, parse_poly
+from reference import exact_divide, specialize
 from strategies import nonsingular_curves
 
 E01 = WeierstrassCurve(0, 1)
@@ -346,7 +347,7 @@ def test_maps_are_in_lowest_terms_at_each_factor_of_t(curve):
     # coprime to n and s, so to w, and for even alpha the cubic c divides s
     # exactly once and is coprime to n and u (the 30-digit golden curve is left
     # out: its maps up to alpha = 12 take seconds to build)
-    c3 = C3.specialize({"A": curve.A, "B": curve.B})
+    c3 = specialize(C3, {"A": curve.A, "B": curve.B})
     for alpha in [a for k in range(2, 13) for a in (k, -k)]:
         maps = multiplication_maps(alpha, curve)
         n, u = maps.x_parts()
@@ -365,14 +366,14 @@ def test_curve_maps_equal_specialized_symbolic_maps(E, alpha):
     got = multiplication_maps(alpha, E)
     for f in MAP_FIELDS:
         want = getattr(_symbolic_maps(alpha), f)
-        want = None if want is None else want.specialize(coeffs)
+        want = None if want is None else specialize(want, coeffs)
         assert getattr(got, f) == want, f
     # s by the division the bracket formula replaces: P_2a / (2 P_a),
     # times the cubic for even a
     a = abs(alpha)
     core = exact_divide(division_polynomial(2 * a, E), 2 * division_polynomial(a, E))
     if a % 2 == 0:
-        core = core * C3.specialize(coeffs)
+        core = core * specialize(C3, coeffs)
     assert got.s == (core if alpha > 0 else -core)
 
 
@@ -381,7 +382,7 @@ def test_curve_maps_equal_specialized_symbolic_maps(E, alpha):
 def test_curve_divpolys_equal_specialized_symbolic_ones(E):
     coeffs = {"A": E.A, "B": E.B}
     for m in range(15):
-        assert division_polynomial(m, E) == division_polynomial(m).specialize(coeffs), m
+        assert division_polynomial(m, E) == specialize(division_polynomial(m), coeffs), m
 
 
 ALPHAS_TO_9 = [a for k in range(1, 10) for a in (k, -k)]

@@ -15,7 +15,6 @@ from ellprod.oracle import (
     PrimeFieldCtx,
     add_points_mod,
     enumerate_points,
-    eval_mod,
     poly_mod,
     scalar_mul_mod,
     verify_maps_vs_group_law,
@@ -29,6 +28,7 @@ from ellprod.products import (
     SubvarietyPresentation,
     make_cn_curve,
 )
+from reference import eval_mod
 
 E01 = WeierstrassCurve(0, 1)
 C3 = make_cn_curve(E01, E01, 3)

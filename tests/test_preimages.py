@@ -10,14 +10,10 @@ from ellprod.curves import CurvePoint, WeierstrassCurve, multiplication_maps
 from ellprod.isogenies import DiagonalIsogeny
 from ellprod.oracle import PrimeFieldCtx, verify_preimage_membership
 from ellprod.polynomials import (
-    ExactDivisionError,
     MultiPoly,
-    exact_divide,
-    exact_divide_univariate,
     integer_primitive,
     parse_poly,
     reduce_weierstrass,
-    substitute,
 )
 from ellprod.preimages import (
     ExcludedLocusError,
@@ -32,6 +28,12 @@ from ellprod.products import (
     SubvarietyPresentation,
     make_cn_curve,
     preimage_multidegrees,
+)
+from reference import (
+    ExactDivisionError,
+    exact_divide,
+    exact_divide_univariate,
+    substitute,
 )
 from strategies import nonsingular_curves
 
