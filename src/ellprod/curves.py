@@ -13,27 +13,28 @@ n/(u*t) and the y-map s*y/t^3 for either parity; x_parts() gives (n, u).
 Division polynomials are stored with y^2 eliminated: psi_m = y^(m+1 mod 2)
 * P_m(x, A, B), and this module works with the x-parts P_m throughout.
 
-One psi recurrence, its seeds P_0..P_4, the formulas of the parts and
+One psi recurrence, its seeds P_-1..P_4, the formulas of the parts and
 their products n^a w^b u^i c^j are each written once, generic over the
-element type.  Symbolic maps run the recurrence on MultiPoly in (x, A,
-B).  The maps of a given curve run it on Python ints, each the value at
-x = 2^w of a polynomial in Z[x] (A and B the curve's integers).  That
-evaluation is a ring homomorphism Z[x] -> Z (Kronecker substitution), so
-each product of polynomials is one product of ints and the exact
-halvings are shifts.  A value is unpacked into a MultiPoly once, when a
-caller reads it, from slots of w bits, a multiple of 8, proven from an
-upper bound on its L1 norm (|fg| <= |f||g|, |f +- g| <= |f| + |g|) that
-the same formula computes from the norms of the seeds; intermediate
-values need no width, since evaluation is exact.
+element type, and build the maps of every alpha != 0.  Symbolic maps run
+the recurrence on MultiPoly in (x, A, B).  The maps of a given curve run
+it on Python ints, each the value at x = 2^w of a polynomial in Z[x] (A
+and B the curve's integers).  That evaluation is a ring homomorphism
+Z[x] -> Z (Kronecker substitution), so each product of polynomials is
+one product of ints and the exact halvings are shifts.  A value is
+unpacked into a MultiPoly once, when a caller reads it, from slots of w
+bits, a multiple of 8, proven from an upper bound on its L1 norm (|fg|
+<= |f||g|, |f +- g| <= |f| + |g|) that the same formula computes from
+the norms of the seeds; intermediate values need no width, since
+evaluation is exact.
 The recurrence runs at the width of the x-parts a map reads, and a value
 that needs more gets those x-parts repacked at its own width.  The packed
 int never leaves this module: MultiPoly stays the one polynomial type
 callers see.  Neither path divides: w = P_2alpha / (2 P_alpha) is taken
 from the bracket (P_{alpha+2} P_{alpha-1}^2 - P_{alpha-2} P_{alpha+1}^2) / 4
 of the recurrence (Washington, Elliptic Curves: Number Theory and
-Cryptography, section 3.2).  The maps multiplication_maps returns build
-each field on first access and keep it, and build each product of parts
-without any field, so a caller pays only for what it reads.
+Cryptography, section 3.2).  The maps build each field on first access
+and keep it, and build each product of parts without any field, so a
+caller pays only for what it reads.
 
 The coordinate formulas are undefined exactly where t(x) = 0, on the
 affine kernel of [alpha]; evaluation there raises KernelPointError, and
@@ -179,8 +180,6 @@ def scalar_mul_point(curve, n, P):
 # Schönhage, ICALP 1982); and _L1, an upper bound on the L1 norm of such
 # a polynomial, from which w is taken.
 
-_X = MultiPoly.var(RING_XAB, "x")
-
 
 class _L1(int):
     """An upper bound on the L1 norm (sum of absolute coefficients) of a
@@ -217,9 +216,10 @@ def _shr(v, k):
 
 
 def _seeds(x, A, B):
-    """{m: P_m} for m = 0..4, in the element type of x."""
+    """{m: P_m} for m = -1..4, in the element type of x: P_-1 = -1, since
+    psi_-m = -psi_m, lets the part formulas run at |alpha| = 1."""
     one = x ** 0
-    return {0: 0 * x, 1: one, 2: 2 * one,
+    return {-1: -one, 0: 0 * x, 1: one, 2: 2 * one,
             3: 3 * x ** 4 + 6 * A * x ** 2 + 12 * B * x - A ** 2,
             4: 4 * (x ** 6 + 5 * A * x ** 4 + 20 * B * x ** 3
                     - 5 * A ** 2 * x ** 2 - 4 * A * B * x
@@ -341,7 +341,7 @@ class _Packed:
 def _symbolic():
     """The x-parts in Z[x, A, B], built on first use and memoised for the
     process."""
-    return _Recurrence(_X, MultiPoly.var(RING_XAB, "A"), MultiPoly.var(RING_XAB, "B"))
+    return _Recurrence(*(MultiPoly.var(RING_XAB, v) for v in RING_XAB))
 
 
 def _divpolys(curve, low, high):
@@ -367,30 +367,22 @@ def division_polynomial(m, curve=None):
 # -- scalar multiplication in coordinates --------------------------------
 
 
-def _part(P, name, alpha, even):
-    """Part name of [alpha], |alpha| = a >= 2, in the x-parts P, x and the
-    cubic c3: u = P_a; c = c3 for even a, else 1; n as below; and w from
-    the bracket, with the sign of alpha."""
-    a = abs(alpha)
-    if name == "w":
-        w = _shr(P(a + 2) * P(a - 1) ** 2 - P(a - 2) * P(a + 1) ** 2, 2)
-        return -w if alpha < 0 else w
-    if name == "n":
-        if even:
-            return P.x * P.c3 * P(a) ** 2 - P(a - 1) * P(a + 1)
-        return P.x * P(a) ** 2 - P.c3 * P(a - 1) * P(a + 1)
-    if name == "c":
-        return P.c3 if even else P.x ** 0
-    return P(a)
-
-
-def _product(part, a, b, i, j):
-    """n^a w^b u^i c^j in any element type, from part(name) for name in n,
-    w, u and c; n, w and u are read only at a positive power."""
-    out = part("c") ** j
-    for name, k in (("n", a), ("w", b), ("u", i)):
-        if k:
-            out = out * part(name) ** k
+def _product(P, alpha, a, b, i, j):
+    """n^a w^b u^i c^j of [alpha], alpha != 0 and k = |alpha|, in the
+    x-parts P, x and the cubic c3: u = P_k; c = c3 for even k, else 1; n
+    as below; and w from the bracket, with the sign of alpha.  n, w and u
+    are built only at a positive power."""
+    k = abs(alpha)
+    out = (P.x ** 0 if k % 2 else P.c3) ** j
+    if a:
+        n = (P.x * P(k) ** 2 - P.c3 * P(k - 1) * P(k + 1) if k % 2
+             else P.x * P.c3 * P(k) ** 2 - P(k - 1) * P(k + 1))
+        out = out * n ** a
+    if b:
+        w = _shr(P(k + 2) * P(k - 1) ** 2 - P(k - 2) * P(k + 1) ** 2, 2)
+        out = out * (-w if alpha < 0 else w) ** b
+    if i:
+        out = out * P(k) ** i
     return out
 
 
@@ -409,30 +401,16 @@ class MultiplicationMaps:
     c and w (module docstring); with (n, u) = x_parts(), the x-map is
     n/(u*t) and the y-map s*y/t^3 for either parity of alpha.
 
-    The maps that multiplication_maps returns build each field on first
-    access and keep it; the values do not depend on the order of reading.
+    Each field is built from the x-parts on first access and kept; the
+    values do not depend on the order of reading.
     """
 
     __slots__ = ("alpha",) + tuple(_FIELDS) + ("_divpolys",)
 
-    def __init__(self, alpha, r, s, t, r_tilde=None, t_tilde=None):
+    def __init__(self, alpha, divpolys):
+        """[alpha], alpha != 0, on x-parts holding P_|alpha|-2..P_|alpha|+2."""
         self.alpha = alpha
-        self.r = r
-        self.s = s
-        self.t = t
-        self.r_tilde = r_tilde
-        self.t_tilde = t_tilde
-        if None in self.x_parts():
-            raise ValueError("maps of even alpha need r_tilde and t_tilde")
-
-    @classmethod
-    def _from_divpolys(cls, alpha, divpolys):
-        """Maps of [alpha], |alpha| >= 2, whose fields are built on first
-        access from the x-parts divpolys (see _divpolys)."""
-        maps = object.__new__(cls)
-        maps.alpha = alpha
-        maps._divpolys = divpolys
-        return maps
+        self._divpolys = divpolys
 
     def __getattr__(self, name):
         # reached only for a field not built yet (or an unknown name)
@@ -443,7 +421,7 @@ class MultiplicationMaps:
         return value
 
     def _field(self, name):
-        """One field of [alpha], |alpha| >= 2: its product of parts."""
+        """One field of [alpha]: its product of parts."""
         if name in ("r_tilde", "t_tilde") and not self.is_even():
             return None
         return self.product(*_FIELDS[name])
@@ -452,19 +430,9 @@ class MultiplicationMaps:
         """n^a * w^b * u^i * c^j, a MultiPoly in x: a term c0*x^a*y^b of an
         equation clears, after x -> n/(c*u^2) and y -> w*y/(c^2*u^3), to
         c0*y^b times such a product, with i and j set by the other terms
-        (preimages module docstring).  The maps multiplication_maps returns
-        build it from the x-parts (module docstring), reading no field;
-        maps given their fields read n, w and u from r, s and t, and refuse
-        an even alpha, whose c they do not keep."""
-        divpolys = getattr(self, "_divpolys", None)
-        if divpolys is not None:
-            even = self.is_even()
-            return divpolys.poly(lambda P: _product(
-                lambda k: _part(P, k, self.alpha, even), a, b, i, j))
-        if self.is_even():
-            raise ValueError("maps of even alpha given by their fields have no parts")
-        return _product({"n": self.r, "w": self.s, "u": self.t, "c": self.t ** 0}.get,
-                        a, b, i, j)
+        (preimages module docstring).  It is built from the x-parts
+        (module docstring), reading no field."""
+        return self._divpolys.poly(lambda P: _product(P, self.alpha, a, b, i, j))
 
     def is_even(self):
         return self.alpha % 2 == 0
@@ -482,18 +450,16 @@ def multiplication_maps(alpha, curve=None):
 
     Symbolic maps come from the division polynomials in Z[x, A, B]; a
     curve's maps are built on its own integer coefficients, and equal the
-    symbolic ones with A and B specialized.  Each field is built when
-    first read.  alpha = 0 has no coordinate description (constant
-    infinity) and is rejected.  Negative alpha flips the sign of s only.
+    symbolic ones with A and B specialized.  Every alpha != 0 runs the
+    same recurrence from the seeds P_-1..P_4, alpha = +-1 included (n = x,
+    u = c = 1, w = +-1).  Each field is built when first read.  alpha = 0
+    has no coordinate description (constant infinity) and is rejected.
+    Negative alpha flips the sign of s only.
     """
     alpha = require_int(alpha, "alpha")
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    if abs(alpha) == 1:
-        s, t = MultiPoly.const(RING_XAB, 1), MultiPoly.const(RING_XAB, 1)
-        return MultiplicationMaps(alpha, _X, s if alpha > 0 else -s, t)
-    a = abs(alpha)
-    return MultiplicationMaps._from_divpolys(alpha, _divpolys(curve, a - 2, a + 2))
+    return MultiplicationMaps(alpha, _divpolys(curve, abs(alpha) - 2, abs(alpha) + 2))
 
 
 @cache

@@ -345,13 +345,17 @@ def bezout_intersection_bounds(deg_pre, h2_pre, deg_b, h2_b, dim_b, n_factors,
     deg_phi = require_int(deg_phi, "deg_phi")
     if deg_phi < 1:
         raise ValueError("deg_phi must be >= 1")
+    if deg_pre < 1 or deg_b < 1:
+        raise ValueError("deg_pre and deg_b must be >= 1")
     if n_factors < 1:  # 3^N - 1 is no integer for N < 0
         raise ValueError("need at least one factor")
     _refuse_long("3^N - 1", 3, n_factors)
-    c = c0(1, dim_b, 3 ** n_factors - 1, prec=prec)
-    with _prec(prec):
-        trivial = upper_endpoint(iv.mpf(deg_pre) * _ivq(h2_b)
-                                 + iv.mpf(deg_b) * _ivq(h2_pre)
+    with _prec(_checked(prec)):
+        h2_pre, h2_b = _ivq(h2_pre), _ivq(h2_b)
+        if h2_pre < 0 or h2_b < 0:
+            raise ValueError("h2_pre and h2_b must be nonnegative")
+        c = c0(1, dim_b, 3 ** n_factors - 1, prec=prec)
+        trivial = upper_endpoint(iv.mpf(deg_pre) * h2_b + iv.mpf(deg_b) * h2_pre
                                  + iv.mpf(c) * iv.mpf(deg_pre) * iv.mpf(deg_b))
         improved = upper_endpoint(iv.mpf(trivial) / iv.mpf(deg_phi))
         return trivial, improved

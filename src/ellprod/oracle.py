@@ -97,12 +97,18 @@ class PrimeFieldCtx:
                 raise BadReductionError("p = %d divides multiplier %d"
                                         % (self.p, a))
 
-    def affine_points(self, curve_index):
-        """The affine F_p points of one factor, in enumerate_points order.
-        A curve_index that is not an int in range(len(curves)) is refused."""
+    def reduced(self, curve_index):
+        """(A mod p, B mod p) of one factor.  A curve_index that is not an
+        int in range(len(curves)) is refused; every lookup by factor runs
+        this first."""
         if not 0 <= require_int(curve_index, "curve_index") < len(self.curves_mod):
             raise ValueError("no factor %d in a product of %d curves"
                              % (curve_index, len(self.curves_mod)))
+        return self.curves_mod[curve_index]
+
+    def affine_points(self, curve_index):
+        """The affine F_p points of one factor, in enumerate_points order."""
+        self.reduced(curve_index)  # checks curve_index
         pts = self._points.get(curve_index)
         if pts is None:
             pts = [P for P in enumerate_points(self, curve_index) if P is not None]
@@ -116,7 +122,7 @@ class PrimeFieldCtx:
         points = self.affine_points(curve_index)  # checks curve_index
         table = self._images.get(key)
         if table is None:
-            A, _ = self.curves_mod[curve_index]
+            A, _ = self.reduced(curve_index)
             table = []
             for k, P in enumerate(points):
                 if k and points[k - 1][0] == P[0]:  # P = -points[k - 1]
@@ -135,7 +141,7 @@ def enumerate_points(ctx, curve_index):
     and asserts the Hasse window |#E - (p+1)| <= 2*sqrt(p) as a guard.
     """
     p = ctx.p
-    A, B = ctx.curves_mod[curve_index]
+    A, B = ctx.reduced(curve_index)
     roots = ctx._roots
     if roots is None:
         roots = ctx._roots = {y * y % p: (y, p - y) for y in range(1, p // 2 + 1)}

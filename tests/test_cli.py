@@ -280,6 +280,18 @@ def test_costly_height_requests_are_refused(capsys, argv, message):
         "c0": "error: c0 takes d1 + d2 up to 20000, got 100001\n"}[message]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--deg-pre", "-5", "--h2-pre", "-3", "--deg-b", "2"], "deg_pre and deg_b must be >= 1"),
+    (["--h2-b", "-0.5"], "h2_pre and h2_b must be nonnegative"),
+])
+def test_impossible_bezout_inputs_are_refused(capsys, argv, message):
+    # each used to print negative upper bounds with exit code 0
+    assert main(["bounds", "--kind", "bezout"] + argv) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "error: %s\n" % message
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="no int->str digit limit in this Python")
 def test_exact_integers_of_any_length_are_printed(capsys):

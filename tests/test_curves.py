@@ -26,6 +26,10 @@ from reference import exact_divide, specialize
 from strategies import nonsingular_curves
 
 E01 = WeierstrassCurve(0, 1)
+# the curve-specific maps of the golden corpus (tests/test_golden.py)
+MAP_CURVES = [WeierstrassCurve(-45, 53),
+              WeierstrassCurve(314159265358979323846264338327,
+                               -271828182845904523536028747135)]
 X = MultiPoly.var(RING_XAB, "x")
 A = MultiPoly.var(RING_XAB, "A")
 B = MultiPoly.var(RING_XAB, "B")
@@ -198,11 +202,16 @@ def test_divpoly_vanishes_exactly_on_torsion_x():
 # multiplication maps: structure
 # ---------------------------------------------------------------------------
 
-def test_alpha_one_is_identity():
-    maps = multiplication_maps(1)
-    assert maps.r == X
-    assert maps.s == MultiPoly.const(RING_XAB, 1)
-    assert maps.t == MultiPoly.const(RING_XAB, 1)
+@pytest.mark.parametrize("curve", [None, E01, MAP_CURVES[1]], ids=repr)
+@pytest.mark.parametrize("alpha", [1, -1])
+def test_alpha_one_is_identity(alpha, curve):
+    # n = x, u = c = 1 and w = +-1 from the seed P_-1 = -1
+    maps = multiplication_maps(alpha, curve)
+    one = MultiPoly.const(RING_XAB, 1)
+    assert (maps.r, maps.s, maps.t, maps.r_tilde, maps.t_tilde) == (X, alpha * one, one,
+                                                                   None, None)
+    assert maps.x_parts() == (X, one)
+    assert maps.product(2, 1, 3, 2) == alpha * X ** 2
     assert not maps.is_even()
 
 
@@ -212,7 +221,7 @@ def test_alpha_zero_rejected():
 
 
 def test_negative_alpha_flips_s_only():
-    for a in (2, 3, 5):
+    for a in (1, 2, 3, 5):
         plus = multiplication_maps(a)
         minus = multiplication_maps(-a)
         assert minus.r == plus.r
@@ -278,10 +287,6 @@ def _symbolic_maps(alpha):
 # symbolic maps for alpha in +-1..7 (its symbolic-maps range; +-8 and +-9
 # would add about 2 s)
 LAZY_CURVES = [WeierstrassCurve(*ab) for ab in [(-1, 0), (0, 1), (2, 3), (-7, 6), (5, -3)]]
-# the curve-specific maps of the golden corpus (tests/test_golden.py)
-MAP_CURVES = [WeierstrassCurve(-45, 53),
-              WeierstrassCurve(314159265358979323846264338327,
-                               -271828182845904523536028747135)]
 LAZY_ORDERS = {
     "r first": ("r", "t_tilde", "s", "r_tilde", "t"),
     "s first": ("s", "r_tilde", "t", "r", "t_tilde"),
@@ -399,21 +404,13 @@ PRODUCT_CASES = DENOMINATORS + [
 
 def _check_product(maps, cases):
     # maps.product against the MultiPoly product of the parts read from the
-    # fields: n and u from x_parts(), c = t/u and w = s/c; maps built from
-    # their fields give the same for odd alpha, and keep no c for even alpha
+    # fields: n and u from x_parts(), c = t/u and w = s/c
     n, u = maps.x_parts()
     c = exact_divide(maps.t, u)
     w = exact_divide(maps.s, c)
-    rebuilt = MultiplicationMaps(maps.alpha, maps.r, maps.s, maps.t,
-                                 maps.r_tilde, maps.t_tilde)
     for a, b, i, j in cases:
         want = n ** a * w ** b * u ** i * c ** j
         assert maps.product(a, b, i, j) == want, (maps.alpha, a, b, i, j)
-        if maps.is_even():
-            with pytest.raises(ValueError, match="given by their fields have no parts"):
-                rebuilt.product(a, b, i, j)
-        else:
-            assert rebuilt.product(a, b, i, j) == want, (maps.alpha, a, b, i, j)
 
 
 @pytest.mark.parametrize("curve", [E01] + MAP_CURVES + [None], ids=repr)
@@ -424,10 +421,6 @@ def test_denominators_are_u_t_and_t_cubed(curve):
         # c*u^2 = u*t, and c^2*u^3 is t^3 over c, which s = c*w carries
         assert maps.product(0, 0, 2, 1) == maps.x_parts()[1] * maps.t, alpha
         assert maps.product(0, 0, 3, 3) == maps.t ** 3, alpha
-    maps = multiplication_maps(4, curve)
-    for fields in ((), (None, maps.t_tilde), (maps.r_tilde, None)):
-        with pytest.raises(ValueError, match="even alpha need r_tilde and t_tilde"):
-            MultiplicationMaps(4, maps.r, maps.s, maps.t, *fields)
 
 
 @settings(max_examples=25, deadline=None)

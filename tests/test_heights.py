@@ -211,6 +211,14 @@ def test_bezout_validation():
     for n in (0, -1):  # N = -1 used to raise TypeError from c0
         with pytest.raises(ValueError, match="need at least one factor"):
             bezout_intersection_bounds(1, 1, 1, 1, 1, n, 1)
+    # degrees below 1 and negative heights used to give negative "upper
+    # bounds", printed by the CLI with exit code 0
+    for args in [(-5, -3, 2, 0, 1, 2, 1), (0, 1, 1, 1, 1, 2, 1), (1, 1, 0, 1, 1, 2, 1)]:
+        with pytest.raises(ValueError, match="deg_pre and deg_b must be >= 1"):
+            bezout_intersection_bounds(*args)
+    for args in [(1, -1, 1, 0, 1, 2, 1), (1, 0, 1, Fraction(-1, 3), 1, 2, 1)]:
+        with pytest.raises(ValueError, match="h2_pre and h2_b must be nonnegative"):
+            bezout_intersection_bounds(*args)
 
 
 def test_bezout_refuses_an_overlong_multiplier_at_once():

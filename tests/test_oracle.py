@@ -79,7 +79,8 @@ def test_oracle_refuses_a_bad_factor_index(index, error):
     # raise a bare IndexError, and True to be taken as 1
     ctx = PrimeFieldCtx(7, SYS)
     for call in (lambda: verify_maps_vs_group_law(ctx, index, 2),
-                 lambda: ctx.affine_points(index), lambda: ctx.image_table(index, 2)):
+                 lambda: ctx.affine_points(index), lambda: ctx.image_table(index, 2),
+                 lambda: enumerate_points(ctx, index)):
         with pytest.raises(error, match=None if error is TypeError else "no factor"):
             call()
     assert ctx._points == {} and ctx._images == {}
@@ -522,11 +523,11 @@ def test_image_table_equals_per_point_scalar_mul(p):
                 assert None in table
 
 
-def _corrupted(maps):
-    from ellprod.curves import MultiplicationMaps
-
-    return MultiplicationMaps(maps.alpha, maps.r, maps.s + 1, maps.t,
-                              maps.r_tilde, maps.t_tilde)
+def _corrupted(curve, alpha):
+    # fresh maps with s + 1 for s: the cached maps of _maps_for keep theirs
+    maps = multiplication_maps(alpha, curve)
+    maps.s = maps.s + 1
+    return maps
 
 
 @pytest.mark.parametrize("alpha", [2, -3, 4, 5])
@@ -535,12 +536,10 @@ def test_maps_check_reports_mismatches_as_divided_formulas(monkeypatch, alpha):
     # points, formula values and group-law values as dividing does
     from ellprod import curves
 
-    real = curves._maps_for
-    monkeypatch.setattr(curves, "_maps_for",
-                        lambda curve, a: _corrupted(real(curve, a)))
+    monkeypatch.setattr(curves, "_maps_for", _corrupted)
     for p in (13, 101, 1009):
         ctx = PrimeFieldCtx(p, SYS)
-        maps = _corrupted(multiplication_maps(alpha, SYS.curves[0]))
+        maps = _corrupted(SYS.curves[0], alpha)
         got = verify_maps_vs_group_law(ctx, 0, alpha)
         assert got == reference_maps(PrimeFieldCtx(p, SYS), 0, alpha, maps)
         assert got["mismatches"] and not got["ok"]
