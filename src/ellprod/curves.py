@@ -8,8 +8,8 @@ once for every alpha in four parts n, u, c and w of x:
 
 with c the curve cubic x^3 + A*x + B for even alpha and 1 for odd alpha.
 The fields of the maps are products of the parts: r, s, t = c*n, c*w, c*u,
-and for even alpha the cofactor-free r~, t~ = n, u, so that the x-map is
-n/(u*t) and the y-map s*y/t^3 for either parity; x_parts() gives (n, u).
+and for even alpha r~, t~ = n, u; so x = r/t^2 = n/(c*u^2) and y = s*y/t^3
+for either parity, and only _product and _field test the parity of alpha.
 Division polynomials are stored with y^2 eliminated: psi_m = y^(m+1 mod 2)
 * P_m(x, A, B), and this module works with the x-parts P_m throughout.
 
@@ -344,10 +344,22 @@ def _symbolic():
     return _Recurrence(*(MultiPoly.var(RING_XAB, v) for v in RING_XAB))
 
 
+def _require_curve(curve):
+    if curve is None or isinstance(curve, WeierstrassCurve):
+        return curve
+    raise TypeError("curve must be a WeierstrassCurve or None, got %r" % (curve,))
+
+
+def _require_alpha(alpha):
+    if require_int(alpha, "alpha") == 0:
+        raise ValueError("alpha must be nonzero")
+    return alpha
+
+
 def _divpolys(curve, low, high):
     """The x-parts, with poly(formula): symbolic in Z[x, A, B] when curve
     is None, else packed for that curve with P_low..P_high unpackable."""
-    return _symbolic() if curve is None else _Packed(curve, low, high)
+    return _symbolic() if _require_curve(curve) is None else _Packed(curve, low, high)
 
 
 def division_polynomial(m, curve=None):
@@ -398,8 +410,8 @@ class MultiplicationMaps:
     Fields r, s, t (and r_tilde, t_tilde when alpha is even) are
     MultiPoly in the ring (x, A, B); when built for a concrete curve the
     symbols A, B do not occur.  Each field is a product of the parts n, u,
-    c and w (module docstring); with (n, u) = x_parts(), the x-map is
-    n/(u*t) and the y-map s*y/t^3 for either parity of alpha.
+    c and w (module docstring); the x-map is r/t^2 and the y-map s*y/t^3
+    for either parity of alpha.
 
     Each field is built from the x-parts on first access and kept; the
     values do not depend on the order of reading.
@@ -422,7 +434,7 @@ class MultiplicationMaps:
 
     def _field(self, name):
         """One field of [alpha]: its product of parts."""
-        if name in ("r_tilde", "t_tilde") and not self.is_even():
+        if name in ("r_tilde", "t_tilde") and self.alpha % 2:
             return None
         return self.product(*_FIELDS[name])
 
@@ -433,16 +445,6 @@ class MultiplicationMaps:
         (preimages module docstring).  It is built from the x-parts
         (module docstring), reading no field."""
         return self._divpolys.poly(lambda P: _product(P, self.alpha, a, b, i, j))
-
-    def is_even(self):
-        return self.alpha % 2 == 0
-
-    def x_parts(self):
-        """(n, u) with x-map n/(u*t): (r, t) for odd alpha, so that u is
-        the field t itself, and (r~, t~) for even alpha."""
-        if self.is_even():
-            return self.r_tilde, self.t_tilde
-        return self.r, self.t
 
 
 def multiplication_maps(alpha, curve=None):
@@ -456,10 +458,8 @@ def multiplication_maps(alpha, curve=None):
     has no coordinate description (constant infinity) and is rejected.
     Negative alpha flips the sign of s only.
     """
-    alpha = require_int(alpha, "alpha")
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    return MultiplicationMaps(alpha, _divpolys(curve, abs(alpha) - 2, abs(alpha) + 2))
+    k = abs(_require_alpha(alpha))
+    return MultiplicationMaps(alpha, _divpolys(curve, k - 2, k + 2))
 
 
 @cache
@@ -471,18 +471,17 @@ def evaluate_via_formula(curve, alpha, P):
     """Apply the coordinate formulas of [alpha] at an affine point.
 
     Raises KernelPointError on the affine kernel, where t(x) = 0 and the
-    formulas are undefined.
+    formulas are undefined.  alpha and the curve are checked before the
+    maps cache is read.
     """
+    curve, alpha = _require_curve(curve), _require_alpha(alpha)
     if P.is_infinity():
         return CurvePoint.infinity()
-    maps = _maps_for(curve, alpha)
-    n, u = maps.x_parts()
-    at = {"x": P.x}
+    maps, at = _maps_for(curve, alpha), {"x": P.x}
     tv = maps.t.evaluate(at)
     if tv == 0:
         raise KernelPointError("t_%d vanishes at x = %s" % (alpha, P.x))
-    uv = tv if u is maps.t else u.evaluate(at)
-    return CurvePoint(n.evaluate(at) / (uv * tv), maps.s.evaluate(at) * P.y / tv ** 3)
+    return CurvePoint(maps.r.evaluate(at) / tv ** 2, maps.s.evaluate(at) * P.y / tv ** 3)
 
 
 def evaluate_multiplication_map(curve, alpha, P):

@@ -19,9 +19,9 @@ one double-and-add per pair +-P ([alpha](-P) = -[alpha]P) and shared by
 both checks.  Polynomials in one x are evaluated over a list of x's by
 _values: the power columns x^k are built once and packed (Kronecker
 substitution), a 64-bit slot per x, so each polynomial is one big-integer
-combination of them, reduced slot by slot.  The maps check evaluates n,
-u, t and s this way at the distinct x's and compares cross-multiplied,
-n = X*u*t and s*y = Y*t^3 mod p, so it inverts only to report a mismatch.
+combination of them, reduced slot by slot.  The maps check evaluates r,
+t and s this way at the distinct x's and compares cross-multiplied,
+r = X*t^2 and s*y = Y*t^3 mod p, so it inverts only to report a mismatch.
 The membership scan holds its tuples as one column of point indices per
 factor (every tuple when exhaustive, the SAMPLE_COUNT draws when sampled)
 and works column by column: it flags the points with image at infinity
@@ -254,27 +254,20 @@ def verify_maps_vs_group_law(ctx, curve_index, alpha):
     """Exhaustively compare the coordinate formulas of [alpha] with
     double-and-add over F_p.
 
-    The formulas x = n/(u*t), y = s*y/t^3 (curves.MultiplicationMaps, the
-    pairs generate_preimage substitutes) are evaluated wherever t does
-    not vanish; the exceptional points, where it does, are reported and
-    checked to coincide exactly with the affine kernel of [alpha].
+    The formulas x = r/t^2, y = s*y/t^3 of curves.MultiplicationMaps are
+    evaluated wherever t does not vanish; the exceptional points, where it
+    does, are reported and checked to coincide exactly with the affine
+    kernel of [alpha].
     """
-    from .curves import _maps_for
+    from .curves import _maps_for, _require_alpha
 
-    require_int(alpha, "alpha")
-    ctx.require_separable([alpha])
+    ctx.require_separable([_require_alpha(alpha)])
     p = ctx.p
     points = ctx.affine_points(curve_index)  # checks curve_index
     maps = _maps_for(ctx.system.curves[curve_index], alpha)
     xs = list(dict.fromkeys(x for x, _ in points))  # -P shares x with P
-    n, u = maps.x_parts()
-    polys = [n, maps.t, maps.s]
-    if u is not maps.t:  # for odd alpha u is t itself
-        polys.append(u)
-    n, t, s, *u = _values([_dense_mod(f, p, "x") for f in polys], xs, p)
-    u = u[0] if u else t
-    at = dict(zip(xs, zip(n, [a * b % p for a, b in zip(u, t)],
-                          [v * v * v % p for v in t], s)))
+    r, t, s = _values([_dense_mod(f, p, "x") for f in (maps.r, maps.t, maps.s)], xs, p)
+    at = dict(zip(xs, zip(r, [v * v % p for v in t], [v * v * v % p for v in t], s)))
     mismatches = []
     exceptional = []
     kernel = []
@@ -283,15 +276,15 @@ def verify_maps_vs_group_law(ctx, curve_index, alpha):
     for P, expected in zip(points, images):
         if expected is None:
             kernel.append(P)
-        nv, ut, t3, sv = at[P[0]]
+        rv, t2, t3, sv = at[P[0]]
         if t3 == 0:
             exceptional.append(P)
             continue
         checked += 1
-        # x = n/(u*t) and y = s*y/t^3, compared without dividing
-        if expected is None or (expected[0] * ut - nv) % p or \
+        # x = r/t^2 and y = s*y/t^3, compared without dividing
+        if expected is None or (expected[0] * t2 - rv) % p or \
                 (expected[1] * t3 - sv * P[1]) % p:
-            got = (nv * pow(ut, -1, p) % p, sv * P[1] % p * pow(t3, -1, p) % p)
+            got = (rv * pow(t2, -1, p) % p, sv * P[1] % p * pow(t3, -1, p) % p)
             mismatches.append({"point": P, "formula": got, "group_law": expected})
     report = {
         "p": p,

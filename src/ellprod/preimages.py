@@ -127,13 +127,28 @@ def generate_preimage(V, isogeny):
     return PreimagePresentation(V, isogeny, equations, excluded, table)
 
 
-def apply_isogeny(system, isogeny, points):
-    """Image of a tuple of points under [alpha_1, ..., alpha_N], using the
-    coordinate formulas with group-law fallback on the kernel."""
-    _require_arity(system, isogeny)
+def _require_points(system, points, affine):
+    """The point-tuple rule: one point per factor, each on its factor's
+    curve; the point at infinity only when affine is False."""
     if len(points) != system.n_factors:
         raise ValueError("expected %d points, got %d"
                          % (system.n_factors, len(points)))
+    for j, (E, P) in enumerate(zip(system.curves, points), start=1):
+        if P.is_infinity():
+            if affine:
+                raise ValueError("component %d is the point at infinity; the "
+                                 "presentation is affine" % j)
+        elif not E.contains(P.x, P.y):
+            raise ValueError("component %d: (%s, %s) is not on %r"
+                             % (j, P.x, P.y, E))
+
+
+def apply_isogeny(system, isogeny, points):
+    """Image of a tuple of points, one on each factor's curve, under
+    [alpha_1, ..., alpha_N], using the coordinate formulas with group-law
+    fallback on the kernel."""
+    _require_arity(system, isogeny)
+    _require_points(system, points, affine=False)
     return [evaluate_multiplication_map(system.curves[j], isogeny.alphas[j], P)
             for j, P in enumerate(points)]
 
@@ -145,19 +160,9 @@ def membership_test(pre, points):
     ExcludedLocusError on the locus {some t_j(x_j) = 0}, where vanishing
     of the cleared equations does not decide membership.
     """
-    system = pre.system
-    if len(points) != system.n_factors:
-        raise ValueError("expected %d points, got %d"
-                         % (system.n_factors, len(points)))
+    _require_points(pre.system, points, affine=True)
     values = {}
     for j, P in enumerate(points, start=1):
-        if P.is_infinity():
-            raise ValueError("component %d is the point at infinity; the "
-                             "presentation is affine" % j)
-        E = system.curves[j - 1]
-        if not E.contains(P.x, P.y):
-            raise ValueError("component %d: (%s, %s) is not on %r"
-                             % (j, P.x, P.y, E))
         values["x%d" % j] = P.x
         values["y%d" % j] = P.y
     for row in pre.excluded_locus:

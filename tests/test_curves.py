@@ -36,6 +36,12 @@ B = MultiPoly.var(RING_XAB, "B")
 C3 = X ** 3 + A * X + B
 
 
+def _parts(maps):
+    """(n, u) of [alpha], read from the fields: (r, t) for odd alpha, where
+    c = 1, and (r~, t~) for even alpha; the x-map is n/(u*t)."""
+    return (maps.r, maps.t) if maps.alpha % 2 else (maps.r_tilde, maps.t_tilde)
+
+
 # ---------------------------------------------------------------------------
 # curve basics
 # ---------------------------------------------------------------------------
@@ -210,14 +216,37 @@ def test_alpha_one_is_identity(alpha, curve):
     one = MultiPoly.const(RING_XAB, 1)
     assert (maps.r, maps.s, maps.t, maps.r_tilde, maps.t_tilde) == (X, alpha * one, one,
                                                                    None, None)
-    assert maps.x_parts() == (X, one)
+    assert (maps.product(1, 0, 0, 0), maps.product(0, 0, 1, 0)) == (X, one)
     assert maps.product(2, 1, 3, 2) == alpha * X ** 2
-    assert not maps.is_even()
+    assert maps.alpha % 2
 
 
 def test_alpha_zero_rejected():
     with pytest.raises(ValueError):
         multiplication_maps(0)
+
+
+def test_maps_entry_points_check_their_inputs_before_the_cache():
+    # with [2] and [1] on y^2 = x^3 + 1 cached, 2.0 and True, which hash
+    # like 2 and 1, must still be refused
+    for alpha in (2, 1):
+        evaluate_via_formula(E01, alpha, P6)
+    for alpha in (2.0, True, Fraction(2)):
+        for P in (P6, CurvePoint.infinity()):
+            with pytest.raises(TypeError):
+                evaluate_via_formula(E01, alpha, P)
+            with pytest.raises(TypeError):
+                evaluate_multiplication_map(E01, alpha, P)
+    with pytest.raises(ValueError, match="nonzero"):
+        evaluate_via_formula(E01, 0, P6)
+    # a curve that is not a WeierstrassCurve is a TypeError, not an
+    # AttributeError from inside the recurrence
+    with pytest.raises(TypeError, match="WeierstrassCurve"):
+        multiplication_maps(2, (0, 1))
+    with pytest.raises(TypeError, match="WeierstrassCurve"):
+        division_polynomial(3, "E")
+    with pytest.raises(TypeError, match="WeierstrassCurve"):
+        evaluate_via_formula((0, 1), 2, P6)
 
 
 def test_negative_alpha_flips_s_only():
@@ -231,7 +260,7 @@ def test_negative_alpha_flips_s_only():
 
 def test_even_maps_structure():
     maps = multiplication_maps(2)
-    assert maps.is_even()
+    assert maps.alpha % 2 == 0
     assert maps.t_tilde == MultiPoly.const(RING_XAB, 2)
     assert maps.t == 2 * C3
     assert exact_divide(maps.r, C3) == maps.r_tilde
@@ -240,7 +269,7 @@ def test_even_maps_structure():
 
 def test_odd_maps_structure():
     maps = multiplication_maps(3)
-    assert not maps.is_even()
+    assert maps.alpha % 2
     assert maps.r_tilde is None and maps.t_tilde is None
     assert maps.t == division_polynomial(3)
 
@@ -250,23 +279,33 @@ def test_x_map_degrees():
     # alpha^2, denominator degree alpha^2 - 1
     for a in range(2, 7):
         maps = multiplication_maps(a)
-        if maps.is_even():
+        if a % 2 == 0:
             num, den = maps.r_tilde, maps.t_tilde * maps.t
         else:
             num, den = maps.r, maps.t ** 2
         assert num.degree_in("x") == a * a
         assert den.degree_in("x") == a * a - 1
-    # x_parts() gives the same x-map, (n, u) with denominator u*t, for
-    # either sign and parity; for odd alpha u is the field t itself
+    # the parts n = product(1, 0, 0, 0) and u = product(0, 0, 1, 0) give the
+    # same x-map, n/(u*t), for either sign and parity
     for a in [a for k in range(1, 8) for a in (k, -k)]:
         maps = multiplication_maps(a)
-        n, u = maps.x_parts()
-        if maps.is_even():
+        n, u = maps.product(1, 0, 0, 0), maps.product(0, 0, 1, 0)
+        if a % 2 == 0:
             assert (n, u) == (maps.r_tilde, maps.t_tilde)
         else:
-            assert n is maps.r and u is maps.t
+            assert (n, u) == (maps.r, maps.t)
         assert n.degree_in("x") == a * a
         assert (u * maps.t).degree_in("x") == a * a - 1
+
+
+@pytest.mark.parametrize("curve", MAP_CURVES + [None], ids=repr)
+def test_fields_are_the_parts_times_c(curve):
+    # r = c*n and t = c*u, so the x-map r/t^2 is n/(c*u^2) for either parity
+    for alpha in [a for k in range(1, 10) for a in (k, -k)]:
+        maps = multiplication_maps(alpha, curve)
+        n, u, c = (maps.product(*e) for e in ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+        assert maps.r * u == n * maps.t, alpha
+        assert maps.t == c * u, alpha
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +329,9 @@ LAZY_CURVES = [WeierstrassCurve(*ab) for ab in [(-1, 0), (0, 1), (2, 3), (-7, 6)
 LAZY_ORDERS = {
     "r first": ("r", "t_tilde", "s", "r_tilde", "t"),
     "s first": ("s", "r_tilde", "t", "r", "t_tilde"),
-    "x_parts first": ("x_parts", "s", "t", "r", "r_tilde", "t_tilde"),
+    "parts first": ("parts", "s", "t", "r", "r_tilde", "t_tilde"),
     "t~ first": ("t_tilde", "t", "r", "r_tilde", "s"),
-    "product first": ("product", "s", "t", "x_parts"),
+    "product first": ("product", "s", "t", "parts"),
 }
 
 
@@ -308,13 +347,9 @@ def test_lazy_fields_do_not_depend_on_the_order_of_reading(curve):
                 if f == "product":  # builds n, w, u and c at widths of their own
                     maps.product(2, 1, 3, 2)
                 else:
-                    maps.x_parts() if f == "x_parts" else getattr(maps, f)
+                    _parts(maps) if f == "parts" else getattr(maps, f)
             assert {f: getattr(maps, f) for f in MAP_FIELDS} == want, (alpha, order)
-            assert maps.x_parts() == ref.x_parts()
-            if alpha % 2:
-                assert maps.x_parts()[1] is maps.t
-            else:
-                assert maps.x_parts()[0] is maps.r_tilde and maps.x_parts()[1] is maps.t_tilde
+            assert _parts(maps) == _parts(ref)
 
 
 _P61 = (1 << 61) - 1
@@ -355,7 +390,7 @@ def test_maps_are_in_lowest_terms_at_each_factor_of_t(curve):
     c3 = specialize(C3, {"A": curve.A, "B": curve.B})
     for alpha in [a for k in range(2, 13) for a in (k, -k)]:
         maps = multiplication_maps(alpha, curve)
-        n, u = maps.x_parts()
+        n, u = _parts(maps)
         q = integer_primitive(u)[1]
         if not q.is_constant():
             assert _coprime(n, q) and _coprime(maps.s, q), alpha
@@ -404,8 +439,8 @@ PRODUCT_CASES = DENOMINATORS + [
 
 def _check_product(maps, cases):
     # maps.product against the MultiPoly product of the parts read from the
-    # fields: n and u from x_parts(), c = t/u and w = s/c
-    n, u = maps.x_parts()
+    # fields: n and u by the parity of alpha, c = t/u and w = s/c
+    n, u = _parts(maps)
     c = exact_divide(maps.t, u)
     w = exact_divide(maps.s, c)
     for a, b, i, j in cases:
@@ -419,7 +454,7 @@ def test_denominators_are_u_t_and_t_cubed(curve):
         maps = multiplication_maps(alpha, curve)
         _check_product(maps, DENOMINATORS)
         # c*u^2 = u*t, and c^2*u^3 is t^3 over c, which s = c*w carries
-        assert maps.product(0, 0, 2, 1) == maps.x_parts()[1] * maps.t, alpha
+        assert maps.product(0, 0, 2, 1) == _parts(maps)[1] * maps.t, alpha
         assert maps.product(0, 0, 3, 3) == maps.t ** 3, alpha
 
 
@@ -449,7 +484,7 @@ def test_product_reads_no_field_of_a_curve_map(monkeypatch):
 
     for alpha in (3, -4):
         maps = multiplication_maps(alpha, E01)
-        want = maps.x_parts()[0], maps.s
+        want = _parts(maps)[0], maps.s
         maps = multiplication_maps(alpha, E01)
         monkeypatch.setattr(MultiplicationMaps, "_field", refused)
         assert (maps.product(1, 0, 0, 0), maps.product(0, 1, 0, 1)) == want

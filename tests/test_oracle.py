@@ -171,6 +171,12 @@ def test_maps_vs_group_law():
         verify_maps_vs_group_law(PrimeFieldCtx(5, SYS), 0, 5)
 
 
+def test_maps_check_refuses_alpha_zero_before_separability():
+    with pytest.raises(ValueError, match="nonzero") as info:
+        verify_maps_vs_group_law(PrimeFieldCtx(13, SYS), 0, 0)
+    assert not isinstance(info.value, BadReductionError)
+
+
 def test_maps_vs_group_law_large_alpha():
     for p in (13, 101):
         ctx = PrimeFieldCtx(p, SYS)
@@ -253,11 +259,10 @@ def reference_maps(ctx, curve_index, alpha, maps=None):
     A, _ = ctx.curves_mod[curve_index]
     if maps is None:
         maps = multiplication_maps(alpha, ctx.system.curves[curve_index])
-    r, s, t = (poly_mod(f, p, ("x",)) for f in (maps.r, maps.s, maps.t))
-    even = maps.is_even()
-    if even:
-        rt = poly_mod(maps.r_tilde, p, ("x",))
-        tt = poly_mod(maps.t_tilde, p, ("x",))
+    # the x-map n/(u*t), in the parts n and u (the library divides r by t^2)
+    n, u, s, t = (poly_mod(f, p, ("x",)) for f in (
+        maps.product(1, 0, 0, 0), maps.product(0, 0, 1, 0), maps.s, maps.t))
+    even = alpha % 2 == 0
     mismatches, exceptional, kernel = [], [], []
     checked = 0
     for P in enumerate_points(ctx, curve_index)[1:]:
@@ -265,22 +270,16 @@ def reference_maps(ctx, curve_index, alpha, maps=None):
         expected = scalar_mul_mod(p, A, alpha, P)
         if expected is None:
             kernel.append(P)
-        tv = eval_mod(t, (x,), p)
-        if even:
-            ttv = eval_mod(tt, (x,), p)
-            defined = ttv != 0 and y != 0
-        else:
-            defined = tv != 0
-        if not defined:
+        tv, uv = eval_mod(t, (x,), p), eval_mod(u, (x,), p)
+        if not (uv != 0 and y != 0 if even else tv != 0):
             exceptional.append(P)
             continue
         checked += 1
+        xv = eval_mod(n, (x,), p) * pow(uv * tv % p, -1, p) % p
         if even:
-            got = (eval_mod(rt, (x,), p) * pow(ttv * tv % p, -1, p) % p,
-                   eval_mod(s, (x,), p) * pow(ttv * tv * tv % p * y % p, -1, p) % p)
+            got = (xv, eval_mod(s, (x,), p) * pow(uv * tv * tv % p * y % p, -1, p) % p)
         else:
-            got = (eval_mod(r, (x,), p) * pow(tv * tv % p, -1, p) % p,
-                   eval_mod(s, (x,), p) * y % p * pow(tv * tv * tv % p, -1, p) % p)
+            got = (xv, eval_mod(s, (x,), p) * y % p * pow(tv * tv * tv % p, -1, p) % p)
         if got != expected:
             mismatches.append({"point": P, "formula": got, "group_law": expected})
     same = sorted(exceptional) == sorted(kernel)

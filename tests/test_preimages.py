@@ -136,6 +136,12 @@ def test_odd_multiplier_keeps_the_fibres_over_2_torsion(alpha, degree):
         assert verify_preimage_membership(PrimeFieldCtx(p, EF), pre)["ok"], p
 
 
+def _parts(maps):
+    """(n, u) of [alpha], read from the fields: (r, t) for odd alpha and
+    (r~, t~) for even alpha; the x-map is n/(u*t)."""
+    return (maps.r, maps.t) if maps.alpha % 2 else (maps.r_tilde, maps.t_tilde)
+
+
 def _trial_division_reference(V, isogeny):
     """The equations of phi^(-1)(V) by trial division: clear the substituted
     equation, then divide it by prim(u_j), and by the cubic for even
@@ -146,11 +152,11 @@ def _trial_division_reference(V, isogeny):
     for j, (alpha, curve) in enumerate(zip(isogeny.alphas, V.system.curves), start=1):
         maps = multiplication_maps(alpha, curve)
         n, u, t, s = (f.embed(ring, {"x": "x%d" % j})
-                      for f in maps.x_parts() + (maps.t, maps.s))
+                      for f in _parts(maps) + (maps.t, maps.s))
         bindings["x%d" % j] = (n, u * t)
         bindings["y%d" % j] = (s * MultiPoly.var(ring, "y%d" % j), t ** 3)
         candidates.append(integer_primitive(u)[1])
-        if maps.is_even():
+        if alpha % 2 == 0:
             candidates.append(relations[j - 1][1])
     equations = []
     for f in V.equations:
@@ -191,14 +197,14 @@ def _substitution_reference(V, isogeny):
     for j, (alpha, curve) in enumerate(zip(isogeny.alphas, V.system.curves), start=1):
         maps = multiplication_maps(alpha, curve)
         xj, yj = "x%d" % j, "y%d" % j
-        n, u, t, s = (f.embed(ring, {"x": xj}) for f in maps.x_parts() + (maps.t, maps.s))
+        n, u, t, s = (f.embed(ring, {"x": xj}) for f in _parts(maps) + (maps.t, maps.s))
         bindings[xj] = (n, u * t)
         bindings[yj] = (s * MultiPoly.var(ring, yj), t ** 3)
         if abs(alpha) != 1:
             prim_t = integer_primitive(t)[1]
             excluded.append("%d %d %s" % (j, alpha, prim_t))
             at = (ring.index(xj), ring.index(yj))
-            if not maps.is_even():
+            if alpha % 2:
                 factors.append((at, prim_t, (2, 3, 0)))
                 continue
             if not u.is_constant():
@@ -323,6 +329,18 @@ def test_apply_isogeny():
         with pytest.raises(ValueError, match="isogeny has %d components, product has 2 "
                                              "factors" % len(alphas)):
             apply_isogeny(sysm, DiagonalIsogeny(alphas), [P, Q])
+
+
+def test_apply_isogeny_refuses_points_off_their_curves():
+    # membership_test's point-tuple rule, except that the point at infinity
+    # is mapped (membership_test refuses it: test_membership_validation)
+    phi = DiagonalIsogeny([2, 3])
+    for points in ([CurvePoint(1, 1), CurvePoint(5, 7)],
+                   [CurvePoint(2, 3), CurvePoint(5, 7)]):
+        with pytest.raises(ValueError, match="is not on"):
+            apply_isogeny(EF, phi, points)
+    Q = CurvePoint(0, 0)  # 2-torsion on y^2 = x^3 - x, so [3]Q = Q
+    assert apply_isogeny(EF, phi, [CurvePoint.infinity(), Q]) == [CurvePoint.infinity(), Q]
 
 
 def test_membership_matches_semantic_preimage():
