@@ -15,17 +15,17 @@ Division polynomials are stored with y^2 eliminated: psi_m = y^(m+1 mod 2)
 
 One psi recurrence, its seeds P_-1..P_4, the formulas of the parts and
 their products n^a w^b u^i c^j are each written once, generic over the
-element type, and build the maps of every alpha != 0.  Symbolic maps run
-the recurrence on MultiPoly in (x, A, B).  The maps of a given curve run
-it on Python ints, each the value at x = 2^w of a polynomial in Z[x] (A
-and B the curve's integers).  That evaluation is a ring homomorphism
-Z[x] -> Z (Kronecker substitution), so each product of polynomials is
-one product of ints and the exact halvings are shifts.  A value is
-unpacked into a MultiPoly once, when a caller reads it, from slots of w
-bits, a multiple of 8, proven from an upper bound on its L1 norm (|fg|
-<= |f||g|, |f +- g| <= |f| + |g|) that the same formula computes from
-the norms of the seeds; intermediate values need no width, since
-evaluation is exact.
+element type and its subtraction, and build the maps of every alpha !=
+0.  Symbolic maps run the recurrence on MultiPoly in (x, A, B).  The maps
+of a given curve run it on Python ints, each the value at x = 2^w of a
+polynomial in Z[x] (A and B the curve's integers).  That evaluation is a
+ring homomorphism Z[x] -> Z (Kronecker substitution), so each product of
+polynomials is one product of ints and the exact halvings are shifts.  A
+value is unpacked into a MultiPoly once, when a caller reads it, from
+slots of w bits, a multiple of 8, proven from an upper bound on its L1
+norm that the same formula computes on plain ints from |A| and |B|, with
+add for subtract (|fg| <= |f||g|, |f - g| <= |f| + |g|); intermediate
+values need no width, since evaluation is exact.
 The recurrence runs at the width of the x-parts a map reads, and a value
 that needs more gets those x-parts repacked at its own width.  The packed
 int never leaves this module: MultiPoly stays the one polynomial type
@@ -41,6 +41,7 @@ affine kernel of [alpha]; evaluation there raises KernelPointError, and
 the public evaluator falls back to the group law, which is total.
 """
 
+import operator
 from fractions import Fraction
 from functools import cache
 
@@ -175,87 +176,64 @@ def scalar_mul_point(curve, n, P):
 # -- division polynomials (x-parts) -------------------------------------
 #
 # The seeds, the recurrence and the part formulas are written once and
-# run on three element types: MultiPoly in (x, A, B); a Python int, the
-# value at x = 2^w of a polynomial in Z[x] (Kronecker substitution;
-# Schönhage, ICALP 1982); and _L1, an upper bound on the L1 norm of such
-# a polynomial, from which w is taken.
-
-
-class _L1(int):
-    """An upper bound on the L1 norm (sum of absolute coefficients) of a
-    polynomial: |f g| <= |f| |g| and |f +- g| <= |f| + |g|, so both + and
-    - add, and an exact division by 2^k divides the bound (rounded up)."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return _L1(int.__add__(self, other))
-
-    __radd__ = __sub__ = __rsub__ = __add__
-
-    def __mul__(self, other):
-        return _L1(int.__mul__(self, other))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return _L1(int.__pow__(self, n))
-
-    def __neg__(self):
-        return self
-
-    def __rshift__(self, k):
-        return _L1(-(int.__neg__(self) >> k))
+# run on two element types, each with its own subtraction: MultiPoly in
+# (x, A, B), and a Python int, the value at x = 2^w of a polynomial in
+# Z[x] (Kronecker substitution; Schönhage, ICALP 1982).  Run on plain ints
+# with add for subtract, the same formulas give an upper bound on the L1
+# norm (sum of absolute coefficients) of each polynomial, from which w is
+# taken: |f g| <= |f| |g| and |f - g| <= |f| + |g|.  An exact halving may
+# floor its bound: for g in 2^k Z[x] with N >= |g|, |g / 2^k| is an
+# integer at most N / 2^k, so at most N >> k.
 
 
 def _shr(v, k):
     """v / 2^k for a v that the division leaves in Z[x, A, B]: a shift on
-    an int (exact, since evaluation at x = 2^w is a ring homomorphism), a
-    scaling on a MultiPoly."""
+    an int (exact, since evaluation at x = 2^w is a ring homomorphism, and
+    a floor of a norm, as above), a scaling on a MultiPoly."""
     return v >> k if isinstance(v, int) else Fraction(1, 1 << k) * v
 
 
-def _seeds(x, A, B):
+def _seeds(x, A, B, sub):
     """{m: P_m} for m = -1..4, in the element type of x: P_-1 = -1, since
     psi_-m = -psi_m, lets the part formulas run at |alpha| = 1."""
     one = x ** 0
-    return {-1: -one, 0: 0 * x, 1: one, 2: 2 * one,
-            3: 3 * x ** 4 + 6 * A * x ** 2 + 12 * B * x - A ** 2,
-            4: 4 * (x ** 6 + 5 * A * x ** 4 + 20 * B * x ** 3
-                    - 5 * A ** 2 * x ** 2 - 4 * A * B * x
-                    - 8 * B ** 2 - A ** 3)}
+    return {-1: sub(0, one), 0: 0 * x, 1: one, 2: 2 * one,
+            3: sub(3 * x ** 4 + 6 * A * x ** 2 + 12 * B * x, A ** 2),
+            4: 4 * sub(x ** 6 + 5 * A * x ** 4 + 20 * B * x ** 3,
+                       5 * A ** 2 * x ** 2 + 4 * A * B * x + 8 * B ** 2 + A ** 3)}
 
 
 class _Recurrence:
     """The x-parts P_m on one element type, from the seeds at (x, A, B) by
-    the psi recurrence, memoised: P(m) is P_m, P.x is x and P.c3 the
-    curve cubic x^3 + A*x + B.  A memo given in place of the seeds holds
-    every P_m that will be read."""
+    the psi recurrence, memoised: P(m) is P_m, P.x is x, P.c3 the curve
+    cubic x^3 + A*x + B and P.sub the subtraction of the element type
+    (add, for norms).  A memo given in place of the seeds holds every P_m
+    that will be read."""
 
-    __slots__ = ("x", "c3", "c3_sq", "memo")
+    __slots__ = ("x", "c3", "c3_sq", "sub", "memo")
 
-    def __init__(self, x, A, B, memo=None):
-        self.x, self.c3 = x, x ** 3 + A * x + B
+    def __init__(self, x, A, B, sub=operator.sub, memo=None):
+        self.x, self.c3, self.sub = x, x ** 3 + A * x + B, sub
         self.c3_sq = self.c3 * self.c3
-        self.memo = _seeds(x, A, B) if memo is None else memo
+        self.memo = _seeds(x, A, B, sub) if memo is None else memo
 
     def __call__(self, m):
         if m in self.memo:
             return self.memo[m]
         k, odd = divmod(m, 2)
-        P = self
+        P, sub = self, self.sub
         if odd:
             # psi_{2k+1} = psi_{k+2} psi_k^3 - psi_{k-1} psi_{k+1}^3, with the
             # even-index entries each contributing a factor y; y^4 = c3^2.
             if k % 2 == 1:
-                p = P(k + 2) * P(k) ** 3 - self.c3_sq * P(k - 1) * P(k + 1) ** 3
+                p = sub(P(k + 2) * P(k) ** 3, self.c3_sq * P(k - 1) * P(k + 1) ** 3)
             else:
-                p = self.c3_sq * P(k + 2) * P(k) ** 3 - P(k - 1) * P(k + 1) ** 3
+                p = sub(self.c3_sq * P(k + 2) * P(k) ** 3, P(k - 1) * P(k + 1) ** 3)
         else:
             # psi_{2k} = psi_k (psi_{k+2} psi_{k-1}^2 - psi_{k-2} psi_{k+1}^2) / (2y);
             # the y factors cancel identically for either parity of k, and the
             # halving is exact because every P_m lies in Z[x, A, B].
-            p = _shr(P(k) * (P(k + 2) * P(k - 1) ** 2 - P(k - 2) * P(k + 1) ** 2), 1)
+            p = _shr(P(k) * sub(P(k + 2) * P(k - 1) ** 2, P(k - 2) * P(k + 1) ** 2), 1)
         self.memo[m] = p
         return p
 
@@ -316,7 +294,7 @@ class _Packed:
 
     def __init__(self, curve, low, high):
         self.A, self.B, self.low, self.high = curve.A, curve.B, low, high
-        self.norms = _Recurrence(_L1(1), _L1(abs(curve.A)), _L1(abs(curve.B)))
+        self.norms = _Recurrence(1, abs(curve.A), abs(curve.B), operator.add)
         self.w1 = _width(max(map(self.norms, range(low, high + 1))))
         self.recs = {self.w1: _Recurrence(1 << self.w1, self.A, self.B)}
 
@@ -325,7 +303,7 @@ class _Packed:
         # repacked, with no seeds (a formula reads no other P_m)
         if w not in self.recs:
             P, w1 = self.recs[self.w1], self.w1
-            self.recs[w] = _Recurrence(1 << w, self.A, self.B, {
+            self.recs[w] = _Recurrence(1 << w, self.A, self.B, memo={
                 m: _repack(P(m), w1, w) for m in range(self.low, self.high + 1)})
         return self.recs[w]
 
@@ -382,17 +360,18 @@ def division_polynomial(m, curve=None):
 def _product(P, alpha, a, b, i, j):
     """n^a w^b u^i c^j of [alpha], alpha != 0 and k = |alpha|, in the
     x-parts P, x and the cubic c3: u = P_k; c = c3 for even k, else 1; n
-    as below; and w from the bracket, with the sign of alpha.  n, w and u
-    are built only at a positive power."""
-    k = abs(alpha)
+    as below; and w from the bracket, with the sign of alpha (a
+    subtraction from 0, so that a norm stays positive).  n, w and u are
+    built only at a positive power."""
+    k, sub = abs(alpha), P.sub
     out = (P.x ** 0 if k % 2 else P.c3) ** j
     if a:
-        n = (P.x * P(k) ** 2 - P.c3 * P(k - 1) * P(k + 1) if k % 2
-             else P.x * P.c3 * P(k) ** 2 - P(k - 1) * P(k + 1))
+        n = (sub(P.x * P(k) ** 2, P.c3 * P(k - 1) * P(k + 1)) if k % 2
+             else sub(P.x * P.c3 * P(k) ** 2, P(k - 1) * P(k + 1)))
         out = out * n ** a
     if b:
-        w = _shr(P(k + 2) * P(k - 1) ** 2 - P(k - 2) * P(k + 1) ** 2, 2)
-        out = out * (-w if alpha < 0 else w) ** b
+        w = _shr(sub(P(k + 2) * P(k - 1) ** 2, P(k - 2) * P(k + 1) ** 2), 2)
+        out = out * (sub(0, w) if alpha < 0 else w) ** b
     if i:
         out = out * P(k) ** i
     return out
@@ -472,9 +451,11 @@ def evaluate_via_formula(curve, alpha, P):
 
     Raises KernelPointError on the affine kernel, where t(x) = 0 and the
     formulas are undefined.  alpha and the curve are checked before the
-    maps cache is read.
+    maps cache is read; None, the symbolic maps elsewhere, is refused.
     """
-    curve, alpha = _require_curve(curve), _require_alpha(alpha)
+    if not isinstance(curve, WeierstrassCurve):
+        raise TypeError("curve must be a WeierstrassCurve, got %r" % (curve,))
+    alpha = _require_alpha(alpha)
     if P.is_infinity():
         return CurvePoint.infinity()
     maps, at = _maps_for(curve, alpha), {"x": P.x}

@@ -160,7 +160,10 @@ class MultiPoly:
         """(exponent tuple, coefficient) of the graded-lex leading term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_gl_key)
+        # the max of (total degree, exponents) pairs, as _gl_key orders them;
+        # exponent tuples are distinct, so no tie reaches the term
+        t = self.terms
+        e = max(zip(map(sum, t), t))[1]
         return e, Fraction(self.terms[e])
 
     def coefficient(self, expts):

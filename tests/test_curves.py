@@ -2,6 +2,7 @@
 coordinate formulas of scalar multiplication."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,8 @@ from ellprod.curves import (
     MultiplicationMaps,
     SingularCurveError,
     WeierstrassCurve,
+    _Packed,
+    _product,
     add_points,
     division_polynomial,
     evaluate_multiplication_map,
@@ -247,6 +250,18 @@ def test_maps_entry_points_check_their_inputs_before_the_cache():
         division_polynomial(3, "E")
     with pytest.raises(TypeError, match="WeierstrassCurve"):
         evaluate_via_formula((0, 1), 2, P6)
+
+
+def test_evaluators_refuse_a_missing_curve():
+    # None means the symbolic maps to multiplication_maps, but a point has
+    # coordinates on a concrete curve: no ValueError from MultiPoly.evaluate
+    P = CurvePoint(2, 3)
+    for evaluate in (evaluate_via_formula, evaluate_multiplication_map):
+        for alpha in (2, -3):
+            with pytest.raises(TypeError, match="WeierstrassCurve"):
+                evaluate(None, alpha, P)
+    assert multiplication_maps(2, None).t == multiplication_maps(2).t
+    assert division_polynomial(3, None) == division_polynomial(3)
 
 
 def test_negative_alpha_flips_s_only():
@@ -496,6 +511,42 @@ def test_product_reads_no_field_of_a_curve_map(monkeypatch):
 def test_curve_products_of_parts_match_the_fields(E, alpha, case):
     # 40-digit coefficients stress the width proven from the L1 norms
     _check_product(multiplication_maps(alpha, E), [case])
+
+
+def _l1(p):
+    return sum(abs(c) for c in p.terms.values())
+
+
+# (a, b, i, j): the parts one at a time, w (floor-halved twice) first, then
+# r = c*n and the denominators
+NORM_CASES = [(0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 1)] + DENOMINATORS
+
+
+@cache
+def _symbolic_product(alpha, case):
+    return _symbolic_maps(alpha).product(*case)
+
+
+@pytest.mark.parametrize("curve", MAP_CURVES + [
+    E01, WeierstrassCurve(-1, 0), WeierstrassCurve(-7, -6),
+    WeierstrassCurve(10 ** 40 - 3, -(10 ** 40) + 7)], ids=repr)
+def test_slot_widths_are_proven_by_the_norms(curve):
+    # the norm recurrence bounds the L1 norm of every value it unpacks: each
+    # P_m the maps read, and each product of parts at its own width
+    coeffs = {"A": curve.A, "B": curve.B}
+    for alpha in ALPHAS_TO_9:
+        k = abs(alpha)
+        packed = _Packed(curve, k - 2, k + 2)
+        for m in range(k - 2, k + 3):
+            got = packed.poly(lambda P: P(m))
+            assert packed.norms(m) >= _l1(got), (alpha, m)
+            want = (specialize(division_polynomial(m), coeffs) if m >= 0
+                    else MultiPoly.const(RING_XAB, -1))
+            assert got == want, (alpha, m)
+        for case in NORM_CASES:
+            got = packed.poly(lambda P: _product(P, alpha, *case))
+            assert _product(packed.norms, alpha, *case) >= _l1(got), (alpha, case)
+            assert got == specialize(_symbolic_product(alpha, case), coeffs), (alpha, case)
 
 
 # ---------------------------------------------------------------------------
