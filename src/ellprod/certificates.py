@@ -29,6 +29,7 @@ echoed inputs using nothing but integer arithmetic, so a certificate can
 be checked at a desk without trusting this module's checkers.
 """
 
+import json
 from math import factorial, gcd
 
 from .arith import is_prime, prime_factors, require_int
@@ -287,8 +288,9 @@ def verify_certificate(cert):
     products.read_multidegree_rows refuses (an index out of shape,
     repeated or missing, or a negative degree).  Uses only integer arithmetic
     — primality and factoring from ellprod.arith, gcds, factorials —
-    independently of the checkers above.  An Inconclusive certificate
-    asserts nothing and is accepted as long as it is well-formed.
+    independently of the checkers above, and checks every value that a
+    certified witness echoes.  An Inconclusive certificate asserts nothing
+    and is accepted as long as it is well-formed.
     """
     if isinstance(cert, TransversalityCertificate):
         cert = cert.to_dict()
@@ -331,23 +333,32 @@ def _reverify(cert):
             fail("%s vector length %d != %d factors" % (what, len(values), nf))
         return values
 
-    def components():
+    def components(rows):
         """The witness rows with their j, then the check that the rows
         cover every component exactly once."""
         js = []
-        for row in witness:
+        for row in rows:
             j = exact_int(row["j"])
             js.append(j)
             yield j, row
         if sorted(js) != list(range(1, nf + 1)):
             fail("witness does not cover every component exactly once")
 
+    def echoes(j, row, **values):
+        """Fail for each value that row, component j's or for j = 0 the
+        witness itself, does not echo as its JSON (an int as an exact int)."""
+        for key, value in values.items():
+            echoed = exact_int(row[key]) if type(value) is int else row[key]
+            if json.dumps(echoed, sort_keys=True) != json.dumps(value, sort_keys=True):
+                fail("%s: echoed %s disagrees"
+                     % ("component %d" % j if j else "witness", key))
+
     if criterion == "TheoremA":
         if dim != 1:
             fail("TheoremA needs dim 1, certificate has dim %d" % dim)
         primes = vector("primes", "prime")
         threshold = total * nf * 3 ** (nf - 1)
-        for j, row in components():
+        for j, row in components(witness):
             p = exact_int(row["p"])
             if not 1 <= j <= nf or p != primes[j - 1]:
                 fail("witness row for j=%d does not match inputs" % j)
@@ -356,12 +367,13 @@ def _reverify(cert):
                 fail("component %d: %d is not prime" % (j, p))
             if abs(p) < threshold:
                 fail("component %d: |%d| < threshold %d" % (j, p, threshold))
-            if exact_int(row.get("threshold", threshold)) != threshold:
+            if exact_int(row["threshold"]) != threshold:
                 fail("component %d: echoed threshold disagrees (%s != %d)"
-                     % (j, row.get("threshold"), threshold))
+                     % (j, row["threshold"], threshold))
+            echoes(j, row, is_prime=True, satisfied=True)
     elif criterion == "TheoremMain":
         alphas = vector("alphas", "alpha")
-        for j, row in components():
+        for j, row in components(witness):
             J = [exact_int(k) for k in row["J"]]
             I = tuple(exact_int(i) for i in row["I"])
             if len(J) != dim or j not in J:
@@ -376,21 +388,24 @@ def _reverify(cert):
                 continue
             if gcd(alphas[j - 1] ** 2, bang * entries[I]) != 1:
                 fail("component %d: gcd(alpha_j^2, dim! * deg_I) != 1" % j)
+            echoes(j, row, dim_factorial=bang, deg_alpha_j=alphas[j - 1] ** 2, gcd=1)
     elif criterion == "TheoremWeak":
         alphas = vector("alphas", "alpha")
         primes = sorted({p for a in alphas for p in prime_factors(a)})
+        bound = bang * total
         for p in primes:
-            if p <= bang * total:
-                fail("prime %d dividing deg(phi) is <= dim! * deg(V) = %d"
-                     % (p, bang * total))
-        echoed = [exact_int(p) for p in witness.get("degree_primes", [])]
+            if p <= bound:
+                fail("prime %d dividing deg(phi) is <= dim! * deg(V) = %d" % (p, bound))
+        echoed = [exact_int(p) for p in witness["degree_primes"]]
         if echoed != primes:
             fail("echoed degree_primes %r != recomputed %r" % (echoed, primes))
+        echoes(0, witness, bound=bound,
+               comparisons=[{"p": p, "satisfied": p > bound} for p in primes])
     elif criterion == "CorollaryIdentity":
         mode = inputs["mode"]
         if mode == "integer":
             n = multiplier(inputs["n"])
-            for j, row in components():
+            for j, row in components(witness):
                 I = tuple(exact_int(i) for i in row["I"])
                 if not 1 <= j <= nf or I not in entries or I[j - 1] != 1:
                     fail("component %d: bad index %r" % (j, I))
@@ -400,33 +415,34 @@ def _reverify(cert):
                     continue
                 if gcd(n, bang * entries[I]) != 1:
                     fail("component %d: gcd(n, dim! * deg_I) != 1" % j)
+                echoes(j, row, dim_factorial=bang, gcd=1)
         elif mode == "prime":
             p = exact_int(inputs["p"])
             if not is_prime(p):
                 return False, ["p = %d is not prime" % p]
             if bang % abs(p) == 0:
                 fail("p divides dim!")
-            for j in range(1, nf + 1):
+            echoes(0, witness, dim_factorial=bang)
+            for j, row in components(witness["components"]):
                 g = gcd(*(d for I, d in entries.items() if I[j - 1] == 1))
+                echoes(j, row, gcd_of_degrees=g)
                 if g % abs(p) == 0:
                     fail("component %d: p divides every deg_I with i_j = 1" % j)
+                else:  # a certified row echoes p_divides false
+                    echoes(j, row, p_divides=False)
         else:
             fail("unknown CorollaryIdentity mode %r" % mode)
     elif criterion == "CorollaryCurves":
         if dim != 1:
             fail("CorollaryCurves needs dim 1, certificate has dim %d" % dim)
         alphas = vector("alphas", "alpha")
-        for j, row in components():
+        for j, row in components(witness):
             if not 1 <= j <= nf:
                 fail("witness names component %d outside 1..%d" % (j, nf))
                 continue
             I = tuple(1 if k == j - 1 else 0 for k in range(nf))
             d_j = entries[I]
-            if exact_int(row["d_j"]) != d_j:
-                fail("component %d: echoed d_j %s != table %d"
-                     % (j, row["d_j"], d_j))
-            if exact_int(row["deg_alpha"]) != alphas[j - 1] ** 2:
-                fail("component %d: echoed deg_alpha disagrees" % j)
+            echoes(j, row, d_j=d_j, deg_alpha=alphas[j - 1] ** 2, gcd=1)
             if gcd(alphas[j - 1] ** 2, d_j) != 1:
                 fail("component %d: gcd(alpha_j^2, d_j) != 1" % j)
     else:

@@ -106,13 +106,14 @@ def _emit(report, out_path=None):
     # parsing stays limited, and heights.MAX_EXACT_DIGITS bounds the length.
     with unlimited_int_str():
         text = json.dumps(report, indent=2)
-    print(text)
+    # the file first: a file that cannot be written leaves only the error line
     if out_path:
         try:
             with open(out_path, "w") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
             raise InputError("cannot write report file: %s" % exc)
+    print(text)
 
 
 # The criteria that need --isogeny, each with the checker in certificates

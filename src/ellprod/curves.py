@@ -9,7 +9,8 @@ once for every alpha in four parts n, u, c and w of x:
 with c the curve cubic x^3 + A*x + B for even alpha and 1 for odd alpha.
 The fields of the maps are products of the parts: r, s, t = c*n, c*w, c*u,
 and for even alpha r~, t~ = n, u; so x = r/t^2 = n/(c*u^2) and y = s*y/t^3
-for either parity, and only _product and _field test the parity of alpha.
+for either parity, and only _product and the fields r~ and t~ test the
+parity of alpha.
 Division polynomials are stored with y^2 eliminated: psi_m = y^(m+1 mod 2)
 * P_m(x, A, B), and this module works with the x-parts P_m throughout.
 
@@ -43,7 +44,7 @@ the public evaluator falls back to the group law, which is total.
 
 import operator
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from .arith import require_int, require_rational
 from .polynomials import MultiPoly
@@ -286,8 +287,9 @@ class _Packed:
 
     The recurrence runs at the least width w1 that unpacks P_low..P_high:
     intermediate values need no width, because evaluation is exact.  A
-    formula whose L1 bound needs more gets a width of its own, with
-    P_low..P_high repacked there once.
+    formula whose L1 bound needs more gets a width of its own: poly
+    repacks P_low..P_high there on first use and keeps the recurrence in
+    recs, one per width.
     """
 
     __slots__ = ("A", "B", "low", "high", "norms", "w1", "recs")
@@ -298,21 +300,18 @@ class _Packed:
         self.w1 = _width(max(map(self.norms, range(low, high + 1))))
         self.recs = {self.w1: _Recurrence(1 << self.w1, self.A, self.B)}
 
-    def _at(self, w):
-        # the x-parts at width w >= w1: x, the cubic and P_low..P_high
-        # repacked, with no seeds (a formula reads no other P_m)
-        if w not in self.recs:
-            P, w1 = self.recs[self.w1], self.w1
-            self.recs[w] = _Recurrence(1 << w, self.A, self.B, memo={
-                m: _repack(P(m), w1, w) for m in range(self.low, self.high + 1)})
-        return self.recs[w]
-
     def poly(self, formula):
         """formula(P) as a MultiPoly in x, for a formula that is a
         polynomial in x, c3 and P_low..P_high."""
         w = max(self.w1, _width(formula(self.norms)))
+        if w not in self.recs:
+            # x, the cubic and P_low..P_high repacked at width w, with no
+            # seeds (a formula reads no other P_m)
+            P, w1 = self.recs[self.w1], self.w1
+            self.recs[w] = _Recurrence(1 << w, self.A, self.B, memo={
+                m: _repack(P(m), w1, w) for m in range(self.low, self.high + 1)})
         return MultiPoly._trusted(RING_XAB, {
-            (i, 0, 0): c for i, c in enumerate(_coeffs(formula(self._at(w)), w)) if c})
+            (i, 0, 0): c for i, c in enumerate(_coeffs(formula(self.recs[w]), w)) if c})
 
 
 @cache
@@ -377,45 +376,32 @@ def _product(P, alpha, a, b, i, j):
     return out
 
 
-# each field as the powers (a, b, i, j) of its product n^a w^b u^i c^j;
-# r~ and t~ exist for even alpha only
-_FIELDS = {"r": (1, 0, 0, 1), "s": (0, 1, 0, 1), "t": (0, 0, 1, 1),
-           "r_tilde": (1, 0, 0, 0), "t_tilde": (0, 0, 1, 0)}
-
-
 class MultiplicationMaps:
     """Coordinate functions of [alpha] on a short Weierstrass curve.
 
-    Fields r, s, t (and r_tilde, t_tilde when alpha is even) are
-    MultiPoly in the ring (x, A, B); when built for a concrete curve the
-    symbols A, B do not occur.  Each field is a product of the parts n, u,
-    c and w (module docstring); the x-map is r/t^2 and the y-map s*y/t^3
-    for either parity of alpha.
+    Fields r, s, t (and r_tilde, t_tilde when alpha is even, None when it
+    is odd) are MultiPoly in the ring (x, A, B); when built for a concrete
+    curve the symbols A, B do not occur.  The x-map is r/t^2 and the y-map
+    s*y/t^3 for either parity of alpha.
 
-    Each field is built from the x-parts on first access and kept; the
+    Each field is a cached_property over its product of the parts n, u, c
+    and w (module docstring): built on first access and kept, so the
     values do not depend on the order of reading.
     """
-
-    __slots__ = ("alpha",) + tuple(_FIELDS) + ("_divpolys",)
 
     def __init__(self, alpha, divpolys):
         """[alpha], alpha != 0, on x-parts holding P_|alpha|-2..P_|alpha|+2."""
         self.alpha = alpha
         self._divpolys = divpolys
 
-    def __getattr__(self, name):
-        # reached only for a field not built yet (or an unknown name)
-        if name not in _FIELDS:
-            raise AttributeError(name)
-        value = self._field(name)
-        setattr(self, name, value)
-        return value
-
-    def _field(self, name):
-        """One field of [alpha]: its product of parts."""
-        if name in ("r_tilde", "t_tilde") and self.alpha % 2:
-            return None
-        return self.product(*_FIELDS[name])
+    # r, s, t = c*n, c*w, c*u and r~, t~ = n, u, as product(a, b, i, j)
+    r = cached_property(lambda self: self.product(1, 0, 0, 1))
+    s = cached_property(lambda self: self.product(0, 1, 0, 1))
+    t = cached_property(lambda self: self.product(0, 0, 1, 1))
+    r_tilde = cached_property(
+        lambda self: None if self.alpha % 2 else self.product(1, 0, 0, 0))
+    t_tilde = cached_property(
+        lambda self: None if self.alpha % 2 else self.product(0, 0, 1, 0))
 
     def product(self, a, b, i, j):
         """n^a * w^b * u^i * c^j, a MultiPoly in x: a term c0*x^a*y^b of an

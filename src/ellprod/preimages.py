@@ -61,13 +61,6 @@ class PreimagePresentation:
     def total_degree(self):
         return self.degrees.total_degree()
 
-    def as_subvariety(self, transverse=False):
-        """Repackage as a SubvarietyPresentation; transversality of the
-        preimage is NOT established here (that is the certification
-        layer's job), so the flag defaults to False."""
-        return SubvarietyPresentation(self.system, self.equations,
-                                      self.base.dim, self.degrees, transverse)
-
     def __repr__(self):
         return ("PreimagePresentation(alphas=%r, %d equation(s))"
                 % (list(self.isogeny.alphas), len(self.equations)))

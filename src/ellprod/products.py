@@ -82,7 +82,8 @@ def _weight_dim_indices(n, dim):
 
 def _complete_table(entries, n_factors, dim):
     """entries if each I is a 0/1 tuple of length n_factors and weight dim,
-    every such I is present and no degree is negative; ValueError if not."""
+    every such I is present, no degree is negative and there is at least
+    one factor; ValueError if not."""
     for I, d in entries.items():
         if len(I) != n_factors or any(i not in (0, 1) for i in I) or sum(I) != dim:
             raise ValueError("bad multidegree index %r" % (I,))
@@ -90,6 +91,8 @@ def _complete_table(entries, n_factors, dim):
             raise ValueError("negative multidegree at %r" % (I,))
     if not entries or len(entries) != comb(n_factors, dim):
         raise ValueError("incomplete multidegree table")
+    if n_factors < 1:
+        raise ValueError("multidegree table over no factors")
     return entries
 
 

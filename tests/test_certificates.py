@@ -394,6 +394,12 @@ def test_verify_reports_malformed_payloads_instead_of_raising():
         # no rows and a huge factor count: refused without enumerating
         _tampered(curves, lambda c: c["inputs"].update(n_factors=10 ** 9,
                                                         multidegrees=[])),
+        # a table over no factors
+        {"criterion": "CorollaryIdentity", "verdict": "CertifiedTransverse",
+         "hypotheses": {"transverse_input": True},
+         "inputs": {"n_factors": 0, "dim": 0, "multidegrees": [{"I": [], "deg": 7}],
+                    "mode": "prime", "p": 5},
+         "witness": {"dim_factorial": 1, "components": []}},
     ]
     for cert in payloads:
         ok, problems = verify_certificate(cert)
@@ -485,6 +491,13 @@ REJECTIONS = {
         lambda: check_theorem_a(C3, [167, 167]),
         _edits(_set("witness", 0, "p", 169), _set("inputs", "primes", 0, 169)),
         ["component 1: 169 is not prime"]),
+    "theorem-a-flag-echoes": (
+        lambda: check_theorem_a(C3, [167, 167]),
+        _edits(_set("witness", 0, "is_prime", False), _set("witness", 1, "satisfied", 1)),
+        ["component 1: echoed is_prime disagrees", "component 2: echoed satisfied disagrees"]),
+    "theorem-a-no-threshold": (
+        lambda: check_theorem_a(C3, [167, 167]), lambda c: c["witness"][1].pop("threshold"),
+        ["malformed certificate: 'threshold'"]),
     "theorem-a-coverage": (
         lambda: check_theorem_a(C3, [167, 167]), _drop_row(2), [COVERAGE]),
     "theorem-main-J": (
@@ -499,6 +512,12 @@ REJECTIONS = {
         lambda: check_theorem_main(C3, DiagonalIsogeny([2, 1])),
         _set("witness", 1, "deg_I", 19),
         ["component 2: deg_I does not match the table"]),
+    "theorem-main-echoes": (
+        lambda: check_theorem_main(C3, DiagonalIsogeny([2, 1])),
+        _edits(_set("witness", 0, "dim_factorial", 2), _set("witness", 1, "deg_alpha_j", 4),
+               _set("witness", 1, "gcd", 5)),
+        ["component 1: echoed dim_factorial disagrees",
+         "component 2: echoed deg_alpha_j disagrees", "component 2: echoed gcd disagrees"]),
     "theorem-main-coverage": (
         lambda: check_theorem_main(C3, DiagonalIsogeny([2, 1])), _drop_row(1),
         [COVERAGE]),
@@ -512,6 +531,10 @@ REJECTIONS = {
         lambda: check_corollary_identity(C3, n=5), _set("inputs", "n", 3),
         ["component 1: gcd(n, dim! * deg_I) != 1",
          "component 2: gcd(n, dim! * deg_I) != 1"]),
+    "identity-echoes": (
+        lambda: check_corollary_identity(C3, n=5),
+        _edits(_set("witness", 0, "dim_factorial", 7), _set("witness", 1, "gcd", 5)),
+        ["component 1: echoed dim_factorial disagrees", "component 2: echoed gcd disagrees"]),
     "identity-coverage": (
         lambda: check_corollary_identity(C3, n=5), _drop_row(2), [COVERAGE]),
     "identity-p-not-prime": (
@@ -524,6 +547,28 @@ REJECTIONS = {
         lambda: check_corollary_identity(C3, p=5), _set("inputs", "p", 3),
         ["component 1: p divides every deg_I with i_j = 1",
          "component 2: p divides every deg_I with i_j = 1"]),
+    "identity-p-echoes": (
+        lambda: check_corollary_identity(C3, p=5),
+        _edits(_set("witness", "components", 0, "gcd_of_degrees", 12345),
+               _set("witness", "dim_factorial", 99),
+               _set("witness", "components", 1, "p_divides", True)),
+        ["witness: echoed dim_factorial disagrees",
+         "component 1: echoed gcd_of_degrees disagrees",
+         "component 2: echoed p_divides disagrees"]),
+    "identity-p-no-witness": (
+        lambda: check_corollary_identity(C3, p=5), _set("witness", {}),
+        ["malformed certificate: 'dim_factorial'"]),
+    "identity-p-coverage": (
+        lambda: check_corollary_identity(C3, p=5),
+        lambda c: c["witness"]["components"].pop(), [COVERAGE]),
+    "weak-echoes": (
+        lambda: check_theorem_weak(C3, DiagonalIsogeny([101, 103])),
+        _edits(_set("witness", "bound", 1), _set("witness", "comparisons", [])),
+        ["witness: echoed bound disagrees", "witness: echoed comparisons disagrees"]),
+    "weak-no-degree-primes": (
+        lambda: check_theorem_weak(C3, DiagonalIsogeny([1, 1])),
+        lambda c: c["witness"].pop("degree_primes"),
+        ["malformed certificate: 'degree_primes'"]),
     "curves-dim": (
         lambda: check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
         _edits(_to_dim_two, _set("witness", [])),
@@ -536,6 +581,10 @@ REJECTIONS = {
         lambda: check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
         _set("witness", 0, "deg_alpha", 9),
         ["component 1: echoed deg_alpha disagrees"]),
+    "curves-gcd-echo": (
+        lambda: check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
+        _set("witness", 1, "gcd", 3),
+        ["component 2: echoed gcd disagrees"]),
     "curves-duplicate-row": (
         lambda: check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
         lambda c: c["witness"].append(copy.deepcopy(c["witness"][0])),

@@ -140,9 +140,10 @@ def test_input_error_paths(capsys, c3_file, tmp_path):
     ]
     for argv in cases:
         code = main(argv)
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code == 2, argv
         assert err.startswith("error:"), argv
+        assert out == "", argv
     notjson = tmp_path / "bad.json"
     notjson.write_text("{nope")
     assert main(["degree", "--variety", str(notjson),

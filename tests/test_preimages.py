@@ -90,20 +90,20 @@ def test_preimage_1_5_equation():
     ([-3, 2], [{"t"}, {"t"}]),
 ])
 def test_preimage_builds_only_the_map_fields_its_bindings_use(monkeypatch, alphas, built):
-    from ellprod.curves import MultiplicationMaps
+    from ellprod import preimages
 
-    seen = []
-    field = MultiplicationMaps._field
+    factors = []
+    build = preimages.multiplication_maps
 
-    def recording(maps, name):
-        seen.append((maps, name))
-        return field(maps, name)
+    def recording(alpha, curve):
+        factors.append(build(alpha, curve))
+        return factors[-1]
 
-    monkeypatch.setattr(MultiplicationMaps, "_field", recording)
+    monkeypatch.setattr(preimages, "multiplication_maps", recording)
     generate_preimage(C3, DiagonalIsogeny(alphas))
-    factors = list(dict.fromkeys(maps for maps, _ in seen))
     assert [maps.alpha for maps in factors] == alphas
-    assert [{name for maps, name in seen if maps is f} for f in factors] == built
+    fields = {"r", "s", "t", "r_tilde", "t_tilde"}
+    assert [set(vars(maps)) & fields for maps in factors] == built
 
 
 def test_preimage_equation_not_divisible_by_denominators():
@@ -303,15 +303,6 @@ def test_degenerate_equation_detected():
     V = SubvarietyPresentation(C3.system, [rel], 1, C3.degrees, True)
     with pytest.raises(PreimageDegenerateError):
         generate_preimage(V, DiagonalIsogeny([1, 1]))
-
-
-def test_as_subvariety():
-    pre = generate_preimage(C3, DiagonalIsogeny([2, 1]))
-    W = pre.as_subvariety()
-    assert W.transverse is False  # transversality is a claim, not inherited
-    assert W.equations == tuple(pre.equations)
-    assert W.degrees == pre.degrees
-    assert W.total_degree() == 81
 
 
 def test_apply_isogeny():

@@ -17,6 +17,7 @@ from ellprod.products import (
     preimage_degree_curve,
     preimage_multidegrees,
     product_ring,
+    read_multidegree_rows,
     subvariety_from_dict,
     subvariety_to_dict,
     total_degree,
@@ -61,6 +62,10 @@ def test_table_validation():
         MultiDegreeTable(1, {(1, 0): 9, (0, 1): -1})  # negative entry
     with pytest.raises(ValueError):
         MultiDegreeTable(0, {})  # empty
+    with pytest.raises(ValueError, match="no factors"):
+        MultiDegreeTable(0, {(): 1})
+    with pytest.raises(ValueError, match="no factors"):
+        read_multidegree_rows([{"I": [], "deg": 7}], 0, 0)
 
 
 @pytest.mark.parametrize("dim, entries", [
