@@ -24,17 +24,30 @@ The criteria:
                       i_j = 1
   CorollaryCurves     dim-1 input; gcd(alpha_j^2, d_j) = 1 for every j
 
-verify_certificate re-derives every claim of a certificate from the
-echoed inputs using nothing but integer arithmetic, so a certificate can
-be checked at a desk without trusting this module's checkers.
+verify_certificate re-derives a claim from the echoed inputs by integer
+arithmetic alone, without this module's checkers: a certified payload is
+compared whole with what its inputs imply, which has exactly these keys.
+
+  top level    criterion, verdict, hypotheses, inputs, witness, and
+               strategy from certify_auto; never reasons
+  hypotheses   transverse_input, true
+  inputs       n_factors, dim, multidegrees (rows of I and deg in index
+               order), then primes, alphas, or mode with n or p
+  witness      the checker's row for each component j = 1..N in order, or
+               for TheoremWeak and prime mode the checker's object
+  strategy     order: AUTO_ORDER, without CURVES_ONLY unless dim is 1, cut
+               after the criterion; attempts: one per name, each earlier
+               one Inconclusive, the last the criterion's, certified with
+               reasons []
 """
 
+import copy
 import json
 from math import factorial, gcd
 
 from .arith import is_prime, prime_factors, require_int
-from .products import (SubvarietyPresentation, _table_of, exact_int,
-                       read_multidegree_rows)
+from .products import (MultiDegreeTable, SubvarietyPresentation, _table_of,
+                       exact_int, read_multidegree_rows)
 
 CERTIFIED = "CertifiedTransverse"
 INCONCLUSIVE = "Inconclusive"
@@ -55,18 +68,15 @@ class TransversalityCertificate:
         return self.verdict == CERTIFIED
 
     def to_dict(self):
-        out = {
-            "criterion": self.criterion,
-            "verdict": self.verdict,
-            "hypotheses": self.hypotheses,
-            "inputs": self.inputs,
-            "witness": self.witness,
-        }
+        """The JSON payload, in fresh containers that the caller may edit."""
+        out = {"criterion": self.criterion, "verdict": self.verdict,
+               "hypotheses": self.hypotheses, "inputs": self.inputs,
+               "witness": self.witness}
         if self.reasons:
             out["reasons"] = self.reasons
         if self.strategy is not None:
             out["strategy"] = self.strategy
-        return out
+        return copy.deepcopy(out)
 
     def __repr__(self):
         return "TransversalityCertificate(%s, %s)" % (self.criterion, self.verdict)
@@ -277,20 +287,22 @@ def certify_auto(V, phi):
 
 
 def verify_certificate(cert):
-    """Re-derive a certificate's claim from its echoed inputs.
+    """(ok, problems) for a certificate or its dict form (to_dict or JSON).
 
-    Accepts the dict form (TransversalityCertificate.to_dict or parsed
-    JSON).  Returns (ok, problems); a malformed payload, including a
-    number that is not an exact int (bool, float and str are refused) or
-    one beyond the proven range of ellprod.arith, gives (False,
-    ["malformed certificate: ..."]) instead of an exception, as do a
-    multiplier (alpha_j, prime or n) of 0 and a multidegree table that
-    products.read_multidegree_rows refuses (an index out of shape,
-    repeated or missing, or a negative degree).  Uses only integer arithmetic
-    — primality and factoring from ellprod.arith, gcds, factorials —
-    independently of the checkers above, and checks every value that a
-    certified witness echoes.  An Inconclusive certificate asserts nothing
-    and is accepted as long as it is well-formed.
+    An Inconclusive certificate asserts nothing and is accepted once its
+    inputs read.  A certified payload is compared whole with what its
+    inputs imply (the keys are in the module docstring): each key beyond
+    those, and each value whose JSON differs, an int read as an exact int,
+    is one problem.  Free by design are an earlier strategy
+    attempt's reasons, a non-empty list of strings, and the index I of a
+    TheoremMain or integer-mode CorollaryIdentity row, which must be in the
+    table with i_j = 1 and from which the rest of the row is rebuilt.
+
+    A malformed payload gives (False, ["malformed certificate: ..."]),
+    never an exception: a missing key, a number that is not an exact int
+    (bool, float, str) or is beyond ellprod.arith's proven range, a
+    multiplier (alpha_j, prime or n) of 0, a multiplier vector of the wrong
+    length, or a table that products.read_multidegree_rows refuses.
     """
     if isinstance(cert, TransversalityCertificate):
         cert = cert.to_dict()
@@ -300,151 +312,137 @@ def verify_certificate(cert):
         return False, ["malformed certificate: %s" % exc]
 
 
+_ROWS = object()  # the witness rows in an expected payload, compared one by one
+
+
+def _diff(where, actual, expected, fail):
+    """Fail for each key of the object actual that expected lacks and for
+    each value whose JSON differs from expected's, reading an int as an
+    exact int; a key actual lacks raises KeyError.  A nested object is
+    compared the same way under its own key; _ROWS is skipped."""
+    for key in actual:
+        if key not in expected:
+            fail("%s: unexpected key %r" % (where, key))
+    for key, value in expected.items():
+        echoed = actual[key]
+        if type(value) is dict:
+            _diff(key, echoed, value, fail)
+        elif value is not _ROWS and json.dumps(
+                exact_int(echoed) if type(value) is int else echoed,
+                sort_keys=True) != json.dumps(value, sort_keys=True):
+            fail("%s: echoed %s disagrees" % (where, key))
+
+
+def _strategy(criterion, dim, attempts):
+    """certify_auto's strategy when criterion certifies at dim; each earlier
+    attempt keeps its reasons, which must be a non-empty list of strings."""
+    order = [c for c in AUTO_ORDER if dim == 1 or c not in CURVES_ONLY]
+    if criterion not in order:
+        raise ValueError("certify_auto never tries %s" % criterion)
+    order = order[:order.index(criterion) + 1]
+    reasons = [attempt["reasons"] for attempt in attempts[:len(order) - 1]]
+    if not all(type(r) is list and r and all(type(s) is str for s in r) for r in reasons):
+        raise ValueError("an Inconclusive attempt needs a non-empty list of reasons")
+    return {"order": order, "attempts": [
+        {"criterion": c, "verdict": INCONCLUSIVE, "reasons": r} for c, r in zip(order, reasons)
+    ] + [{"criterion": criterion, "verdict": CERTIFIED, "reasons": []}]}
+
+
 def _reverify(cert):
-    criterion = cert["criterion"]
-    verdict = cert["verdict"]
-    hypotheses = cert["hypotheses"]
-    inputs = cert["inputs"]
-    witness = cert["witness"]
-    dim = exact_int(inputs["dim"])
-    nf = exact_int(inputs["n_factors"])
-    entries = read_multidegree_rows(inputs["multidegrees"], nf, dim)
+    criterion, verdict = cert["criterion"], cert["verdict"]
+    hypotheses, inputs, witness = cert["hypotheses"], cert["inputs"], cert["witness"]
+    dim, nf = exact_int(inputs["dim"]), exact_int(inputs["n_factors"])
+    table = MultiDegreeTable(dim, read_multidegree_rows(inputs["multidegrees"], nf, dim))
     if verdict not in (CERTIFIED, INCONCLUSIVE):
         return False, ["unknown verdict %r" % verdict]
     if verdict == INCONCLUSIVE:
         return True, []
     if hypotheses.get("transverse_input") is not True:
         return False, ["certified verdict without the transversality hypothesis"]
-    bang = factorial(dim)
-    total = bang * sum(entries.values())
-
+    if criterion in CURVES_ONLY and dim != 1:
+        return False, ["%s needs dim 1, certificate has dim %d" % (criterion, dim)]
+    mode = inputs["mode"] if criterion == "CorollaryIdentity" else None
+    if criterion == "CorollaryIdentity" and mode not in ("integer", "prime"):
+        return False, ["unknown CorollaryIdentity mode %r" % (mode,)]
+    if criterion not in AUTO_ORDER + ("CorollaryIdentity",):
+        return False, ["unknown criterion %r" % (criterion,)]
+    entries, bang = table.entries, factorial(dim)
     problems = []
     fail = problems.append
-
-    def multiplier(value):
-        m = exact_int(value)
-        if m == 0:
+    shape = _ROWS
+    if mode == "prime":
+        p = exact_int(inputs["p"])
+        if not is_prime(p):
+            return False, ["p = %d is not prime" % p]
+        if bang % abs(p) == 0:
+            fail("p divides dim!")
+        extra = {"mode": mode, "p": p}
+        shape = {"dim_factorial": bang, "components": _ROWS}
+    else:  # the multipliers, with each alpha_j as its degree alpha_j^2
+        key = {"TheoremA": "primes", "CorollaryIdentity": "n"}.get(criterion, "alphas")
+        ms = [exact_int(m) for m in ([inputs[key]] * nf if mode else inputs[key])]
+        if 0 in ms:
             raise ValueError("multiplication by 0 is not an isogeny")
-        return m
+        if len(ms) != nf:
+            raise ValueError("%d %s for %d factors" % (len(ms), key, nf))
+        extra = {"mode": mode, "n": ms[0]} if mode else {key: ms}
+        ms = [a * a for a in ms] if key == "alphas" else ms
 
-    def vector(key, what):
-        values = [multiplier(v) for v in inputs[key]]
-        if len(values) != nf:
-            fail("%s vector length %d != %d factors" % (what, len(values), nf))
-        return values
-
-    def components(rows):
-        """The witness rows with their j, then the check that the rows
-        cover every component exactly once."""
-        js = []
-        for row in rows:
-            j = exact_int(row["j"])
-            js.append(j)
-            yield j, row
-        if sorted(js) != list(range(1, nf + 1)):
-            fail("witness does not cover every component exactly once")
-
-    def echoes(j, row, **values):
-        """Fail for each value that row, component j's or for j = 0 the
-        witness itself, does not echo as its JSON (an int as an exact int)."""
-        for key, value in values.items():
-            echoed = exact_int(row[key]) if type(value) is int else row[key]
-            if json.dumps(echoed, sort_keys=True) != json.dumps(value, sort_keys=True):
-                fail("%s: echoed %s disagrees"
-                     % ("component %d" % j if j else "witness", key))
-
-    if criterion == "TheoremA":
-        if dim != 1:
-            fail("TheoremA needs dim 1, certificate has dim %d" % dim)
-        primes = vector("primes", "prime")
-        threshold = total * nf * 3 ** (nf - 1)
-        for j, row in components(witness):
-            p = exact_int(row["p"])
-            if not 1 <= j <= nf or p != primes[j - 1]:
-                fail("witness row for j=%d does not match inputs" % j)
-                continue
-            if not is_prime(p):
-                fail("component %d: %d is not prime" % (j, p))
-            if abs(p) < threshold:
-                fail("component %d: |%d| < threshold %d" % (j, p, threshold))
-            if exact_int(row["threshold"]) != threshold:
-                fail("component %d: echoed threshold disagrees (%s != %d)"
-                     % (j, row["threshold"], threshold))
-            echoes(j, row, is_prime=True, satisfied=True)
-    elif criterion == "TheoremMain":
-        alphas = vector("alphas", "alpha")
-        for j, row in components(witness):
-            J = [exact_int(k) for k in row["J"]]
-            I = tuple(exact_int(i) for i in row["I"])
-            if len(J) != dim or j not in J:
-                fail("component %d: J=%r is not a size-%d set containing j"
-                     % (j, J, dim))
-                continue
-            if I != tuple(1 if k + 1 in J else 0 for k in range(nf)):
-                fail("component %d: I does not match J" % j)
-                continue
-            if I not in entries or exact_int(row["deg_I"]) != entries[I]:
-                fail("component %d: deg_I does not match the table" % j)
-                continue
-            if gcd(alphas[j - 1] ** 2, bang * entries[I]) != 1:
-                fail("component %d: gcd(alpha_j^2, dim! * deg_I) != 1" % j)
-            echoes(j, row, dim_factorial=bang, deg_alpha_j=alphas[j - 1] ** 2, gcd=1)
-    elif criterion == "TheoremWeak":
-        alphas = vector("alphas", "alpha")
-        primes = sorted({p for a in alphas for p in prime_factors(a)})
-        bound = bang * total
-        for p in primes:
-            if p <= bound:
-                fail("prime %d dividing deg(phi) is <= dim! * deg(V) = %d" % (p, bound))
-        echoed = [exact_int(p) for p in witness["degree_primes"]]
-        if echoed != primes:
-            fail("echoed degree_primes %r != recomputed %r" % (echoed, primes))
-        echoes(0, witness, bound=bound,
-               comparisons=[{"p": p, "satisfied": p > bound} for p in primes])
-    elif criterion == "CorollaryIdentity":
-        mode = inputs["mode"]
-        if mode == "integer":
-            n = multiplier(inputs["n"])
-            for j, row in components(witness):
-                I = tuple(exact_int(i) for i in row["I"])
-                if not 1 <= j <= nf or I not in entries or I[j - 1] != 1:
-                    fail("component %d: bad index %r" % (j, I))
-                    continue
-                if exact_int(row["deg_I"]) != entries[I]:
-                    fail("component %d: deg_I does not match the table" % j)
-                    continue
-                if gcd(n, bang * entries[I]) != 1:
-                    fail("component %d: gcd(n, dim! * deg_I) != 1" % j)
-                echoes(j, row, dim_factorial=bang, gcd=1)
-        elif mode == "prime":
-            p = exact_int(inputs["p"])
-            if not is_prime(p):
-                return False, ["p = %d is not prime" % p]
-            if bang % abs(p) == 0:
-                fail("p divides dim!")
-            echoes(0, witness, dim_factorial=bang)
-            for j, row in components(witness["components"]):
-                g = gcd(*(d for I, d in entries.items() if I[j - 1] == 1))
-                echoes(j, row, gcd_of_degrees=g)
-                if g % abs(p) == 0:
-                    fail("component %d: p divides every deg_I with i_j = 1" % j)
-                else:  # a certified row echoes p_divides false
-                    echoes(j, row, p_divides=False)
-        else:
-            fail("unknown CorollaryIdentity mode %r" % mode)
-    elif criterion == "CorollaryCurves":
-        if dim != 1:
-            fail("CorollaryCurves needs dim 1, certificate has dim %d" % dim)
-        alphas = vector("alphas", "alpha")
-        for j, row in components(witness):
-            if not 1 <= j <= nf:
-                fail("witness names component %d outside 1..%d" % (j, nf))
-                continue
-            I = tuple(1 if k == j - 1 else 0 for k in range(nf))
-            d_j = entries[I]
-            echoes(j, row, d_j=d_j, deg_alpha=alphas[j - 1] ** 2, gcd=1)
-            if gcd(alphas[j - 1] ** 2, d_j) != 1:
+    def want(j, row):  # row j as it should read, once its condition is checked
+        if mode == "prime":
+            g = gcd(*(d for I, d in entries.items() if I[j - 1] == 1))
+            if g % abs(p) == 0:  # gcd 0 means all entries 0
+                fail("component %d: p divides every deg_I with i_j = 1" % j)
+            return {"j": j, "gcd_of_degrees": g, "p_divides": False}
+        m = ms[j - 1]
+        if criterion == "TheoremA":
+            threshold = table.total_degree() * nf * 3 ** (nf - 1)
+            if not is_prime(m):
+                fail("component %d: %d is not prime" % (j, m))
+            if abs(m) < threshold:
+                fail("component %d: |%d| < threshold %d" % (j, m, threshold))
+            return {"j": j, "p": m, "is_prime": True, "threshold": threshold,
+                    "satisfied": True}
+        if criterion == "CorollaryCurves":
+            d_j = entries[tuple(int(k == j - 1) for k in range(nf))]
+            if gcd(m, d_j) != 1:
                 fail("component %d: gcd(alpha_j^2, d_j) != 1" % j)
-    else:
-        fail("unknown criterion %r" % criterion)
+            return {"j": j, "d_j": d_j, "deg_alpha": m, "gcd": 1}
+        I = tuple(exact_int(i) for i in row["I"])  # free: any I with i_j = 1
+        if I not in entries or I[j - 1] != 1:
+            return fail("component %d: bad index %r" % (j, I))
+        if gcd(m, bang * entries[I]) != 1:
+            fail("component %d: gcd(%s, dim! * deg_I) != 1"
+                 % (j, "n" if mode else "alpha_j^2"))
+        out = {"j": j, "J": [k for k, i in enumerate(I, start=1) if i], "I": list(I),
+               "deg_I": entries[I], "dim_factorial": bang, "deg_alpha_j": m, "gcd": 1}
+        if mode:  # CorollaryIdentity's rows name neither J nor deg_alpha_j
+            del out["J"], out["deg_alpha_j"]
+        return out
+
+    if criterion == "TheoremWeak":
+        primes = sorted({q for a in extra["alphas"] for q in prime_factors(a)})
+        bound = bang * table.total_degree()
+        for q in primes:
+            if q <= bound:
+                fail("prime %d dividing deg(phi) is <= dim! * deg(V) = %d" % (q, bound))
+        shape = {"degree_primes": primes, "bound": bound,
+                 "comparisons": [{"p": q, "satisfied": True} for q in primes]}
+    expected = {"criterion": criterion, "verdict": CERTIFIED,
+                "hypotheses": {"transverse_input": True},
+                "inputs": {"n_factors": nf, "dim": dim,
+                           "multidegrees": table.rows(), **extra},
+                "witness": shape}
+    if "strategy" in cert:
+        expected["strategy"] = _strategy(criterion, dim, cert["strategy"]["attempts"])
+    _diff("certificate", cert, expected, fail)
+    if criterion != "TheoremWeak":
+        rows = witness["components"] if mode == "prime" else witness
+        if len(rows) != nf:
+            fail("witness does not cover every component exactly once")
+            rows = []
+        for j, row in enumerate(rows, start=1):
+            row_want = want(j, row)
+            if row_want is not None:
+                _diff("component %d" % j, row, row_want, fail)
     return (not problems), problems

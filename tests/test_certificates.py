@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ellprod import certificates
 from ellprod.certificates import (
     AUTO_ORDER,
     CERTIFIED,
@@ -261,6 +262,12 @@ def test_certify_auto_identity():
 # independent verification
 # ---------------------------------------------------------------------------
 
+def _multi_attempt():
+    """A TheoremWeak certificate from certify_auto after two Inconclusive
+    attempts: d_1 = 0 leaves no gcd of 1 for CorollaryCurves or TheoremMain."""
+    return certify_auto(MultiDegreeTable(1, {(1, 0): 0, (0, 1): 1}), DiagonalIsogeny([7, 11]))
+
+
 def _all_certified_examples():
     return [
         check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
@@ -481,12 +488,10 @@ COVERAGE = "witness does not cover every component exactly once"
 REJECTIONS = {
     "theorem-a-dim": (
         lambda: check_theorem_a(C3, [167, 167]), _to_dim_two,
-        ["TheoremA needs dim 1, certificate has dim 2",
-         "component 1: echoed threshold disagrees (162 != 12)",
-         "component 2: echoed threshold disagrees (162 != 12)"]),
+        ["TheoremA needs dim 1, certificate has dim 2"]),
     "theorem-a-row-vs-inputs": (
         lambda: check_theorem_a(C3, [167, 167]), _set("witness", 0, "p", 163),
-        ["witness row for j=1 does not match inputs"]),
+        ["component 1: echoed p disagrees"]),
     "theorem-a-not-prime": (
         lambda: check_theorem_a(C3, [167, 167]),
         _edits(_set("witness", 0, "p", 169), _set("inputs", "primes", 0, 169)),
@@ -503,15 +508,15 @@ REJECTIONS = {
     "theorem-main-J": (
         lambda: check_theorem_main(C3, DiagonalIsogeny([2, 1])),
         _set("witness", 0, "J", [2]),
-        ["component 1: J=[2] is not a size-1 set containing j"]),
+        ["component 1: echoed J disagrees"]),
     "theorem-main-I-vs-J": (
         lambda: check_theorem_main(C3, DiagonalIsogeny([2, 1])),
         _set("witness", 0, "I", [0, 1]),
-        ["component 1: I does not match J"]),
+        ["component 1: bad index (0, 1)"]),
     "theorem-main-deg-I": (
         lambda: check_theorem_main(C3, DiagonalIsogeny([2, 1])),
         _set("witness", 1, "deg_I", 19),
-        ["component 2: deg_I does not match the table"]),
+        ["component 2: echoed deg_I disagrees"]),
     "theorem-main-echoes": (
         lambda: check_theorem_main(C3, DiagonalIsogeny([2, 1])),
         _edits(_set("witness", 0, "dim_factorial", 2), _set("witness", 1, "deg_alpha_j", 4),
@@ -526,7 +531,7 @@ REJECTIONS = {
         ["component 1: bad index (0, 1)"]),
     "identity-deg-I": (
         lambda: check_corollary_identity(C3, n=5), _set("witness", 0, "deg_I", 10),
-        ["component 1: deg_I does not match the table"]),
+        ["component 1: echoed deg_I disagrees"]),
     "identity-gcd": (
         lambda: check_corollary_identity(C3, n=5), _set("inputs", "n", 3),
         ["component 1: gcd(n, dim! * deg_I) != 1",
@@ -572,11 +577,11 @@ REJECTIONS = {
     "curves-dim": (
         lambda: check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
         _edits(_to_dim_two, _set("witness", [])),
-        ["CorollaryCurves needs dim 1, certificate has dim 2", COVERAGE]),
+        ["CorollaryCurves needs dim 1, certificate has dim 2"]),
     "curves-j-out-of-range": (
         lambda: check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
         _set("witness", 0, "j", 3),
-        ["witness names component 3 outside 1..2", COVERAGE]),
+        ["component 1: echoed j disagrees"]),
     "curves-deg-alpha-echo": (
         lambda: check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
         _set("witness", 0, "deg_alpha", 9),
@@ -597,6 +602,40 @@ REJECTIONS = {
         lambda: check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
         _set("inputs", "multidegrees", 1, "I", [1, 0]),
         ["malformed certificate: duplicate multidegree index (1, 0)"]),
+    "table-row-extra-key": (
+        lambda: check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
+        _set("inputs", "multidegrees", 0, "note", "x"),
+        ["inputs: echoed multidegrees disagrees"]),
+    "table-row-order": (
+        lambda: check_corollary_curves(C3, DiagonalIsogeny([2, 1])),
+        lambda c: c["inputs"]["multidegrees"].reverse(),
+        ["inputs: echoed multidegrees disagrees"]),
+    "certified-with-reasons": (
+        lambda: check_theorem_weak(C3, DiagonalIsogeny([29, 31])), _set("reasons", ["bogus"]),
+        ["certificate: unexpected key 'reasons'"]),
+    "unexpected-keys": (
+        lambda: check_corollary_identity(C3, p=5),
+        _edits(_set("hypotheses", "checked", True), _set("witness", "note", 0),
+               _set("witness", "components", 1, "note", 0)),
+        ["hypotheses: unexpected key 'checked'", "witness: unexpected key 'note'",
+         "component 2: unexpected key 'note'"]),
+    "strategy-order": (
+        lambda: certify_auto(C3, DiagonalIsogeny([2, 1])),
+        _set("strategy", "order", ["TheoremMain"]),
+        ["strategy: echoed order disagrees"]),
+    "strategy-attempt-verdict": (
+        _multi_attempt,
+        _set("strategy", "attempts", 0, "verdict", CERTIFIED),
+        ["strategy: echoed attempts disagrees"]),
+    "strategy-attempt-without-reasons": (
+        _multi_attempt,
+        _set("strategy", "attempts", 0, "reasons", []),
+        ["malformed certificate: an Inconclusive attempt needs a non-empty list of "
+         "reasons"]),
+    "strategy-on-identity": (
+        lambda: check_corollary_identity(C3, n=5),
+        _set("strategy", {"order": [], "attempts": []}),
+        ["malformed certificate: certify_auto never tries CorollaryIdentity"]),
 }
 
 
@@ -663,6 +702,109 @@ def test_verify_never_raises_on_single_leaf_type_mutations():
                 assert all(isinstance(p, str) for p in problems)
                 mutated += 1
     assert mutated > 1000
+
+
+def _nodes(node, path=()):
+    yield path, node
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, value in children:
+        yield from _nodes(value, path + (key,))
+
+
+def _one_leaf_tamperings(payload):
+    """(path, tampered copy) for each int + 1, each bool flipped, each string
+    changed and one new key added to each object, the top level included."""
+    for path, node in _nodes(payload):
+        if isinstance(node, list):
+            continue
+        bad = copy.deepcopy(payload)
+        parent = bad
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(node, dict):
+            (parent[path[-1]] if path else bad)["new key"] = 0
+            yield path + ("new key",), bad
+        else:
+            parent[path[-1]] = (not node if type(node) is bool else node + 1
+                                if type(node) is int else node + "!")
+            yield path, bad
+
+
+# The only one-leaf tamperings that still verify, each free by design.  A
+# TheoremMain or integer-mode CorollaryIdentity row's I is free as well,
+# but no one-leaf change keeps it in the table, so the test after this one
+# checks that freedom.
+FREE_BY_DESIGN = {
+    "strategy.attempts[k].reasons": "an Inconclusive attempt's reasons are free text",
+}
+
+
+def _free(path):
+    if path[:2] == ("strategy", "attempts") and path[3:4] == ("reasons",):
+        return "strategy.attempts[k].reasons"
+
+
+def test_verify_refuses_every_one_leaf_tampering():
+    genuine = [cert.to_dict() for cert in _all_certified_examples() + [_multi_attempt()]]
+    assert {(c["criterion"], c["inputs"].get("mode")) for c in genuine} == {
+        ("CorollaryCurves", None), ("TheoremMain", None), ("TheoremWeak", None),
+        ("TheoremA", None), ("CorollaryIdentity", "integer"),
+        ("CorollaryIdentity", "prime")}
+    assert sum("strategy" in c for c in genuine) == 2
+    tried = freed = 0
+    for cert in genuine:
+        assert verify_certificate(cert) == (True, [])
+        with_reasons = dict(cert, reasons=["bogus"])
+        for path, bad in [(("reasons",), with_reasons)] + list(_one_leaf_tamperings(cert)):
+            tried += 1
+            ok, problems = verify_certificate(bad)
+            if ok:
+                assert _free(path) in FREE_BY_DESIGN, path
+                freed += 1
+            else:
+                assert problems
+    assert tried > 250 and freed == 2  # the two reasons of _multi_attempt
+
+
+def test_verify_lets_a_row_choose_any_valid_index():
+    for cert in (check_theorem_main(T3, DiagonalIsogeny([1, 1, 1])),
+                 check_corollary_identity(T3, n=1)):
+        assert cert.witness[0]["I"] == [1, 1, 0]
+        other = _tampered(cert, lambda c: c["witness"][0].update(I=[1, 0, 1]))
+        if "J" in other["witness"][0]:
+            other["witness"][0]["J"] = [1, 3]
+        assert verify_certificate(other) == (True, [])
+        other["witness"][0]["I"] = [0, 1, 1]  # i_1 = 0: not a choice for j = 1
+        assert verify_certificate(other) == (
+            False, ["component 1: bad index (0, 1, 1)"])
+
+
+def test_verify_calls_no_checker(monkeypatch):
+    payloads = [c.to_dict() for c in _all_certified_examples() + [_multi_attempt()]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verifier called a checker")
+    for name in dir(certificates):
+        if name.startswith("check_") or name == "certify_auto":
+            monkeypatch.setattr(certificates, name, refuse)
+    for name in certificates.AUTO_CHECKS:
+        monkeypatch.setitem(certificates.AUTO_CHECKS, name, refuse)
+    for payload in payloads:
+        assert verify_certificate(payload) == (True, [])
+
+
+def test_to_dict_returns_fresh_containers():
+    cert = check_corollary_curves(C3, DiagonalIsogeny([2, 1]))
+    d = cert.to_dict()
+    d["witness"][0]["d_j"] = 8
+    d["hypotheses"]["transverse_input"] = False
+    d["inputs"]["multidegrees"][0]["deg"] = 1
+    assert verify_certificate(d)[0] is False
+    assert cert.certified() and verify_certificate(cert) == (True, [])
+    auto = certify_auto(C3, DiagonalIsogeny([2, 1]))
+    auto.to_dict()["strategy"]["attempts"][0]["reasons"].append("bogus")
+    assert verify_certificate(auto) == (True, [])
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,20 @@ def test_variety_table_with_a_repeated_row_is_refused(capsys, c3_file, tmp_path)
                             "index (1, 0)\n")
 
 
+def test_variety_row_with_an_extra_key_still_loads(capsys, c3_file, tmp_path):
+    # a variety file reads its rows as leniently as its top level; only a
+    # certified payload, compared whole by verify_certificate, refuses the key
+    with open(c3_file) as fh:
+        data = json.load(fh)
+    data["multidegrees"][0]["note"] = "from a survey"
+    path = tmp_path / "annotated.json"
+    path.write_text(json.dumps(data))
+    code, rep = run(capsys, ["degree", "--variety", str(path), "--isogeny", "[2,1]"])
+    assert code == 0
+    assert rep["result"]["variety_multidegrees"] == [{"I": [1, 0], "deg": 9},
+                                                     {"I": [0, 1], "deg": 18}]
+
+
 def test_constants_command(capsys):
     code, rep = run(capsys, ["constants", "--curves",
                              "[{\"A\":0,\"B\":1},{\"A\":0,\"B\":1}]"])
