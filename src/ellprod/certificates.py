@@ -27,18 +27,21 @@ The criteria:
 verify_certificate re-derives a claim from the echoed inputs by integer
 arithmetic alone, without this module's checkers: a certified payload is
 compared whole with what its inputs imply, which has exactly these keys.
+An Inconclusive payload claims nothing: it has the same keys and names,
+but its reasons, hypothesis value, multipliers and witness are free.
 
   top level    criterion, verdict, hypotheses, inputs, witness, and
-               strategy from certify_auto; never reasons
+               strategy from certify_auto; reasons if and only if
+               Inconclusive
   hypotheses   transverse_input, true
   inputs       n_factors, dim, multidegrees (rows of I and deg in index
                order), then primes, alphas, or mode with n or p
   witness      the checker's row for each component j = 1..N in order, or
                for TheoremWeak and prime mode the checker's object
   strategy     order: AUTO_ORDER, without CURVES_ONLY unless dim is 1, cut
-               after the criterion; attempts: one per name, each earlier
-               one Inconclusive, the last the criterion's, certified with
-               reasons []
+               after the criterion (the last, if Inconclusive); attempts:
+               one per name, each earlier one Inconclusive, the last the
+               criterion's with its verdict, and reasons [] if certified
 """
 
 import copy
@@ -289,14 +292,15 @@ def certify_auto(V, phi):
 def verify_certificate(cert):
     """(ok, problems) for a certificate or its dict form (to_dict or JSON).
 
-    An Inconclusive certificate asserts nothing and is accepted once its
-    inputs read.  A certified payload is compared whole with what its
-    inputs imply (the keys are in the module docstring): each key beyond
-    those, and each value whose JSON differs, an int read as an exact int,
-    is one problem.  Free by design are an earlier strategy
-    attempt's reasons, a non-empty list of strings, and the index I of a
-    TheoremMain or integer-mode CorollaryIdentity row, which must be in the
-    table with i_j = 1 and from which the rest of the row is rebuilt.
+    A certified payload is compared whole with what its inputs imply (the
+    keys are in the module docstring): each key beyond those, and each
+    value whose JSON differs, an int read as an exact int, is one problem.
+    Free by design are an Inconclusive strategy attempt's reasons, a
+    non-empty list of strings, and the index I of a TheoremMain or
+    integer-mode CorollaryIdentity row, which must be in the table with
+    i_j = 1 and from which the rest of the row is rebuilt.  An Inconclusive
+    payload is held to the same keys, names and table, its other values
+    free (module docstring).
 
     A malformed payload gives (False, ["malformed certificate: ..."]),
     never an exception: a missing key, a number that is not an exact int
@@ -312,14 +316,16 @@ def verify_certificate(cert):
         return False, ["malformed certificate: %s" % exc]
 
 
-_ROWS = object()  # the witness rows in an expected payload, compared one by one
+# A value _diff leaves alone: certified witness rows, compared one by one,
+# and what an Inconclusive payload leaves free.
+_FREE = object()
 
 
 def _diff(where, actual, expected, fail):
     """Fail for each key of the object actual that expected lacks and for
     each value whose JSON differs from expected's, reading an int as an
     exact int; a key actual lacks raises KeyError.  A nested object is
-    compared the same way under its own key; _ROWS is skipped."""
+    compared the same way under its own key; _FREE is skipped."""
     for key in actual:
         if key not in expected:
             fail("%s: unexpected key %r" % (where, key))
@@ -327,25 +333,30 @@ def _diff(where, actual, expected, fail):
         echoed = actual[key]
         if type(value) is dict:
             _diff(key, echoed, value, fail)
-        elif value is not _ROWS and json.dumps(
+        elif value is not _FREE and json.dumps(
                 exact_int(echoed) if type(value) is int else echoed,
                 sort_keys=True) != json.dumps(value, sort_keys=True):
             fail("%s: echoed %s disagrees" % (where, key))
 
 
-def _strategy(criterion, dim, attempts):
-    """certify_auto's strategy when criterion certifies at dim; each earlier
-    attempt keeps its reasons, which must be a non-empty list of strings."""
+def _strategy(criterion, verdict, dim, attempts):
+    """certify_auto's strategy when it ends on criterion with verdict at
+    dim; each Inconclusive attempt keeps its reasons, which must be a
+    non-empty list of strings."""
     order = [c for c in AUTO_ORDER if dim == 1 or c not in CURVES_ONLY]
     if criterion not in order:
         raise ValueError("certify_auto never tries %s" % criterion)
+    if verdict == INCONCLUSIVE and criterion != order[-1]:
+        raise ValueError("certify_auto ends on %s when nothing certifies" % order[-1])
     order = order[:order.index(criterion) + 1]
-    reasons = [attempt["reasons"] for attempt in attempts[:len(order) - 1]]
+    last = [] if verdict == INCONCLUSIVE else [
+        {"criterion": criterion, "verdict": CERTIFIED, "reasons": []}]
+    reasons = [attempt["reasons"] for attempt in attempts[:len(order) - len(last)]]
     if not all(type(r) is list and r and all(type(s) is str for s in r) for r in reasons):
         raise ValueError("an Inconclusive attempt needs a non-empty list of reasons")
     return {"order": order, "attempts": [
         {"criterion": c, "verdict": INCONCLUSIVE, "reasons": r} for c, r in zip(order, reasons)
-    ] + [{"criterion": criterion, "verdict": CERTIFIED, "reasons": []}]}
+    ] + last}
 
 
 def _reverify(cert):
@@ -355,9 +366,8 @@ def _reverify(cert):
     table = MultiDegreeTable(dim, read_multidegree_rows(inputs["multidegrees"], nf, dim))
     if verdict not in (CERTIFIED, INCONCLUSIVE):
         return False, ["unknown verdict %r" % verdict]
-    if verdict == INCONCLUSIVE:
-        return True, []
-    if hypotheses.get("transverse_input") is not True:
+    claims = verdict == CERTIFIED  # an Inconclusive payload leaves its values _FREE
+    if claims and hypotheses.get("transverse_input") is not True:
         return False, ["certified verdict without the transversality hypothesis"]
     if criterion in CURVES_ONLY and dim != 1:
         return False, ["%s needs dim 1, certificate has dim %d" % (criterion, dim)]
@@ -369,17 +379,20 @@ def _reverify(cert):
     entries, bang = table.entries, factorial(dim)
     problems = []
     fail = problems.append
-    shape = _ROWS
-    if mode == "prime":
+    shape = _FREE
+    key = "p" if mode == "prime" else {"TheoremA": "primes", "CorollaryIdentity": "n"}.get(
+        criterion, "alphas")
+    if not claims:
+        extra = {"mode": mode, key: _FREE} if mode else {key: _FREE}
+    elif mode == "prime":
         p = exact_int(inputs["p"])
         if not is_prime(p):
             return False, ["p = %d is not prime" % p]
         if bang % abs(p) == 0:
             fail("p divides dim!")
         extra = {"mode": mode, "p": p}
-        shape = {"dim_factorial": bang, "components": _ROWS}
+        shape = {"dim_factorial": bang, "components": _FREE}
     else:  # the multipliers, with each alpha_j as its degree alpha_j^2
-        key = {"TheoremA": "primes", "CorollaryIdentity": "n"}.get(criterion, "alphas")
         ms = [exact_int(m) for m in ([inputs[key]] * nf if mode else inputs[key])]
         if 0 in ms:
             raise ValueError("multiplication by 0 is not an isogeny")
@@ -420,7 +433,7 @@ def _reverify(cert):
             del out["J"], out["deg_alpha_j"]
         return out
 
-    if criterion == "TheoremWeak":
+    if claims and criterion == "TheoremWeak":
         primes = sorted({q for a in extra["alphas"] for q in prime_factors(a)})
         bound = bang * table.total_degree()
         for q in primes:
@@ -428,15 +441,17 @@ def _reverify(cert):
                 fail("prime %d dividing deg(phi) is <= dim! * deg(V) = %d" % (q, bound))
         shape = {"degree_primes": primes, "bound": bound,
                  "comparisons": [{"p": q, "satisfied": True} for q in primes]}
-    expected = {"criterion": criterion, "verdict": CERTIFIED,
-                "hypotheses": {"transverse_input": True},
+    expected = {"criterion": criterion, "verdict": verdict,
+                "hypotheses": {"transverse_input": True if claims else _FREE},
                 "inputs": {"n_factors": nf, "dim": dim,
                            "multidegrees": table.rows(), **extra},
                 "witness": shape}
+    if not claims:
+        expected["reasons"] = _FREE
     if "strategy" in cert:
-        expected["strategy"] = _strategy(criterion, dim, cert["strategy"]["attempts"])
+        expected["strategy"] = _strategy(criterion, verdict, dim, cert["strategy"]["attempts"])
     _diff("certificate", cert, expected, fail)
-    if criterion != "TheoremWeak":
+    if claims and criterion != "TheoremWeak":
         rows = witness["components"] if mode == "prime" else witness
         if len(rows) != nf:
             fail("witness does not cover every component exactly once")

@@ -12,8 +12,10 @@ Varieties are read from JSON files (they carry polynomial text that goes
 through the parser); isogenies are inline JSON arrays like '[2,1]'.
 
 Each process runs one subcommand, so the module top imports only what
-parsing and loading need; each cmd_* imports the modules it runs, and
-mpmath is loaded by constants and bounds alone.
+every subcommand needs: the loaders and each cmd_* import the modules
+they run.  bounds loads heights and mpmath alone, no polynomial, curve,
+product or isogeny module; constants loads heights and mpmath with the
+curves; the other subcommands load no heights and no mpmath.
 """
 
 import argparse
@@ -21,14 +23,9 @@ import json
 import math
 import os
 import sys
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .arith import unlimited_int_str
-from .curves import WeierstrassCurve
-from .isogenies import DiagonalIsogeny
-from .products import (exact_int, preimage_multidegrees, subvariety_from_dict,
-                       subvariety_to_dict)
 
 SCHEMA_VERSION = "1"
 
@@ -38,6 +35,8 @@ class InputError(ValueError):
 
 
 def _load_variety(path):
+    """The variety of a JSON file, and its canonical echo."""
+    from .products import subvariety_from_dict, subvariety_to_dict
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -46,12 +45,15 @@ def _load_variety(path):
     except json.JSONDecodeError as exc:
         raise InputError("variety file is not valid JSON: %s" % exc)
     try:
-        return subvariety_from_dict(data)
+        V = subvariety_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad variety payload: %s" % exc)
+    return V, subvariety_to_dict(V)
 
 
 def _load_isogeny(text):
+    from .isogenies import DiagonalIsogeny
+    from .products import exact_int
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -67,6 +69,7 @@ def _load_isogeny(text):
 
 
 def _load_int_list(text, what):
+    from .products import exact_int
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -85,6 +88,7 @@ def _decimal(text):
     (the echoed value) must be finite, and nonzero unless the text is 0:
     that bounds the exponent, so '1e-999999999' cannot make a huge
     Fraction."""
+    from decimal import Decimal, InvalidOperation
     try:
         echo, exact = float(text), Decimal(text)
     except (ValueError, InvalidOperation):
@@ -131,8 +135,8 @@ def cmd_certify(args):
     if crit in ISOGENY_CRITERIA and not args.isogeny:
         raise InputError("--isogeny is required for criterion %s" % crit)
     from . import certificates
-    V = _load_variety(args.variety)
-    inputs = {"variety": subvariety_to_dict(V)}
+    V, echo = _load_variety(args.variety)
+    inputs = {"variety": echo}
     if crit in ISOGENY_CRITERIA:
         phi = _load_isogeny(args.isogeny)
         inputs["isogeny"] = list(phi.alphas)
@@ -160,10 +164,10 @@ def cmd_certify(args):
 
 def cmd_preimage(args):
     from .preimages import generate_preimage
-    V = _load_variety(args.variety)
+    V, echo = _load_variety(args.variety)
     phi = _load_isogeny(args.isogeny)
     pre = generate_preimage(V, phi)
-    inputs = {"variety": subvariety_to_dict(V), "isogeny": list(phi.alphas)}
+    inputs = {"variety": echo, "isogeny": list(phi.alphas)}
     result = {
         "equations": [str(eq) for eq in pre.equations],
         "excluded_locus": [{"j": row["j"], "alpha": row["alpha"],
@@ -176,10 +180,11 @@ def cmd_preimage(args):
 
 
 def cmd_degree(args):
-    V = _load_variety(args.variety)
+    from .products import preimage_multidegrees
+    V, echo = _load_variety(args.variety)
     phi = _load_isogeny(args.isogeny)
     table = preimage_multidegrees(V, phi)
-    inputs = {"variety": subvariety_to_dict(V), "isogeny": list(phi.alphas)}
+    inputs = {"variety": echo, "isogeny": list(phi.alphas)}
     result = {
         "variety_multidegrees": V.degrees.rows(),
         "variety_total_degree": V.total_degree(),
@@ -192,6 +197,8 @@ def cmd_degree(args):
 
 
 def _load_curves(text):
+    from .curves import WeierstrassCurve
+    from .products import exact_int
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -211,17 +218,19 @@ def _working_prec(args):
 
 
 def cmd_constants(args):
-    from .heights import curve_constants, directed_str
-    prec = _working_prec(args)
+    # heights (and mpmath) after the curves: loaded before them, mpmath
+    # raised this subcommand's peak RSS from 18.7 to 20.3 MB
     if args.curves:
         curves = _load_curves(args.curves)
         inputs = {"curves": [{"A": E.A, "B": E.B} for E in curves]}
     elif args.variety:
-        V = _load_variety(args.variety)
+        V, echo = _load_variety(args.variety)
         curves = list(V.system.curves)
-        inputs = {"variety": subvariety_to_dict(V)}
+        inputs = {"variety": echo}
     else:
         raise InputError("constants needs --curves or --variety")
+    from .heights import curve_constants, directed_str
+    prec = _working_prec(args)
     inputs["better"] = bool(args.better)
     inputs["precision_bits"] = prec
     rows, sums = curve_constants(curves, args.better, prec)
@@ -281,12 +290,12 @@ def cmd_oracle(args):
     from .oracle import (PrimeFieldCtx, verify_maps_vs_group_law,
                          verify_preimage_membership)
     from .preimages import generate_preimage
-    V = _load_variety(args.variety)
+    V, echo = _load_variety(args.variety)
     phi = _load_isogeny(args.isogeny)
     primes = _load_int_list(args.primes, "--primes")
     if not primes:  # an empty list would check nothing and report ok
         raise InputError("--primes must name at least one prime")
-    inputs = {"variety": subvariety_to_dict(V), "isogeny": list(phi.alphas),
+    inputs = {"variety": echo, "isogeny": list(phi.alphas),
               "primes": primes}
     pre = generate_preimage(V, phi)
     results = []

@@ -28,12 +28,13 @@ norm that the same formula computes on plain ints from |A| and |B|, with
 add for subtract (|fg| <= |f||g|, |f - g| <= |f| + |g|); intermediate
 values need no width, since evaluation is exact.
 The recurrence runs at the width of the x-parts a map reads, and a value
-that needs more gets those x-parts repacked at its own width.  The packed
-int never leaves this module: MultiPoly stays the one polynomial type
-callers see.  Neither path divides: w = P_2alpha / (2 P_alpha) is taken
-from the bracket (P_{alpha+2} P_{alpha-1}^2 - P_{alpha-2} P_{alpha+1}^2) / 4
-of the recurrence (Washington, Elliptic Curves: Number Theory and
-Cryptography, section 3.2).  The maps build each field on first access
+that needs more is built at its own width from the x-parts it reads,
+each repacked there on its first read.  The packed int never leaves this
+module: MultiPoly stays the one polynomial type callers see.  Neither
+path divides: w = P_2alpha / (2 P_alpha) is taken from the bracket
+(P_{alpha+2} P_{alpha-1}^2 - P_{alpha-2} P_{alpha+1}^2) / 4 of the
+recurrence (Washington, Elliptic Curves: Number Theory and Cryptography,
+section 3.2).  The maps build each field on first access
 and keep it, and build each product of parts without any field, so a
 caller pays only for what it reads.
 
@@ -44,7 +45,7 @@ the public evaluator falls back to the group law, which is total.
 
 import operator
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 from .arith import require_int, require_rational
 from .polynomials import MultiPoly
@@ -208,19 +209,22 @@ class _Recurrence:
     """The x-parts P_m on one element type, from the seeds at (x, A, B) by
     the psi recurrence, memoised: P(m) is P_m, P.x is x, P.c3 the curve
     cubic x^3 + A*x + B and P.sub the subtraction of the element type
-    (add, for norms).  A memo given in place of the seeds holds every P_m
-    that will be read."""
+    (add, for norms).  With fill given there are no seeds and no
+    recurrence: P_m is fill(m), taken on its first read."""
 
-    __slots__ = ("x", "c3", "c3_sq", "sub", "memo")
+    __slots__ = ("x", "c3", "c3_sq", "sub", "memo", "fill")
 
-    def __init__(self, x, A, B, sub=operator.sub, memo=None):
-        self.x, self.c3, self.sub = x, x ** 3 + A * x + B, sub
+    def __init__(self, x, A, B, sub=operator.sub, fill=None):
+        self.x, self.c3, self.sub, self.fill = x, x ** 3 + A * x + B, sub, fill
         self.c3_sq = self.c3 * self.c3
-        self.memo = _seeds(x, A, B, sub) if memo is None else memo
+        self.memo = _seeds(x, A, B, sub) if fill is None else {}
 
     def __call__(self, m):
         if m in self.memo:
             return self.memo[m]
+        if self.fill is not None:
+            p = self.memo[m] = self.fill(m)
+            return p
         k, odd = divmod(m, 2)
         P, sub = self, self.sub
         if odd:
@@ -287,9 +291,10 @@ class _Packed:
 
     The recurrence runs at the least width w1 that unpacks P_low..P_high:
     intermediate values need no width, because evaluation is exact.  A
-    formula whose L1 bound needs more gets a width of its own: poly
-    repacks P_low..P_high there on first use and keeps the recurrence in
-    recs, one per width.
+    formula whose L1 bound needs more gets a width of its own, kept in
+    recs, one per width: there each of P_low..P_high is repacked from its
+    value at w1 when a formula first reads it, and any other P_m is
+    refused with KeyError.
     """
 
     __slots__ = ("A", "B", "low", "high", "norms", "w1", "recs")
@@ -305,13 +310,19 @@ class _Packed:
         polynomial in x, c3 and P_low..P_high."""
         w = max(self.w1, _width(formula(self.norms)))
         if w not in self.recs:
-            # x, the cubic and P_low..P_high repacked at width w, with no
-            # seeds (a formula reads no other P_m)
-            P, w1 = self.recs[self.w1], self.w1
-            self.recs[w] = _Recurrence(1 << w, self.A, self.B, memo={
-                m: _repack(P(m), w1, w) for m in range(self.low, self.high + 1)})
+            self.recs[w] = _Recurrence(1 << w, self.A, self.B, fill=partial(
+                _repacked, self.recs[self.w1], self.w1, self.low, self.high, w))
         return MultiPoly._trusted(RING_XAB, {
             (i, 0, 0): c for i, c in enumerate(_coeffs(formula(self.recs[w]), w)) if c})
+
+
+def _repacked(base, w1, low, high, w, m):
+    """P_m at width w, repacked from base, the recurrence at width w1;
+    only P_low..P_high.  A module function, so that a wider recurrence's
+    fill holds no reference back to its _Packed."""
+    if not low <= m <= high:
+        raise KeyError("P_%d is not among P_%d..P_%d" % (m, low, high))
+    return _repack(base(m), w1, w)
 
 
 @cache

@@ -29,7 +29,6 @@ from mpmath import iv, mp, nstr
 from mpmath.libmp import to_int
 
 from .arith import require_int, require_rational, unlimited_int_str
-from .curves import WeierstrassCurve
 
 DEFAULT_PREC = 80
 
@@ -262,6 +261,7 @@ def c1_c2_curve(E, use_better=False, prec=DEFAULT_PREC):
     3.21) and 3*h(1:|A|^(1/2):|B|^(1/3)) + 4.709 (resp. times 3/2, with
     2.427).
     """
+    from .curves import WeierstrassCurve  # not at the top: bounds never reads a curve
     if not isinstance(E, WeierstrassCurve):
         raise TypeError("expected WeierstrassCurve")
     A, B = E.A, E.B

@@ -304,27 +304,6 @@ class MultiPoly:
             acc += t
         return acc
 
-    def embed(self, new_ring, rename=None):
-        """Reinterpret in another ring, optionally renaming variables.
-        Every occurring variable must land in new_ring."""
-        rename = rename or {}
-        new_ring = tuple(new_ring)
-        pos = [new_ring.index(t) if t in new_ring else None
-               for t in map(rename.get, self.ring, self.ring)]
-
-        def moved():
-            for e, c in self.terms.items():
-                e2 = [0] * len(new_ring)
-                for i, k in enumerate(e):
-                    if k:
-                        if pos[i] is None:
-                            raise ValueError("variable %r has no image in ring %r"
-                                             % (self.ring[i], new_ring))
-                        e2[pos[i]] += k
-                yield tuple(e2), c
-        # two variables renamed to one can merge terms that cancel
-        return MultiPoly._trusted(new_ring, _merge({}, moved()))
-
     # -- printing -------------------------------------------------------
 
     def __str__(self):

@@ -12,6 +12,8 @@ multiplication, one form for either parity of alpha_j,
 in the parts n_j, u_j, c_j, w_j of the maps (curves module docstring; c_j
 is the curve cubic for even alpha_j and 1 for odd alpha_j), which is
 linear in y_j, then clearing denominators and content in lowest terms.
+The rewriting runs only when some equation has degree 2 or more in some
+y_j; an equation of degree at most 1 in every y_j is its own reduction.
 A term c*prod_j x_j^a_j y_j^b_j of an equation clears to c times the
 product over j of y_j^b_j and n_j^a_j w_j^b_j u_j^i_j c_j^k_j, which
 MultiplicationMaps.product builds in x_j alone.  Its weights 2a_j + 3b_j
@@ -25,8 +27,10 @@ nothing is divided.
 
 The equations present the preimage away from the excluded locus
 {t_j(x_j) = 0 for some j} — the x-coordinates of the kernel of [alpha_j]
-on the j-th factor, where the substituted rational maps degenerate.
-membership_test refuses points on that locus rather than answer wrongly.
+on the j-th factor, where the substituted rational maps degenerate.  Each
+t_j is kept primitive, its terms written into the product ring at the
+position of x_j.  membership_test refuses points on that locus rather
+than answer wrongly.
 """
 
 from .curves import evaluate_multiplication_map, multiplication_maps
@@ -81,19 +85,25 @@ def generate_preimage(V, isogeny):
     system = V.system
     _require_arity(system, isogeny)
     ring = system.ring
-    relations = system.weierstrass_relations()
-    reduced = [reduce_weierstrass(f, relations) for f in V.equations]
-    for f, g in zip(V.equations, reduced):
-        if not g:
-            raise PreimageDegenerateError("equation %s lies in the Weierstrass ideal" % (f,))
+    reduced = V.equations
+    # the ring is (x1, y1, x2, y2, ...): an equation of y_j-degree <= 1 in
+    # every j is its own reduction, and is nonzero
+    if any(max(e[1::2]) >= 2 for f in reduced for e in f.terms):
+        relations = system.weierstrass_relations()
+        reduced = [reduce_weierstrass(f, relations) for f in V.equations]
+        for f, g in zip(V.equations, reduced):
+            if not g:
+                raise PreimageDegenerateError("equation %s lies in the Weierstrass ideal" % (f,))
     maps_of = []  # (x_j and y_j indices, maps) per factor
     excluded = []
     for j, (alpha, curve) in enumerate(zip(isogeny.alphas, system.curves), start=1):
         maps = multiplication_maps(alpha, curve)
-        xj = "x%d" % j
-        maps_of.append(((ring.index(xj), ring.index("y%d" % j)), maps))
+        ix = 2 * j - 2
+        maps_of.append(((ix, ix + 1), maps))
         if abs(alpha) != 1:
-            t = integer_primitive(maps.t)[1].embed(ring, {"x": xj})
+            # t_j(x_j), written into the ring at x_j's position
+            t = system.coordinate_poly(j, {e[0]: c for e, c in
+                                           integer_primitive(maps.t)[1].terms.items()})
             excluded.append({"j": j, "alpha": alpha, "t": t})
 
     equations, products = [], {}  # products: (x_j index, a, b, i, k) -> terms

@@ -47,16 +47,22 @@ class ProductSystem:
     def n_factors(self):
         return len(self.curves)
 
-    def coordinate_cubic(self, j):
-        """x_j^3 + A_j*x_j + B_j in the product coordinate ring (j 1-based)."""
-        E, x = self.curves[j - 1], "x%d" % j
-        if x not in self.ring:  # j < 1
+    def coordinate_poly(self, j, coeffs):
+        """The sum of c*x_j^k over coeffs {k: nonzero c} in the product
+        coordinate ring (j 1-based), its terms written by position in
+        the order of coeffs."""
+        x = "x%d" % j
+        if x not in self.ring:
             raise ValueError("variable %r not in ring %r" % (x, self.ring))
         i = self.ring.index(x)
-        # the terms written directly, in the order x^3 + A*x + B makes them
-        return MultiPoly._trusted(self.ring, {
-            (0,) * i + (k,) + (0,) * (len(self.ring) - i - 1): c
-            for k, c in ((3, 1), (1, E.A), (0, E.B)) if c})
+        head, tail = (0,) * i, (0,) * (len(self.ring) - i - 1)
+        return MultiPoly._trusted(self.ring, {head + (k,) + tail: c for k, c in coeffs.items()})
+
+    def coordinate_cubic(self, j):
+        """x_j^3 + A_j*x_j + B_j in the product coordinate ring (j 1-based)."""
+        E = self.curves[j - 1]
+        # in the order x^3 + A*x + B makes them
+        return self.coordinate_poly(j, {k: c for k, c in ((3, 1), (1, E.A), (0, E.B)) if c})
 
     def weierstrass_relations(self):
         """[(y_j name, cubic in x_j)] for reduce_weierstrass."""
@@ -106,6 +112,14 @@ class MultiDegreeTable:
         self.dim = dim
         self.n_factors = len(next(iter(entries), ()))
         self.entries = _complete_table(entries, self.n_factors, dim)
+
+    @classmethod
+    def _trusted(cls, dim, n_factors, entries):
+        """A table derived from a checked one, skipping the checks of
+        __init__: entries must already satisfy them."""
+        table = object.__new__(cls)
+        table.dim, table.n_factors, table.entries = dim, n_factors, entries
+        return table
 
     def index_order(self):
         """Deterministic index order (position-subset lexicographic)."""
@@ -214,7 +228,8 @@ def preimage_multidegrees(V, isogeny):
             if ik == 0:
                 mult *= alphas[k] ** 2
         out[I] = d * mult
-    return MultiDegreeTable(table.dim, out)
+    # the same indices as the checked table, each degree times a square
+    return MultiDegreeTable._trusted(table.dim, table.n_factors, out)
 
 
 def preimage_degree(V, isogeny):

@@ -18,6 +18,9 @@ the check as well:
 - specialize plugs curve coefficients into the symbolic maps and
   division polynomials of test_curves, to compare them with the ones
   built for that curve;
+- embed renames a polynomial's variables into another ring, the route
+  test_preimages checks the excluded locus against, where the library
+  writes each t_j's exponents at the position of x_j;
 - eval_mod is the per-tuple oracle of test_oracle (reference_maps and
   reference_membership): one formula at one point at a time, against
   the column scans of ellprod.oracle.
@@ -46,6 +49,28 @@ def specialize(p, values):
         (tuple(0 if i in idx else k for i, k in enumerate(e)),
          c * prod(v ** e[i] for i, v in idx.items() if e[i]))
         for e, c in p.terms.items())))
+
+
+def embed(p, new_ring, rename=None):
+    """p reinterpreted in another ring, optionally renaming variables.
+    Every occurring variable must land in new_ring."""
+    rename = rename or {}
+    new_ring = tuple(new_ring)
+    pos = [new_ring.index(t) if t in new_ring else None
+           for t in map(rename.get, p.ring, p.ring)]
+
+    def moved():
+        for e, c in p.terms.items():
+            e2 = [0] * len(new_ring)
+            for i, k in enumerate(e):
+                if k:
+                    if pos[i] is None:
+                        raise ValueError("variable %r has no image in ring %r"
+                                         % (p.ring[i], new_ring))
+                    e2[pos[i]] += k
+            yield tuple(e2), c
+    # two variables renamed to one can merge terms that cancel
+    return MultiPoly._trusted(new_ring, _merge({}, moved()))
 
 
 def exact_divide(a, b):

@@ -38,6 +38,7 @@ from ellprod.products import (
     preimage_degree_curve,
     preimage_multidegrees,
 )
+from reference import embed
 
 E01 = WeierstrassCurve(0, 1)
 EM10 = WeierstrassCurve(-1, 0)
@@ -125,8 +126,8 @@ def test_criterion_2_example_preimage_reproduction():
 
     # [1,5]: equation is x1^3*t5(x2)^3 - y2*s5(x2) up to scalar
     maps5 = multiplication_maps(5, E01)
-    t5 = maps5.t.embed(RING, {"x": "x2"})
-    s5 = maps5.s.embed(RING, {"x": "x2"})
+    t5 = embed(maps5.t, RING, {"x": "x2"})
+    s5 = embed(maps5.s, RING, {"x": "x2"})
     eq15 = pre15.equations[0]
     assert _proportional(eq15, X1 ** 3 * t5 ** 3 - Y2 * s5) is not None
 

@@ -289,10 +289,36 @@ def test_verify_accepts_genuine_certificates():
         assert ok, problems
 
 
+def _inconclusive_examples():
+    """An Inconclusive certificate from each checker, one for an input not
+    flagged transverse, and certify_auto's at dim 1 and at dim 2."""
+    return [
+        check_corollary_curves(C3, DiagonalIsogeny([1, 2])),
+        check_theorem_main(C3, DiagonalIsogeny([3, 1])),
+        check_theorem_weak(C3, DiagonalIsogeny([2, 1])),
+        check_theorem_a(C3, [157, 167]),
+        check_corollary_identity(C3, n=2),
+        check_corollary_identity(C3, p=3),
+        check_theorem_main(_untransverse(C3), DiagonalIsogeny([2, 1])),
+        certify_auto(C3, DiagonalIsogeny([3, 3])),
+        certify_auto(T3, DiagonalIsogeny([2, 2, 2])),
+    ]
+
+
 def test_verify_accepts_inconclusive():
-    cert = check_corollary_curves(C3, DiagonalIsogeny([1, 2]))
-    ok, problems = verify_certificate(cert)
-    assert ok and problems == []
+    for cert in _inconclusive_examples():
+        assert cert.verdict == INCONCLUSIVE, cert
+        assert verify_certificate(cert) == (True, [])
+        assert verify_certificate(cert.to_dict()) == (True, [])
+
+
+def test_verify_leaves_inconclusive_values_free():
+    # an Inconclusive verdict claims nothing: its reasons, hypothesis,
+    # multipliers and witness may read anything
+    cert = check_theorem_main(C3, DiagonalIsogeny([3, 1]))
+    for edit in (_set("reasons", ["bogus"]), _set("hypotheses", "transverse_input", True),
+                 _set("inputs", "alphas", [0]), _set("witness", {"any": 1})):
+        assert verify_certificate(_tampered(cert, edit)) == (True, [])
 
 
 def test_verify_rejects_flag_tampering():
@@ -645,6 +671,52 @@ def test_verify_reports_each_rejection(case):
     cert = make()
     assert cert.certified() and verify_certificate(cert) == (True, [])
     assert verify_certificate(_tampered(cert, edit)) == (False, problems)
+
+
+# An Inconclusive payload is held to the keys and criterion names of a
+# certified one; each case is a payload and the problems it must report.
+INCONCLUSIVE_REJECTIONS = {
+    "unknown-criterion": (
+        lambda: {"criterion": "TheoremZ", "verdict": INCONCLUSIVE, "hypotheses": {},
+                 "inputs": {"n_factors": 1, "dim": 1,
+                            "multidegrees": [{"I": [1], "deg": 3}]},
+                 "witness": None, "bogus": 1},
+        ["unknown criterion 'TheoremZ'"]),
+    "unexpected-keys": (
+        lambda: _tampered(check_corollary_curves(C3, DiagonalIsogeny([1, 2])), _edits(
+            _set("bogus", 1), _set("hypotheses", "checked", True),
+            _set("inputs", "note", 0))),
+        ["certificate: unexpected key 'bogus'", "hypotheses: unexpected key 'checked'",
+         "inputs: unexpected key 'note'"]),
+    "without-reasons": (
+        lambda: _tampered(check_theorem_weak(C3, DiagonalIsogeny([2, 1])),
+                          lambda c: c.pop("reasons")),
+        ["malformed certificate: 'reasons'"]),
+    "without-multipliers": (
+        lambda: _tampered(check_corollary_identity(C3, p=3), lambda c: c["inputs"].pop("p")),
+        ["malformed certificate: 'p'"]),
+    "table-row-order": (
+        lambda: _tampered(check_theorem_a(C3, [157, 167]),
+                          lambda c: c["inputs"]["multidegrees"].reverse()),
+        ["inputs: echoed multidegrees disagrees"]),
+    "curve-criterion-at-dim-two": (
+        lambda: _tampered(check_theorem_a(C3, [157, 167]), _to_dim_two),
+        ["TheoremA needs dim 1, certificate has dim 2"]),
+    "strategy-criterion": (
+        lambda: _tampered(certify_auto(C3, DiagonalIsogeny([3, 3])),
+                          _set("criterion", "TheoremMain")),
+        ["malformed certificate: certify_auto ends on TheoremA when nothing certifies"]),
+    "strategy-attempt-verdict": (
+        lambda: _tampered(certify_auto(T3, DiagonalIsogeny([2, 2, 2])),
+                          _set("strategy", "attempts", 0, "verdict", CERTIFIED)),
+        ["strategy: echoed attempts disagrees"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCONCLUSIVE_REJECTIONS))
+def test_verify_refuses_malformed_inconclusive_payloads(case):
+    make, problems = INCONCLUSIVE_REJECTIONS[case]
+    assert verify_certificate(make()) == (False, problems)
 
 
 T2 = MultiDegreeTable(1, {(1, 0): 1, (0, 1): 1})

@@ -544,6 +544,32 @@ def test_slot_widths_are_proven_by_the_norms(curve):
             assert got == specialize(_symbolic_product(alpha, case), coeffs), (alpha, case)
 
 
+def test_a_new_width_repacks_only_the_parts_a_formula_reads():
+    # u^3 c^2 of an odd alpha is P_k^3: at its own width only P_k is
+    # repacked, and a part outside P_low..P_high is refused there
+    curve, k = MAP_CURVES[0], 7
+    packed = _Packed(curve, k - 2, k + 2)
+    got = packed.poly(lambda P: _product(P, k, 0, 0, 3, 2))
+    assert got == specialize(_symbolic_product(k, (0, 0, 3, 2)), {"A": curve.A, "B": curve.B})
+    (rec,) = [rec for w, rec in packed.recs.items() if w != packed.w1]
+    assert set(rec.memo) == {k}
+    with pytest.raises(KeyError):
+        rec(k + 3)
+
+
+@pytest.mark.parametrize("alpha", [4, 7, -9])
+def test_products_read_in_either_order_agree(alpha):
+    # each width repacks what its first formula reads, so the results do
+    # not depend on which product comes first
+    cases = NORM_CASES + [(2, 0, 0, 0), (0, 2, 0, 1), (1, 1, 1, 1), (0, 0, 6, 3)]
+    k = abs(alpha)
+    forward, backward = (_Packed(MAP_CURVES[0], k - 2, k + 2) for _ in range(2))
+    got = [forward.poly(lambda P: _product(P, alpha, *case)) for case in cases]
+    back = [backward.poly(lambda P: _product(P, alpha, *case)) for case in reversed(cases)]
+    assert got == back[::-1]
+    assert len(forward.recs) >= 4  # several widths besides w1
+
+
 # ---------------------------------------------------------------------------
 # multiplication maps: agreement with the group law over Q
 # ---------------------------------------------------------------------------

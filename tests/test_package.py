@@ -73,6 +73,7 @@ def test_division_and_substitution_live_in_the_tests_alone():
     for name in ("ExactDivisionError", "exact_divide", "exact_divide_univariate", "substitute"):
         assert not hasattr(ellprod.polynomials, name), name
     assert not hasattr(ellprod.polynomials.MultiPoly, "specialize")
+    assert not hasattr(ellprod.polynomials.MultiPoly, "embed")
     assert not hasattr(ellprod.oracle, "eval_mod")
 
 
@@ -105,3 +106,8 @@ def test_cold_start_imports_only_what_the_subcommand_runs(tmp_path):
         assert "ellprod.oracle" not in mods, argv
     mods = _loaded(tmp_path, ["constants", "--curves", '[{"A":0,"B":1}]'])
     assert "mpmath" in mods and "ellprod.heights" in mods
+    for kind in (["zhang", "--h2q", "1.5", "--c3", "2"], ["essential-minimum"]):
+        mods = _loaded(tmp_path, ["bounds", "--kind"] + kind)
+        assert "mpmath" in mods and "ellprod.heights" in mods, kind
+        for name in ("polynomials", "curves", "products", "isogenies"):
+            assert "ellprod." + name not in mods, (kind, name)

@@ -18,6 +18,7 @@ from ellprod.polynomials import (
 )
 from reference import (
     ExactDivisionError,
+    embed,
     exact_divide,
     exact_divide_univariate,
     specialize,
@@ -326,7 +327,7 @@ def test_specialize_and_embed_keep_the_domain(p, a, b):
     assert s.degree_in("y") <= 0
     assert s.evaluate({"x": a}) == p.evaluate({"x": a, "y": b})
     # renaming both variables to one merges terms, which may cancel
-    merged = p.embed(("t",), {"x": "t", "y": "t"})
+    merged = embed(p, ("t",), {"x": "t", "y": "t"})
     assert_domain(merged)
     assert merged.evaluate({"t": a}) == p.evaluate({"x": a, "y": a})
 
@@ -337,16 +338,16 @@ def test_specialize_and_embed_drop_what_cancels():
     s = specialize(p, {"x": 2})
     assert s == ONE and type(s.terms[(0, 0)]) is int
     assert specialize(X ** 2 - 4, {"x": -2}) == ZERO
-    merged = (X - Y + Fraction(1, 3) * X * Y).embed(("t",), {"x": "t", "y": "t"})
+    merged = embed(X - Y + Fraction(1, 3) * X * Y, ("t",), {"x": "t", "y": "t"})
     assert merged.terms == {(2,): Fraction(1, 3)}
     assert_domain(s, merged)
-    assert (3 * X - 3 * Y).embed(("t",), {"x": "t", "y": "t"}).terms == {}
+    assert embed(3 * X - 3 * Y, ("t",), {"x": "t", "y": "t"}).terms == {}
 
 
 def test_embed_rename():
     big = ("x1", "y1", "x2", "y2")
     p = X ** 2 + 2 * Y
-    q = p.embed(big, {"x": "x2", "y": "y2"})
+    q = embed(p, big, {"x": "x2", "y": "y2"})
     x2 = MultiPoly.var(big, "x2")
     y2 = MultiPoly.var(big, "y2")
     assert q == x2 ** 2 + 2 * y2
@@ -356,23 +357,23 @@ def test_embed_moves_merges_and_refuses():
     big = ("x1", "y1", "x2", "y2")
     p = 3 * X ** 2 * Y - Fraction(1, 2) * Y + 5
     # no two variables land on one: the terms move as they are
-    assert p.embed(("y", "x")) == MultiPoly(("y", "x"), {(1, 2): 3, (1, 0): Fraction(-1, 2),
+    assert embed(p, ("y", "x")) == MultiPoly(("y", "x"), {(1, 2): 3, (1, 0): Fraction(-1, 2),
                                                           (0, 0): 5})
-    assert p.embed(big, {"x": "y2", "y": "x1"}).terms == {
+    assert embed(p, big, {"x": "y2", "y": "x1"}).terms == {
         (1, 0, 0, 2): 3, (1, 0, 0, 0): Fraction(-1, 2), (0, 0, 0, 0): 5}
     # a variable that does not occur needs no image
-    assert (X ** 2 + 1).embed(("x", "z")).terms == {(2, 0): 1, (0, 0): 1}
+    assert embed(X ** 2 + 1, ("x", "z")).terms == {(2, 0): 1, (0, 0): 1}
     # two variables renamed to one merge their terms, which may cancel,
     # into a ring of one variable or of more
     for ring in (("t",), ("s", "t", "u")):
-        merged = (X - Y + Fraction(1, 3) * X * Y).embed(ring, {"x": "t", "y": "t"})
+        merged = embed(X - Y + Fraction(1, 3) * X * Y, ring, {"x": "t", "y": "t"})
         t2 = tuple(2 if v == "t" else 0 for v in ring)
         assert merged == MultiPoly(ring, {t2: Fraction(1, 3)})
-        assert (3 * X - 3 * Y).embed(ring, {"x": "t", "y": "t"}).terms == {}
+        assert embed(3 * X - 3 * Y, ring, {"x": "t", "y": "t"}).terms == {}
     # an occurring variable with no image is an error
     for ring, rename in ((("x", "z"), None), (("x1", "y1"), {"x": "x1"}), (("x",), None)):
         with pytest.raises(ValueError, match="variable 'y' has no image"):
-            (X + X * Y).embed(ring, rename)
+            embed(X + X * Y, ring, rename)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from ellprod.polynomials import (
     parse_poly,
     reduce_weierstrass,
 )
+from ellprod import preimages
 from ellprod.preimages import (
     ExcludedLocusError,
     PreimageDegenerateError,
@@ -31,11 +33,14 @@ from ellprod.products import (
 )
 from reference import (
     ExactDivisionError,
+    embed,
     exact_divide,
     exact_divide_univariate,
     substitute,
 )
 from strategies import nonsingular_curves
+from test_golden import (PLANE_CASES, PREIMAGE_ALPHAS, SURFACE, SURFACE_ALPHAS,
+                         Y_POWER_CASES, _load, _plane_curve, _plane_key, preimage_entry)
 
 E01 = WeierstrassCurve(0, 1)
 C3 = make_cn_curve(E01, E01, 3)
@@ -74,8 +79,8 @@ def test_preimage_2_1_excluded_locus():
 def test_preimage_1_5_equation():
     pre = generate_preimage(C3, DiagonalIsogeny([1, 5]))
     maps = multiplication_maps(5, E01)
-    t5 = maps.t.embed(RING, {"x": "x2"})
-    s5 = maps.s.embed(RING, {"x": "x2"})
+    t5 = embed(maps.t, RING, {"x": "x2"})
+    s5 = embed(maps.s, RING, {"x": "x2"})
     expected = integer_primitive(X1 ** 3 * t5 ** 3 - Y2 * s5)[1]
     assert pre.equations[0] == expected
     assert pre.total_degree() == 243
@@ -151,7 +156,7 @@ def _trial_division_reference(V, isogeny):
     bindings, candidates = {}, []
     for j, (alpha, curve) in enumerate(zip(isogeny.alphas, V.system.curves), start=1):
         maps = multiplication_maps(alpha, curve)
-        n, u, t, s = (f.embed(ring, {"x": "x%d" % j})
+        n, u, t, s = (embed(f, ring, {"x": "x%d" % j})
                       for f in _parts(maps) + (maps.t, maps.s))
         bindings["x%d" % j] = (n, u * t)
         bindings["y%d" % j] = (s * MultiPoly.var(ring, "y%d" % j), t ** 3)
@@ -197,7 +202,7 @@ def _substitution_reference(V, isogeny):
     for j, (alpha, curve) in enumerate(zip(isogeny.alphas, V.system.curves), start=1):
         maps = multiplication_maps(alpha, curve)
         xj, yj = "x%d" % j, "y%d" % j
-        n, u, t, s = (f.embed(ring, {"x": xj}) for f in _parts(maps) + (maps.t, maps.s))
+        n, u, t, s = (embed(f, ring, {"x": xj}) for f in _parts(maps) + (maps.t, maps.s))
         bindings[xj] = (n, u * t)
         bindings[yj] = (s * MultiPoly.var(ring, yj), t ** 3)
         if abs(alpha) != 1:
@@ -303,6 +308,46 @@ def test_degenerate_equation_detected():
     V = SubvarietyPresentation(C3.system, [rel], 1, C3.degrees, True)
     with pytest.raises(PreimageDegenerateError):
         generate_preimage(V, DiagonalIsogeny([1, 1]))
+
+
+def test_reduction_runs_only_on_an_equation_of_y_degree_two_or_more(monkeypatch):
+    # y2 - x1^3 is its own reduction and skips it; the golden y2^2 - x1^3 - 1
+    # goes through it, and its preimage is the golden one
+    calls = []
+
+    def counted(p, relations):
+        calls.append(p)
+        return reduce_weierstrass(p, relations)
+    monkeypatch.setattr(preimages, "reduce_weierstrass", counted)
+    generate_preimage(C3, DiagonalIsogeny([2, 3]))
+    assert calls == []
+    case = ("y2^2 - x1^3 - 1", [2, 3])
+    assert (preimage_entry(case[1], _plane_curve(case[0]))
+            == _load()["y_power_preimages"][_plane_key(case)])
+    assert calls == list(_plane_curve(case[0]).equations)
+
+
+def test_excluded_locus_is_t_written_at_its_coordinate():
+    # each t_j, a polynomial in x alone, lands on x_j of the product ring
+    pre = generate_preimage(SURFACE, DiagonalIsogeny([2, 3, 5]))
+    assert [row["j"] for row in pre.excluded_locus] == [1, 2, 3]
+    for row, curve in zip(pre.excluded_locus, SURFACE.system.curves):
+        t = integer_primitive(multiplication_maps(row["alpha"], curve).t)[1]
+        assert row["t"] == embed(t, SURFACE.system.ring, {"x": "x%d" % row["j"]})
+
+
+def test_derived_tables_equal_validated_ones():
+    # preimage_multidegrees skips the validation of a table derived from a
+    # checked one; the table is the one the validating constructor builds
+    cases = ([(C3, a) for a in PREIMAGE_ALPHAS] + [(SURFACE, a) for a in SURFACE_ALPHAS]
+             + [(_plane_curve(eq), a) for eq, a in PLANE_CASES + Y_POWER_CASES])
+    for V, alphas in cases:
+        got = preimage_multidegrees(V, DiagonalIsogeny(alphas))
+        want = MultiDegreeTable(V.dim, {
+            I: d * prod(a * a for a, i in zip(alphas, I) if i == 0)
+            for I, d in V.degrees.entries.items()})
+        assert vars(got) == vars(want), (V, alphas)
+        assert got.rows() == want.rows() and repr(got) == repr(want)
 
 
 def test_apply_isogeny():

@@ -40,6 +40,10 @@ def test_product_system():
     rels = sys2.weierstrass_relations()
     assert [name for name, _ in rels] == ["y1", "y2"]
     assert rels[0][1] == parse_poly("x1^3 + 1", sys2.ring)
+    assert sys2.coordinate_poly(2, {4: 3, 0: -7}) == parse_poly("3*x2^4 - 7", sys2.ring)
+    for j in (0, 3):
+        with pytest.raises(ValueError):
+            sys2.coordinate_poly(j, {1: 1})
     with pytest.raises(ValueError):
         ProductSystem([])
     with pytest.raises(TypeError):
