@@ -12,33 +12,35 @@ tuples).  Primes above MAX_P are refused, since enumeration is O(p).
 Good primes avoid 2, 3, the curve discriminants, and the isogeny
 multipliers, so reductions stay nonsingular and separable.
 
-Cost model: a PrimeFieldCtx keeps, for the life of the context, one
-square-root table, each factor's affine point list (-P next to P) and,
-per multiplier alpha, the table of [alpha]P over those points, made with
-one double-and-add per pair +-P ([alpha](-P) = -[alpha]P) and shared by
-both checks.  Polynomials in one x are evaluated over a list of x's by
-_values: the power columns x^k are built once and packed (Kronecker
-substitution), a 64-bit slot per x, so each polynomial is one big-integer
-combination of them, reduced slot by slot.  The maps check evaluates r,
-t and s this way at the distinct x's and compares cross-multiplied,
-r = X*t^2 and s*y = Y*t^3 mod p, so it inverts only to report a mismatch.
+Cost model: a PrimeFieldCtx keeps one square-root table, each factor's
+affine point list (-P next to P), per multiplier alpha the table of
+[alpha]P over them (one double-and-add per pair +-P, as [alpha](-P) =
+-[alpha]P), and each factor's x table (_XTable): its distinct x's by
+position, with the columns x^k built on first use.  A factor of more
+than SAMPLE_COUNT points keeps none: each call builds its own over the
+x's it reads (a scan: the drawn points', and their images').  A
+polynomial in x is evaluated at every x of a table as one combination
+of the packed columns (Kronecker substitution, a 64-bit slot per x).
+The maps check evaluates r, t and s so and compares once per pair +-P,
+as r = X*t^2 and s*y = Y*t^3 mod p, inverting only to report a mismatch.
 The membership scan holds its tuples as one column of point indices per
-factor (every tuple when exhaustive, the SAMPLE_COUNT draws when sampled)
-and works column by column: it flags the points with image at infinity
-and, through _values at the points the tuples use, those on the excluded
-locus; ORs the flags into each tuple's kind; and gives the live tuples
+factor (every tuple when exhaustive, the SAMPLE_COUNT draws when
+sampled) and works column by column: it flags the points with image at
+infinity and those on the excluded locus (each t_j evaluated once per
+x); ORs the flags into each tuple's kind; and gives the live tuples
 positions into their distinct factor-1 points (firsts) and distinct
 points of the other factors (rests), shared by the preimage and the base
 equations.  Each equation is grouped by its factor-1 monomials m, with a
 row of monomial values per first and each inner sum R_m packed with a
-slot per rest, exact (and checked) while terms * (p-1)^2 < 2^64.  Where
-the firsts times the rests are no more than the tuples times the heads
-(always for an exhaustive scan, whose tuples fill that grid), the whole
-grid is one combination of the packed R_m per first, read at each tuple's
-slot, as long as terms * (p-1)^3 < 2^64; else each tuple costs one dot
-product as long as its heads.  Only tuples to report are turned back
-into points, and a sampled scan evaluates nothing at a point it did not
-draw.
+slot per rest, exact (and checked) while terms * (p-1)^2 < 2^64; x^k is
+read off an x table at the point's x (its image's, for the base
+equations).  Where the firsts times the rests, at 1/8 of a tuple's head
+each, are no more than the tuples times the heads (always in an
+exhaustive scan), the whole grid is one combination of the packed R_m
+per first, read at each tuple's slot, as long as terms * (p-1)^3 < 2^64;
+else each tuple costs one dot product as long as its heads.  Only tuples
+to report are turned back into points, and a sampled scan evaluates
+nothing at a point it did not draw.
 """
 
 import random
@@ -67,8 +69,9 @@ class PrimeFieldCtx:
     """A good odd prime together with the reduced curve coefficients.
 
     The context also holds the tables the checks share: each factor's
-    affine points and, per (factor, alpha), their images under [alpha].
-    They are built on first use and live as long as the context.
+    affine points, per (factor, alpha) their images under [alpha], and
+    each small factor's x table.  They are built on first use and live as
+    long as the context.
     """
 
     def __init__(self, p, system):
@@ -90,6 +93,7 @@ class PrimeFieldCtx:
         self._roots = None
         self._points = {}
         self._images = {}
+        self._xs = {}
 
     def require_separable(self, alphas):
         for a in alphas:
@@ -132,6 +136,16 @@ class PrimeFieldCtx:
                     table.append(scalar_mul_mod(self.p, A, alpha, P))
             self._images[key] = table
         return table
+
+    def x_table(self, curve_index, xs=None):
+        """One factor's _XTable, kept if it has at most SAMPLE_COUNT affine
+        points; else a new one over xs (default: all its x's) per call."""
+        points = self.affine_points(curve_index)  # checks curve_index
+        if len(points) > SAMPLE_COUNT:
+            return _XTable(self.p, map(itemgetter(0), points) if xs is None else xs)
+        if curve_index not in self._xs:
+            self._xs[curve_index] = _XTable(self.p, map(itemgetter(0), points))
+        return self._xs[curve_index]
 
 
 def enumerate_points(ctx, curve_index):
@@ -201,16 +215,6 @@ def poly_mod(poly, p, names):
     return out
 
 
-def _dense_mod(poly, p, name):
-    """A polynomial in one variable as a mod-p coefficient list, constant
-    term first, for _values."""
-    reduced = poly_mod(poly, p, (name,))
-    coeffs = [0] * (max((e[0] for _, e in reduced), default=-1) + 1)
-    for c, (k,) in reduced:
-        coeffs[k] = (coeffs[k] + c) % p
-    return coeffs
-
-
 def _check_slot(largest, what):
     """Raise before a packed 64-bit slot could wrap: largest bounds its value."""
     if largest >> 64:
@@ -229,25 +233,33 @@ def _slots(packed, size):
     return memoryview(packed.to_bytes(8 * size, sys.byteorder)).cast("Q")
 
 
-def _powers(v, d, p):
-    """The columns v^0, v^1, ..., v^d mod p of a column v of residues."""
-    cols = [[1] * len(v)]
-    for _ in range(d):
-        cols.append(list(map(mod, map(mul, cols[-1], v), repeat(p))))
-    return cols
+class _XTable:
+    """Distinct x's mod p (index: each x's position, in first-seen order)
+    with the columns x^k over them, built on first use."""
 
+    def __init__(self, p, xs):
+        self.p = p
+        self.index = dict(zip(dict.fromkeys(xs), count()))
+        self.cols = [[1] * len(self.index)]
 
-def _values(polys, xs, p):
-    """Each of polys (_dense_mod coefficient lists) at every x of xs.
+    def col(self, k):
+        """x^k mod p at each position."""
+        cols = self.cols
+        while len(cols) <= k:
+            cols.append(list(map(mod, map(mul, cols[-1], self.index), repeat(self.p))))
+        return cols[k]
 
-    The power columns x^k are built and packed once; each polynomial is
-    then one combination of them, with slots below len(coeffs) * (p - 1)^2.
-    """
-    d = max(map(len, polys), default=0)
-    _check_slot(d * (p - 1) ** 2, "polynomial values mod %d" % p)
-    cols = list(map(_pack, _powers(xs, d - 1, p)))
-    return [list(map(mod, _slots(sum(map(mul, coeffs, cols)), len(xs)), repeat(p)))
-            for coeffs in polys]
+    def values(self, polys):
+        """Each of polys (poly_mod lists in x alone) at each position, not
+        reduced mod p: the slots of one combination of the packed columns
+        per polynomial, each below len(poly) * (p - 1)^2."""
+        _check_slot(max(map(len, polys), default=0) * (self.p - 1) ** 2,
+                    "polynomial values mod %d" % self.p)
+        d = max((k for poly in polys for _, (k,) in poly), default=0)
+        self.col(d)  # every column before any is packed, for a lower peak
+        packed = list(map(_pack, self.cols[:d + 1]))
+        return [_slots(sum(c * packed[k] for c, (k,) in poly), len(self.index))
+                for poly in polys]
 
 
 def verify_maps_vs_group_law(ctx, curve_index, alpha):
@@ -265,25 +277,29 @@ def verify_maps_vs_group_law(ctx, curve_index, alpha):
     p = ctx.p
     points = ctx.affine_points(curve_index)  # checks curve_index
     maps = _maps_for(ctx.system.curves[curve_index], alpha)
-    xs = list(dict.fromkeys(x for x, _ in points))  # -P shares x with P
-    r, t, s = _values([_dense_mod(f, p, "x") for f in (maps.r, maps.t, maps.s)], xs, p)
-    at = dict(zip(xs, zip(r, [v * v % p for v in t], [v * v * v % p for v in t], s)))
+    table = ctx.x_table(curve_index)
+    r, t, s = table.values([poly_mod(f, p, ("x",)) for f in (maps.r, maps.t, maps.s)])
     mismatches = []
     exceptional = []
     kernel = []
     checked = 0
     images = ctx.image_table(curve_index, alpha)
+    i = None
     for P, expected in zip(points, images):
         if expected is None:
             kernel.append(P)
-        rv, t2, t3, sv = at[P[0]]
+        if table.index[P[0]] != i:  # else P is -(the point before): same verdict
+            i = table.index[P[0]]
+            rv, sv, t2 = r[i], s[i], t[i] * t[i] % p  # r and s not reduced mod p
+            t3 = t2 * t[i] % p
+            # x = r/t^2 and y = s*y/t^3, compared without dividing
+            bad = expected is None or (expected[0] * t2 - rv) % p or \
+                (expected[1] * t3 - sv * P[1]) % p
         if t3 == 0:
             exceptional.append(P)
             continue
         checked += 1
-        # x = r/t^2 and y = s*y/t^3, compared without dividing
-        if expected is None or (expected[0] * t2 - rv) % p or \
-                (expected[1] * t3 - sv * P[1]) % p:
+        if bad:
             got = (rv * pow(t2, -1, p) % p, sv * P[1] % p * pow(t3, -1, p) % p)
             mismatches.append({"point": P, "formula": got, "group_law": expected})
     report = {
@@ -305,7 +321,8 @@ class _GroupedEquations:
     tuple's position among them); rests is the same pair for the indices
     in the other factors, each rest written as one integer i_2 + s_2*(i_3
     + s_3*(...)) where s_j is the number of points of factor j.  coords[j]
-    maps a point index of factor j to its (x, y).
+    maps a point index of factor j to its (x, y), and tables[j] is an
+    _XTable holding the x's of the points read.
 
     Each equation is written as sum_m m(P_1) * R_m(P_2, ..., P_N) over its
     distinct factor-1 monomials m = x1^a*y1^b.  Per equation, rows holds
@@ -314,7 +331,7 @@ class _GroupedEquations:
     distinct rest.
     """
 
-    def __init__(self, reduced, coords, p, firsts, rests):
+    def __init__(self, reduced, coords, tables, p, firsts, rests):
         reduced = list(filter(None, reduced))  # an empty equation vanishes everywhere
         self.p = p
         keys, self.fpos = firsts
@@ -332,7 +349,7 @@ class _GroupedEquations:
                 cols.append(tails.setdefault(e[2:], len(tails)))
                 coeffs.append(c)
             groups.append(group)
-        at = _monomials(coords[:1], [keys], heads, p, len(keys)).__getitem__
+        at = _monomials(coords[:1], tables, [keys], heads, p, len(keys)).__getitem__
         self.rows = [list(zip(*map(at, group))) for group in groups]
         # a slot of an inner sum holds at most (terms of its equation) * (p - 1)^2
         _check_slot(max(self.terms, default=0) * (p - 1) ** 2, "inner sums mod %d" % p)
@@ -340,7 +357,8 @@ class _GroupedEquations:
         for pts in coords[1:]:
             ids.append(list(map(mod, rkeys, repeat(len(pts)))))
             rkeys = list(map(floordiv, rkeys, repeat(len(pts))))
-        at = list(map(_pack, _monomials(coords[1:], ids, tails, p, self.width))).__getitem__
+        at = list(map(_pack, _monomials(coords[1:], tables[1:], ids, tails, p,
+                                        self.width))).__getitem__
         self.sums = [[sum(map(mul, coeffs, map(at, cols))) for cols, coeffs in group.values()]
                      for group in groups]
 
@@ -348,19 +366,24 @@ class _GroupedEquations:
         """Each equation's values mod p at the tuples, one list per equation.
 
         An equation is evaluated over the whole grid of distinct firsts
-        and rests when the grid has no more cells than the tuples have
-        head terms (always when the tuples fill it): per first, one
-        combination of the packed R_m, whose slot per rest holds at most
-        terms * (p - 1)^3.  Else, or if that could wrap, it is one dot
-        product per tuple.  grid=True or False forces the one way or the
-        other; a forced grid raises ValueError where a slot could wrap.
+        and rests when its cells, at 1/8 of a tuple's head term each, are
+        no more than the tuples' head terms (always when the tuples fill
+        it): per first, one combination of the packed R_m, whose slot per
+        rest holds at most terms * (p - 1)^3.  Else, or if that could
+        wrap, it is one dot product per tuple.  grid=True or False forces
+        the one way or the other; a forced grid raises ValueError where a
+        slot could wrap.
         """
         p, size = self.p, len(self.fpos)
         cells = None
         for rows, sums, terms in zip(self.rows, self.sums, self.terms):
             largest = terms * (p - 1) ** 3  # in a slot of the grid
+            # a cell is a slot read in C, a head a multiply-add in a map:
+            # at T*heads/(F*R) = 0.27..2.0 (sampled, p ~ 100) the grid took
+            # 0.55..1.29 of the per-tuple time (median 0.82), and at
+            # 0.005..0.028 (p ~ 1009) 13..32 times it
             if grid or grid is None and not largest >> 64 and \
-                    len(rows) * self.width <= size * len(sums):
+                    len(rows) * self.width <= 8 * size * len(sums):
                 _check_slot(largest, "grid sums mod %d" % p)
                 if cells is None:
                     cells = list(map(add, map(mul, self.fpos, repeat(self.width)), self.rpos))
@@ -382,17 +405,25 @@ class _GroupedEquations:
         return list(map(not_, nonzero))
 
 
-def _monomials(coords, ids, exps, p, size):
+def _monomials(coords, tables, ids, exps, p, size):
     """Each monomial of exps (exponents of x_1, y_1, x_2, ... over the
     factors of coords) as a column of size values mod p; ids[f] lists the
-    point index of factor f at each place of the column."""
-    powers = []  # per coordinate: [v^0, v^1, ...] as columns
-    for pos, d in enumerate(max(col) for col in zip(*exps)):
-        pts = map(coords[pos // 2].__getitem__, ids[pos // 2])
-        powers.append(_powers(list(map(itemgetter(pos % 2), pts)), d, p))
+    point index of factor f at each place of the column.  x^k is read
+    from the table of its factor at the x's position, y^k is pow."""
+    places = []  # per coordinate: the x positions, or the y's, at the places
+    for pts, table, col in zip(coords, tables, ids):
+        pts = list(map(pts.__getitem__, col))
+        places.append(list(map(table.index.__getitem__, map(itemgetter(0), pts))))
+        places.append(list(map(itemgetter(1), pts)))
+    powers = {}  # (coordinate, k) -> column of its k-th powers at the places
+    for pos, k in {(pos, k) for e in exps for pos, k in enumerate(e) if k}:
+        if pos % 2:
+            powers[pos, k] = list(map(pow, places[pos], repeat(k), repeat(p)))
+        else:
+            powers[pos, k] = list(map(tables[pos // 2].col(k).__getitem__, places[pos]))
     out = []
     for e in exps:
-        factors = [powers[pos][k] for pos, k in enumerate(e) if k]
+        factors = [powers[pos, k] for pos, k in enumerate(e) if k]
         col = factors.pop() if factors else [1] * size
         for f in factors:
             col = list(map(mod, map(mul, col, f), repeat(p)))
@@ -444,7 +475,7 @@ def verify_preimage_membership(ctx, pre):
     names = system.ring
     eqs = [poly_mod(f, p, names) for f in pre.equations]
     base_eqs = [poly_mod(f, p, names) for f in pre.base.equations]
-    excl = [(row["j"] - 1, _dense_mod(row["t"], p, "x%d" % row["j"]))
+    excl = [(row["j"] - 1, poly_mod(row["t"], p, ("x%d" % row["j"],)))
             for row in pre.excluded_locus]
     affine = [ctx.affine_points(idx) for idx in range(n)]
     images = [ctx.image_table(idx, alphas[idx]) for idx in range(n)]
@@ -460,24 +491,28 @@ def verify_preimage_membership(ctx, pre):
     # bit 2 on the excluded locus (evaluated at the points the tuples use); a
     # tuple's kind is the OR over its factors: 0 live, 1 with an image at
     # infinity, 2 or 3 excluded
-    per_factor = []
+    per_factor, lhs_x, rhs_x = [], [], []  # x tables over the drawn points, their images
     for j, (pts, col, table) in enumerate(zip(affine, cols, images)):
         flag = [0] * len(pts)
         for i in compress(count(), map(is_, table, repeat(None))):
             flag[i] = 1
+        drawn = list(set(col))
+        xs = [pts[i][0] for i in drawn]
+        lhs_x.append(ctx.x_table(j, xs))
+        rhs_x.append(ctx.x_table(j, [Q[0] for Q in map(table.__getitem__, drawn) if Q]))
         polys = [t for k, t in excl if k == j]
         if polys:
-            drawn = list(set(col))
-            xs = [pts[i][0] for i in drawn]
-            for values in _values(polys, xs, p):
-                for i in compress(drawn, map(not_, values)):
+            at = list(map(lhs_x[j].index.__getitem__, xs))
+            for values in lhs_x[j].values(polys):
+                zero = map(not_, map(mod, map(values.__getitem__, at), repeat(p)))
+                for i in compress(drawn, zero):
                     flag[i] |= 2
         per_factor.append(map(flag.__getitem__, col))
     kinds = list(reduce(partial(map, or_), per_factor))
     live = list(map(not_, kinds))
     firsts, rests = _split([list(compress(col, live)) for col in cols], sizes)
-    lhs = _GroupedEquations(eqs, affine, p, firsts, rests).vanish()
-    rhs = _GroupedEquations(base_eqs, images, p, firsts, rests).vanish()
+    lhs = _GroupedEquations(eqs, affine, lhs_x, p, firsts, rests).vanish()
+    rhs = _GroupedEquations(base_eqs, images, rhs_x, p, firsts, rests).vanish()
     # only the tuples to report are turned back into points, in order:
     # those with an image at infinity (outside the excluded locus it must
     # be affine) and the live ones where the two sides disagree

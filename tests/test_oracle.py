@@ -442,17 +442,30 @@ def test_scan_matches_reference_with_powers_of_y():
 def test_sampled_scan_builds_tables_over_drawn_points_only(monkeypatch):
     # at the largest prime the oracle accepts, the rows and sums of a
     # sampled scan cover at most the SAMPLE_COUNT drawn tuples, not the
-    # 131 000 points of a factor
+    # 131 000 points of a factor; per factor, one x table holds the x's of
+    # the drawn points and one those of their images, at most 2 *
+    # SAMPLE_COUNT x's in all, and none is kept on the context
     built = []
+    tables = []
 
     class Recorded(oracle._GroupedEquations):
         def __init__(self, *args):
             super().__init__(*args)
             built.append(self)
 
+    class RecordedTable(oracle._XTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
     monkeypatch.setattr(oracle, "_GroupedEquations", Recorded)
+    monkeypatch.setattr(oracle, "_XTable", RecordedTable)
     pre = generate_preimage(C3, DiagonalIsogeny([2, 1]))
-    rep = verify_preimage_membership(PrimeFieldCtx(oracle.MAX_P - 1, SYS), pre)
+    ctx = PrimeFieldCtx(oracle.MAX_P - 1, SYS)
+    rep = verify_preimage_membership(ctx, pre)
+    assert ctx._xs == {}
+    assert len(tables) == 4
+    assert all(0 < len(t.index) <= oracle.SAMPLE_COUNT for t in tables)
     assert rep["mode"] == "sampled" and rep["iterated"] == oracle.SAMPLE_COUNT
     assert min(rep["affine_counts"]) > 60 * oracle.SAMPLE_COUNT
     assert len(built) == 2  # the preimage and the base equations
@@ -466,6 +479,57 @@ def test_sampled_scan_builds_tables_over_drawn_points_only(monkeypatch):
 
 
 # -- tables shared on one context ------------------------------------------
+
+
+@pytest.mark.parametrize("p", [13, 101, 1009])
+def test_x_table_positions_and_columns(p):
+    # each point's position holds its own x, -P (listed right after P)
+    # shares P's, every affine image [alpha]P finds its x in the same
+    # table, and the columns are the powers x^k mod p
+    system = ProductSystem([E01, WeierstrassCurve(-1, 0)])
+    ctx = PrimeFieldCtx(p, system)
+    for idx in range(2):
+        points = ctx.affine_points(idx)
+        table = ctx.x_table(idx)
+        assert table is ctx.x_table(idx)  # kept on the context
+        xs = table.col(1)
+        at = [table.index[x] for x, _ in points]
+        assert [xs[i] for i in at] == [x for x, _ in points]
+        assert sorted(set(at)) == list(range(len(xs)))
+        pairs = 0
+        for k in range(1, len(points)):
+            if points[k][0] == points[k - 1][0]:
+                assert points[k][1] == p - points[k - 1][1] and at[k] == at[k - 1]
+                pairs += 1
+        assert pairs == len(points) - len(xs)
+        for alpha in (2, -2, 3, 5):
+            images = [Q for Q in ctx.image_table(idx, alpha) if Q is not None]
+            assert images and all(xs[table.index[x]] == x for x, _ in images)
+        for k in range(13):
+            assert table.col(k) == [pow(x, k, p) for x in xs]
+
+
+@pytest.mark.parametrize("p", [1009, 4099])
+def test_scan_first_then_maps_match_fresh_contexts(p):
+    # the membership scan first, then maps checks, on one context: at 1009
+    # the x tables stay on the context, and [5] on the first factor needs
+    # powers of x far above the scan's; at 4099 each factor has more than
+    # SAMPLE_COUNT points, so every call builds and drops its own tables
+    pre = generate_preimage(C3, DiagonalIsogeny([2, 1]))
+    shared = PrimeFieldCtx(p, SYS)
+    got = verify_preimage_membership(shared, pre)
+    assert got == reference_membership(PrimeFieldCtx(p, SYS), pre)
+    large = min(len(shared.affine_points(j)) for j in range(2)) > oracle.SAMPLE_COUNT
+    assert large == (p == 4099)
+    degrees = [len(table.cols) for _, table in sorted(shared._xs.items())]
+    for idx, alpha in ((0, 2), (1, 1), (0, 5), (1, -3)):
+        got = verify_maps_vs_group_law(shared, idx, alpha)
+        assert got == verify_maps_vs_group_law(PrimeFieldCtx(p, SYS), idx, alpha)
+        assert got == reference_maps(PrimeFieldCtx(p, SYS), idx, alpha)
+    if large:
+        assert shared._xs == {}
+    else:
+        assert len(shared._xs[0].cols) > degrees[0] + 20
 
 
 def test_shared_context_maps_match_fresh_contexts():
@@ -547,10 +611,12 @@ def test_maps_check_reports_mismatches_as_divided_formulas(monkeypatch, alpha):
 
 
 def _grouped(eqs, coords, p, tuples):
-    """_GroupedEquations over tuples of point indices, as the scan builds it."""
+    """_GroupedEquations over tuples of point indices, as the scan builds
+    it, with one x table per factor over the x's of its coords."""
     firsts, rests = oracle._split([list(col) for col in zip(*tuples)],
                                   [len(pts) for pts in coords])
-    return oracle._GroupedEquations(eqs, coords, p, firsts, rests)
+    tables = [oracle._XTable(p, [x for x, _ in pts]) for pts in coords]
+    return oracle._GroupedEquations(eqs, coords, tables, p, firsts, rests)
 
 
 def test_packed_inner_sums_agree_with_eval_mod_at_max_p():
@@ -605,8 +671,13 @@ def test_values_equal_horner_per_x(p):
             acc = (acc * x + c) % p
         return acc
 
-    assert oracle._values(polys, xs, p) == [[horner(c, x) for x in xs] for c in polys]
-    assert oracle._values(polys, [], p) == [[] for _ in polys]
+    # the table holds each distinct x once; every x reads its position
+    table = oracle._XTable(p, xs)
+    at = [table.index[x] for x in xs]
+    terms = [[(c, (k,)) for k, c in enumerate(coeffs)] for coeffs in polys]
+    assert [[v[i] % p for i in at] for v in table.values(terms)] == \
+        [[horner(c, x) for x in xs] for c in polys]
+    assert [list(v) for v in oracle._XTable(p, []).values(terms)] == [[] for _ in polys]
 
 
 def _on_base(coords, p):
@@ -622,6 +693,33 @@ def _on_base(coords, p):
         by_x.setdefault(x, []).append(k)
     return [(i, k, m) for i, (_, y) in enumerate(coords[0]) for m in by_y.get(y, ())
             for k in by_x.get(coords[2][m][0], ())]
+
+
+def test_sampled_scan_near_100_takes_the_grid(monkeypatch):
+    # at p = 101 the grid of about 100 x 100 distinct points has more
+    # cells than the 2000 sampled tuples have head terms, but at 1/8 of a
+    # head per cell it costs less, so both equation sets are read off the
+    # grid, which unpacks no inner sum per rest
+    unpacked = []
+    evaluated = []
+    slots = oracle._slots
+    monkeypatch.setattr(oracle, "_slots", lambda *args: unpacked.append(args) or slots(*args))
+
+    class Recorded(oracle._GroupedEquations):
+        def evaluate(self, grid=None):
+            del unpacked[:]
+            yield from super().evaluate(grid)
+            heads = [len(sums) for sums in self.sums]
+            evaluated.append((len(unpacked), len(self.rows[0]) * self.width,
+                              len(self.fpos) * max(heads)))
+
+    monkeypatch.setattr(oracle, "_GroupedEquations", Recorded)
+    pre = generate_preimage(C3, DiagonalIsogeny([2, 1]))
+    rep = verify_preimage_membership(PrimeFieldCtx(101, SYS), pre)
+    assert rep["mode"] == "sampled" and rep["ok"]
+    assert len(evaluated) == 2  # the preimage and the base equations
+    for unpacks, cells, head_terms in evaluated:
+        assert unpacks == 0 and head_terms < cells <= 8 * head_terms
 
 
 @pytest.mark.parametrize("n", [2, 3])
