@@ -12,35 +12,35 @@ tuples).  Primes above MAX_P are refused, since enumeration is O(p).
 Good primes avoid 2, 3, the curve discriminants, and the isogeny
 multipliers, so reductions stay nonsingular and separable.
 
-Cost model: a PrimeFieldCtx keeps one square-root table, each factor's
-affine point list (-P next to P), per multiplier alpha the table of
-[alpha]P over them (one double-and-add per pair +-P, as [alpha](-P) =
--[alpha]P), and each factor's x table (_XTable): its distinct x's by
-position, with the columns x^k built on first use.  A factor of more
-than SAMPLE_COUNT points keeps none: each call builds its own over the
-x's it reads (a scan: the drawn points', and their images').  A
-polynomial in x is evaluated at every x of a table as one combination
-of the packed columns (Kronecker substitution, a 64-bit slot per x).
-The maps check evaluates r, t and s so and compares once per pair +-P,
-as r = X*t^2 and s*y = Y*t^3 mod p, inverting only to report a mismatch.
-The membership scan holds its tuples as one column of point indices per
-factor (every tuple when exhaustive, the SAMPLE_COUNT draws when
-sampled) and works column by column: it flags the points with image at
-infinity and those on the excluded locus (each t_j evaluated once per
-x); ORs the flags into each tuple's kind; and gives the live tuples
-positions into their distinct factor-1 points (firsts) and distinct
-points of the other factors (rests), shared by the preimage and the base
-equations.  Each equation is grouped by its factor-1 monomials m, with a
-row of monomial values per first and each inner sum R_m packed with a
-slot per rest, exact (and checked) while terms * (p-1)^2 < 2^64; x^k is
-read off an x table at the point's x (its image's, for the base
-equations).  Where the firsts times the rests, at 1/8 of a tuple's head
-each, are no more than the tuples times the heads (always in an
-exhaustive scan), the whole grid is one combination of the packed R_m
-per first, read at each tuple's slot, as long as terms * (p-1)^3 < 2^64;
-else each tuple costs one dot product as long as its heads.  Only tuples
-to report are turned back into points, and a sampled scan evaluates
-nothing at a point it did not draw.
+Cost model: a PrimeFieldCtx keeps one square-root table and, per reduced
+curve (factors with equal A, B mod p share them), the affine points (-P
+next to P), per alpha the table of [alpha]P over them (one double-and-add
+per pair +-P, as [alpha](-P) = -[alpha]P), the x table (_XTable: the
+distinct x's by position, with the columns x^k built on first use), and
+per point the position of its x and its y, for the points and for each
+table of images.  A factor of more than SAMPLE_COUNT points keeps no x
+table or columns: each call builds its own over the x's it reads (a
+scan: its distinct drawn points' and their images') and drops the powers
+once read.  A polynomial in x is evaluated at every x of a table as one
+combination of the packed columns (Kronecker substitution, a 64-bit slot
+per x).  The maps check evaluates r, t and s so and compares once per
+pair +-P, as r = X*t^2 and s*y = Y*t^3 mod p, inverting only to report a
+mismatch.  The membership scan holds its tuples as one column of
+positions per factor (every tuple when exhaustive, the SAMPLE_COUNT draws
+when sampled): point indices, or in a larger factor positions among its
+distinct drawn points.  Column by column, it flags the positions with
+image at infinity and those on the excluded locus (each t_j evaluated
+once per x) and ORs the flags into each tuple's kind.  Each equation is
+grouped by its factor-1 monomials m, with a row of monomial values per
+factor-1 position and each inner sum R_m packed with a slot per factor-2
+position (per distinct rest of three or more factors), exact (and
+checked) while terms * (p-1)^2 < 2^64; x^k and y are read off the
+columns (the images', for the base equations).  Where the rows times the
+slots, at 1/8 of a tuple's head each, are no more than the live tuples
+times the heads (always in an exhaustive scan), the whole grid is one
+combination of the packed R_m per row, read at each tuple's slot, as
+long as terms * (p-1)^3 < 2^64; else each tuple costs one dot product as
+long as its heads.  Only tuples to report are turned back into points.
 """
 
 import random
@@ -68,10 +68,11 @@ class BadReductionError(ValueError):
 class PrimeFieldCtx:
     """A good odd prime together with the reduced curve coefficients.
 
-    The context also holds the tables the checks share: each factor's
-    affine points, per (factor, alpha) their images under [alpha], and
-    each small factor's x table.  They are built on first use and live as
-    long as the context.
+    The context also holds the tables the checks share, keyed by the
+    reduced curve (A mod p, B mod p), so that factors with the same
+    reduction share them: its affine points, per alpha their images under
+    [alpha], and for at most SAMPLE_COUNT points its x table and coordinate
+    columns.  They are built on first use and live as long as the context.
     """
 
     def __init__(self, p, system):
@@ -94,6 +95,7 @@ class PrimeFieldCtx:
         self._points = {}
         self._images = {}
         self._xs = {}
+        self._coords = {}
 
     def require_separable(self, alphas):
         for a in alphas:
@@ -112,21 +114,21 @@ class PrimeFieldCtx:
 
     def affine_points(self, curve_index):
         """The affine F_p points of one factor, in enumerate_points order."""
-        self.reduced(curve_index)  # checks curve_index
-        pts = self._points.get(curve_index)
+        key = self.reduced(curve_index)  # checks curve_index
+        pts = self._points.get(key)
         if pts is None:
             pts = [P for P in enumerate_points(self, curve_index) if P is not None]
-            self._points[curve_index] = pts
+            self._points[key] = pts
         return pts
 
     def image_table(self, curve_index, alpha):
         """[alpha]P for every affine point P of one factor, by index (None
         on the kernel); -P follows P in the list and gets -[alpha]P."""
-        key = (curve_index, require_int(alpha, "alpha"))
         points = self.affine_points(curve_index)  # checks curve_index
+        key = (self.reduced(curve_index), require_int(alpha, "alpha"))
         table = self._images.get(key)
         if table is None:
-            A, _ = self.reduced(curve_index)
+            A, _ = key[0]
             table = []
             for k, P in enumerate(points):
                 if k and points[k - 1][0] == P[0]:  # P = -points[k - 1]
@@ -137,15 +139,39 @@ class PrimeFieldCtx:
             self._images[key] = table
         return table
 
-    def x_table(self, curve_index, xs=None):
-        """One factor's _XTable, kept if it has at most SAMPLE_COUNT affine
-        points; else a new one over xs (default: all its x's) per call."""
+    def x_table(self, curve_index):
+        """One factor's _XTable over its x's in point order, kept if it has
+        at most SAMPLE_COUNT affine points, else a new one per call."""
         points = self.affine_points(curve_index)  # checks curve_index
-        if len(points) > SAMPLE_COUNT:
-            return _XTable(self.p, map(itemgetter(0), points) if xs is None else xs)
-        if curve_index not in self._xs:
-            self._xs[curve_index] = _XTable(self.p, map(itemgetter(0), points))
-        return self._xs[curve_index]
+        table = self._xs.get(self.reduced(curve_index))
+        if table is None:
+            table = _XTable(self.p, map(itemgetter(0), points), len(points) <= SAMPLE_COUNT)
+            if table.kept:
+                self._xs[self.reduced(curve_index)] = table
+        return table
+
+    def coordinates(self, curve_index, alpha=None, ids=None):
+        """(x table, x positions, y's) of one factor's points, or with alpha
+        of their images [alpha]P (the first point's on the kernel), as
+        lists by point index on x_table: kept for a factor of at most
+        SAMPLE_COUNT points.  A larger one gets them per call, by position
+        in ids, on a table over the x's read."""
+        points = self.affine_points(curve_index)  # checks curve_index
+        key = (self.reduced(curve_index), alpha)
+        if key in self._coords:
+            return self._coords[key]
+        keep = len(points) <= SAMPLE_COUNT
+        pts = points if alpha is None else self.image_table(curve_index, alpha)
+        if not keep:
+            pts = list(map(pts.__getitem__, ids))
+        if alpha is not None:
+            pts = [Q or points[0] for Q in pts]
+        table = self.x_table(curve_index) if keep else _XTable(self.p, map(itemgetter(0), pts))
+        coords = (table, list(map(table.index.__getitem__, map(itemgetter(0), pts))),
+                  list(map(itemgetter(1), pts)))
+        if keep:
+            self._coords[key] = coords
+        return coords
 
 
 def enumerate_points(ctx, curve_index):
@@ -235,10 +261,12 @@ def _slots(packed, size):
 
 class _XTable:
     """Distinct x's mod p (index: each x's position, in first-seen order)
-    with the columns x^k over them, built on first use."""
+    with the columns x^k over them, built on first use.  A table that is
+    not kept has its columns dropped once _monomials has read them."""
 
-    def __init__(self, p, xs):
+    def __init__(self, p, xs, kept=False):
         self.p = p
+        self.kept = kept
         self.index = dict(zip(dict.fromkeys(xs), count()))
         self.cols = [[1] * len(self.index)]
 
@@ -284,12 +312,12 @@ def verify_maps_vs_group_law(ctx, curve_index, alpha):
     kernel = []
     checked = 0
     images = ctx.image_table(curve_index, alpha)
-    i = None
+    i, x = -1, None  # the table holds the x's in point order
     for P, expected in zip(points, images):
         if expected is None:
             kernel.append(P)
-        if table.index[P[0]] != i:  # else P is -(the point before): same verdict
-            i = table.index[P[0]]
+        if P[0] != x:  # else P is -(the point before): same verdict
+            i, x = i + 1, P[0]
             rv, sv, t2 = r[i], s[i], t[i] * t[i] % p  # r and s not reduced mod p
             t3 = t2 * t[i] % p
             # x = r/t^2 and y = s*y/t^3, compared without dividing
@@ -317,26 +345,24 @@ def verify_maps_vs_group_law(ctx, curve_index, alpha):
 
 class _GroupedEquations:
     """Reduced equations on E_1 x ... x E_N, evaluated at tuples of point
-    indices.  firsts is the pair (the distinct factor-1 indices, each
-    tuple's position among them); rests is the same pair for the indices
-    in the other factors, each rest written as one integer i_2 + s_2*(i_3
-    + s_3*(...)) where s_j is the number of points of factor j.  coords[j]
-    maps a point index of factor j to its (x, y), and tables[j] is an
-    _XTable holding the x's of the points read.
+    positions.  coords[j] is the triple (x table, x positions, y's) of
+    factor j by position, as PrimeFieldCtx.coordinates gives it.  firsts
+    is the pair (the factor-1 position of each row, each tuple's row);
+    rests is the pair (per other factor, its position at each slot; each
+    tuple's slot), as _split gives them.
 
     Each equation is written as sum_m m(P_1) * R_m(P_2, ..., P_N) over its
     distinct factor-1 monomials m = x1^a*y1^b.  Per equation, rows holds
-    the values of its monomials m at each distinct first, and sums its
-    inner sums R_m, each packed with an unreduced 64-bit slot per
-    distinct rest.
+    the values of its monomials m at each row, and sums its inner sums
+    R_m, each packed with an unreduced 64-bit slot per slot.
     """
 
-    def __init__(self, reduced, coords, tables, p, firsts, rests):
+    def __init__(self, reduced, coords, p, firsts, rests):
         reduced = list(filter(None, reduced))  # an empty equation vanishes everywhere
         self.p = p
         keys, self.fpos = firsts
-        rkeys, self.rpos = rests
-        self.width = len(rkeys)
+        ids, self.rpos = rests
+        self.width = len(ids[0])
         self.terms = list(map(len, reduced))
         heads = {}   # factor-1 exponents -> column
         tails = {}   # exponents in the other factors -> column
@@ -349,16 +375,11 @@ class _GroupedEquations:
                 cols.append(tails.setdefault(e[2:], len(tails)))
                 coeffs.append(c)
             groups.append(group)
-        at = _monomials(coords[:1], tables, [keys], heads, p, len(keys)).__getitem__
+        at = _monomials(coords[:1], [keys], heads, p, len(keys)).__getitem__
         self.rows = [list(zip(*map(at, group))) for group in groups]
         # a slot of an inner sum holds at most (terms of its equation) * (p - 1)^2
         _check_slot(max(self.terms, default=0) * (p - 1) ** 2, "inner sums mod %d" % p)
-        ids = []  # per other factor, its point index at each distinct rest
-        for pts in coords[1:]:
-            ids.append(list(map(mod, rkeys, repeat(len(pts)))))
-            rkeys = list(map(floordiv, rkeys, repeat(len(pts))))
-        at = list(map(_pack, _monomials(coords[1:], tables[1:], ids, tails, p,
-                                        self.width))).__getitem__
+        at = list(map(_pack, _monomials(coords[1:], ids, tails, p, self.width))).__getitem__
         self.sums = [[sum(map(mul, coeffs, map(at, cols))) for cols, coeffs in group.values()]
                      for group in groups]
 
@@ -405,22 +426,26 @@ class _GroupedEquations:
         return list(map(not_, nonzero))
 
 
-def _monomials(coords, tables, ids, exps, p, size):
+def _monomials(coords, ids, exps, p, size):
     """Each monomial of exps (exponents of x_1, y_1, x_2, ... over the
     factors of coords) as a column of size values mod p; ids[f] lists the
-    point index of factor f at each place of the column.  x^k is read
-    from the table of its factor at the x's position, y^k is pow."""
+    position in factor f at each place of the column, and a range (every
+    position, in order) reads its columns as they are.  x^k is read from
+    the table of its factor at the x position, y^k is pow."""
     places = []  # per coordinate: the x positions, or the y's, at the places
-    for pts, table, col in zip(coords, tables, ids):
-        pts = list(map(pts.__getitem__, col))
-        places.append(list(map(table.index.__getitem__, map(itemgetter(0), pts))))
-        places.append(list(map(itemgetter(1), pts)))
+    for (_, xs, ys), col in zip(coords, ids):
+        if type(col) is not range:
+            xs, ys = list(map(xs.__getitem__, col)), list(map(ys.__getitem__, col))
+        places += (xs, ys)
     powers = {}  # (coordinate, k) -> column of its k-th powers at the places
     for pos, k in {(pos, k) for e in exps for pos, k in enumerate(e) if k}:
         if pos % 2:
             powers[pos, k] = list(map(pow, places[pos], repeat(k), repeat(p)))
         else:
-            powers[pos, k] = list(map(tables[pos // 2].col(k).__getitem__, places[pos]))
+            powers[pos, k] = list(map(coords[pos // 2][0].col(k).__getitem__, places[pos]))
+    for table, _, _ in coords:
+        if not table.kept:
+            del table.cols[1:]
     out = []
     for e in exps:
         factors = [powers[pos, k] for pos, k in enumerate(e) if k]
@@ -440,12 +465,24 @@ def _positions(keys):
 
 def _split(cols, sizes):
     """The firsts and rests of _GroupedEquations for tuples given as one
-    column of point indices per factor, sizes[j] points in factor j."""
+    column of point positions per factor, sizes[j] positions in factor j.
+    Factor 1 has a row per position, and with two factors factor 2 a slot
+    per position: a tuple's row or slot is its position.  The rest of three
+    or more factors, written as one key i_2 + s_2*(i_3 + s_3*(...)), has a
+    slot per distinct key, in first-seen order."""
     first, *rest = cols
-    key = rest[-1] if rest else [0] * len(first)  # i_2 + s_2*(i_3 + s_3*(...))
+    if len(rest) == 1:
+        return (range(sizes[0]), first), ([range(sizes[1])], rest[0])
+    key = rest[-1] if rest else [0] * len(first)
     for col, size in zip(rest[-2::-1], sizes[-2:0:-1]):
         key = list(map(add, col, map(mul, key, repeat(size))))
-    return _positions(first), _positions(key)
+    key, rpos = _positions(key)
+    ids = []  # per other factor, its position at each distinct rest
+    for size in sizes[1:]:
+        ids.append(list(map(mod, key, repeat(size))))
+        key = list(map(floordiv, key, repeat(size)))
+    # with one factor, the slots are the distinct empty rests (none or one)
+    return (range(sizes[0]), first), (ids or [key], rpos)
 
 
 def _draw(rng, sizes, count):
@@ -487,32 +524,34 @@ def verify_preimage_membership(ctx, pre):
     else:
         flat = _draw(random.Random(SAMPLE_SEED), sizes, min(SAMPLE_COUNT, prod(sizes)))
         cols = [flat[j::n] for j in range(n)]
-    # per factor and point index, bit 1 if the image is at infinity and
-    # bit 2 on the excluded locus (evaluated at the points the tuples use); a
-    # tuple's kind is the OR over its factors: 0 live, 1 with an image at
-    # infinity, 2 or 3 excluded
-    per_factor, lhs_x, rhs_x = [], [], []  # x tables over the drawn points, their images
-    for j, (pts, col, table) in enumerate(zip(affine, cols, images)):
-        flag = [0] * len(pts)
-        for i in compress(count(), map(is_, table, repeat(None))):
-            flag[i] = 1
-        drawn = list(set(col))
-        xs = [pts[i][0] for i in drawn]
-        lhs_x.append(ctx.x_table(j, xs))
-        rhs_x.append(ctx.x_table(j, [Q[0] for Q in map(table.__getitem__, drawn) if Q]))
+    # per factor and position, bit 1 if the image is at infinity and bit 2
+    # on the excluded locus; a tuple's kind is the OR over its factors: 0
+    # live, 1 with an image at infinity, 2 or 3 excluded.  A position is a
+    # point index, except in a factor of more than SAMPLE_COUNT points:
+    # there it is a position among the distinct drawn points
+    per_factor, lhs_at, rhs_at = [], [], []  # coordinates of the points, of their images
+    for j in range(n):
+        ids = None
+        if sizes[j] > SAMPLE_COUNT:
+            ids, cols[j] = _positions(cols[j])
+            affine[j] = list(map(affine[j].__getitem__, ids))
+            images[j] = list(map(images[j].__getitem__, ids))
+        lhs_at.append(ctx.coordinates(j, None, ids))
+        rhs_at.append(ctx.coordinates(j, alphas[j], ids))
+        flag = list(map(is_, images[j], repeat(None)))  # 1 (True) at infinity
         polys = [t for k, t in excl if k == j]
         if polys:
-            at = list(map(lhs_x[j].index.__getitem__, xs))
-            for values in lhs_x[j].values(polys):
+            xs, at = lhs_at[j][:2]
+            for values in xs.values(polys):
                 zero = map(not_, map(mod, map(values.__getitem__, at), repeat(p)))
-                for i in compress(drawn, zero):
+                for i in compress(count(), zero):
                     flag[i] |= 2
-        per_factor.append(map(flag.__getitem__, col))
+        per_factor.append(map(flag.__getitem__, cols[j]))
     kinds = list(reduce(partial(map, or_), per_factor))
     live = list(map(not_, kinds))
-    firsts, rests = _split([list(compress(col, live)) for col in cols], sizes)
-    lhs = _GroupedEquations(eqs, affine, lhs_x, p, firsts, rests).vanish()
-    rhs = _GroupedEquations(base_eqs, images, rhs_x, p, firsts, rests).vanish()
+    firsts, rests = _split([list(compress(col, live)) for col in cols], list(map(len, affine)))
+    lhs = _GroupedEquations(eqs, lhs_at, p, firsts, rests).vanish()
+    rhs = _GroupedEquations(base_eqs, rhs_at, p, firsts, rests).vanish()
     # only the tuples to report are turned back into points, in order:
     # those with an image at infinity (outside the excluded locus it must
     # be affine) and the live ones where the two sides disagree

@@ -387,12 +387,20 @@ def test_scan_matches_reference_on_random_pairs():
         _assert_scans_match(pre, [exhaustive[0], exhaustive[-1]] + sampled)
 
 
-def _three_factor_preimage():
+def _three_factor_preimage(alphas=(2, 1, -1)):
     sys3 = ProductSystem([E01, WeierstrassCurve(-1, 0), E01])
     table = MultiDegreeTable(1, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
     eqs = [parse_poly("y1 - y3", sys3.ring), parse_poly("x2 - x3", sys3.ring)]
     V = SubvarietyPresentation(sys3, eqs, 1, table, False)
-    return generate_preimage(V, DiagonalIsogeny([2, 1, -1]))
+    return generate_preimage(V, DiagonalIsogeny(list(alphas)))
+
+
+def _wrong(pre, other):
+    """pre with the equations of other, and pre with no excluded locus
+    (its kernel tuples then map to infinity)."""
+    return (PreimagePresentation(pre.base, pre.isogeny, other.equations,
+                                 pre.excluded_locus, pre.degrees),
+            PreimagePresentation(pre.base, pre.isogeny, pre.equations, [], pre.degrees))
 
 
 def test_scan_matches_reference_on_three_factors():
@@ -404,13 +412,7 @@ def test_scan_matches_reference_on_three_factors():
 
 def test_scan_matches_reference_on_wrong_presentations():
     pre = generate_preimage(C3, DiagonalIsogeny([2, 1]))
-    other = generate_preimage(C3, DiagonalIsogeny([1, 2]))
-    # the equations of another isogeny, and the right ones with the
-    # excluded locus dropped (kernel tuples then map to infinity)
-    wrong_eqs = PreimagePresentation(pre.base, pre.isogeny, other.equations,
-                                     pre.excluded_locus, pre.degrees)
-    no_locus = PreimagePresentation(pre.base, pre.isogeny, pre.equations,
-                                    [], pre.degrees)
+    wrong_eqs, no_locus = _wrong(pre, generate_preimage(C3, DiagonalIsogeny([1, 2])))
     for bad in (wrong_eqs, no_locus):
         for p in (7, 17, 101):
             got = verify_preimage_membership(PrimeFieldCtx(p, SYS), bad)
@@ -484,17 +486,23 @@ def test_sampled_scan_builds_tables_over_drawn_points_only(monkeypatch):
 @pytest.mark.parametrize("p", [13, 101, 1009])
 def test_x_table_positions_and_columns(p):
     # each point's position holds its own x, -P (listed right after P)
-    # shares P's, every affine image [alpha]P finds its x in the same
-    # table, and the columns are the powers x^k mod p
+    # shares P's, the positions count the distinct x's in point order (as
+    # the maps check reads them), every affine image [alpha]P finds its x
+    # in the same table, and the columns are the powers x^k mod p
     system = ProductSystem([E01, WeierstrassCurve(-1, 0)])
     ctx = PrimeFieldCtx(p, system)
     for idx in range(2):
         points = ctx.affine_points(idx)
         table = ctx.x_table(idx)
         assert table is ctx.x_table(idx)  # kept on the context
+        assert ctx.coordinates(idx) is ctx.coordinates(idx)
+        on, at, ys = ctx.coordinates(idx)
+        assert on is table
         xs = table.col(1)
-        at = [table.index[x] for x, _ in points]
+        assert at == [table.index[x] for x, _ in points]
+        assert at[0] == 0 and all(b - a in (0, 1) for a, b in zip(at, at[1:]))
         assert [xs[i] for i in at] == [x for x, _ in points]
+        assert ys == [y for _, y in points]
         assert sorted(set(at)) == list(range(len(xs)))
         pairs = 0
         for k in range(1, len(points)):
@@ -503,8 +511,10 @@ def test_x_table_positions_and_columns(p):
                 pairs += 1
         assert pairs == len(points) - len(xs)
         for alpha in (2, -2, 3, 5):
-            images = [Q for Q in ctx.image_table(idx, alpha) if Q is not None]
-            assert images and all(xs[table.index[x]] == x for x, _ in images)
+            on, at_image, y_image = ctx.coordinates(idx, alpha)
+            assert on is table  # the images read the points' table
+            for Q, i, y in zip(ctx.image_table(idx, alpha), at_image, y_image):
+                assert (xs[i], y) == (Q or points[0])
         for k in range(13):
             assert table.col(k) == [pow(x, k, p) for x in xs]
 
@@ -529,7 +539,7 @@ def test_scan_first_then_maps_match_fresh_contexts(p):
     if large:
         assert shared._xs == {}
     else:
-        assert len(shared._xs[0].cols) > degrees[0] + 20
+        assert len(shared._xs[shared.reduced(0)].cols) > degrees[0] + 20
 
 
 def test_shared_context_maps_match_fresh_contexts():
@@ -564,6 +574,127 @@ def test_separability_checked_before_any_table(monkeypatch):
         verify_maps_vs_group_law(ctx, 1, 5)
     with pytest.raises(BadReductionError):
         verify_preimage_membership(ctx, pre)
+
+
+def test_equal_reductions_share_their_tables():
+    # on E x E, and on E x E' with E' = E mod p, both factors read one
+    # point list, one image table per alpha and one set of coordinate
+    # columns, and every report equals the per-tuple reference's
+    for system in (SYS, ProductSystem([E01, WeierstrassCurve(0, 14)])):
+        pre = generate_preimage(make_cn_curve(*system.curves, 3), DiagonalIsogeny([2, 2]))
+        for p in (13, 101):
+            ctx = PrimeFieldCtx(p, system)
+            if system.curves[1].B % p != 1:
+                assert ctx.affine_points(0) != ctx.affine_points(1)
+                continue
+            assert ctx.affine_points(0) is ctx.affine_points(1)
+            assert ctx.image_table(0, 2) is ctx.image_table(1, 2)
+            assert ctx.image_table(0, 2) is not ctx.image_table(1, -2)
+            assert ctx.coordinates(0) is ctx.coordinates(1)
+            assert ctx.coordinates(0, 2) is ctx.coordinates(1, 2)
+            for idx in range(2):
+                assert verify_maps_vs_group_law(ctx, idx, 2) == \
+                    reference_maps(PrimeFieldCtx(p, system), idx, 2)
+            assert verify_preimage_membership(ctx, pre) == \
+                reference_membership(PrimeFieldCtx(p, system), pre)
+            assert len(ctx._points) == len(ctx._xs) == 1
+
+
+def _dense(pre, e):
+    """pre with one equation per side that vanishes wherever some
+    coordinate's e-th power is 1: the preimage's reads x1, y2, x3, ...,
+    the base's y1, x2, y3, ...  With gcd(e, p - 1) of about p/40 or more,
+    a sampled draw meets many tuples where one side vanishes and not the
+    other, and every such tuple is reported."""
+    n = pre.system.n_factors
+    ring = pre.system.ring
+
+    def side(names):
+        return parse_poly("*".join("(%s%d^%d - 1)" % (names[j % 2], j + 1, e)
+                                   for j in range(n)), ring)
+
+    base = SubvarietyPresentation(pre.system, [side("yx")], pre.base.dim,
+                                  pre.base.degrees, False)
+    return PreimagePresentation(base, pre.isogeny, [side("xy")], pre.excluded_locus,
+                                pre.degrees)
+
+
+# at p = 1999, y^2 = x^3 - x has 1999 affine points (at most SAMPLE_COUNT,
+# so the context keeps its tables) and y^2 = x^3 - 3x + 3 has 2015 (so each
+# call builds its own); both have three 2-torsion points
+KEPT, LARGE = WeierstrassCurve(-1, 0), WeierstrassCurve(-3, 3)
+
+
+@pytest.mark.parametrize("curves", [(KEPT, LARGE), (LARGE, KEPT)])
+def test_scan_matches_reference_with_a_kept_and_a_large_factor(curves):
+    # the kept factor's rows or slots are its points and the large one's
+    # its distinct drawn points; the reports must equal the per-tuple
+    # reference's, tuple for tuple, on one shared context
+    p = 1999
+    V = make_cn_curve(*curves, 2)
+    for alphas in ([2, -3], [-3, 2]):
+        pre = generate_preimage(V, DiagonalIsogeny(alphas))
+        ctx = PrimeFieldCtx(p, V.system)
+        kept = [len(ctx.affine_points(j)) <= oracle.SAMPLE_COUNT for j in range(2)]
+        assert kept == [E is KEPT for E in curves]
+        dense = _dense(pre, 54)  # 54 divides p - 1 = 1998
+        for presentation in (pre, dense):
+            got = verify_preimage_membership(ctx, presentation)
+            assert got == reference_membership(PrimeFieldCtx(p, V.system), presentation)
+            assert got["mode"] == "sampled" and got["excluded"] > 0
+        assert got["equations_vanish"] > 50 and got["image_on_subvariety"] > 50
+        assert len(got["mismatches"]) > 100
+        for idx, alpha in enumerate(alphas):
+            assert verify_maps_vs_group_law(ctx, idx, alpha) == \
+                reference_maps(PrimeFieldCtx(p, V.system), idx, alpha)
+        assert list(ctx._xs) == [ctx.reduced(kept.index(True))]
+
+
+def test_three_factor_scan_at_101_matches_reference():
+    # the first factor's rows are its points; the rests of the other two
+    # are their distinct drawn pairs, decoded from one key per pair
+    pre = _three_factor_preimage()
+    for presentation in (_dense(pre, 20),) + _wrong(pre, _three_factor_preimage((1, 2, -1))):
+        got = verify_preimage_membership(PrimeFieldCtx(101, pre.system), presentation)
+        assert got == reference_membership(PrimeFieldCtx(101, pre.system), presentation)
+        assert got["mode"] == "sampled" and not got["ok"]
+    assert got["equations_vanish"] > 0 and got["excluded"] == 0
+
+
+def test_scan_matches_reference_on_one_factor():
+    # one factor: every tuple has the one empty rest, a single slot
+    system = ProductSystem([E01])
+    V = SubvarietyPresentation(system, [parse_poly("x1 - 2", system.ring)], 0,
+                               MultiDegreeTable(0, {(0,): 1}), False)
+    for alpha in (2, -3):
+        pre = generate_preimage(V, DiagonalIsogeny([alpha]))
+        _assert_scans_match(pre, [13, 101])
+        dense = _dense(pre, 20)
+        got = verify_preimage_membership(PrimeFieldCtx(101, system), dense)
+        assert got == reference_membership(PrimeFieldCtx(101, system), dense)
+        assert got["equations_vanish"] and got["image_on_subvariety"] and got["mismatches"]
+
+
+@pytest.mark.parametrize("p", [101, 1999])
+def test_sampled_draw_hits_kernel_and_excluded_points(p):
+    # a sampled draw that meets kernel points of each factor with an even
+    # alpha: they are excluded with the locus, and map to infinity without
+    for curves, alphas in (((E01, KEPT), [2, 2]), ((KEPT, LARGE), [-3, 2])):
+        V = make_cn_curve(*curves, 1)
+        pre = generate_preimage(V, DiagonalIsogeny(alphas))
+        no_locus = _wrong(pre, pre)[1]
+        ctx = PrimeFieldCtx(p, V.system)
+        kernels = [{P for P, Q in zip(ctx.affine_points(j), ctx.image_table(j, alphas[j]))
+                    if Q is None} for j in range(2)]
+        rep = verify_preimage_membership(ctx, pre)
+        assert rep == reference_membership(PrimeFieldCtx(p, V.system), pre)
+        assert rep["ok"] and rep["excluded"] > 0
+        got = verify_preimage_membership(ctx, no_locus)
+        assert got == reference_membership(PrimeFieldCtx(p, V.system), no_locus)
+        hit = [m["tuple"] for m in got["mismatches"] if m.get("problem")]
+        for j, kernel in enumerate(kernels):
+            if alphas[j] % 2 == 0:
+                assert any(tup[j] in kernel for tup in hit)
 
 
 # -- the table and scan kernels against per-point arithmetic ----------------
@@ -612,11 +743,17 @@ def test_maps_check_reports_mismatches_as_divided_formulas(monkeypatch, alpha):
 
 def _grouped(eqs, coords, p, tuples):
     """_GroupedEquations over tuples of point indices, as the scan builds
-    it, with one x table per factor over the x's of its coords."""
-    firsts, rests = oracle._split([list(col) for col in zip(*tuples)],
-                                  [len(pts) for pts in coords])
-    tables = [oracle._XTable(p, [x for x, _ in pts]) for pts in coords]
-    return oracle._GroupedEquations(eqs, coords, tables, p, firsts, rests)
+    it for factors of more than SAMPLE_COUNT points: each factor's points
+    read at their positions among the distinct ones of the tuples, on an x
+    table over their x's."""
+    cols, columns = [], []
+    for pts, col in zip(coords, zip(*tuples)):
+        ids, col = oracle._positions(col)
+        table = oracle._XTable(p, [pts[i][0] for i in ids])
+        cols.append(col)
+        columns.append((table, [table.index[pts[i][0]] for i in ids], [pts[i][1] for i in ids]))
+    firsts, rests = oracle._split(cols, [len(xs) for _, xs, _ in columns])
+    return oracle._GroupedEquations(eqs, columns, p, firsts, rests)
 
 
 def test_packed_inner_sums_agree_with_eval_mod_at_max_p():
@@ -635,9 +772,8 @@ def test_packed_inner_sums_agree_with_eval_mod_at_max_p():
     inner = [list(zip(*[oracle._slots(s, grouped.width) for s in sums]))
              for sums in grouped.sums]
     assert max(v for table in inner for row in table for v in row) >> 32
-    firsts, rests = oracle._split([list(col) for col in zip(*tuples)], [400, 400])
     for eq, rows, table in zip(eqs, grouped.rows, inner):
-        for (i, j), f, r in zip(tuples, firsts[1], rests[1]):
+        for (i, j), f, r in zip(tuples, grouped.fpos, grouped.rpos):
             value = sum(a * b for a, b in zip(rows[f], table[r])) % p
             assert value == eval_mod(eq, coords[0][i] + coords[1][j], p)
     # both ways of evaluating give those values
