@@ -287,8 +287,7 @@ def cmd_bounds(args):
 
 
 def cmd_oracle(args):
-    from .oracle import (PrimeFieldCtx, verify_maps_vs_group_law,
-                         verify_preimage_membership)
+    from .oracle import PrimeFieldCtx, verify_factor_maps, verify_preimage_membership
     from .preimages import generate_preimage
     V, echo = _load_variety(args.variety)
     phi = _load_isogeny(args.isogeny)
@@ -302,13 +301,9 @@ def cmd_oracle(args):
     all_ok = True
     for p in primes:
         ctx = PrimeFieldCtx(p, V.system)
-        maps_reports = []
-        for idx in range(V.system.n_factors):
-            rep = verify_maps_vs_group_law(ctx, idx, phi.alphas[idx])
-            maps_reports.append(rep)
-            all_ok = all_ok and rep["ok"]
+        maps_reports = verify_factor_maps(ctx, phi.alphas)
         membership = verify_preimage_membership(ctx, pre)
-        all_ok = all_ok and membership["ok"]
+        all_ok = all_ok and membership["ok"] and all(rep["ok"] for rep in maps_reports)
         results.append({"p": p, "maps": maps_reports, "membership": membership})
     report = _report("oracle", inputs, {"ok": all_ok, "per_prime": results})
     _emit(report, args.out)

@@ -14,40 +14,48 @@ multipliers, so reductions stay nonsingular and separable.
 
 Cost model: a PrimeFieldCtx keeps one square-root table and, per reduced
 curve (factors with equal A, B mod p share them), the affine points (-P
-next to P), per alpha the table of [alpha]P over them (one double-and-add
-per pair +-P, as [alpha](-P) = -[alpha]P), the x table (_XTable: the
-distinct x's by position, with the columns x^k built on first use), and
-per point the position of its x and its y, for the points and for each
-table of images.  A factor of more than SAMPLE_COUNT points keeps no x
-table or columns: each call builds its own over the x's it reads (a
-scan: its distinct drawn points' and their images') and drops the powers
-once read.  A polynomial in x is evaluated at every x of a table as one
+next to P), per alpha the table of [alpha]P over them (the point list
+itself for alpha = 1; else one left-to-right double-and-add per pair +-P,
+as [alpha](-P) = -[alpha]P, and scalar_mul_mod for a pair whose chain
+meets a vertical line), the x table (_XTable: the distinct x's by
+position, with the columns x^k built on first use), and per point the
+position of its x and its y, for the points and for each table of
+images.  A factor of more than SAMPLE_COUNT points keeps no x table or
+columns: each call builds its own over the x's it reads (a scan: its
+distinct drawn points' and their images') and drops the powers once
+read.  A polynomial in x is evaluated at every x of a table as one
 combination of the packed columns (Kronecker substitution, a 64-bit slot
 per x).  The maps check evaluates r, t and s so and compares once per
 pair +-P, as r = X*t^2 and s*y = Y*t^3 mod p, inverting only to report a
-mismatch.  The membership scan holds its tuples as one column of
-positions per factor (every tuple when exhaustive, the SAMPLE_COUNT draws
-when sampled): point indices, or in a larger factor positions among its
+mismatch; verify_factor_maps runs it once per distinct (curve, alpha).
+The membership scan holds its tuples as one column of positions per
+factor (every tuple when exhaustive, the SAMPLE_COUNT draws when
+sampled): point indices, or in a larger factor positions among its
 distinct drawn points.  Column by column, it flags the positions with
 image at infinity and those on the excluded locus (each t_j evaluated
 once per x) and ORs the flags into each tuple's kind.  Each equation is
-grouped by its factor-1 monomials m, with a row of monomial values per
-factor-1 position and each inner sum R_m packed with a slot per factor-2
-position (per distinct rest of three or more factors), exact (and
-checked) while terms * (p-1)^2 < 2^64; x^k and y are read off the
-columns (the images', for the base equations).  Where the rows times the
-slots, at 1/8 of a tuple's head each, are no more than the live tuples
-times the heads (always in an exhaustive scan), the whole grid is one
-combination of the packed R_m per row, read at each tuple's slot, as
-long as terms * (p-1)^3 < 2^64; else each tuple costs one dot product as
-long as its heads.  Only tuples to report are turned back into points.
+grouped by the monomials m of one factor, the row factor: of two
+factors, the one with fewer distinct monomials over both sides (factor
+1 on a tie), else factor 1.  It has a row of monomial values per
+row-factor position and each inner sum R_m packed with a slot per
+position of the other factor (per distinct rest of three or more),
+exact (and checked) while terms * (p-1)^2 < 2^64; x^k and y are read off
+the columns (the images', for the base equations).  Where the rows times
+the slots, at 1/8 of a tuple's head each, are no more than the live
+tuples times the heads (always in an exhaustive scan), the whole grid is
+one combination of the packed R_m per row, read at each tuple's cell
+(one column of cells for both sides), as long as terms * (p-1)^3 < 2^64;
+else each tuple costs one dot product as long as its heads.  A side of
+one equation reads its values without an OR over equations.  Only tuples
+to report are turned back into points.
 """
 
 import random
 import sys
 from array import array
+from copy import deepcopy
 from functools import partial, reduce
-from itertools import chain, compress, count, product as iter_product, repeat
+from itertools import chain, compress, count, repeat
 from math import prod
 from operator import add, eq, floordiv, is_, itemgetter, mod, mul, ne, not_, or_
 
@@ -123,19 +131,41 @@ class PrimeFieldCtx:
 
     def image_table(self, curve_index, alpha):
         """[alpha]P for every affine point P of one factor, by index (None
-        on the kernel); -P follows P in the list and gets -[alpha]P."""
+        on the kernel); -P follows P in the list and gets -[alpha]P.  For
+        alpha = 1 it is the point list itself."""
         points = self.affine_points(curve_index)  # checks curve_index
         key = (self.reduced(curve_index), require_int(alpha, "alpha"))
         table = self._images.get(key)
-        if table is None:
-            A, _ = key[0]
+        if table is None and alpha in (0, 1):
+            table = self._images[key] = points if alpha else [None] * len(points)
+        elif table is None:
+            p, (A, _) = self.p, key[0]
+            bits = bin(abs(alpha))[3:]  # below the top bit, highest first
             table = []
             for k, P in enumerate(points):
                 if k and points[k - 1][0] == P[0]:  # P = -points[k - 1]
                     Q = table[-1]
-                    table.append(None if Q is None else (Q[0], -Q[1] % self.p))
+                    table.append(None if Q is None else (Q[0], -Q[1] % p))
+                    continue
+                # left-to-right double-and-add from P, while no step meets
+                # a vertical line (doubling at y = 0, adding at x = x_P)
+                (x1, y1), (x, y) = P, P
+                for bit in bits:
+                    if not y:
+                        break
+                    lam = (3 * x * x + A) * pow(2 * y, -1, p) % p
+                    x3 = (lam * lam - 2 * x) % p
+                    x, y = x3, (lam * (x - x3) - y) % p
+                    if bit == "1":
+                        if x == x1:
+                            break
+                        lam = (y - y1) * pow(x - x1, -1, p) % p
+                        x3 = (lam * lam - x - x1) % p
+                        x, y = x3, (lam * (x - x3) - y) % p
                 else:
-                    table.append(scalar_mul_mod(self.p, A, alpha, P))
+                    table.append((x, y if alpha > 0 else -y % p))
+                    continue
+                table.append(scalar_mul_mod(p, A, alpha, P))
             self._images[key] = table
         return table
 
@@ -157,6 +187,8 @@ class PrimeFieldCtx:
         SAMPLE_COUNT points.  A larger one gets them per call, by position
         in ids, on a table over the x's read."""
         points = self.affine_points(curve_index)  # checks curve_index
+        if alpha == 1:  # the images are the points
+            alpha = None
         key = (self.reduced(curve_index), alpha)
         if key in self._coords:
             return self._coords[key]
@@ -343,16 +375,35 @@ def verify_maps_vs_group_law(ctx, curve_index, alpha):
     return report
 
 
+def verify_factor_maps(ctx, alphas):
+    """verify_maps_vs_group_law of every factor with its alpha, in factor
+    order.  Each distinct (factor curve, alpha) is checked once: a factor
+    equal to an earlier one (E x E with equal multipliers) gets a copy of
+    its report with its own curve_index."""
+    done = {}
+    reports = []
+    for idx, alpha in enumerate(alphas):
+        key = (ctx.system.curves[idx], alpha)
+        if key in done:
+            reports.append(dict(deepcopy(done[key]), curve_index=idx))
+        else:
+            reports.append(done.setdefault(key, verify_maps_vs_group_law(ctx, idx, alpha)))
+    return reports
+
+
 class _GroupedEquations:
     """Reduced equations on E_1 x ... x E_N, evaluated at tuples of point
     positions.  coords[j] is the triple (x table, x positions, y's) of
-    factor j by position, as PrimeFieldCtx.coordinates gives it.  firsts
-    is the pair (the factor-1 position of each row, each tuple's row);
-    rests is the pair (per other factor, its position at each slot; each
-    tuple's slot), as _split gives them.
+    factor j by position, as PrimeFieldCtx.coordinates gives it; factor 1
+    here is the row factor, whose exponents come first in each exponent
+    tuple.  firsts is the pair (the row-factor position of each row, each
+    tuple's row); rests is the triple (per other factor, its position at
+    each slot; each tuple's slot; each tuple's grid cell, a list filled on
+    first use and shared by every side built on these rests), as _split
+    gives them.
 
     Each equation is written as sum_m m(P_1) * R_m(P_2, ..., P_N) over its
-    distinct factor-1 monomials m = x1^a*y1^b.  Per equation, rows holds
+    distinct row-factor monomials m = x1^a*y1^b.  Per equation, rows holds
     the values of its monomials m at each row, and sums its inner sums
     R_m, each packed with an unreduced 64-bit slot per slot.
     """
@@ -361,10 +412,10 @@ class _GroupedEquations:
         reduced = list(filter(None, reduced))  # an empty equation vanishes everywhere
         self.p = p
         keys, self.fpos = firsts
-        ids, self.rpos = rests
+        ids, self.rpos, self.cells = rests
         self.width = len(ids[0])
         self.terms = list(map(len, reduced))
-        heads = {}   # factor-1 exponents -> column
+        heads = {}   # row-factor exponents -> column
         tails = {}   # exponents in the other factors -> column
         groups = []  # per equation: head column -> (tail columns, coefficients)
         for eq in reduced:
@@ -395,8 +446,7 @@ class _GroupedEquations:
         the one way or the other; a forced grid raises ValueError where a
         slot could wrap.
         """
-        p, size = self.p, len(self.fpos)
-        cells = None
+        p, size, cells = self.p, len(self.fpos), self.cells
         for rows, sums, terms in zip(self.rows, self.sums, self.terms):
             largest = terms * (p - 1) ** 3  # in a slot of the grid
             # a cell is a slot read in C, a head a multiply-add in a map:
@@ -406,8 +456,8 @@ class _GroupedEquations:
             if grid or grid is None and not largest >> 64 and \
                     len(rows) * self.width <= 8 * size * len(sums):
                 _check_slot(largest, "grid sums mod %d" % p)
-                if cells is None:
-                    cells = list(map(add, map(mul, self.fpos, repeat(self.width)), self.rpos))
+                if not cells:  # shared with every side over the same tuples
+                    cells += map(add, map(mul, self.fpos, repeat(self.width)), self.rpos)
                 at = memoryview(b"".join([
                     sum(map(mul, row, sums)).to_bytes(8 * self.width, sys.byteorder)
                     for row in rows])).cast("Q").__getitem__
@@ -422,8 +472,8 @@ class _GroupedEquations:
 
     def vanish(self, grid=None):
         """For each tuple: do all equations vanish there?"""
-        nonzero = reduce(partial(map, or_), self.evaluate(grid), repeat(0, len(self.fpos)))
-        return list(map(not_, nonzero))
+        values = list(self.evaluate(grid)) or [[0] * len(self.fpos)]
+        return list(map(not_, reduce(partial(map, or_), values)))
 
 
 def _monomials(coords, ids, exps, p, size):
@@ -466,13 +516,14 @@ def _positions(keys):
 def _split(cols, sizes):
     """The firsts and rests of _GroupedEquations for tuples given as one
     column of point positions per factor, sizes[j] positions in factor j.
-    Factor 1 has a row per position, and with two factors factor 2 a slot
-    per position: a tuple's row or slot is its position.  The rest of three
-    or more factors, written as one key i_2 + s_2*(i_3 + s_3*(...)), has a
-    slot per distinct key, in first-seen order."""
+    The row factor, the first column, has a row per position, and with two
+    factors the other a slot per position: a tuple's row or slot is its
+    position.  The rest of three or more factors, written as one key
+    i_2 + s_2*(i_3 + s_3*(...)), has a slot per distinct key, in
+    first-seen order.  The grid cells start as an empty list."""
     first, *rest = cols
     if len(rest) == 1:
-        return (range(sizes[0]), first), ([range(sizes[1])], rest[0])
+        return (range(sizes[0]), first), ([range(sizes[1])], rest[0], [])
     key = rest[-1] if rest else [0] * len(first)
     for col, size in zip(rest[-2::-1], sizes[-2:0:-1]):
         key = list(map(add, col, map(mul, key, repeat(size))))
@@ -482,7 +533,7 @@ def _split(cols, sizes):
         ids.append(list(map(mod, key, repeat(size))))
         key = list(map(floordiv, key, repeat(size)))
     # with one factor, the slots are the distinct empty rests (none or one)
-    return (range(sizes[0]), first), (ids or [key], rpos)
+    return (range(sizes[0]), first), (ids or [key], rpos, [])
 
 
 def _draw(rng, sizes, count):
@@ -519,8 +570,9 @@ def verify_preimage_membership(ctx, pre):
     sizes = [len(pts) for pts in affine]
     exhaustive = (p <= EXHAUSTIVE_MAX_P and n == 2)
     # the tuples, as one column of point indices per factor
-    if exhaustive:
-        cols = list(zip(*iter_product(*map(range, sizes))))
+    if exhaustive:  # in itertools.product order: each i of factor 1 with every k
+        cols = [list(chain.from_iterable(map(repeat, range(sizes[0]), repeat(sizes[1])))),
+                list(range(sizes[1])) * sizes[0]]
     else:
         flat = _draw(random.Random(SAMPLE_SEED), sizes, min(SAMPLE_COUNT, prod(sizes)))
         cols = [flat[j::n] for j in range(n)]
@@ -549,9 +601,19 @@ def verify_preimage_membership(ctx, pre):
         per_factor.append(map(flag.__getitem__, cols[j]))
     kinds = list(reduce(partial(map, or_), per_factor))
     live = list(map(not_, kinds))
-    firsts, rests = _split([list(compress(col, live)) for col in cols], list(map(len, affine)))
-    lhs = _GroupedEquations(eqs, lhs_at, p, firsts, rests).vanish()
-    rhs = _GroupedEquations(base_eqs, rhs_at, p, firsts, rests).vanish()
+    # with two factors the rows come from the one with fewer distinct
+    # monomials over both sides (factor 1 on a tie): each is a term of
+    # every tuple's dot product or of every grid row
+    order = list(range(n))
+    if n == 2 and len({e[2:] for f in eqs + base_eqs for _, e in f}) < \
+            len({e[:2] for f in eqs + base_eqs for _, e in f}):
+        order = [1, 0]
+        eqs, base_eqs = ([[(c, e[2:] + e[:2]) for c, e in f] for f in side]
+                         for side in (eqs, base_eqs))
+    firsts, rests = _split([list(compress(cols[j], live)) for j in order],
+                           [len(affine[j]) for j in order])
+    lhs, rhs = (_GroupedEquations(side, [at[j] for j in order], p, firsts, rests).vanish()
+                for side, at in ((eqs, lhs_at), (base_eqs, rhs_at)))
     # only the tuples to report are turned back into points, in order:
     # those with an image at infinity (outside the excluded locus it must
     # be affine) and the live ones where the two sides disagree

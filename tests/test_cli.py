@@ -341,6 +341,32 @@ def test_oracle_command(capsys, c3_file, tmp_path):
     assert json.loads(out.read_text()) == rep
 
 
+def test_oracle_checks_equal_factors_once(capsys, c3_file, monkeypatch):
+    # on E x E with equal multipliers the second factor's maps report is
+    # the first's with its own curve_index, as a fresh per-factor check
+    # gives it, and the check runs once per prime; [2,1] runs it twice
+    from ellprod import oracle
+    from ellprod.products import ProductSystem
+
+    calls = []
+    check = oracle.verify_maps_vs_group_law
+    monkeypatch.setattr(oracle, "verify_maps_vs_group_law",
+                        lambda *args: calls.append(args[1:]) or check(*args))
+    system = ProductSystem([E01, E01])
+    primes = [7, 13, 101]
+    for alphas, runs in (([2, 2], [(0, 2)]), ([-3, -3], [(0, -3)]), ([2, 1], [(0, 2), (1, 1)])):
+        del calls[:]
+        code, rep = run(capsys, ["oracle", "--variety", c3_file, "--isogeny",
+                                 json.dumps(alphas), "--primes", json.dumps(primes)])
+        assert code == 0 and rep["result"]["ok"] is True
+        assert calls == runs * len(primes)
+        for p, per_p in zip(primes, rep["result"]["per_prime"]):
+            fresh = [check(oracle.PrimeFieldCtx(p, system), idx, alpha)
+                     for idx, alpha in enumerate(alphas)]
+            assert per_p["maps"] == json.loads(json.dumps(fresh))
+            assert [r["curve_index"] for r in per_p["maps"]] == [0, 1]
+
+
 def test_oracle_needs_a_prime(capsys, c3_file):
     # an empty list checked nothing and reported "ok": true
     code = main(["oracle", "--variety", c3_file, "--isogeny", "[2,1]",

@@ -370,21 +370,73 @@ def test_scan_matches_reference_on_c3():
 
 
 def test_scan_matches_reference_on_random_pairs():
-    rng = random.Random(4)
-    pairs = 0
-    while pairs < 3:
-        E1, E2 = (WeierstrassCurve(rng.randint(-9, 9), rng.randint(-9, 9))
-                  for _ in range(2))
-        if E1.discriminant() == 0 or E2.discriminant() == 0:
-            continue
-        pairs += 1
-        V = make_cn_curve(E1, E2, rng.choice((1, 2)))
-        alphas = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(2)]
+    # drawn alphas, then the same pairs under [3,1], [-2,1] and [2,1],
+    # whose preimages have fewer monomials in factor 2 (so the scan's rows
+    # come from factor 2), scanned at every good exhaustive prime from 17
+    for fixed in (None, [3, 1], [-2, 1], [2, 1]):
+        rng = random.Random(4)
+        pairs = 0
+        while pairs < 3:
+            E1, E2 = (WeierstrassCurve(rng.randint(-9, 9), rng.randint(-9, 9))
+                      for _ in range(2))
+            if E1.discriminant() == 0 or E2.discriminant() == 0:
+                continue
+            pairs += 1
+            V = make_cn_curve(E1, E2, rng.choice((1, 2)))
+            alphas = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(2)]
+            alphas = fixed or alphas
+            pre = generate_preimage(V, DiagonalIsogeny(alphas))
+            exhaustive = _good_primes(V.system, alphas, range(13, 32))
+            if fixed:
+                exhaustive = [p for p in exhaustive if p >= 17]
+            else:
+                exhaustive = [exhaustive[0], exhaustive[-1]]
+            sampled = (_good_primes(V.system, alphas, range(101, 150))[:1]
+                       + _good_primes(V.system, alphas, range(1009, 1110))[:1])
+            _assert_scans_match(pre, exhaustive + sampled)
+
+
+def test_scan_rows_come_from_the_factor_with_fewer_monomials(monkeypatch):
+    # with two factors, both sides are grouped by the monomials of the
+    # factor with fewer distinct ones over the equations of both sides,
+    # factor 1 on a tie: the preimage equation of [3,1] on y2 = x1^3 has
+    # 10 monomials in x1, y1 and 2 in x2, y2, so each of its rows has 2
+    # heads; its rows are the points of factor 2, and its coordinates
+    # those of factor 2 (of their images, on the base side)
+    built = []
+
+    class Recorded(oracle._GroupedEquations):
+        def __init__(self, reduced, coords, *args):
+            super().__init__(reduced, coords, *args)
+            built.append((coords[0], self))
+
+    monkeypatch.setattr(oracle, "_GroupedEquations", Recorded)
+    system = ProductSystem([E01, WeierstrassCurve(-1, 0)])
+    V = make_cn_curve(*system.curves, 3)
+    rows_from = {}
+    for alphas in ([3, 1], [-2, 1], [3, 2], [1, 3], [1, 1]):
         pre = generate_preimage(V, DiagonalIsogeny(alphas))
-        exhaustive = _good_primes(V.system, alphas, range(13, 32))
-        sampled = (_good_primes(V.system, alphas, range(101, 150))[:1]
-                   + _good_primes(V.system, alphas, range(1009, 1110))[:1])
-        _assert_scans_match(pre, [exhaustive[0], exhaustive[-1]] + sampled)
+        sides = (pre.equations, pre.base.equations)
+        monomials = [{e[2 * j:2 * j + 2] for side in sides for f in side for e in f.terms}
+                     for j in range(2)]
+        row = int(len(monomials[1]) < len(monomials[0]))
+        rows_from[tuple(alphas)] = row
+        for p in (17, 101):
+            del built[:]
+            ctx = PrimeFieldCtx(p, system)
+            assert verify_preimage_membership(ctx, pre) == \
+                reference_membership(PrimeFieldCtx(p, system), pre)
+            assert len(ctx.affine_points(0)) != len(ctx.affine_points(1))
+            assert [on for on, _ in built] == [ctx.coordinates(row),
+                                               ctx.coordinates(row, alphas[row])]
+            for (_, grouped), side in zip(built, sides):
+                assert [len(rows) for rows in grouped.rows] == \
+                    [len(ctx.affine_points(row))] * len(side)
+                assert [len(sums) for sums in grouped.sums] == \
+                    [len({e[2 * row:2 * row + 2] for e in f.terms}) for f in side]
+            if alphas == [3, 1]:
+                assert [len(sums) for sums in built[0][1].sums] == [2]
+    assert rows_from == {(3, 1): 1, (-2, 1): 1, (3, 2): 1, (1, 3): 0, (1, 1): 0}
 
 
 def _three_factor_preimage(alphas=(2, 1, -1)):
@@ -629,19 +681,22 @@ KEPT, LARGE = WeierstrassCurve(-1, 0), WeierstrassCurve(-3, 3)
 def test_scan_matches_reference_with_a_kept_and_a_large_factor(curves):
     # the kept factor's rows or slots are its points and the large one's
     # its distinct drawn points; the reports must equal the per-tuple
-    # reference's, tuple for tuple, on one shared context
+    # reference's, tuple for tuple, on one shared context.  [3,1], [-2,1]
+    # and [2,1] take their rows from factor 2, the others from factor 1;
+    # y^2 = x^3 - x has no point of order 3 over F_1999
     p = 1999
     V = make_cn_curve(*curves, 2)
-    for alphas in ([2, -3], [-3, 2]):
+    for alphas in ([2, -3], [-3, 2], [3, 1], [-2, 1], [2, 1]):
         pre = generate_preimage(V, DiagonalIsogeny(alphas))
         ctx = PrimeFieldCtx(p, V.system)
         kept = [len(ctx.affine_points(j)) <= oracle.SAMPLE_COUNT for j in range(2)]
         assert kept == [E is KEPT for E in curves]
+        kernel = any(None in ctx.image_table(j, alpha) for j, alpha in enumerate(alphas))
         dense = _dense(pre, 54)  # 54 divides p - 1 = 1998
         for presentation in (pre, dense):
             got = verify_preimage_membership(ctx, presentation)
             assert got == reference_membership(PrimeFieldCtx(p, V.system), presentation)
-            assert got["mode"] == "sampled" and got["excluded"] > 0
+            assert got["mode"] == "sampled" and (got["excluded"] > 0) == kernel
         assert got["equations_vanish"] > 50 and got["image_on_subvariety"] > 50
         assert len(got["mismatches"]) > 100
         for idx, alpha in enumerate(alphas):
@@ -700,21 +755,46 @@ def test_sampled_draw_hits_kernel_and_excluded_points(p):
 # -- the table and scan kernels against per-point arithmetic ----------------
 
 
-@pytest.mark.parametrize("p", [13, 101, 1009])
-def test_image_table_equals_per_point_scalar_mul(p):
+@pytest.mark.parametrize("p", [13, 29, 101, 1009])
+def test_image_table_equals_per_point_scalar_mul(p, monkeypatch):
     # y^2 = x^3 + 1 and y^2 = x^3 - x have 2-torsion over every F_p, so
-    # even alpha has kernel points, listed once each (y = 0 is its own -P)
+    # even alpha has kernel points, listed once each (y = 0 is its own -P);
+    # (0, +-1) on y^2 = x^3 + 1 has order 3, and at 29 and 1009 some point
+    # of y^2 = x^3 - x has order 5.  A chain that doubles at y = 0 or adds
+    # at x = x_P hands its pair to scalar_mul_mod: both kinds must occur
+    fallbacks = []
+    monkeypatch.setattr(oracle, "scalar_mul_mod",
+                        lambda p, A, n, P: fallbacks.append(P) or scalar_mul_mod(p, A, n, P))
     system = ProductSystem([E01, WeierstrassCurve(-1, 0)])
     ctx = PrimeFieldCtx(p, system)
     for idx in range(2):
         A, _ = ctx.curves_mod[idx]
         points = enumerate_points(ctx, idx)[1:]
         assert ctx.affine_points(idx) == points
-        for alpha in (2, -2, 3, -3, 4, 5):
+        assert ctx.image_table(idx, 1) is ctx.affine_points(idx)
+        for alpha in (1, -1, 2, -2, 3, -3, 4, -4, 5, -5):
+            del fallbacks[:]
             table = ctx.image_table(idx, alpha)
-            assert table == [scalar_mul_mod(p, A, alpha, P) for P in points]
+            want = [scalar_mul_mod(p, A, alpha, P) for P in points]
+            assert table == want
             if alpha % 2 == 0:
                 assert None in table
+            # one call per pair +-P at most, for its first point (y < p - y),
+            # and none for a pair the chain can finish: then no multiple on
+            # the way is 2-torsion or the inverse of P
+            assert len(set(fallbacks)) == len(fallbacks)
+            assert all(2 * P[1] < p for P in fallbacks)
+            assert set(fallbacks) <= {P for P, Q in zip(points, want)
+                                      if P[1] == 0 or Q is None
+                                      or abs(alpha) == 5 and Q[0] == P[0]}
+            doubled = [P for P in fallbacks if P[1] == 0]
+            assert doubled == ([] if alpha in (1, -1) else [P for P in points if P[1] == 0])
+            # odd alpha and [alpha]P = O (P is no 2-torsion): the chain of
+            # the pair's first point, y < p - y, met -P
+            added = [P for P, Q in zip(points, want) if alpha % 2 and Q is None and 2 * P[1] < p]
+            assert set(fallbacks) >= set(added)
+            if idx == 0 and abs(alpha) == 3 or idx == 1 and abs(alpha) == 5 and p % 10 == 9:
+                assert added
 
 
 def _corrupted(curve, alpha):
