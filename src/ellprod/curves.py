@@ -22,21 +22,21 @@ of a given curve run it on Python ints, each the value at x = 2^w of a
 polynomial in Z[x] (A and B the curve's integers).  That evaluation is a
 ring homomorphism Z[x] -> Z (Kronecker substitution), so each product of
 polynomials is one product of ints and the exact halvings are shifts.  A
-value is unpacked into a MultiPoly once, when a caller reads it, from
-slots of w bits, a multiple of 8, proven from an upper bound on its L1
-norm that the same formula computes on plain ints from |A| and |B|, with
-add for subtract (|fg| <= |f||g|, |f - g| <= |f| + |g|); intermediate
-values need no width, since evaluation is exact.
+value is read once, when a caller reads it, as int coefficients {k: c} or
+a MultiPoly of them, from slots of w bits, a multiple of 8, proven from an
+upper bound on its L1 norm that the same formula computes on plain ints
+from |A| and |B|, with add for subtract (|fg| <= |f||g|, |f - g| <= |f| +
+|g|); intermediate values need no width, since evaluation is exact.
 The recurrence runs at the width of the x-parts a map reads, and a value
 that needs more is built at its own width from the x-parts it reads,
 each repacked there on its first read.  The packed int never leaves this
-module: MultiPoly stays the one polynomial type callers see.  Neither
-path divides: w = P_2alpha / (2 P_alpha) is taken from the bracket
-(P_{alpha+2} P_{alpha-1}^2 - P_{alpha-2} P_{alpha+1}^2) / 4 of the
-recurrence (Washington, Elliptic Curves: Number Theory and Cryptography,
-section 3.2).  The maps build each field on first access
-and keep it, and build each product of parts without any field, so a
-caller pays only for what it reads.
+module: callers see a MultiPoly, or a dict of a product's int
+coefficients.  Neither path divides: w = P_2alpha / (2 P_alpha) is taken
+from the bracket (P_{alpha+2} P_{alpha-1}^2 - P_{alpha-2} P_{alpha+1}^2) /
+4 of the recurrence (Washington, Elliptic Curves: Number Theory and
+Cryptography, section 3.2).  The maps build each field on first access and
+keep it, and build each product of parts without any field, so a caller
+pays only for what it reads.
 
 The coordinate formulas are undefined exactly where t(x) = 0, on the
 affine kernel of [alpha]; evaluation there raises KernelPointError, and
@@ -59,6 +59,10 @@ class SingularCurveError(ValueError):
 
 class KernelPointError(ArithmeticError):
     """Raised when a coordinate formula is evaluated on the kernel."""
+
+
+class SymbolicMapsError(TypeError):
+    """Raised when integer coefficients are asked of symbolic maps."""
 
 
 class WeierstrassCurve:
@@ -287,7 +291,7 @@ def _repack(v, w, w2):
 
 class _Packed:
     """The x-parts of one curve as ints, each the value of P_m at x = 2^w
-    (Kronecker substitution), and the MultiPoly in x of a formula in them.
+    (Kronecker substitution), and the coefficients of a formula in them.
 
     The recurrence runs at the least width w1 that unpacks P_low..P_high:
     intermediate values need no width, because evaluation is exact.  A
@@ -305,15 +309,19 @@ class _Packed:
         self.w1 = _width(max(map(self.norms, range(low, high + 1))))
         self.recs = {self.w1: _Recurrence(1 << self.w1, self.A, self.B)}
 
-    def poly(self, formula):
-        """formula(P) as a MultiPoly in x, for a formula that is a
-        polynomial in x, c3 and P_low..P_high."""
+    def coefficients(self, formula):
+        """formula(P) as {k: nonzero coefficient of x^k}, in order of k, for
+        a formula that is a polynomial in x, c3 and P_low..P_high."""
         w = max(self.w1, _width(formula(self.norms)))
         if w not in self.recs:
             self.recs[w] = _Recurrence(1 << w, self.A, self.B, fill=partial(
                 _repacked, self.recs[self.w1], self.w1, self.low, self.high, w))
+        return {k: c for k, c in enumerate(_coeffs(formula(self.recs[w]), w)) if c}
+
+    def poly(self, formula):
+        """formula(P) as a MultiPoly in x."""
         return MultiPoly._trusted(RING_XAB, {
-            (i, 0, 0): c for i, c in enumerate(_coeffs(formula(self.recs[w]), w)) if c})
+            (k, 0, 0): c for k, c in self.coefficients(formula).items()})
 
 
 def _repacked(base, w1, low, high, w, m):
@@ -396,8 +404,8 @@ class MultiplicationMaps:
     s*y/t^3 for either parity of alpha.
 
     Each field is a cached_property over its product of the parts n, u, c
-    and w (module docstring): built on first access and kept, so the
-    values do not depend on the order of reading.
+    and w (module docstring), built on first access and kept; a curve's
+    maps also give each product as int coefficients, the preimage's read.
     """
 
     def __init__(self, alpha, divpolys):
@@ -421,6 +429,13 @@ class MultiplicationMaps:
         (preimages module docstring).  It is built from the x-parts
         (module docstring), reading no field."""
         return self._divpolys.poly(lambda P: _product(P, self.alpha, a, b, i, j))
+
+    def coefficients(self, a, b, i, j):
+        """product(a, b, i, j) of a curve's maps as {k: nonzero coefficient
+        of x^k}, with no MultiPoly built; SymbolicMapsError on symbolic maps."""
+        if not isinstance(self._divpolys, _Packed):
+            raise SymbolicMapsError("symbolic maps have no integer coefficients")
+        return self._divpolys.coefficients(lambda P: _product(P, self.alpha, a, b, i, j))
 
 
 def multiplication_maps(alpha, curve=None):

@@ -50,7 +50,8 @@ def _merge(out, pairs):
     # each sum an int when integral, and dropped when it cancels
     get = out.get
     for e, c in pairs:
-        s = _norm(get(e, 0) + c)
+        s = get(e, 0) + c
+        s = s if type(s) is int else _norm(s)
         if s:
             out[e] = s
         else:
@@ -534,7 +535,7 @@ def integer_primitive(p):
         nums = {e: c.numerator * (den // c.denominator) for e, c in nums.items()}
     # divided by their content signed like the leading term
     g = gcd(*nums.values())
-    if p.leading()[1] < 0:
+    if p.terms[p.leading()[0]] < 0:
         g = -g
     if den == g == 1:
         return Fraction(1), p

@@ -16,7 +16,7 @@ The rewriting runs only when some equation has degree 2 or more in some
 y_j; an equation of degree at most 1 in every y_j is its own reduction.
 A term c*prod_j x_j^a_j y_j^b_j of an equation clears to c times the
 product over j of y_j^b_j and n_j^a_j w_j^b_j u_j^i_j c_j^k_j, which
-MultiplicationMaps.product builds in x_j alone.  Its weights 2a_j + 3b_j
+MultiplicationMaps.coefficients reads as ints in x_j alone.  Its weights 2a_j + 3b_j
 in u_j and a_j + 2b_j in c_j fall short of their greatest values over the
 terms by i_j and k_j, so that the least i_j and the least k_j are 0.  No
 factor of u_j or c_j divides the sum: the terms where the least is met
@@ -28,10 +28,12 @@ nothing is divided.
 The equations present the preimage away from the excluded locus
 {t_j(x_j) = 0 for some j} — the x-coordinates of the kernel of [alpha_j]
 on the j-th factor, where the substituted rational maps degenerate.  Each
-t_j is kept primitive, its terms written into the product ring at the
-position of x_j.  membership_test refuses points on that locus rather
+t_j, read the same way, is divided by its content and written into the
+product ring at the position of x_j.  membership_test refuses points on that locus rather
 than answer wrongly.
 """
+
+from math import gcd
 
 from .curves import evaluate_multiplication_map, multiplication_maps
 from .isogenies import DiagonalIsogeny
@@ -101,10 +103,13 @@ def generate_preimage(V, isogeny):
         ix = 2 * j - 2
         maps_of.append(((ix, ix + 1), maps))
         if abs(alpha) != 1:
-            # t_j(x_j), written into the ring at x_j's position
-            t = system.coordinate_poly(j, {e[0]: c for e, c in
-                                           integer_primitive(maps.t)[1].terms.items()})
-            excluded.append({"j": j, "alpha": alpha, "t": t})
+            # t_j(x_j) over the gcd of its coefficients, written into the ring
+            # at x_j's position: t = c*u leads with |alpha| or |alpha|/2 times
+            # a monic c (Washington, Elliptic Curves, 3.2), so it stays positive
+            t = maps.coefficients(0, 0, 1, 1)
+            g = gcd(*t.values())
+            excluded.append({"j": j, "alpha": alpha,
+                             "t": system.coordinate_poly(j, {k: c // g for k, c in t.items()})})
 
     equations, products = [], {}  # products: (x_j index, a, b, i, k) -> terms
     for f in reduced:
@@ -120,8 +125,7 @@ def generate_preimage(V, isogeny):
                 a, b = e[ix], e[iy]
                 key = (ix, a, b, tu - 2 * a - 3 * b, tc - a - 2 * b)
                 if key not in products:
-                    products[key] = [(i, d) for (i, _, _), d in
-                                     maps.product(*key[1:]).terms.items()]
+                    products[key] = list(maps.coefficients(*key[1:]).items())
                 rows = [(r + (i, b), c1 * d) for r, c1 in rows for i, d in products[key]]
             _merge(num, rows)
         # never 0: the images of the x_j and y_j are algebraically independent

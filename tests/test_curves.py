@@ -12,6 +12,7 @@ from ellprod.curves import (
     CurvePoint,
     KernelPointError,
     SingularCurveError,
+    SymbolicMapsError,
     WeierstrassCurve,
     _Packed,
     _product,
@@ -499,6 +500,33 @@ def test_product_reads_no_field_of_a_curve_map():
         maps = multiplication_maps(alpha, E01)
         assert (maps.product(1, 0, 0, 0), maps.product(0, 1, 0, 1)) == want
         assert not set(vars(maps)) & set(MAP_FIELDS)
+
+
+# the curve-specific maps that tools/output_hashes.py hashes
+HASHED_MAP_CURVES = [WeierstrassCurve(A, B) for A, B in ((-1, 0), (0, 1), (2, 3), (-7, 6), (5, -3))]
+
+
+@pytest.mark.parametrize("curve", HASHED_MAP_CURVES + [MAP_CURVES[1]], ids=repr)
+def test_coefficients_are_the_terms_of_the_product(curve):
+    # {k: c} in order of k, read off the packed value, is product's terms
+    # (each read on maps of its own, so that neither sees the other's widths);
+    # on the 30-digit curve only the first five cases, as the others take seconds
+    cases = PRODUCT_CASES[:5] if curve is MAP_CURVES[1] else PRODUCT_CASES
+    for alpha in ALPHAS_TO_9:
+        for case in cases:
+            got = multiplication_maps(alpha, curve).coefficients(*case)
+            want = multiplication_maps(alpha, curve).product(*case)
+            assert list(got) == sorted(got) and all(got.values()), (alpha, case)
+            assert {(k, 0, 0): c for k, c in got.items()} == want.terms, (alpha, case)
+
+
+def test_symbolic_maps_have_no_integer_coefficients():
+    # their coefficients are polynomials in A and B; product gives them
+    maps = multiplication_maps(3)
+    with pytest.raises(SymbolicMapsError):
+        maps.coefficients(0, 0, 1, 1)
+    assert isinstance(SymbolicMapsError(), TypeError)
+    assert maps.product(0, 0, 1, 1) == maps.t
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,11 +88,12 @@ def test_preimage_1_5_equation():
 
 
 @pytest.mark.parametrize("alphas, built", [
-    # the products of parts of y2 - x1^3 come from the packed recurrence,
-    # so each factor builds only t, the field of its excluded locus
-    ([3, 5], [{"t"}, {"t"}]),
-    ([2, 4], [{"t"}, {"t"}]),
-    ([-3, 2], [{"t"}, {"t"}]),
+    # the products of parts of y2 - x1^3 and each t_j of the excluded locus
+    # are read off the packed recurrence as integer coefficients, so no
+    # factor builds a field
+    ([3, 5], [set(), set()]),
+    ([2, 4], [set(), set()]),
+    ([-3, 2], [set(), set()]),
 ])
 def test_preimage_builds_only_the_map_fields_its_bindings_use(monkeypatch, alphas, built):
     from ellprod import preimages
@@ -334,6 +335,24 @@ def test_excluded_locus_is_t_written_at_its_coordinate():
     for row, curve in zip(pre.excluded_locus, SURFACE.system.curves):
         t = integer_primitive(multiplication_maps(row["alpha"], curve).t)[1]
         assert row["t"] == embed(t, SURFACE.system.ring, {"x": "x%d" % row["j"]})
+
+
+@pytest.mark.parametrize("curve", [E01, WeierstrassCurve(-1, 0), WeierstrassCurve(2, 3),
+                                   WeierstrassCurve(-7, 6), WeierstrassCurve(5, -3),
+                                   WeierstrassCurve(-45, 53),
+                                   WeierstrassCurve(314159265358979323846264338327,
+                                                    -271828182845904523536028747135)], ids=repr)
+def test_excluded_locus_rows_are_primitive_with_a_positive_lead(curve):
+    # t_j is divided by the gcd of its coefficients alone, with no sign
+    # test: its leading coefficient is |alpha| or |alpha|/2 (times a monic c)
+    system = ProductSystem([curve, E01])
+    V = _variety(system, ["y2 - x1"])
+    for alpha in [a for k in range(2, 10) for a in (k, -k)]:
+        (row,) = generate_preimage(V, DiagonalIsogeny([alpha, 1])).excluded_locus
+        assert gcd(*row["t"].terms.values()) == 1, alpha
+        assert row["t"].leading()[1] > 0, alpha
+        t = integer_primitive(multiplication_maps(alpha, curve).t)[1]
+        assert row["t"] == embed(t, system.ring, {"x": "x1"}), alpha
 
 
 def test_derived_tables_equal_validated_ones():
