@@ -425,9 +425,9 @@ class MultiplicationMaps:
     def product(self, a, b, i, j):
         """n^a * w^b * u^i * c^j, a MultiPoly in x: a term c0*x^a*y^b of an
         equation clears, after x -> n/(c*u^2) and y -> w*y/(c^2*u^3), to
-        c0*y^b times such a product, with i and j set by the other terms
-        (preimages module docstring).  It is built from the x-parts
-        (module docstring), reading no field."""
+        c0*y^e times such a product, with (i, j, e) from clearing (preimages
+        module docstring).  It is built from the x-parts (module
+        docstring), reading no field."""
         return self._divpolys.poly(lambda P: _product(P, self.alpha, a, b, i, j))
 
     def coefficients(self, a, b, i, j):
@@ -436,6 +436,14 @@ class MultiplicationMaps:
         if not isinstance(self._divpolys, _Packed):
             raise SymbolicMapsError("symbolic maps have no integer coefficients")
         return self._divpolys.coefficients(lambda P: _product(P, self.alpha, a, b, i, j))
+
+    def clearing(self, a, b, k):
+        """(i, j, e) such that a term x^a*y^b of weight 2a + 3b, k short of
+        the greatest weight U over an equation's terms, clears to
+        y^e * product(a, b, i, j): times u^U for odd alpha (c = 1), and for
+        even alpha, where c = y^2 on the curve and so x -> n/(y*u)^2 and
+        y -> w/(y*u)^3, times (y*u)^U, which leaves no power of y over."""
+        return (k, 0, b) if self.alpha % 2 else (k, k // 2, k % 2)
 
 
 def multiplication_maps(alpha, curve=None):

@@ -14,16 +14,22 @@ is the curve cubic for even alpha_j and 1 for odd alpha_j), which is
 linear in y_j, then clearing denominators and content in lowest terms.
 The rewriting runs only when some equation has degree 2 or more in some
 y_j; an equation of degree at most 1 in every y_j is its own reduction.
-A term c*prod_j x_j^a_j y_j^b_j of an equation clears to c times the
-product over j of y_j^b_j and n_j^a_j w_j^b_j u_j^i_j c_j^k_j, which
-MultiplicationMaps.coefficients reads as ints in x_j alone.  Its weights 2a_j + 3b_j
-in u_j and a_j + 2b_j in c_j fall short of their greatest values over the
-terms by i_j and k_j, so that the least i_j and the least k_j are 0.  No
-factor of u_j or c_j divides the sum: the terms where the least is met
-differ in y_j-degree, n_j and w_j are coprime to u_j, and n_j and u_j to
-c_j (Washington, Elliptic Curves, 3.2).  The equation is the primitive
-part of the sum, with integer coefficients and a positive leading one;
-nothing is divided.
+The denominators of a term c*prod_j x_j^a_j y_j^b_j are powers of u_j
+for odd alpha_j (c_j = 1), and of y_j*u_j for even alpha_j, where c_j
+equals y_j^2 on the curve, so that x_j -> n_j/(y_j u_j)^2 and
+y_j -> w_j/(y_j u_j)^3; either way of weight 2a_j + 3b_j.  With k_j the
+amount by which that weight falls short of its greatest value over the
+terms, the term clears to c times the product over j of n_j^a_j w_j^b_j
+u_j^k_j and y_j^b_j for odd alpha_j, or (y_j u_j)^k_j =
+u_j^k_j c_j^(k_j//2) y_j^(k_j mod 2) for even alpha_j: the powers that
+MultiplicationMaps.clearing gives, of a product that
+MultiplicationMaps.coefficients reads as ints in x_j alone.  The least
+k_j is 0, and no factor of u_j (or of y_j, for even alpha_j) divides the
+sum: n_j and w_j are coprime to u_j and do not vanish at the x of the
+2-torsion (Washington, Elliptic Curves, 3.2), so the terms where k_j = 0
+do not vanish there.  The equation is the primitive part of the sum,
+with integer coefficients and a positive leading one; nothing is
+divided.
 
 The equations present the preimage away from the excluded locus
 {t_j(x_j) = 0 for some j} — the x-coordinates of the kernel of [alpha_j]
@@ -111,22 +117,23 @@ def generate_preimage(V, isogeny):
             excluded.append({"j": j, "alpha": alpha,
                              "t": system.coordinate_poly(j, {k: c // g for k, c in t.items()})})
 
-    equations, products = [], {}  # products: (x_j index, a, b, i, k) -> terms
+    equations, products = [], {}  # products: (x_j index, a, b, k) -> (e, terms)
     for f in reduced:
-        # the greatest weights of f's terms in u_j and c_j (module docstring)
-        tops = [(max(2 * e[ix] + 3 * e[iy] for e in f.terms),
-                 max(e[ix] + 2 * e[iy] for e in f.terms)) for (ix, iy), _ in maps_of]
+        # the greatest weight 2a_j + 3b_j of f's terms (module docstring)
+        tops = [max(2 * e[ix] + 3 * e[iy] for e in f.terms) for (ix, iy), _ in maps_of]
         num = {}
         for e, c in f.terms.items():
             # c * prod_j x_j^a_j y_j^b_j clears to c times the outer product
-            # over j of the products of parts in x_j times y_j^b_j (ring order)
+            # over j of the products of parts in x_j times y_j^e_j (ring order)
             rows = [((), c)]
-            for ((ix, iy), maps), (tu, tc) in zip(maps_of, tops):
+            for ((ix, iy), maps), top in zip(maps_of, tops):
                 a, b = e[ix], e[iy]
-                key = (ix, a, b, tu - 2 * a - 3 * b, tc - a - 2 * b)
+                key = (ix, a, b, top - 2 * a - 3 * b)
                 if key not in products:
-                    products[key] = list(maps.coefficients(*key[1:]).items())
-                rows = [(r + (i, b), c1 * d) for r, c1 in rows for i, d in products[key]]
+                    i, k, y = maps.clearing(*key[1:])
+                    products[key] = y, list(maps.coefficients(a, b, i, k).items())
+                y, terms = products[key]
+                rows = [(r + (i, y), c1 * d) for r, c1 in rows for i, d in terms]
             _merge(num, rows)
         # never 0: the images of the x_j and y_j are algebraically independent
         equations.append(integer_primitive(MultiPoly._trusted(ring, num))[1])

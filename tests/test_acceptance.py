@@ -1,7 +1,7 @@
 """End-to-end acceptance suite.
 
-One test per numbered criterion; each line of `pytest -v` output is the
-pass/fail verdict for that criterion.  Scalar discrepancies against the
+Each test is named after the numbered criterion it checks; each line of
+`pytest -v` output is a pass/fail verdict for that criterion.  Scalar discrepancies against the
 reference display forms of the worked examples are printed, never
 silently absorbed.
 """
@@ -38,7 +38,7 @@ from ellprod.products import (
     preimage_degree_curve,
     preimage_multidegrees,
 )
-from reference import embed
+from reference import embed, specialize
 
 E01 = WeierstrassCurve(0, 1)
 EM10 = WeierstrassCurve(-1, 0)
@@ -150,6 +150,19 @@ def test_criterion_2_example_preimage_reproduction():
           "(reported, not hidden)" % (mu_s, mu_t, mu_t))
     print("criterion 2: exact symbolic comparisons finished in %.3f s"
           % elapsed)
+
+
+def test_criterion_2_even_multipliers_add_no_fibre_over_2_torsion():
+    # for even alpha_2 the cubic c = y2^2 on the curve, so clearing by
+    # powers of c alone left a power of y2 in the equation: E x {(-1, 0)},
+    # inside the excluded locus, was a spurious component of the preimage.
+    # An equation restricted to that fibre, and reduced, must not vanish
+    relations = C3.system.weierstrass_relations()
+    for alphas, terms in (([2, 2], 20), ([1, 2], 5), ([4, 4], 272), ([2, 1], 8), ([1, 5], 26)):
+        (eq,) = generate_preimage(C3, DiagonalIsogeny(alphas)).equations
+        assert len(eq.terms) == terms, alphas
+        assert reduce_weierstrass(specialize(eq, {"x2": -1, "y2": 0}), relations), alphas
+    print("criterion 2: no even-multiplier preimage of C_3 contains E x {(-1, 0)}")
 
 
 # --------------------------------------------------------------- criterion 3

@@ -529,6 +529,21 @@ def test_symbolic_maps_have_no_integer_coefficients():
     assert maps.product(0, 0, 1, 1) == maps.t
 
 
+@pytest.mark.parametrize("alpha", [2, -2, 3, 4, -5, 6])
+def test_clearing_clears_a_term_at_a_point(alpha):
+    # at P = (3, 5) on y^2 = x^3 - 2, of infinite order: x^a*y^b at [alpha]P
+    # (by the group law) times D^(2a + 3b + k), with D = u(x) for odd alpha
+    # and y*u(x) for even alpha, is y^e * product(a, b, i, j) at P
+    E, P = WeierstrassCurve(0, -2), CurvePoint(3, 5)
+    maps = multiplication_maps(alpha, E)
+    Q = scalar_mul_point(E, alpha, P)
+    D = maps.product(0, 0, 1, 0).evaluate({"x": P.x}) * (P.y if alpha % 2 == 0 else 1)
+    for a, b, k in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 0, 3), (0, 1, 2), (2, 1, 5)]:
+        i, j, e = maps.clearing(a, b, k)
+        assert Q.x ** a * Q.y ** b * D ** (2 * a + 3 * b + k) == \
+            P.y ** e * maps.product(a, b, i, j).evaluate({"x": P.x}), (a, b, k)
+
+
 @settings(max_examples=20, deadline=None)
 @given(nonsingular_curves, st.sampled_from(ALPHAS_TO_9), st.sampled_from(PRODUCT_CASES[2:7]))
 def test_curve_products_of_parts_match_the_fields(E, alpha, case):

@@ -151,7 +151,8 @@ def _parts(maps):
 def _trial_division_reference(V, isogeny):
     """The equations of phi^(-1)(V) by trial division: clear the substituted
     equation, then divide it by prim(u_j), and by the cubic for even
-    alpha_j, for as long as the division is exact."""
+    alpha_j, for as long as the division is exact, and saturate it by y_j
+    for even alpha_j."""
     ring = V.system.ring
     relations = V.system.weierstrass_relations()
     bindings, candidates = {}, []
@@ -173,8 +174,25 @@ def _trial_division_reference(V, isogeny):
                     num = exact_divide_univariate(num, q)
                 except ExactDivisionError:
                     break
-        equations.append(num)
+        equations.append(_saturate(num, isogeny, relations))
     return equations
+
+
+def _saturate(num, isogeny, relations):
+    """num divided by y_j, for each even alpha_j, for as long as it is
+    divisible in the coordinate ring: num <- (num*y_j mod the Weierstrass
+    relations) / C3_j(x_j) while that division is exact, with the content
+    and sign normalised again at the end."""
+    for j, alpha in enumerate(isogeny.alphas, start=1):
+        if alpha % 2 == 0:
+            yj = MultiPoly.var(num.ring, "y%d" % j)
+            while True:
+                try:
+                    num = exact_divide_univariate(reduce_weierstrass(num * yj, relations),
+                                                  relations[j - 1][1])
+                except ExactDivisionError:
+                    break
+    return integer_primitive(num)[1]
 
 
 def test_lowest_terms_agree_with_trial_division():
@@ -195,8 +213,8 @@ def test_lowest_terms_agree_with_trial_division():
 def _substitution_reference(V, isogeny):
     """(equation texts, excluded-locus texts) of phi^(-1)(V) by substitution:
     bind x_j to n_j/(u_j t_j) and y_j to s_j*y_j/t_j^3, products of the maps'
-    fields, take the primitive part of substitute's numerator, then divide
-    out each q^k by the exponent rule."""
+    fields, take the primitive part of substitute's numerator, divide out
+    each q^k by the exponent rule, then saturate by y_j for even alpha_j."""
     ring = V.system.ring
     relations = V.system.weierstrass_relations()
     bindings, factors, excluded = {}, [], []
@@ -224,7 +242,7 @@ def _substitution_reference(V, isogeny):
             A, B = (max(e[i] for e in f.terms) for i in (ix, iy))
             k = min(dx * (A - e[ix]) + dy * (B - e[iy]) + ds * e[iy] for e in f.terms)
             num = exact_divide_univariate(num, q ** k) if k else num
-        equations.append(str(num))
+        equations.append(str(_saturate(num, isogeny, relations)))
     return equations, excluded
 
 
