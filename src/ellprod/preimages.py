@@ -35,8 +35,8 @@ The equations present the preimage away from the excluded locus
 {t_j(x_j) = 0 for some j} — the x-coordinates of the kernel of [alpha_j]
 on the j-th factor, where the substituted rational maps degenerate.  Each
 t_j, read the same way, is divided by its content and written into the
-product ring at the position of x_j.  membership_test refuses points on that locus rather
-than answer wrongly.
+product ring at the position of x_j.  membership_test refuses points on
+that locus rather than answer wrongly.
 """
 
 from math import gcd
@@ -117,7 +117,8 @@ def generate_preimage(V, isogeny):
             excluded.append({"j": j, "alpha": alpha,
                              "t": system.coordinate_poly(j, {k: c // g for k, c in t.items()})})
 
-    equations, products = [], {}  # products: (x_j index, a, b, k) -> (e, terms)
+    # products: (x_j index, a, b, k) -> (y_j exponent, (x_j exponent, coefficient) pairs)
+    equations, products = [], {}
     for f in reduced:
         # the greatest weight 2a_j + 3b_j of f's terms (module docstring)
         tops = [max(2 * e[ix] + 3 * e[iy] for e in f.terms) for (ix, iy), _ in maps_of]
@@ -130,10 +131,10 @@ def generate_preimage(V, isogeny):
                 a, b = e[ix], e[iy]
                 key = (ix, a, b, top - 2 * a - 3 * b)
                 if key not in products:
-                    i, k, y = maps.clearing(*key[1:])
-                    products[key] = y, list(maps.coefficients(a, b, i, k).items())
+                    i, j, y = maps.clearing(*key[1:])
+                    products[key] = y, list(maps.coefficients(a, b, i, j).items())
                 y, terms = products[key]
-                rows = [(r + (i, y), c1 * d) for r, c1 in rows for i, d in terms]
+                rows = [(r + (k, y), c1 * d) for r, c1 in rows for k, d in terms]
             _merge(num, rows)
         # never 0: the images of the x_j and y_j are algebraically independent
         equations.append(integer_primitive(MultiPoly._trusted(ring, num))[1])
