@@ -9,8 +9,9 @@ once for every alpha in four parts n, u, c and w of x:
 with c the curve cubic x^3 + A*x + B for even alpha and 1 for odd alpha.
 The fields of the maps are products of the parts: r, s, t = c*n, c*w, c*u,
 and for even alpha r~, t~ = n, u; so x = r/t^2 = n/(c*u^2) and y = s*y/t^3
-for either parity, and only _product and the fields r~ and t~ test the
-parity of alpha.
+for either parity, and only _product, the fields r~ and t~ and the
+powers that clear a preimage's term (MultiplicationMaps.clearing) test
+the parity of alpha.
 Division polynomials are stored with y^2 eliminated: psi_m = y^(m+1 mod 2)
 * P_m(x, A, B), and this module works with the x-parts P_m throughout.
 
@@ -438,11 +439,12 @@ class MultiplicationMaps:
         return self._divpolys.coefficients(lambda P: _product(P, self.alpha, a, b, i, j))
 
     def clearing(self, a, b, k):
-        """(i, j, e) such that a term x^a*y^b of weight 2a + 3b, k short of
-        the greatest weight U over an equation's terms, clears to
-        y^e * product(a, b, i, j): times u^U for odd alpha (c = 1), and for
-        even alpha, where c = y^2 on the curve and so x -> n/(y*u)^2 and
-        y -> w/(y*u)^3, times (y*u)^U, which leaves no power of y over."""
+        """(i, j, e) such that a term x^a*y^b, whose weight 2a + 3b falls k
+        short of the greatest weight U over an equation's terms, clears to
+        y^e * product(a, b, i, j) times the common denominator: u^U for odd
+        alpha (c = 1), and (y*u)^U for even alpha, where c = y^2 on the
+        curve, so x -> n/(y*u)^2, y -> w/(y*u)^3 and
+        (y*u)^k = u^k * c^(k//2) * y^(k mod 2)."""
         return (k, 0, b) if self.alpha % 2 else (k, k // 2, k % 2)
 
 
