@@ -2,7 +2,8 @@
 change that must keep output byte-identical can be checked against the
 hashes recorded in ``tools/output_hashes.json``.
 
-Usage, from the root of a checkout (its ``src`` is imported):
+Usage, from anywhere (the ``src`` of the checkout this file belongs to
+is imported, and the script works from that checkout's root):
 
     python3 tools/output_hashes.py [--write | --check] [PART ...]
 
@@ -14,9 +15,10 @@ are kept); ``--check`` compares them with it instead, prints ``ok`` or
 ``CHANGED`` (with both hashes) per line, and exits 1 unless every line
 is recorded and equal.  A deliberate change of output is recorded by
 ``--write``.  Running every part takes about a minute and a half on a
-2-core machine, so no test runs it.  The job lists are those of the
-benchmark (``perfbench/joblists.py``) at 20 seconds, as the benchmark
-runs them.  The hashed texts are laid out as follows.
+2-core machine, so no test runs it.  The jobs are the benchmark's: the
+job lists of ``perfbench/joblists.py`` at 20 seconds, set up and run by
+the workload's job class in ``perfbench/workloads.py``.  The hashed
+texts are laid out as follows.
 
 preimage-fresh, seeds 1..3 (204 timed jobs each, warm-up excluded):
     json.dumps([[equation texts, excluded-locus t texts] per timed job])
@@ -26,13 +28,14 @@ preimage-fresh, seeds 1..3 (204 timed jobs each, warm-up excluded):
 oracle-scan, seed 1 (192 timed jobs, warm-up excluded):
     json.dumps([reports per timed job]); a job's reports are, per prime
     in order, verify_maps_vs_group_law for each factor and then
-    verify_preimage_membership, each on one PrimeFieldCtx per prime, as
-    ``ellprod oracle`` runs them (tuples print as JSON lists).
+    verify_preimage_membership, each on one PrimeFieldCtx per prime: the
+    benchmark's per-factor maps checks (tuples print as JSON lists).
 
 cli-cold, seeds 1..3 (169 jobs each, the warm-up first):
     b"%d\\n%s\\n%s\\n" % (exit code, stdout, stderr) per job,
-    concatenated; every job is a fresh ``python -m ellprod.cli`` with the
-    variety files of the job list in its working directory.
+    concatenated; every job, the warm-up too, runs as a timed job of the
+    benchmark: a fresh ``python -m ellprod.cli`` with the variety files
+    of the job list in its working directory.
 
 curve-maps (for each of the curves (A, B) = (-1, 0), (0, 1), (2, 3),
 (-7, 6), (5, -3) in turn, alpha in 1..21 then -1..-21):
@@ -47,17 +50,16 @@ symbolic-maps (alpha in 1..7 then -1..-7):
 import hashlib
 import json
 import os
-import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(ROOT, "src")
-sys.path.insert(0, SRC)
+sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import joblists  # noqa: E402
-from ellprod import curves, isogenies, oracle, preimages, products  # noqa: E402
+import workloads  # noqa: E402
+from ellprod import curves  # noqa: E402
 
 SECONDS = 20
 SEEDS = (1, 2, 3)
@@ -72,54 +74,34 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def _preimage(spec):
-    E1, E2 = (curves.WeierstrassCurve(A, B) for A, B in spec["curves"])
-    return preimages.generate_preimage(products.make_cn_curve(E1, E2, spec["n"]),
-                                       isogenies.DiagonalIsogeny(spec["alphas"]))
+def _outputs(workload, lists):
+    """The outputs of the timed jobs of lists, run by the benchmark's job class."""
+    work = workloads.WORKLOADS[workload]
+    with tempfile.TemporaryDirectory() as workdir:
+        ctx = work.setup(lists, workdir)
+        return [work.run(ctx, i) for i in range(len(lists["timed"]))]
 
 
 def preimage_fresh():
     for seed in SEEDS:
-        texts = []
-        for spec in joblists.preimage_fresh(seed, SECONDS)["timed"]:
-            pre = _preimage(spec)
-            texts.append([[str(eq) for eq in pre.equations],
-                          [str(row["t"]) for row in pre.excluded_locus]])
+        texts = [[[str(eq) for eq in pre.equations],
+                  [str(row["t"]) for row in pre.excluded_locus]]
+                 for pre in _outputs("preimage-fresh", joblists.preimage_fresh(seed, SECONDS))]
         yield "seed %d %s" % (seed, _sha(json.dumps(texts)))
 
 
 def oracle_scan():
-    lists = joblists.oracle_scan(1, SECONDS)
-    pres = [_preimage(spec) for spec in lists["preimages"]]
-    out = []
-    for job in lists["timed"]:
-        pre = pres[job["pre"]]
-        reports = []
-        for p in job["primes"]:
-            field = oracle.PrimeFieldCtx(p, pre.system)
-            for idx, alpha in enumerate(pre.isogeny.alphas):
-                reports.append(oracle.verify_maps_vs_group_law(field, idx, alpha))
-            reports.append(oracle.verify_preimage_membership(field, pre))
-        out.append(reports)
-    yield "seed 1 %s" % _sha(json.dumps(out))
+    reports = _outputs("oracle-scan", joblists.oracle_scan(1, SECONDS))
+    yield "seed 1 %s" % _sha(json.dumps(reports))
 
 
 def cli_cold():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     for seed in SEEDS:
         lists = joblists.cli_cold(seed, SECONDS)
-        digest = hashlib.sha256()
-        with tempfile.TemporaryDirectory() as workdir:
-            for name, spec in lists["files"].items():
-                with open(os.path.join(workdir, name), "w") as fh:
-                    json.dump(spec["variety"], fh)
-            for job in lists["warmup"] + lists["timed"]:
-                proc = subprocess.run([sys.executable, "-m", "ellprod.cli"] + job["argv"],
-                                      cwd=workdir, env=env, capture_output=True)
-                digest.update(b"%d\n%s\n%s\n"
-                              % (proc.returncode, proc.stdout, proc.stderr))
-        yield "seed %d %s" % (seed, digest.hexdigest())
+        # the warm-up jobs run as the first timed jobs of a set-up without warm-up
+        lists.update(warmup=[], timed=lists["warmup"] + lists["timed"])
+        outputs = _outputs("cli-cold", lists)
+        yield "seed %d %s" % (seed, _sha(b"".join(b"%d\n%s\n%s\n" % out for out in outputs)))
 
 
 def curve_maps():
@@ -149,6 +131,7 @@ PARTS = {
 
 
 def main(argv):
+    os.chdir(ROOT)  # so that workloads.child_env() gives CLI children this checkout's src
     mode = argv[0] if argv[:1] in (["--write"], ["--check"]) else None
     parts = argv[1:] if mode else argv
     unknown = [part for part in parts if part not in PARTS]
