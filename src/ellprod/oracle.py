@@ -6,9 +6,10 @@ and reading square roots off a residue table, scalar multiplication is
 double-and-add, and the reports compare that ground truth against the
 polynomial formulas reduced mod p.
 
-Scale policy: exhaustive product scans run only for p <= 31 and two
-factors; anything larger is sampled with the fixed seed 20260815 (2000
-tuples).  Primes above MAX_P are refused, since enumeration is O(p).
+Scale policy: a membership scan is exhaustive exactly when its tuples
+fit in one sample of SAMPLE_COUNT (2000); else it draws that many, with
+replacement, from the fixed seed 20260815, so "iterated" counts draws.
+Primes above MAX_P are refused, since enumeration is O(p).
 Good primes avoid 2, 3, the curve discriminants, and the isogeny
 multipliers, so reductions stay nonsingular and separable.
 
@@ -17,17 +18,18 @@ curve (factors with equal A, B mod p share them), the affine points (-P
 next to P), per alpha the table of [alpha]P over them (the point list
 itself for alpha = 1; else one left-to-right double-and-add per pair +-P,
 as [alpha](-P) = -[alpha]P, and scalar_mul_mod for a pair whose chain
-meets a vertical line), the x table (_XTable: the distinct x's by
-position, with the columns x^k built on first use), and per point the
-position of its x and its y, for the points and for each table of
-images.  A factor of more than SAMPLE_COUNT points keeps no x table or
-columns: each call builds its own over the x's it reads (a scan: its
-distinct drawn points' and their images') and drops the powers once
-read.  A polynomial in x is evaluated at every x of a table as one
-combination of the packed columns (Kronecker substitution, a 64-bit slot
-per x).  The maps check evaluates r, t and s so and compares once per
-pair +-P, as r = X*t^2 and s*y = Y*t^3 mod p, inverting only to report a
-mismatch; verify_factor_maps runs it once per distinct (curve, alpha).
+meets a vertical line), and from PrimeFieldCtx.coordinates the x table
+(_XTable: the distinct x's by position, with the columns x^k built on
+first use) and per point the position of its x and its y, for the points
+and for each table of images.  A factor of more than SAMPLE_COUNT points
+keeps no x table or columns: each call builds its own over the x's it
+reads (the maps check: every point's; a scan: its distinct drawn
+points' and their images') and drops the powers once read.  A
+polynomial in x is evaluated at every x of a table as one combination
+of the packed columns (Kronecker substitution, a 64-bit slot per x).
+The maps check evaluates r, t and s so and compares once per pair +-P,
+as r = X*t^2 and s*y = Y*t^3 mod p, inverting only to report a mismatch;
+verify_factor_maps runs it once per distinct (curve, alpha).
 The membership scan holds its tuples as one column of positions per
 factor (every tuple when exhaustive, the SAMPLE_COUNT draws when
 sampled): point indices, or in a larger factor positions among its
@@ -61,7 +63,6 @@ from operator import add, eq, floordiv, is_, itemgetter, mod, mul, ne, not_, or_
 
 from .arith import is_prime, require_int
 
-EXHAUSTIVE_MAX_P = 31
 SAMPLE_SEED = 20260815
 SAMPLE_COUNT = 2000
 # Bound on the primes a context accepts: point enumeration and the
@@ -79,8 +80,9 @@ class PrimeFieldCtx:
     The context also holds the tables the checks share, keyed by the
     reduced curve (A mod p, B mod p), so that factors with the same
     reduction share them: its affine points, per alpha their images under
-    [alpha], and for at most SAMPLE_COUNT points its x table and coordinate
-    columns.  They are built on first use and live as long as the context.
+    [alpha], and for at most SAMPLE_COUNT points its coordinate columns
+    on one x table.  They are built on first use and live as long as the
+    context.
     """
 
     def __init__(self, p, system):
@@ -102,7 +104,6 @@ class PrimeFieldCtx:
         self._roots = None
         self._points = {}
         self._images = {}
-        self._xs = {}
         self._coords = {}
 
     def require_separable(self, alphas):
@@ -169,23 +170,13 @@ class PrimeFieldCtx:
             self._images[key] = table
         return table
 
-    def x_table(self, curve_index):
-        """One factor's _XTable over its x's in point order, kept if it has
-        at most SAMPLE_COUNT affine points, else a new one per call."""
-        points = self.affine_points(curve_index)  # checks curve_index
-        table = self._xs.get(self.reduced(curve_index))
-        if table is None:
-            table = _XTable(self.p, map(itemgetter(0), points), len(points) <= SAMPLE_COUNT)
-            if table.kept:
-                self._xs[self.reduced(curve_index)] = table
-        return table
-
     def coordinates(self, curve_index, alpha=None, ids=None):
         """(x table, x positions, y's) of one factor's points, or with alpha
-        of their images [alpha]P (the first point's on the kernel), as
-        lists by point index on x_table: kept for a factor of at most
-        SAMPLE_COUNT points.  A larger one gets them per call, by position
-        in ids, on a table over the x's read."""
+        of their images [alpha]P (the first point's on the kernel).  The
+        one rule for kept tables: a factor of at most SAMPLE_COUNT points
+        keeps them, by point index on one table over its x's in point
+        order; a larger one gets them per call, by position in ids (every
+        point if None), on a table over the x's read."""
         points = self.affine_points(curve_index)  # checks curve_index
         if alpha == 1:  # the images are the points
             alpha = None
@@ -194,11 +185,12 @@ class PrimeFieldCtx:
             return self._coords[key]
         keep = len(points) <= SAMPLE_COUNT
         pts = points if alpha is None else self.image_table(curve_index, alpha)
-        if not keep:
+        if not keep and ids is not None:
             pts = list(map(pts.__getitem__, ids))
         if alpha is not None:
             pts = [Q or points[0] for Q in pts]
-        table = self.x_table(curve_index) if keep else _XTable(self.p, map(itemgetter(0), pts))
+        table = (self.coordinates(curve_index)[0] if keep and alpha is not None
+                 else _XTable(self.p, map(itemgetter(0), pts), keep))
         coords = (table, list(map(table.index.__getitem__, map(itemgetter(0), pts))),
                   list(map(itemgetter(1), pts)))
         if keep:
@@ -337,7 +329,7 @@ def verify_maps_vs_group_law(ctx, curve_index, alpha):
     p = ctx.p
     points = ctx.affine_points(curve_index)  # checks curve_index
     maps = _maps_for(ctx.system.curves[curve_index], alpha)
-    table = ctx.x_table(curve_index)
+    table = ctx.coordinates(curve_index)[0]
     r, t, s = table.values([poly_mod(f, p, ("x",)) for f in (maps.r, maps.t, maps.s)])
     mismatches = []
     exceptional = []
@@ -552,7 +544,10 @@ def _draw(rng, sizes, count):
 def verify_preimage_membership(ctx, pre):
     """Over F_p, for every affine point tuple outside the excluded locus:
     the generated equations vanish iff the isogeny image satisfies the
-    base equations.  Exhaustive at desk scale, sampled beyond it."""
+    base equations.  Exhaustive, in itertools.product order, exactly when
+    the tuples fit in one sample (the product of affine_counts is at most
+    SAMPLE_COUNT); else SAMPLE_COUNT tuples are drawn with replacement, so
+    "iterated" counts draws, not distinct tuples."""
     system = pre.system
     if system is not ctx.system and system.curves != ctx.system.curves:
         raise ValueError("context and presentation use different curve systems")
@@ -568,13 +563,14 @@ def verify_preimage_membership(ctx, pre):
     affine = [ctx.affine_points(idx) for idx in range(n)]
     images = [ctx.image_table(idx, alphas[idx]) for idx in range(n)]
     sizes = [len(pts) for pts in affine]
-    exhaustive = (p <= EXHAUSTIVE_MAX_P and n == 2)
+    exhaustive = prod(sizes) <= SAMPLE_COUNT
     # the tuples, as one column of point indices per factor
-    if exhaustive:  # in itertools.product order: each i of factor 1 with every k
-        cols = [list(chain.from_iterable(map(repeat, range(sizes[0]), repeat(sizes[1])))),
-                list(range(sizes[1])) * sizes[0]]
+    if exhaustive:  # in itertools.product order: in factor j's column each index
+        # repeats once per tuple of the later factors, the whole once per earlier
+        cols = [list(chain.from_iterable(map(repeat, range(size), repeat(prod(sizes[j + 1:])))))
+                * prod(sizes[:j]) for j, size in enumerate(sizes)]
     else:
-        flat = _draw(random.Random(SAMPLE_SEED), sizes, min(SAMPLE_COUNT, prod(sizes)))
+        flat = _draw(random.Random(SAMPLE_SEED), sizes, SAMPLE_COUNT)
         cols = [flat[j::n] for j in range(n)]
     # per factor and position, bit 1 if the image is at infinity and bit 2
     # on the excluded locus; a tuple's kind is the OR over its factors: 0

@@ -115,15 +115,12 @@ class MultiPoly:
         return cls._trusted(ring, {(0,) * len(ring): c} if c else {})
 
     @classmethod
-    def var(cls, ring, name, power=1):
+    def var(cls, ring, name):
         ring = tuple(ring)
         if name not in ring:
             raise ValueError("variable %r not in ring %r" % (name, ring))
-        power = require_int(power, "power")
-        if power < 0:
-            raise ValueError("negative exponent")
         e = [0] * len(ring)
-        e[ring.index(name)] = power
+        e[ring.index(name)] = 1
         return cls._trusted(ring, {tuple(e): 1})
 
     # -- basic queries ------------------------------------------------

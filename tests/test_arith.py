@@ -109,7 +109,7 @@ def _entry_point_calls():
     return {
         # each used to truncate: y2 = x1^2, [2], 81, P_3, [2]P, c0(2,1,1),
         # primes [101, 103]; then 7 is prime, [2, 3], lambda(2, 1) = 400,
-        # N = 2, alpha = 5, deg_C = 3 echoed, x^2, x, x, 3*x, dim 1, and
+        # N = 2, alpha = 5, deg_C = 3 echoed, x^2, x, 3*x, dim 1, and
         # transverse True from "no"
         "is_prime": lambda: arith.is_prime(7.9),
         "prime_factors": lambda: arith.prime_factors(12.5),
@@ -118,7 +118,6 @@ def _entry_point_calls():
             2.9, 2, 1, 5.5, 3.2),
         "poly_pow": lambda: x ** 2.5,
         "poly_pow_bool": lambda: x ** True,
-        "var_power": lambda: polynomials.MultiPoly.var(ring, "x", 1.7),
         "exponent_tuple": lambda: polynomials.MultiPoly(ring, {(1.9, 0): 3}),
         "make_cn_curve": lambda: products.make_cn_curve(E, E, 2.5),
         "multiplication_maps": lambda: curves.multiplication_maps(2.9, E),

@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product as iter_product
+from math import prod
 
 import pytest
 
@@ -36,7 +37,6 @@ SYS = C3.system
 
 
 def test_scale_policy_constants_frozen():
-    assert oracle.EXHAUSTIVE_MAX_P == 31
     assert oracle.SAMPLE_SEED == 20260815
     assert oracle.SAMPLE_COUNT == 2000
 
@@ -203,6 +203,12 @@ def test_membership_exhaustive():
     assert rep["excluded"] == 33   # x1 in {3,5,6} kills t_2
     assert rep["equations_vanish"] == rep["image_on_subvariety"]
     assert rep["mismatches"] == []
+    # above p = 31 too, as long as the tuples fit in one sample: 41 * 41
+    # = 1681 <= SAMPLE_COUNT, every tuple once
+    rep = verify_preimage_membership(PrimeFieldCtx(41, SYS), pre)
+    assert rep["mode"] == "exhaustive" and rep["affine_counts"] == [41, 41]
+    assert rep["iterated"] == 1681 and rep["ok"]
+    assert rep == reference_membership(PrimeFieldCtx(41, SYS), pre)
 
 
 def test_membership_sampled_large_prime():
@@ -216,16 +222,23 @@ def test_membership_sampled_large_prime():
     assert rep == rep2
 
 
-def test_membership_sampled_three_factors():
-    # three factors force sampling even at desk-scale primes
+def test_membership_three_factors_scale_by_tuple_count():
+    # the number of factors does not set the scale, the tuples do: 11^3 =
+    # 1331 tuples at p = 7 fit in one sample and are each scanned once,
+    # 17^3 at p = 17 do not, and SAMPLE_COUNT of them are drawn
     sys3 = ProductSystem([E01, E01, E01])
     table = MultiDegreeTable(1, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
     eqs = [parse_poly("y1 - y2", sys3.ring), parse_poly("x2 - x3", sys3.ring)]
     V = SubvarietyPresentation(sys3, eqs, 1, table, False)
     pre = generate_preimage(V, DiagonalIsogeny([1, 1, 1]))
     rep = verify_preimage_membership(PrimeFieldCtx(7, sys3), pre)
+    assert rep["mode"] == "exhaustive"
+    assert rep["iterated"] == 11 ** 3
+    assert rep["ok"]
+    rep = verify_preimage_membership(PrimeFieldCtx(17, sys3), pre)
+    assert rep["affine_counts"] == [17] * 3
     assert rep["mode"] == "sampled"
-    assert rep["iterated"] == min(oracle.SAMPLE_COUNT, 11 ** 3)
+    assert rep["iterated"] == oracle.SAMPLE_COUNT
     assert rep["ok"]
 
 
@@ -302,16 +315,13 @@ def reference_membership(ctx, pre):
     excl = [(row["j"], poly_mod(row["t"], p, ("x%d" % row["j"],)))
             for row in pre.excluded_locus]
     affine = [enumerate_points(ctx, idx)[1:] for idx in range(n)]
-    total = 1
-    for pts in affine:
-        total *= len(pts)
-    exhaustive = p <= oracle.EXHAUSTIVE_MAX_P and n == 2
+    exhaustive = prod(map(len, affine)) <= oracle.SAMPLE_COUNT
     if exhaustive:
         tuples = iter_product(*affine)
     else:
         rng = random.Random(oracle.SAMPLE_SEED)
         tuples = [tuple(rng.choice(pts) for pts in affine)
-                  for _ in range(min(oracle.SAMPLE_COUNT, total))]
+                  for _ in range(oracle.SAMPLE_COUNT)]
     iterated = excluded = members = vanishing = 0
     mismatches = []
     for tup in tuples:
@@ -458,6 +468,15 @@ def _wrong(pre, other):
 def test_scan_matches_reference_on_three_factors():
     pre = _three_factor_preimage()
     _assert_scans_match(pre, [7, 13, 101])
+    rep = verify_preimage_membership(PrimeFieldCtx(7, pre.system), pre)
+    assert rep["affine_counts"] == [11, 7, 11]  # 847 tuples fit in one sample
+    assert rep["mode"] == "exhaustive" and rep["iterated"] == 847
+    # the reference lists the mismatches of wrong presentations in
+    # itertools.product order, and so must the scan
+    for bad in _wrong(pre, _three_factor_preimage((1, 2, -1))):
+        got = verify_preimage_membership(PrimeFieldCtx(7, pre.system), bad)
+        assert got == reference_membership(PrimeFieldCtx(7, pre.system), bad)
+        assert len(got["mismatches"]) > 1
     rep = verify_preimage_membership(PrimeFieldCtx(101, pre.system), pre)
     assert rep["mode"] == "sampled" and rep["iterated"] == oracle.SAMPLE_COUNT
 
@@ -517,7 +536,7 @@ def test_sampled_scan_builds_tables_over_drawn_points_only(monkeypatch):
     pre = generate_preimage(C3, DiagonalIsogeny([2, 1]))
     ctx = PrimeFieldCtx(oracle.MAX_P - 1, SYS)
     rep = verify_preimage_membership(ctx, pre)
-    assert ctx._xs == {}
+    assert ctx._coords == {}
     assert len(tables) == 4
     assert all(0 < len(t.index) <= oracle.SAMPLE_COUNT for t in tables)
     assert rep["mode"] == "sampled" and rep["iterated"] == oracle.SAMPLE_COUNT
@@ -535,21 +554,23 @@ def test_sampled_scan_builds_tables_over_drawn_points_only(monkeypatch):
 # -- tables shared on one context ------------------------------------------
 
 
-@pytest.mark.parametrize("p", [13, 101, 1009])
-def test_x_table_positions_and_columns(p):
+@pytest.mark.parametrize("p", [13, 101, 1009, 4099])
+def test_coordinates_positions_and_columns(p):
     # each point's position holds its own x, -P (listed right after P)
     # shares P's, the positions count the distinct x's in point order (as
     # the maps check reads them), every affine image [alpha]P finds its x
-    # in the same table, and the columns are the powers x^k mod p
+    # in the same table, and the columns are the powers x^k mod p.  At
+    # 4099 each factor has more than SAMPLE_COUNT points: without ids a
+    # call reads every point, on a table of its own kept nowhere
     system = ProductSystem([E01, WeierstrassCurve(-1, 0)])
     ctx = PrimeFieldCtx(p, system)
     for idx in range(2):
         points = ctx.affine_points(idx)
-        table = ctx.x_table(idx)
-        assert table is ctx.x_table(idx)  # kept on the context
-        assert ctx.coordinates(idx) is ctx.coordinates(idx)
-        on, at, ys = ctx.coordinates(idx)
-        assert on is table
+        kept = len(points) <= oracle.SAMPLE_COUNT
+        assert kept == (p < 4099)
+        assert (ctx.coordinates(idx) is ctx.coordinates(idx)) == kept
+        table, at, ys = ctx.coordinates(idx)
+        assert table.kept == kept
         xs = table.col(1)
         assert at == [table.index[x] for x, _ in points]
         assert at[0] == 0 and all(b - a in (0, 1) for a, b in zip(at, at[1:]))
@@ -564,9 +585,9 @@ def test_x_table_positions_and_columns(p):
         assert pairs == len(points) - len(xs)
         for alpha in (2, -2, 3, 5):
             on, at_image, y_image = ctx.coordinates(idx, alpha)
-            assert on is table  # the images read the points' table
+            assert (on is table) == kept  # the kept images read the points' table
             for Q, i, y in zip(ctx.image_table(idx, alpha), at_image, y_image):
-                assert (xs[i], y) == (Q or points[0])
+                assert (on.col(1)[i], y) == (Q or points[0])
         for k in range(13):
             assert table.col(k) == [pow(x, k, p) for x in xs]
 
@@ -583,15 +604,15 @@ def test_scan_first_then_maps_match_fresh_contexts(p):
     assert got == reference_membership(PrimeFieldCtx(p, SYS), pre)
     large = min(len(shared.affine_points(j)) for j in range(2)) > oracle.SAMPLE_COUNT
     assert large == (p == 4099)
-    degrees = [len(table.cols) for _, table in sorted(shared._xs.items())]
+    degree = 0 if large else len(shared.coordinates(0)[0].cols)
     for idx, alpha in ((0, 2), (1, 1), (0, 5), (1, -3)):
         got = verify_maps_vs_group_law(shared, idx, alpha)
         assert got == verify_maps_vs_group_law(PrimeFieldCtx(p, SYS), idx, alpha)
         assert got == reference_maps(PrimeFieldCtx(p, SYS), idx, alpha)
     if large:
-        assert shared._xs == {}
+        assert shared._coords == {}
     else:
-        assert len(shared._xs[shared.reduced(0)].cols) > degrees[0] + 20
+        assert len(shared.coordinates(0)[0].cols) > degree + 20
 
 
 def test_shared_context_maps_match_fresh_contexts():
@@ -649,7 +670,8 @@ def test_equal_reductions_share_their_tables():
                     reference_maps(PrimeFieldCtx(p, system), idx, 2)
             assert verify_preimage_membership(ctx, pre) == \
                 reference_membership(PrimeFieldCtx(p, system), pre)
-            assert len(ctx._points) == len(ctx._xs) == 1
+            assert len(ctx._points) == 1
+            assert len({id(table) for table, _, _ in ctx._coords.values()}) == 1
 
 
 def _dense(pre, e):
@@ -702,7 +724,7 @@ def test_scan_matches_reference_with_a_kept_and_a_large_factor(curves):
         for idx, alpha in enumerate(alphas):
             assert verify_maps_vs_group_law(ctx, idx, alpha) == \
                 reference_maps(PrimeFieldCtx(p, V.system), idx, alpha)
-        assert list(ctx._xs) == [ctx.reduced(kept.index(True))]
+        assert {key for key, _ in ctx._coords} == {ctx.reduced(kept.index(True))}
 
 
 def test_three_factor_scan_at_101_matches_reference():
@@ -728,6 +750,8 @@ def test_scan_matches_reference_on_one_factor():
         got = verify_preimage_membership(PrimeFieldCtx(101, system), dense)
         assert got == reference_membership(PrimeFieldCtx(101, system), dense)
         assert got["equations_vanish"] and got["image_on_subvariety"] and got["mismatches"]
+        # the 101 points fit in one sample: each is scanned once
+        assert got["mode"] == "exhaustive" and got["iterated"] == got["affine_counts"][0] == 101
 
 
 @pytest.mark.parametrize("p", [101, 1999])
